@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .algebras import (
     Algebra,
     identity_of,
     is_ideal,
-    is_multiplicatively_closed,
     is_ring_iso,
     subalgebra_on,
 )
@@ -36,6 +35,62 @@ from .validation import ValidationReport
 
 ACTION_CLAUSES = ("IDEAL", "ISO", "P1", "P2", "P3", "PO", "INV", "IMG")
 INV_ACTION_CLAUSES = ("IDEAL'", "ISO'", "P1'", "P2'", "P3'")
+
+
+class GradedIndex:
+    """One index view of an ordered groupoid or an inverse semigroup.
+
+    Grades are the arrows or the elements.  `inv`, `ran` and `dom` are
+    tuples (for a semigroup, ran(s) = ss^-1 and dom(s) = s^-1 s);
+    `prod(i, j)` is the composite, None where a groupoid pair does not
+    compose; `le` is the groupoid order or the natural partial order;
+    `anchors` are the objects or the idempotents; `triples` holds
+    (grade, ran, dom) per grade.  Read through the ESN correspondence, a
+    semigroup's view is its derived inductive groupoid's view with the
+    composite widened to the total product.
+    """
+
+    def __init__(self, structure: "OrderedGroupoid | InverseSemigroup"):
+        self.names = structure.names
+        if isinstance(structure, OrderedGroupoid):
+            self.inv, self.ran, self.dom = structure.inv, structure.ran, structure.dom
+            comp = structure.comp
+            self.prod: Callable[[int, int], Optional[int]] = lambda i, j: comp.get((i, j))
+            self.le = structure.le
+            self.anchors = tuple(sorted(structure.objects))
+        else:
+            structure.require_valid()
+            mult = structure.mult
+            self.inv = tuple(structure.inverse(s) for s in structure.elements())
+            self.ran = tuple(mult[s][self.inv[s]] for s in structure.elements())
+            self.dom = tuple(mult[self.inv[s]][s] for s in structure.elements())
+            self.prod = structure.mul
+            self.le = structure.natural_le
+            self.anchors = tuple(sorted(structure.idempotents()))
+        self.grades = range(len(self.names))
+        self.triples = tuple(zip(self.grades, self.ran, self.dom))
+
+
+def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex:
+    """The structure's index view, built on first use and kept on it."""
+    view = structure.__dict__.get("_graded_index")
+    if view is None:
+        view = structure._graded_index = GradedIndex(structure)
+    return view
+
+
+def _unit_vector(self, g: int) -> Optional[Vector]:
+    """Central idempotent identity of ideal_of[g], cached; None if absent."""
+    if g not in self._units:
+        try:
+            ident = identity_of(self.carrier, self.ideal_of[g])
+        except NotMultiplicativelyClosed:
+            ident = None
+        if ident is None or not (ident.central and ident.idempotent):
+            self._units[g] = None
+        else:
+            self._units[g] = ident.element.coeffs
+    return self._units[g]
 
 
 @dataclass
@@ -62,6 +117,10 @@ class POAction:
         self.ideal_of = tuple(self.ideal_of)
         self.map_of = tuple(self.map_of)
 
+    @property
+    def index(self) -> GradedIndex:
+        return graded_index(self.groupoid)
+
     def arrows(self) -> range:
         return self.groupoid.arrows()
 
@@ -71,18 +130,68 @@ class POAction:
     def apply(self, g: int, v: Sequence[int]) -> Vector:
         return self.map_of[g].apply(v)
 
-    def unit_vector(self, g: int) -> Optional[Vector]:
-        """Central idempotent identity of ideal_of[g], cached; None if absent."""
-        if g not in self._units:
-            try:
-                ident = identity_of(self.carrier, self.ideal_of[g])
-            except NotMultiplicativelyClosed:
-                ident = None
-            if ident is None or not (ident.central and ident.idempotent):
-                self._units[g] = None
-            else:
-                self._units[g] = ident.element.coeffs
-        return self._units[g]
+    unit_vector = _unit_vector
+
+
+@dataclass
+class InvSgpAction:
+    """A family (A_s, alpha_s) indexed by an inverse semigroup's elements."""
+
+    semigroup: InverseSemigroup
+    carrier: Algebra
+    ideal_of: tuple[Subspace, ...]
+    map_of: tuple[LinMap, ...]
+    name: str = field(default="", compare=False)
+    _units: dict[int, Optional[Vector]] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def index(self) -> GradedIndex:
+        return graded_index(self.semigroup)
+
+    def elements(self) -> range:
+        return self.semigroup.elements()
+
+    unit_vector = _unit_vector
+
+
+Action = Union[POAction, InvSgpAction]
+
+
+def _check_ideals_and_isos(a: Action, rep: ValidationReport, prime: str = "") -> list[bool]:
+    """The IDEAL, ISO and anchor-sum P1 clauses, common to both kinds of
+    action (labels carry `prime` on the semigroup side).  Returns whether
+    each grade's map is a ring isomorphism between the right ideals."""
+    ix = a.index
+    nm = ix.names
+    full = a.carrier.space()
+
+    def require_ideal(g: int, outer: Subspace, where: str) -> None:
+        try:
+            if not is_ideal(a.carrier, a.ideal_of[g], outer):
+                rep.add("IDEAL" + prime, f"ideal at {nm[g]} does not absorb {where}")
+        except NotContained:
+            rep.add("IDEAL" + prime, f"ideal at {nm[g]} is not inside {where}")
+
+    for e in ix.anchors:
+        require_ideal(e, full, "the carrier")
+    for g, r, _ in ix.triples:
+        require_ideal(g, a.ideal_of[r], "its range ideal")
+    iso_ok = []
+    for g in ix.grades:
+        m = a.map_of[g]
+        ok = m.domain == a.ideal_of[ix.inv[g]] and m.codomain == a.ideal_of[g]
+        if not ok:
+            rep.add("ISO" + prime, f"map at {nm[g]} has wrong endpoints")
+        elif not is_ring_iso(m, a.carrier, a.carrier):
+            rep.add("ISO" + prime, f"map at {nm[g]} is not a ring isomorphism")
+            ok = False
+        iso_ok.append(ok)
+    total = Subspace.zero(a.carrier.dim, a.carrier.p)
+    for e in ix.anchors:
+        total = total.add(a.ideal_of[e])
+    if total != full:
+        rep.add("P1" + prime, "anchor ideals do not sum to the carrier")
+    return iso_ok
 
 
 def validate_po_action(a: POAction) -> ValidationReport:
@@ -92,40 +201,12 @@ def validate_po_action(a: POAction) -> ValidationReport:
     g0 = a.groupoid
     nm = g0.names
     rep = ValidationReport(a.name or "action", ACTION_CLAUSES)
-    full = a.carrier.space()
-    for e in g0.objects:
-        try:
-            if not is_ideal(a.carrier, a.ideal_of[e], full):
-                rep.add("IDEAL", f"ideal at object {nm[e]} does not absorb the carrier")
-        except NotContained:
-            rep.add("IDEAL", f"ideal at object {nm[e]} is not inside the carrier")
-    for g in g0.arrows():
-        outer = a.ideal_of[g0.ran[g]]
-        try:
-            if not is_ideal(a.carrier, a.ideal_of[g], outer):
-                rep.add("IDEAL", f"ideal at {nm[g]} does not absorb the range ideal")
-        except NotContained:
-            rep.add("IDEAL", f"ideal at {nm[g]} is not inside the range ideal")
-    iso_ok = {}
-    for g in g0.arrows():
-        m = a.map_of[g]
-        ok = m.domain == a.ideal_of[g0.inv[g]] and m.codomain == a.ideal_of[g]
-        if not ok:
-            rep.add("ISO", f"map at {nm[g]} has wrong endpoints")
-        elif not is_ring_iso(m, a.carrier, a.carrier):
-            rep.add("ISO", f"map at {nm[g]} is not a ring isomorphism")
-            ok = False
-        iso_ok[g] = ok
+    iso_ok = _check_ideals_and_isos(a, rep)
     for e in g0.objects:
         if iso_ok[e]:
             ide = LinMap.identity(a.ideal_of[e])
             if not a.map_of[e].agrees_with(ide, a.ideal_of[e]):
                 rep.add("P1", f"map at object {nm[e]} is not the identity")
-    total = Subspace.zero(a.carrier.dim, a.carrier.p)
-    for e in g0.objects:
-        total = total.add(a.ideal_of[e])
-    if total != full:
-        rep.add("P1", "object ideals do not sum to the carrier")
     for g in g0.arrows():
         for h in g0.arrows():
             if not g0.composable(g, h) or not (iso_ok[g] and iso_ok[h]):
@@ -135,7 +216,7 @@ def validate_po_action(a: POAction) -> ValidationReport:
             pulled = a.map_of[h].preimage_of(inter)
             if not a.ideal_of[g0.inv[gh]].contains_subspace(pulled):
                 rep.add("P2", f"pulled-back overlap of ({nm[g]},{nm[h]}) escapes its target")
-            if not iso_ok.get(gh, False):
+            if not iso_ok[gh]:
                 continue
             for v in pulled.basis:
                 mid = a.map_of[h].apply(v)
@@ -187,23 +268,33 @@ def require_valid_action(a: POAction) -> None:
         raise InvalidAction(str(rep))
 
 
-def is_global(a: POAction) -> bool:
-    return all(a.ideal_of[g] == a.ideal_of[a.groupoid.ran[g]] for g in a.arrows())
+def is_global(a: Action) -> bool:
+    return all(a.ideal_of[g] == a.ideal_of[r] for g, r, _ in a.index.triples)
 
 
-def is_preunital(a: POAction) -> bool:
-    return all(a.unit_vector(e) is not None for e in a.groupoid.objects)
+def is_preunital(a: Action) -> bool:
+    return all(a.unit_vector(e) is not None for e in a.index.anchors)
 
 
-def is_unital(a: POAction) -> bool:
-    return all(a.unit_vector(g) is not None for g in a.arrows())
-
-
-def first_non_unital_arrow(a: POAction) -> Optional[int]:
-    for g in a.arrows():
+def first_non_unital_arrow(a: Action) -> Optional[int]:
+    for g in a.index.grades:
         if a.unit_vector(g) is None:
             return g
     return None
+
+
+def is_unital(a: Action) -> bool:
+    return first_non_unital_arrow(a) is None
+
+
+def require_unital(a: Action) -> None:
+    """Refuse an action with a grade whose ideal has no central idempotent
+    identity, naming the first such grade."""
+    bad = first_non_unital_arrow(a)
+    if bad is not None:
+        raise NotUnital(
+            f"ideal at {a.index.names[bad]} has no central idempotent identity", arrow=bad
+        )
 
 
 def is_strong(a: POAction) -> bool:
@@ -551,72 +642,19 @@ def search_equivalence(a: POAction, c: POAction, budget: int = 200_000) -> Equiv
 # -- inverse-semigroup actions ------------------------------------------
 
 
-@dataclass
-class InvSgpAction:
-    """A family (A_s, alpha_s) indexed by an inverse semigroup's elements."""
-
-    semigroup: InverseSemigroup
-    carrier: Algebra
-    ideal_of: tuple[Subspace, ...]
-    map_of: tuple[LinMap, ...]
-    name: str = field(default="", compare=False)
-    _units: dict[int, Optional[Vector]] = field(default_factory=dict, repr=False, compare=False)
-
-    def elements(self) -> range:
-        return self.semigroup.elements()
-
-    def unit_vector(self, s: int) -> Optional[Vector]:
-        if s not in self._units:
-            try:
-                ident = identity_of(self.carrier, self.ideal_of[s])
-            except NotMultiplicativelyClosed:
-                ident = None
-            if ident is None or not (ident.central and ident.idempotent):
-                self._units[s] = None
-            else:
-                self._units[s] = ident.element.coeffs
-        return self._units[s]
-
-
 def validate_inv_sgp_action(a: InvSgpAction) -> ValidationReport:
     a.semigroup.require_valid()
     s0 = a.semigroup
     nm = s0.names
     rep = ValidationReport(a.name or "semigroup action", INV_ACTION_CLAUSES)
-    full = a.carrier.space()
-    for s in s0.elements():
-        anchor = s0.mul(s, s0.inverse(s))
-        try:
-            if not is_ideal(a.carrier, a.ideal_of[anchor], full):
-                rep.add("IDEAL'", f"ideal at {nm[anchor]} does not absorb the carrier")
-        except NotContained:
-            rep.add("IDEAL'", f"ideal at {nm[anchor]} is not inside the carrier")
-        try:
-            if not is_ideal(a.carrier, a.ideal_of[s], a.ideal_of[anchor]):
-                rep.add("IDEAL'", f"ideal at {nm[s]} does not absorb its anchor ideal")
-        except NotContained:
-            rep.add("IDEAL'", f"ideal at {nm[s]} is not inside its anchor ideal")
-    iso_ok = {}
-    for s in s0.elements():
-        m = a.map_of[s]
-        ok = m.domain == a.ideal_of[s0.inverse(s)] and m.codomain == a.ideal_of[s]
-        if not ok:
-            rep.add("ISO'", f"map at {nm[s]} has wrong endpoints")
-        elif not is_ring_iso(m, a.carrier, a.carrier):
-            rep.add("ISO'", f"map at {nm[s]} is not a ring isomorphism")
-            ok = False
-        iso_ok[s] = ok
-    total = Subspace.zero(a.carrier.dim, a.carrier.p)
-    for e in s0.idempotents():
-        total = total.add(a.ideal_of[e])
-    if total != full:
-        rep.add("P1'", "idempotent ideals do not sum to the carrier")
+    iso_ok = _check_ideals_and_isos(a, rep, prime="'")
+    inv = a.index.inv
     for s in s0.elements():
         for t in s0.elements():
             if not (iso_ok[s] and iso_ok[t]):
                 continue
             st = s0.mul(s, t)
-            inter = a.ideal_of[s0.inverse(s)].intersect(a.ideal_of[t])
+            inter = a.ideal_of[inv[s]].intersect(a.ideal_of[t])
             image = a.map_of[s].image_of(inter)
             if image != a.ideal_of[s].intersect(a.ideal_of[st]):
                 rep.add("P2'", f"moved overlap of ({nm[s]},{nm[t]}) misses its target")
@@ -625,7 +663,7 @@ def validate_inv_sgp_action(a: InvSgpAction) -> ValidationReport:
             st = s0.mul(s, t)
             if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
                 continue
-            dom = a.ideal_of[s0.inverse(t)].intersect(a.ideal_of[s0.inverse(st)])
+            dom = a.ideal_of[inv[t]].intersect(a.ideal_of[inv[st]])
             for v in dom.basis:
                 mid = a.map_of[t].apply(v)
                 if not a.map_of[s].domain.contains(mid):
@@ -636,19 +674,10 @@ def validate_inv_sgp_action(a: InvSgpAction) -> ValidationReport:
     return rep
 
 
-def inv_action_is_global(a: InvSgpAction) -> bool:
-    s0 = a.semigroup
-    return all(
-        a.ideal_of[s] == a.ideal_of[s0.mul(s, s0.inverse(s))] for s in s0.elements()
-    )
-
-
-def inv_action_is_preunital(a: InvSgpAction) -> bool:
-    return all(a.unit_vector(e) is not None for e in a.semigroup.idempotents())
-
-
-def inv_action_is_unital(a: InvSgpAction) -> bool:
-    return all(a.unit_vector(s) is not None for s in a.elements())
+# The semigroup-side names of the validity flags, kept for callers.
+inv_action_is_global = is_global
+inv_action_is_preunital = is_preunital
+inv_action_is_unital = is_unital
 
 
 def semigroup_action_to_groupoid_action(a: InvSgpAction) -> POAction:
@@ -660,7 +689,7 @@ def semigroup_action_to_groupoid_action(a: InvSgpAction) -> POAction:
     rep = validate_inv_sgp_action(a)
     if not rep.ok:
         raise InvalidAction(str(rep))
-    if not inv_action_is_preunital(a):
+    if not is_preunital(a):
         raise NotPreunital("semigroup action has a non-unital idempotent ideal")
     g = esn_to_groupoid(a.semigroup)
     out = POAction(g, a.carrier, a.ideal_of, a.map_of, name=f"{a.name or 'action'}@groupoid")

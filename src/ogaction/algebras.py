@@ -361,16 +361,7 @@ def is_ring_iso(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
     """Bijective between its subspaces and multiplicative on the domain basis."""
     if m.domain.dim != dom_alg.dim or m.codomain.dim != cod_alg.dim:
         raise AmbientMismatch("map endpoints do not live in the stated algebras")
-    if not m.is_iso:
-        return False
-    for u in m.domain.basis:
-        for v in m.domain.basis:
-            prod = dom_alg.mul(u, v)
-            if not m.domain.contains(prod):
-                return False
-            if m.apply(prod) != cod_alg.mul(m.apply(u), m.apply(v)):
-                return False
-    return True
+    return m.is_iso and is_ring_hom(m, dom_alg, cod_alg)
 
 
 def is_ring_hom(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
@@ -409,17 +400,6 @@ def product_ring(alg: Algebra, copies: int) -> Algebra:
     if alg.unit is not None:
         unit = tuple(alg.unit[i % n] for i in range(total))
     return Algebra(p, total, table, unit=unit, check=True, name=f"{alg.name or 'algebra'}^{copies}")
-
-
-def block_inject(n: int, copies: int, index: int, v: Sequence[int]) -> Vector:
-    out = [0] * (n * copies)
-    for k, x in enumerate(v):
-        out[index * n + k] = x
-    return tuple(out)
-
-
-def block_project(n: int, copies: int, index: int, v: Sequence[int]) -> Vector:
-    return tuple(v[index * n + k] for k in range(n))
 
 
 def local_units_witness(

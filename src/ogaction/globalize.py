@@ -10,20 +10,18 @@ sets and only sums over arrows with equal range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .actions import (
     InvSgpAction,
     POAction,
-    first_non_unital_arrow,
+    _pull_coords,
     groupoid_action_to_semigroup_action,
-    inv_action_is_preunital,
-    inv_action_is_unital,
     is_global,
     is_preunital,
     is_strong,
-    is_unital,
+    require_unital,
     satisfies_ps,
     semigroup_action_to_groupoid_action,
     validate_po_action,
@@ -42,7 +40,6 @@ from .errors import (
     NotPreunital,
     NotPseudoassociative,
     NotStrong,
-    NotUnital,
 )
 from .linalg import LinMap, Subspace, Vector
 from .validation import ValidationReport
@@ -61,6 +58,12 @@ GLOBALIZATION_CLAUSES = (
 
 SEMIGROUP_GLOBALIZATION_CLAUSES = ("SGLOB(i)", "SGLOB(ii)", "SGLOB(iii)", "SGLOB(iv)")
 
+# The semigroup checklist is the minimal globalization's checklist over the
+# derived groupoid, read on the same ideals, maps and embeddings.
+SGLOB_OF_GLOB = dict(
+    zip(("GLOB(i)", "GLOB(ii)", "GLOB(iii)", "GLOB(iv')"), SEMIGROUP_GLOBALIZATION_CLAUSES)
+)
+
 
 @dataclass
 class Globalization:
@@ -68,7 +71,8 @@ class Globalization:
 
     `ambient` and `gamma` carry the product-ring scaffolding when the
     globalization was built here; externally supplied globalizations leave
-    them unset and are still checkable by verify_globalization.
+    them unset and are still checkable by verify_globalization.  `checklist`
+    is the report of that check on a globalization built here.
     """
 
     base: POAction
@@ -78,6 +82,7 @@ class Globalization:
     ambient: Optional[Algebra] = None
     ambient_inclusion: Optional[LinMap] = None
     gamma: Optional[dict[int, LinMap]] = None
+    checklist: Optional[ValidationReport] = field(default=None, compare=False)
 
 
 def as_globalization(
@@ -144,12 +149,7 @@ def _build(a: POAction, minimal: bool) -> Globalization:
     rep = validate_po_action(a)
     if not rep.ok:
         raise InvalidAction(f"cannot globalize an invalid action:\n{rep}")
-    bad = first_non_unital_arrow(a)
-    if bad is not None:
-        raise NotUnital(
-            f"ideal at {a.groupoid.names[bad]} has no central idempotent identity",
-            arrow=bad,
-        )
+    require_unital(a)
     g0 = a.groupoid
     if minimal:
         if not is_strong(a):
@@ -219,12 +219,7 @@ def _build(a: POAction, minimal: bool) -> Globalization:
     big_algebra, inclusion = subalgebra_on(
         ambient, carrier_sub, name=f"{a.name or 'action'}::globalized-carrier"
     )
-
-    def pull(sub: Subspace) -> Subspace:
-        rows = [carrier_sub.coordinates_of(v) for v in sub.basis]
-        return Subspace.span(carrier_sub.rank, rows, p)
-
-    ideals = tuple(pull(piece[g]) for g in g0.arrows())
+    ideals = tuple(_pull_coords(carrier_sub, piece[g]) for g in g0.arrows())
     maps = []
     for g in g0.arrows():
         dom = ideals[g0.inv[g]]
@@ -260,9 +255,11 @@ def _build(a: POAction, minimal: bool) -> Globalization:
         ambient_inclusion=inclusion,
         gamma=gamma,
     )
-    report = verify_globalization(built)
-    if not report.ok:
-        raise InvalidAction(f"construction failed its own checklist (finding):\n{report}")
+    built.checklist = verify_globalization(built)
+    if not built.checklist.ok:
+        raise InvalidAction(
+            f"construction failed its own checklist (finding):\n{built.checklist}"
+        )
     if minimal and not satisfies_ps(beta):
         raise InvalidAction("minimal construction violates the composition law (finding)")
     return built
@@ -320,58 +317,45 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
         except NotContained:
             rep.add("GLOB(i)", f"embedded ideal at {nm[e]} is not inside its object ideal")
     phi = gl.embeddings
+    moved = {}
     for g in g0.arrows():
-        r, d = g0.ran[g], g0.dom[g]
-        lhs = phi[r].image_of(a.ideal_of[g])
-        moved = b.map_of[g].image_of(images[d].intersect(b.map_of[g].domain))
-        rhs = images[r].intersect(moved)
-        if lhs != rhs:
+        m = b.map_of[g]
+        moved[g] = m.image_of(images[g0.dom[g]].intersect(m.domain))
+    for g in g0.arrows():
+        r = g0.ran[g]
+        if phi[r].image_of(a.ideal_of[g]) != images[r].intersect(moved[g]):
             rep.add("GLOB(ii)", f"embedded ideal at {nm[g]} is not the stated intersection")
     for g in g0.arrows():
         r, d = g0.ran[g], g0.dom[g]
         for v in a.ideal_of[g0.inv[g]].basis:
             lhs = phi[r].apply(a.map_of[g].apply(v))
-            moved = phi[d].apply(v)
-            if not b.map_of[g].domain.contains(moved):
+            moved_v = phi[d].apply(v)
+            if not b.map_of[g].domain.contains(moved_v):
                 rep.add("GLOB(iii)", f"embedded vector escapes the map domain at {nm[g]}")
                 continue
-            if lhs != b.map_of[g].apply(moved):
+            if lhs != b.map_of[g].apply(moved_v):
                 rep.add("GLOB(iii)", f"intertwining fails at {nm[g]}")
-    for g in g0.arrows():
-        gens = [h for h in g0.arrows() if g0.le(g0.ran[h], g0.ran[g])]
-        total = Subspace.zero(b.carrier.dim, b.carrier.p)
-        for h in gens:
-            dh = g0.dom[h]
-            total = total.add(b.map_of[h].image_of(images[dh].intersect(b.map_of[h].domain)))
-        if total != b.ideal_of[g]:
-            rep.add("GLOB(iv)", f"piece at {nm[g]} differs from the down-range sum")
-    if gl.minimal:
+    # Both sums depend on the range object only: (iv) over arrows whose
+    # range lies below it, (iv') over arrows with exactly that range.
+    for e in sorted(g0.objects):
+        down = equal = Subspace.zero(b.carrier.dim, b.carrier.p)
+        for h in g0.arrows():
+            if g0.le(g0.ran[h], e):
+                down = down.add(moved[h])
+                if g0.ran[h] == e:
+                    equal = equal.add(moved[h])
         for g in g0.arrows():
-            gens = [h for h in g0.arrows() if g0.ran[h] == g0.ran[g]]
-            total = Subspace.zero(b.carrier.dim, b.carrier.p)
-            for h in gens:
-                dh = g0.dom[h]
-                total = total.add(b.map_of[h].image_of(images[dh].intersect(b.map_of[h].domain)))
-            if total != b.ideal_of[g]:
+            if g0.ran[g] != e:
+                continue
+            if down != b.ideal_of[g]:
+                rep.add("GLOB(iv)", f"piece at {nm[g]} differs from the down-range sum")
+            if gl.minimal and equal != b.ideal_of[g]:
                 rep.add("GLOB(iv')", f"piece at {nm[g]} differs from the equal-range sum")
     # Restriction data along the embedded family: the pieces the family cuts
     # out of the global action must be the embedded base ideals, with the
-    # embeddings intertwining the maps.  (The family need not be monotone:
-    # the per-object embeddings may have disjoint supports.)
-    for g in g0.arrows():
-        r, d = g0.ran[g], g0.dom[g]
-        moved = b.map_of[g].image_of(images[d].intersect(b.map_of[g].domain))
-        piece = images[r].intersect(moved)
-        if phi[r].image_of(a.ideal_of[g]) != piece:
-            rep.add("GLOB(restr)", f"restriction piece at {nm[g]} is not the embedded ideal")
-            continue
-        for v in a.ideal_of[g0.inv[g]].basis:
-            moved_v = phi[d].apply(v)
-            if not b.map_of[g].domain.contains(moved_v):
-                rep.add("GLOB(restr)", f"restriction map undefined at {nm[g]}")
-                continue
-            if b.map_of[g].apply(moved_v) != phi[r].apply(a.map_of[g].apply(v)):
-                rep.add("GLOB(restr)", f"restricted map differs from the base at {nm[g]}")
+    # embeddings intertwining the maps.  That is (ii) together with (iii).
+    if not (rep.clause_ok("GLOB(ii)") and rep.clause_ok("GLOB(iii)")):
+        rep.add("GLOB(restr)", "restriction along the embedded family differs from the base")
     return rep
 
 
@@ -386,66 +370,25 @@ class InvSgpGlobalization:
     inner: Globalization
 
 
+def semigroup_checklist(glob: ValidationReport) -> ValidationReport:
+    """The SGLOB clauses, read off a minimal globalization's checklist over
+    the derived groupoid."""
+    rep = ValidationReport("semigroup globalization", SEMIGROUP_GLOBALIZATION_CLAUSES)
+    for issue in glob.issues:
+        if issue.clause in SGLOB_OF_GLOB:
+            rep.add(SGLOB_OF_GLOB[issue.clause], issue.message)
+    return rep
+
+
 def globalize_inverse_semigroup_action(a: InvSgpAction) -> InvSgpGlobalization:
     """Transfer to the derived groupoid, build the minimal globalization,
-    and transport the result back, checking the semigroup checklist."""
-    if not inv_action_is_preunital(a):
+    and transport the result back, reporting the semigroup checklist."""
+    if not is_preunital(a):
         raise NotPreunital("pipeline needs unital idempotent ideals")
-    if not inv_action_is_unital(a):
-        bad = next(s for s in a.elements() if a.unit_vector(s) is None)
-        raise NotUnital(
-            f"ideal at {a.semigroup.names[bad]} has no central idempotent identity",
-            arrow=bad,
-        )
+    require_unital(a)
     omega = semigroup_action_to_groupoid_action(a)
     inner = build_minimal_globalization(omega)
     beta = groupoid_action_to_semigroup_action(inner.global_action, a.semigroup)
-    embeddings = dict(inner.embeddings)
-    rep = _verify_semigroup_globalization(a, beta, embeddings)
-    return InvSgpGlobalization(beta, embeddings, rep, inner)
-
-
-def _verify_semigroup_globalization(
-    a: InvSgpAction, b: InvSgpAction, phi: dict[int, LinMap]
-) -> ValidationReport:
-    rep = ValidationReport("semigroup globalization", SEMIGROUP_GLOBALIZATION_CLAUSES)
-    s0 = a.semigroup
-    nm = s0.names
-    images = {e: phi[e].image() for e in s0.idempotents()}
-    for e in s0.idempotents():
-        try:
-            if not is_ideal(b.carrier, images[e], b.ideal_of[e]):
-                rep.add("SGLOB(i)", f"embedded ideal at {nm[e]} does not absorb its object ideal")
-        except NotContained:
-            rep.add("SGLOB(i)", f"embedded ideal at {nm[e]} escapes its object ideal")
-    for s in s0.elements():
-        anchor = s0.mul(s, s0.inverse(s))
-        co_anchor = s0.mul(s0.inverse(s), s)
-        lhs = phi[anchor].image_of(a.ideal_of[s])
-        moved = b.map_of[s].image_of(images[co_anchor].intersect(b.map_of[s].domain))
-        if lhs != images[anchor].intersect(moved):
-            rep.add("SGLOB(ii)", f"embedded ideal at {nm[s]} is not the stated intersection")
-    for s in s0.elements():
-        anchor = s0.mul(s, s0.inverse(s))
-        co_anchor = s0.mul(s0.inverse(s), s)
-        for v in a.ideal_of[s0.inverse(s)].basis:
-            lhs = phi[anchor].apply(a.map_of[s].apply(v))
-            moved = phi[co_anchor].apply(v)
-            if not b.map_of[s].domain.contains(moved):
-                rep.add("SGLOB(iii)", f"embedded vector escapes the map domain at {nm[s]}")
-                continue
-            if lhs != b.map_of[s].apply(moved):
-                rep.add("SGLOB(iii)", f"intertwining fails at {nm[s]}")
-    for s in s0.elements():
-        anchor = s0.mul(s, s0.inverse(s))
-        total = Subspace.zero(b.carrier.dim, b.carrier.p)
-        for t in s0.elements():
-            if s0.mul(t, s0.inverse(t)) != anchor:
-                continue
-            co = s0.mul(s0.inverse(t), t)
-            total = total.add(
-                b.map_of[t].image_of(images[co].intersect(b.map_of[t].domain))
-            )
-        if total != b.ideal_of[s]:
-            rep.add("SGLOB(iv)", f"piece at {nm[s]} differs from the equal-anchor sum")
-    return rep
+    return InvSgpGlobalization(
+        beta, dict(inner.embeddings), semigroup_checklist(inner.checklist), inner
+    )

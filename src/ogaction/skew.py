@@ -4,29 +4,22 @@ quotient of a unital action and the quotient of its globalization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
 from .actions import (
+    Action,
     InvSgpAction,
     POAction,
-    inv_action_is_preunital,
-    inv_action_is_unital,
     is_preunital,
-    is_unital,
+    require_unital,
     validate_inv_sgp_action,
     validate_po_action,
 )
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
-from .errors import (
-    InvalidAction,
-    NotAGlobalization,
-    NotAssociative,
-    NotPreunital,
-    NotUnital,
-)
+from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
 from .globalize import Globalization, InvSgpGlobalization, verify_globalization
-from .linalg import LinMap, Subspace, Vector, vec_sub
+from .linalg import LinMap, Subspace, Vector, vec_add, vec_sub
 from .validation import ValidationReport
 
 MORITA_CLAUSES = (
@@ -40,48 +33,13 @@ MORITA_CLAUSES = (
     "MOR(idem)",
 )
 
-Action = Union[POAction, InvSgpAction]
 
-
-class _Graded:
-    """Uniform view of the two graded sources of a skew ring."""
-
-    def __init__(self, action: Action):
-        self.action = action
-        if isinstance(action, POAction):
-            g = action.groupoid
-            self.count = g.n
-            self.names = g.names
-            self.inv = lambda i: g.inv[i]
-            self.prod = lambda i, j: g.comp.get((i, j))
-            self.le = g.le
-            self.anchors = tuple(sorted(g.objects))
-            self.ran = lambda i: g.ran[i]
-            self.dom = lambda i: g.dom[i]
-        else:
-            s = action.semigroup
-            s.require_valid()
-            self.count = s.n
-            self.names = s.names
-            self.inv = s.inverse
-            self.prod = lambda i, j: s.mul(i, j)
-            self.le = s.natural_le
-            self.anchors = tuple(sorted(s.idempotents()))
-            self.ran = lambda i: s.mul(i, s.inverse(i))
-            self.dom = lambda i: s.mul(s.inverse(i), i)
-
-    @property
-    def carrier(self) -> Algebra:
-        return self.action.carrier
-
-    def ideal(self, i: int) -> Subspace:
-        return self.action.ideal_of[i]
-
-    def map(self, i: int) -> LinMap:
-        return self.action.map_of[i]
-
-    def unit(self, i: int) -> Optional[Vector]:
-        return self.action.unit_vector(i)
+def _lift(a: Action, offsets: Sequence[int], dim: int, grade: int, v: Sequence[int]) -> Vector:
+    """SkewRing.lift from explicit block offsets, usable while the table is built."""
+    out = [0] * dim
+    for k, c in enumerate(a.ideal_of[grade].coordinates_of(v)):
+        out[offsets[grade] + k] = c
+    return tuple(out)
 
 
 @dataclass
@@ -94,16 +52,10 @@ class SkewRing:
     algebra: Algebra
     grading: tuple[int, ...]
     offsets: tuple[int, ...]
-    _view: _Graded = field(repr=False)
 
     def lift(self, grade: int, v: Sequence[int]) -> Vector:
         """Skew-ring vector holding v (a member of the grade's ideal) at delta_grade."""
-        coords = self._view.ideal(grade).coordinates_of(v)
-        out = [0] * self.algebra.dim
-        base = self.offsets[grade]
-        for k, c in enumerate(coords):
-            out[base + k] = c
-        return tuple(out)
+        return _lift(self.source, self.offsets, self.algebra.dim, grade, v)
 
 
 def build_skew(a: Action) -> SkewRing:
@@ -114,64 +66,47 @@ def build_skew(a: Action) -> SkewRing:
         rep = validate_inv_sgp_action(a)
     if not rep.ok:
         raise InvalidAction(f"skew ring needs a valid action:\n{rep}")
-    view = _Graded(a)
+    ix = a.index
     offsets = []
     grading: list[int] = []
     dim = 0
-    for g in range(view.count):
+    for g in ix.grades:
         offsets.append(dim)
-        r = view.ideal(g).rank
+        r = a.ideal_of[g].rank
         grading.extend([g] * r)
         dim += r
-    carrier = view.carrier
+    carrier = a.carrier
     p = carrier.p
     zero = (0,) * dim
-
-    basis_members: list[tuple[int, Vector]] = []
-    for g in range(view.count):
-        for v in view.ideal(g).basis:
-            basis_members.append((g, v))
-
-    def lift(grade: int, v: Sequence[int]) -> Vector:
-        coords = view.ideal(grade).coordinates_of(v)
-        out = [0] * dim
-        for k, c in enumerate(coords):
-            out[offsets[grade] + k] = c
-        return tuple(out)
+    basis_members = [(g, v) for g in ix.grades for v in a.ideal_of[g].basis]
 
     table = []
     for g, vg in basis_members:
         row = []
-        twisted = view.map(view.inv(g)).apply(vg)
+        twisted = a.map_of[ix.inv[g]].apply(vg)
         for h, vh in basis_members:
-            gh = view.prod(g, h)
+            gh = ix.prod(g, h)
             if gh is None:
                 row.append(zero)
                 continue
             y = carrier.mul(twisted, vh)
-            if not view.map(g).domain.contains(y):
+            if not a.map_of[g].domain.contains(y):
                 raise InvalidAction(
-                    f"twisted product at ({view.names[g]},{view.names[h]}) leaves its domain"
+                    f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain"
                 )
-            z = view.map(g).apply(y)
-            if not view.ideal(gh).contains(z):
+            z = a.map_of[g].apply(y)
+            if not a.ideal_of[gh].contains(z):
                 raise InvalidAction(
-                    f"twisted product at ({view.names[g]},{view.names[h]}) escapes grade "
-                    f"{view.names[gh]}"
+                    f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
+                    f"{ix.names[gh]}"
                 )
-            row.append(lift(gh, z))
+            row.append(_lift(a, offsets, dim, gh, z))
         table.append(row)
-    unit = None
-    if all(view.unit(e) is not None for e in view.anchors):
-        cand = [0] * dim
-        for e in view.anchors:
-            u = view.unit(e)
-            assert u is not None
-            for k, c in enumerate(view.ideal(e).coordinates_of(u)):
-                cand[offsets[e] + k] = c
-        unit = tuple(cand)
     alg = Algebra(p, dim, table, unit=None, check=False, name="skew ring")
-    if unit is not None:
+    if is_preunital(a):
+        unit = zero
+        for e in ix.anchors:
+            unit = vec_add(unit, _lift(a, offsets, dim, e, a.unit_vector(e)), p)
         ok = all(
             alg.mul(unit, alg.basis_vector(i)) == alg.basis_vector(i)
             and alg.mul(alg.basis_vector(i), unit) == alg.basis_vector(i)
@@ -179,17 +114,17 @@ def build_skew(a: Action) -> SkewRing:
         )
         if ok:
             alg.unit = unit
-    return SkewRing(a, alg, tuple(grading), tuple(offsets), view)
+    return SkewRing(a, alg, tuple(grading), tuple(offsets))
 
 
 def check_skew_associative(s: SkewRing) -> ValidationReport:
     """Associator scan over all basis triples, reported with grades."""
     rep = ValidationReport("skew ring", ("ASSOC",))
+    nm = s.source.index.names
     for i, j, k in _associator_failures(s.algebra):
         rep.add(
             "ASSOC",
-            f"associator at grades ({s._view.names[s.grading[i]]},"
-            f"{s._view.names[s.grading[j]]},{s._view.names[s.grading[k]]})",
+            f"associator at grades ({nm[s.grading[i]]},{nm[s.grading[j]]},{nm[s.grading[k]]})",
         )
     return rep
 
@@ -210,17 +145,18 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
     assoc = check_skew_associative(s)
     if not assoc.ok:
         raise NotAssociative(str(assoc))
-    view = s._view
+    a = s.source
+    ix = a.index
     p = s.algebra.p
     gens = []
-    for g in range(view.count):
-        for h in range(view.count):
-            if g == h or not view.le(g, h):
+    for g in ix.grades:
+        for h in ix.grades:
+            if g == h or not ix.le(g, h):
                 continue
-            for v in view.ideal(g).basis:
-                if not view.ideal(h).contains(v):
+            for v in a.ideal_of[g].basis:
+                if not a.ideal_of[h].contains(v):
                     raise InvalidAction(
-                        f"ordered pair {view.names[g]} <= {view.names[h]} with non-nested ideals"
+                        f"ordered pair {ix.names[g]} <= {ix.names[h]} with non-nested ideals"
                     )
                 gens.append(vec_sub(s.lift(g, v), s.lift(h, v), p))
     n_ideal = ideal_closure(s.algebra, gens)
@@ -230,16 +166,12 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
 
 def skew_unit(o: OrderedSkewRing) -> Vector:
     """Image of the sum of the anchor units; verified two-sided in the quotient."""
-    view = o.skew._view
-    if any(view.unit(e) is None for e in view.anchors):
+    a = o.skew.source
+    if not is_preunital(a):
         raise NotPreunital("some anchor ideal has no central idempotent identity")
     total = (0,) * o.skew.algebra.dim
-    p = o.skew.algebra.p
-    for e in view.anchors:
-        u = view.unit(e)
-        assert u is not None
-        lifted = o.skew.lift(e, u)
-        total = tuple((x + y) % p for x, y in zip(total, lifted))
+    for e in a.index.anchors:
+        total = vec_add(total, o.skew.lift(e, a.unit_vector(e)), o.skew.algebra.p)
     img = o.projection.apply(total)
     q = o.quotient
     for i in range(q.dim):
@@ -255,11 +187,7 @@ def build_inv_sgp_skew(a: InvSgpAction) -> OrderedSkewRing:
     rep = validate_inv_sgp_action(a)
     if not rep.ok:
         raise InvalidAction(f"skew ring needs a valid action:\n{rep}")
-    if not inv_action_is_unital(a):
-        bad = next(x for x in a.elements() if a.unit_vector(x) is None)
-        raise NotUnital(
-            f"ideal at {a.semigroup.names[bad]} has no central idempotent identity", arrow=bad
-        )
+    require_unital(a)
     return build_ordered_skew(build_skew(a))
 
 
@@ -302,29 +230,11 @@ def morita_context(a: POAction, gl: Globalization) -> MoritaReport:
     globalization of it, identifying the carrier with its embedded image."""
     if gl.base is not a and gl.base != a:
         raise NotAGlobalization("globalization does not belong to this action")
-    if not is_unital(a):
-        raise NotUnital("the corner identities need a unital action")
+    require_unital(a)
     checklist = verify_globalization(gl)
     if not checklist.ok:
         raise NotAGlobalization(str(checklist))
-    r_ring = build_ordered_skew(build_skew(a))
-    t_ring = build_ordered_skew(build_skew(gl.global_action))
-    g0 = a.groupoid
-    b = gl.global_action
-
-    def anchor_pairs():
-        for g in g0.arrows():
-            yield g, g0.ran[g], g0.dom[g]
-
-    return _morita_core(
-        a,
-        b,
-        gl.embeddings,
-        r_ring,
-        t_ring,
-        anchors=tuple(sorted(g0.objects)),
-        triples=tuple(anchor_pairs()),
-    )
+    return _morita_core(a, gl.global_action, gl.embeddings, build_ordered_skew(build_skew(a)))
 
 
 def inv_sgp_morita(a: InvSgpAction, gl: InvSgpGlobalization) -> MoritaReport:
@@ -332,45 +242,25 @@ def inv_sgp_morita(a: InvSgpAction, gl: InvSgpGlobalization) -> MoritaReport:
     globalization produced by the pipeline."""
     if gl.action.semigroup != a.semigroup:
         raise NotAGlobalization("globalization belongs to a different semigroup")
-    if not inv_action_is_unital(a):
-        raise NotUnital("the corner identities need a unital action")
-    r_ring = build_inv_sgp_skew(a)
-    t_ring = build_ordered_skew(build_skew(gl.action))
-    s0 = a.semigroup
-
-    def anchor_pairs():
-        for s in s0.elements():
-            yield s, s0.mul(s, s0.inverse(s)), s0.mul(s0.inverse(s), s)
-
-    return _morita_core(
-        a,
-        gl.action,
-        gl.embeddings,
-        r_ring,
-        t_ring,
-        anchors=tuple(sorted(s0.idempotents())),
-        triples=tuple(anchor_pairs()),
-    )
+    require_unital(a)
+    return _morita_core(a, gl.action, gl.embeddings, build_inv_sgp_skew(a))
 
 
 def _morita_core(
-    a: Action,
-    b: Action,
-    phi: dict[int, LinMap],
-    r_ring: OrderedSkewRing,
-    t_ring: OrderedSkewRing,
-    anchors: tuple[int, ...],
-    triples: tuple[tuple[int, int, int], ...],
+    a: Action, b: Action, phi: dict[int, LinMap], r_ring: OrderedSkewRing
 ) -> MoritaReport:
+    """Corner identities inside the ordered quotient T of b's skew ring,
+    with 1_R the image of a's anchor units along the embeddings phi."""
+    t_ring = build_ordered_skew(build_skew(b))
+    ix = a.index
     q = t_ring.quotient
     p = q.p
     full = q.space()
     basis = [q.basis_vector(i) for i in range(q.dim)]
 
     one = [0] * q.dim
-    for e in anchors:
+    for e in ix.anchors:
         u = a.unit_vector(e)
-        assert u is not None
         img = t_ring.project_lift(e, phi[e].apply(u))
         for i, x in enumerate(img):
             one[i] = (one[i] + x) % p
@@ -392,7 +282,7 @@ def _morita_core(
     moved_pieces = []
     range_pieces = []
     embedded_pieces = []
-    for g, anchor_r, anchor_d in triples:
+    for g, anchor_r, anchor_d in ix.triples:
         img_d = phi[anchor_d].image()
         moved = b.map_of[g].image_of(img_d.intersect(b.map_of[g].domain))
         moved_pieces.append((g, moved))

@@ -7,12 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import errors
 from .actions import (
+    POAction,
     general_restriction,
-    inv_action_is_global,
-    inv_action_is_preunital,
-    inv_action_is_unital,
     is_global,
     is_preunital,
     is_strong,
@@ -31,7 +28,6 @@ from .globalize import (
     globalize_inverse_semigroup_action,
     verify_globalization,
 )
-from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace
 from .semigroups import esn_to_groupoid, esn_to_semigroup
 from .skew import (
@@ -43,7 +39,7 @@ from .skew import (
     morita_context,
     skew_unit,
 )
-from .workspace import Workspace, groupoid_to_json, semigroup_to_json
+from .workspace import Workspace
 
 
 @dataclass
@@ -75,6 +71,13 @@ class TaskReport:
         return head
 
 
+def _required(t: dict, key: str) -> Any:
+    """A field the task cannot run without; its absence fails this task only."""
+    if key not in t:
+        raise WorkspaceError(f"task {t.get('id', t.get('task'))!r}: missing field {key!r}")
+    return t[key]
+
+
 def _dims_by_name(names, ideals) -> dict[str, int]:
     return {names[i]: ideals[i].rank for i in range(len(names))}
 
@@ -99,28 +102,22 @@ def _task_validate_action(ws: Workspace, t: dict) -> tuple[dict, dict]:
     if "inv_action" in t:
         a = ws.inv_action(t["inv_action"])
         rep = validate_inv_sgp_action(a)
-        data = {
-            "dims": _dims_by_name(a.semigroup.names, a.ideal_of),
-            "preunital": inv_action_is_preunital(a),
-            "unital": inv_action_is_unital(a),
-            "global": inv_action_is_global(a),
-        }
-        return rep.clauses(), data
-    a = ws.action(t["action"])
-    rep = validate_po_action(a)
+    else:
+        a = ws.action(_required(t, "action"))
+        rep = validate_po_action(a)
     data = {
-        "dims": _dims_by_name(a.groupoid.names, a.ideal_of),
+        "dims": _dims_by_name(a.index.names, a.ideal_of),
         "preunital": is_preunital(a),
         "unital": is_unital(a),
         "global": is_global(a),
     }
-    if rep.ok:
+    if isinstance(a, POAction) and rep.ok:
         data["strong"] = is_strong(a)
     return rep.clauses(), data
 
 
 def _task_restrict(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    beta = ws.action(t["action"])
+    beta = ws.action(_required(t, "action"))
     if "family" in t:
         family = {}
         index = {nm: i for i, nm in enumerate(beta.groupoid.names)}
@@ -130,7 +127,7 @@ def _task_restrict(ws: Workspace, t: dict) -> tuple[dict, dict]:
             family[index[key]] = Subspace.span(beta.carrier.dim, rows, beta.carrier.p)
         out = general_restriction(beta, family)
     else:
-        ideal = Subspace.span(beta.carrier.dim, t["ideal"], beta.carrier.p)
+        ideal = Subspace.span(beta.carrier.dim, _required(t, "ideal"), beta.carrier.p)
         out = standard_restriction(beta, ideal)
     data = {
         "dims": _dims_by_name(out.groupoid.names, out.ideal_of),
@@ -141,14 +138,14 @@ def _task_restrict(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _task_strong_check(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    a = ws.action(t["action"])
+    a = ws.action(_required(t, "action"))
     strong = is_strong(a)
     ps = satisfies_ps(a)
     return {"PS": strong == ps}, {"strong": strong, "composition_law": ps}
 
 
 def _glob_of(ws: Workspace, t: dict):
-    a = ws.action(t["action"])
+    a = ws.action(_required(t, "action"))
     if t.get("minimal"):
         return a, build_minimal_globalization(a)
     return a, build_globalization(a)
@@ -170,8 +167,8 @@ def _task_globalize(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    a = ws.action(t["action"])
-    b = ws.action(t["global"])
+    a = ws.action(_required(t, "action"))
+    b = ws.action(_required(t, "global"))
     index = {nm: i for i, nm in enumerate(a.groupoid.names)}
     embeddings = {}
     for key, matrix in t.get("embeddings", {}).items():
@@ -187,9 +184,14 @@ def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _task_equivalence(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    left = ws.action(t["left"])
-    right = ws.action(t["right"])
-    result = search_equivalence(left, right, budget=int(t.get("budget", 200_000)))
+    left = ws.action(_required(t, "left"))
+    right = ws.action(_required(t, "right"))
+    budget = t.get("budget", 200_000)
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise WorkspaceError(
+            f"task {t.get('id', t.get('task'))!r}: budget {budget!r} is not an integer"
+        )
+    result = search_equivalence(left, right, budget=budget)
     outcome = "found" if result.found else ("disproved" if result.definitive_no else "exhausted")
     data = {"outcome": outcome, "tested": result.tested}
     if result.disproof:
@@ -213,7 +215,7 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
         s = build_skew(a)
         rep = check_skew_associative(s)
         return rep.clauses(), {"skew_dim": s.algebra.dim}
-    a = ws.action(t["action"])
+    a = ws.action(_required(t, "action"))
     s = build_skew(a)
     rep = check_skew_associative(s)
     data: dict[str, Any] = {"skew_dim": s.algebra.dim}
@@ -251,7 +253,7 @@ def _task_esn(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _task_inv_pipeline(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    a = ws.inv_action(t["inv_action"])
+    a = ws.inv_action(_required(t, "inv_action"))
     result = globalize_inverse_semigroup_action(a)
     clauses = dict(result.report.clauses())
     b = result.action

@@ -39,11 +39,6 @@ class ValidationReport:
     def clauses(self) -> dict[str, bool]:
         return {label: self.clause_ok(label) for label in self.checked}
 
-    def merge(self, other: "ValidationReport", prefix: str = "") -> None:
-        for issue in other.issues:
-            label = f"{prefix}{issue.clause}" if prefix else issue.clause
-            self.issues.append(Issue(label, issue.message))
-
     def __str__(self):
         if self.ok:
             return f"{self.subject}: ok ({len(self.checked)} clauses)"

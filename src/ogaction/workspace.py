@@ -61,6 +61,8 @@ def algebra_from_json(doc: dict, name: str) -> Algebra:
         )
     except KeyError as exc:
         raise WorkspaceError(f"algebra {name!r}: missing field {exc}")
+    except (ValueError, TypeError) as exc:
+        raise WorkspaceError(f"algebra {name!r}: {exc}")
 
 
 def groupoid_to_json(g: OrderedGroupoid) -> dict:
@@ -114,6 +116,8 @@ def semigroup_from_json(doc: dict, name: str) -> InverseSemigroup:
         return InverseSemigroup(names, mult)
     except KeyError as exc:
         raise WorkspaceError(f"semigroup {name!r}: unknown element or field {exc}")
+    except (ValueError, TypeError) as exc:
+        raise WorkspaceError(f"semigroup {name!r}: {exc}")
 
 
 def _maps_to_json(names, ideal_of, map_of) -> dict:

@@ -22,9 +22,12 @@ from ogaction.globalize import (
     build_globalization,
     build_minimal_globalization,
     globalize_inverse_semigroup_action,
+    semigroup_checklist,
     verify_globalization,
 )
 from ogaction.linalg import LinMap, Subspace
+
+from oracles import glob_restr_report, verify_semigroup_globalization
 
 
 def idx(g):
@@ -255,3 +258,76 @@ def test_randomized_restrictions_globalize_and_verify():
         gl = build_minimal_globalization(restricted)
         assert verify_globalization(gl).ok
         done += 1
+
+
+def _perturbations(m, rng):
+    """The embedding m with its matrix scaled, two rows swapped, a row
+    zeroed, or one entry bumped; each changed variant once."""
+    p = m.p
+    rows = [list(r) for r in m.matrix]
+    out = []
+    if rows and rows[0]:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        out.append([[(2 * x) % p for x in r] for r in rows])
+        if len(rows) > 1:
+            k = (i + 1) % len(rows)
+            swapped = [list(r) for r in rows]
+            swapped[i], swapped[k] = swapped[k], swapped[i]
+            out.append(swapped)
+        zeroed = [list(r) for r in rows]
+        zeroed[i] = [0] * len(rows[i])
+        out.append(zeroed)
+        bumped = [list(r) for r in rows]
+        bumped[i][j] = (bumped[i][j] + 1) % p
+        out.append(bumped)
+    return [
+        LinMap(m.domain, m.codomain, tuple(map(tuple, q))) for q in out if q != rows
+    ]
+
+
+def _perturbed_embeddings(gl, rng):
+    for e, m in sorted(gl.embeddings.items()):
+        for bad in _perturbations(m, rng):
+            yield {**gl.embeddings, e: bad}
+
+
+def test_merged_checklist_clauses_match_the_retained_checks():
+    """GLOB(restr) read as GLOB(ii) and GLOB(iii), and SGLOB(i)-(iv) read off
+    the derived groupoid's checklist, agree with the separate loops they
+    replace, on built globalizations and on perturbed embeddings."""
+    from generators import random_global_action, random_ideal
+
+    rng = random.Random(2024)
+    alpha = fx.pointed_arrow_partial_action()
+    globalizations = [
+        build_globalization(alpha),
+        build_minimal_globalization(alpha),
+        inclusion_globalization()[1],
+    ]
+    while len(globalizations) < 7:
+        beta, _ = random_global_action(rng, max_dim=4)
+        restricted = standard_restriction(beta, random_ideal(rng, beta))
+        if is_unital(restricted):
+            globalizations.append(build_minimal_globalization(restricted))
+    failing_restr = 0
+    for gl in globalizations:
+        for emb in [gl.embeddings, *_perturbed_embeddings(gl, rng)]:
+            perturbed = as_globalization(gl.base, gl.global_action, emb, minimal=gl.minimal)
+            oracle = glob_restr_report(perturbed).clauses()
+            assert verify_globalization(perturbed).clauses()["GLOB(restr)"] == oracle["GLOB(restr)"]
+            failing_restr += not oracle["GLOB(restr)"]
+
+    failing_sglob = 0
+    for a in [fx.brandt_action(), fx.chain_semilattice_action()]:
+        result = globalize_inverse_semigroup_action(a)
+        inner = result.inner
+        assert result.report.clauses() == verify_semigroup_globalization(
+            a, result.action, result.embeddings
+        ).clauses()
+        for emb in _perturbed_embeddings(inner, rng):
+            perturbed = as_globalization(inner.base, inner.global_action, emb, minimal=True)
+            merged = semigroup_checklist(verify_globalization(perturbed)).clauses()
+            oracle = verify_semigroup_globalization(a, result.action, emb).clauses()
+            assert merged == oracle
+            failing_sglob += not all(oracle.values())
+    assert failing_restr > 0 and failing_sglob > 0

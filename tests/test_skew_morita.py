@@ -138,12 +138,12 @@ def test_ordered_quotient_dimensions_against_the_fixpoint_oracle():
         assert sk.algebra.dim == skew_dim
         assert o.n_ideal.rank == n_dim
         assert o.quotient.dim == skew_dim - n_dim
-        view = sk._view
+        view = action.index
         gens = []
-        for g in range(view.count):
-            for h in range(view.count):
+        for g in view.grades:
+            for h in view.grades:
                 if g != h and view.le(g, h):
-                    for v in view.ideal(g).basis:
+                    for v in action.ideal_of[g].basis:
                         lifted_g = sk.lift(g, v)
                         lifted_h = sk.lift(h, v)
                         gens.append(

@@ -253,3 +253,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     good.write_text(json.dumps(doc))
     assert main(["run", str(good)]) == 1
     capsys.readouterr()
+
+
+def _task_entry(doc, tid):
+    (entry,) = [t for t in doc["tasks"] if t["id"] == tid]
+    return entry
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, bad_task, needle",
+    [
+        (lambda doc: _task_entry(doc, "validate-global").pop("action"),
+         1, "validate-global", "'action'"),
+        (lambda doc: _task_entry(doc, "equivalence-self").update(budget="abc"),
+         1, "equivalence-self", "budget"),
+        (lambda doc: doc["algebras"]["two_block"].update(p=4), 2, None, "not prime"),
+        (lambda doc: doc["algebras"]["two_block"].update(structure=5), 2, None, "two_block"),
+    ],
+    ids=["task-without-action", "budget-not-integer", "modulus-not-prime", "structure-not-a-list"],
+)
+def test_malformed_input_ends_in_a_task_error_or_exit_2(
+    tmp_path, capsys, corrupt, code, bad_task, needle
+):
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == "pointed_arrow.json"]
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if bad_task is None:
+        # refused at load time with a typed error, before any task runs
+        assert needle in err and not out.exists()
+        return
+    # the broken task reports an error naming it; every other task still runs
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert len(results) == len(doc["tasks"])
+    assert {tid for tid, status in results.items() if status != "pass"} == {bad_task}
+    report = json.loads((out / f"{bad_task}.json").read_text())
+    assert report["status"] == "error"
+    assert needle in report["error"] and bad_task in report["error"]
