@@ -6,8 +6,8 @@ the transfers along the inverse-semigroup/groupoid correspondence."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 from .algebras import (
     Algebra,
@@ -79,82 +79,79 @@ def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex
     return view
 
 
-def _unit_vector(self, g: int) -> Optional[Vector]:
-    """Central idempotent identity of ideal_of[g], cached; None if absent."""
-    if g not in self._units:
-        try:
-            ident = identity_of(self.carrier, self.ideal_of[g])
-        except NotMultiplicativelyClosed:
-            ident = None
-        if ident is None or not (ident.central and ident.idempotent):
-            self._units[g] = None
-        else:
-            self._units[g] = ident.element.coeffs
-    return self._units[g]
-
-
-@dataclass
-class POAction:
-    """A family (A_g, alpha_g) indexed by the arrows of an ordered groupoid.
+@dataclass(frozen=True)
+class Action:
+    """A family (A_g, alpha_g) indexed by the grades of an ordered groupoid
+    (its arrows) or of an inverse semigroup (its elements).
 
     ideal_of[g] is a subspace of the carrier's space; map_of[g] sends
     ideal_of[inv g] to ideal_of[g].  `inclusion`, when set by a restriction
-    builder, embeds the carrier into the parent action's carrier.
+    builder, embeds the carrier into the parent action's carrier.  The
+    fields are frozen, so the validation report is computed once and kept.
+    `dataclasses.replace` hands on the unit cache (pass `_units={}` when
+    the ideals change) but not the report.
     """
 
-    groupoid: OrderedGroupoid
+    structure: "OrderedGroupoid | InverseSemigroup"
     carrier: Algebra
     ideal_of: tuple[Subspace, ...]
     map_of: tuple[LinMap, ...]
     name: str = field(default="", compare=False)
     inclusion: Optional[LinMap] = field(default=None, compare=False)
     _units: dict[int, Optional[Vector]] = field(default_factory=dict, repr=False, compare=False)
+    _report: Optional[ValidationReport] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        n = self.groupoid.n
+        n = self.structure.n
         if len(self.ideal_of) != n or len(self.map_of) != n:
-            raise InvalidAction("one ideal and one map required per arrow")
-        self.ideal_of = tuple(self.ideal_of)
-        self.map_of = tuple(self.map_of)
+            raise InvalidAction("one ideal and one map required per grade")
+        object.__setattr__(self, "ideal_of", tuple(self.ideal_of))
+        object.__setattr__(self, "map_of", tuple(self.map_of))
 
     @property
     def index(self) -> GradedIndex:
-        return graded_index(self.groupoid)
-
-    def arrows(self) -> range:
-        return self.groupoid.arrows()
-
-    def objects(self) -> tuple[int, ...]:
-        return tuple(sorted(self.groupoid.objects))
+        return graded_index(self.structure)
 
     def apply(self, g: int, v: Sequence[int]) -> Vector:
         return self.map_of[g].apply(v)
 
-    unit_vector = _unit_vector
+    def unit_vector(self, g: int) -> Optional[Vector]:
+        """Central idempotent identity of ideal_of[g], cached; None if absent."""
+        if g not in self._units:
+            try:
+                ident = identity_of(self.carrier, self.ideal_of[g])
+            except NotMultiplicativelyClosed:
+                ident = None
+            if ident is None or not (ident.central and ident.idempotent):
+                self._units[g] = None
+            else:
+                self._units[g] = ident.element.coeffs
+        return self._units[g]
+
+    def validate(self) -> ValidationReport:
+        """The axiom report of the structure's kind, computed on the first
+        call and kept.  The validators are looked up at call time, so a
+        rebinding of their module names sees every real validation."""
+        if self._report is None:
+            if isinstance(self.structure, OrderedGroupoid):
+                rep = validate_po_action(self)
+            else:
+                rep = validate_inv_sgp_action(self)
+            object.__setattr__(self, "_report", rep)
+        return self._report
+
+    def require_valid(self, context: str = "") -> None:
+        """Raise InvalidAction with the report, after `context` if given."""
+        rep = self.validate()
+        if not rep.ok:
+            raise InvalidAction(f"{context}:\n{rep}" if context else str(rep))
 
 
-@dataclass
-class InvSgpAction:
-    """A family (A_s, alpha_s) indexed by an inverse semigroup's elements."""
-
-    semigroup: InverseSemigroup
-    carrier: Algebra
-    ideal_of: tuple[Subspace, ...]
-    map_of: tuple[LinMap, ...]
-    name: str = field(default="", compare=False)
-    _units: dict[int, Optional[Vector]] = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def index(self) -> GradedIndex:
-        return graded_index(self.semigroup)
-
-    def elements(self) -> range:
-        return self.semigroup.elements()
-
-    unit_vector = _unit_vector
-
-
-Action = Union[POAction, InvSgpAction]
+# Both names stay bound to the one type: callers construct through them, and
+# perfbench/tracer.py patches their methods by name.
+POAction = InvSgpAction = Action
 
 
 def _check_ideals_and_isos(a: Action, rep: ValidationReport, prime: str = "") -> list[bool]:
@@ -194,11 +191,11 @@ def _check_ideals_and_isos(a: Action, rep: ValidationReport, prime: str = "") ->
     return iso_ok
 
 
-def validate_po_action(a: POAction) -> ValidationReport:
+def validate_po_action(a: Action) -> ValidationReport:
     """Full axiom check: ideal chains, iso property, the three partial-action
     conditions, order compatibility, and the two derived identities."""
-    a.groupoid.require_valid()
-    g0 = a.groupoid
+    a.structure.require_valid()
+    g0 = a.structure
     nm = g0.names
     rep = ValidationReport(a.name or "action", ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep)
@@ -262,10 +259,8 @@ def validate_po_action(a: POAction) -> ValidationReport:
     return rep
 
 
-def require_valid_action(a: POAction) -> None:
-    rep = validate_po_action(a)
-    if not rep.ok:
-        raise InvalidAction(str(rep))
+def require_valid_action(a: Action) -> None:
+    a.require_valid()
 
 
 def is_global(a: Action) -> bool:
@@ -297,9 +292,9 @@ def require_unital(a: Action) -> None:
         )
 
 
-def is_strong(a: POAction) -> bool:
+def is_strong(a: Action) -> bool:
     """Corestriction ideals equal object-arrow intersections everywhere."""
-    g0 = a.groupoid
+    g0 = a.structure
     for g in g0.arrows():
         for e in g0.objects:
             if g0.le(e, g0.ran[g]):
@@ -309,7 +304,7 @@ def is_strong(a: POAction) -> bool:
     return True
 
 
-def meets_compatible(a: POAction) -> bool:
+def meets_compatible(a: Action) -> bool:
     """Object meets carry exactly the ideal intersections.
 
     This does not follow from the corestriction condition alone: two
@@ -317,7 +312,7 @@ def meets_compatible(a: POAction) -> bool:
     composition law along pseudoproducts is equivalent to strength plus
     this condition.
     """
-    g0 = a.groupoid
+    g0 = a.structure
     objs = sorted(g0.objects)
     for e in objs:
         for f in objs:
@@ -329,13 +324,13 @@ def meets_compatible(a: POAction) -> bool:
     return True
 
 
-def satisfies_ps(a: POAction) -> bool:
+def satisfies_ps(a: Action) -> bool:
     """Composition law along pseudoproducts, as a partial-map equality.
 
     Both sides must have the same domain (the pulled-back overlap on the
     left, the product-side intersection on the right) and the same values.
     """
-    g0 = a.groupoid
+    g0 = a.structure
     for g in g0.arrows():
         for h in g0.arrows():
             gh = g0.pseudoproduct(g, h)
@@ -362,12 +357,12 @@ def _pull_coords(ambient_sub: Subspace, s: Subspace) -> Subspace:
 
 
 def _restrict_global(
-    beta: POAction,
+    beta: Action,
     carrier_sub: Subspace,
     object_family: dict[int, Subspace],
     name: str,
-) -> POAction:
-    g0 = beta.groupoid
+) -> Action:
+    g0 = beta.structure
     small, incl = subalgebra_on(beta.carrier, carrier_sub, name=name)
     ideals_b: list[Subspace] = [None] * g0.n  # type: ignore[list-item]
     for e in g0.objects:
@@ -389,13 +384,12 @@ def _restrict_global(
             out = beta.map_of[g].apply(big)
             images.append(carrier_sub.coordinates_of(out))
         maps.append(LinMap.from_images(dom, ideals[g], images))
-    out_action = POAction(g0, small, tuple(ideals), tuple(maps), name=name, inclusion=incl)
-    return out_action
+    return Action(g0, small, tuple(ideals), tuple(maps), name=name, inclusion=incl)
 
 
-def standard_restriction(beta: POAction, a_ideal: Subspace) -> POAction:
+def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
     """Restrict a global ordered action to a two-sided ideal of its carrier."""
-    beta.groupoid.require_valid()
+    beta.structure.require_valid()
     if not is_global(beta):
         raise NotGlobal("standard restriction needs a global ordered action")
     try:
@@ -403,22 +397,20 @@ def standard_restriction(beta: POAction, a_ideal: Subspace) -> POAction:
             raise NotAnIdeal("restriction target is not a two-sided ideal")
     except NotContained as exc:
         raise NotAnIdeal(str(exc))
-    family = {e: a_ideal.intersect(beta.ideal_of[e]) for e in beta.groupoid.objects}
+    family = {e: a_ideal.intersect(beta.ideal_of[e]) for e in beta.structure.objects}
     restricted = _restrict_global(
         beta, a_ideal, family, name=f"{beta.name or 'action'}|ideal"
     )
-    rep = validate_po_action(restricted)
-    if not rep.ok:
-        raise InvalidAction(f"standard restriction failed to validate:\n{rep}")
+    restricted.require_valid("standard restriction failed to validate")
     if not is_strong(restricted):
         raise InvalidAction("standard restriction is unexpectedly not strong")
     return restricted
 
 
-def general_restriction(beta: POAction, family: dict[int, Subspace]) -> POAction:
+def general_restriction(beta: Action, family: dict[int, Subspace]) -> Action:
     """Restrict a global ordered action along a monotone family of ideals."""
-    beta.groupoid.require_valid()
-    g0 = beta.groupoid
+    beta.structure.require_valid()
+    g0 = beta.structure
     if not is_global(beta):
         raise NotGlobal("restriction needs a global ordered action")
     if set(family) != set(g0.objects):
@@ -443,9 +435,7 @@ def general_restriction(beta: POAction, family: dict[int, Subspace]) -> POAction
     restricted = _restrict_global(
         beta, carrier_sub, dict(family), name=f"{beta.name or 'action'}|family"
     )
-    rep = validate_po_action(restricted)
-    if not rep.ok:
-        raise InvalidAction(f"restriction failed to validate:\n{rep}")
+    restricted.require_valid("restriction failed to validate")
     return restricted
 
 
@@ -464,15 +454,15 @@ class EquivalenceWitness:
         )
 
 
-def identity_witness(a: POAction) -> EquivalenceWitness:
-    return EquivalenceWitness({e: LinMap.identity(a.ideal_of[e]) for e in a.groupoid.objects})
+def identity_witness(a: Action) -> EquivalenceWitness:
+    return EquivalenceWitness({e: LinMap.identity(a.ideal_of[e]) for e in a.structure.objects})
 
 
-def verify_equivalence(a: POAction, c: POAction, w: EquivalenceWitness) -> bool:
+def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
     """Object-wise isos matching ideals and intertwining the partial maps."""
-    if a.groupoid != c.groupoid:
+    if a.structure != c.structure:
         raise GroupoidMismatch("equivalence is defined over a single groupoid")
-    g0 = a.groupoid
+    g0 = a.structure
     for e in g0.objects:
         m = w.maps.get(e)
         if m is None or m.domain != a.ideal_of[e] or m.codomain.dim != c.carrier.dim:
@@ -570,7 +560,7 @@ def _linear_extension(
 
 
 def _object_candidates(
-    a: POAction, c: POAction, e: int, budget: int
+    a: Action, c: Action, e: int, budget: int
 ) -> list[LinMap]:
     dom = a.ideal_of[e]
     cod = c.ideal_of[e]
@@ -593,7 +583,7 @@ def _object_candidates(
     total = a.carrier.p ** (r * r)
     if total > budget:
         raise BudgetExceeded(
-            f"matrix enumeration at object {a.groupoid.names[e]} needs {total} nodes"
+            f"matrix enumeration at object {a.structure.names[e]} needs {total} nodes"
         )
     out = []
     for flat in itertools.product(range(a.carrier.p), repeat=r * r):
@@ -604,24 +594,24 @@ def _object_candidates(
     return out
 
 
-def search_equivalence(a: POAction, c: POAction, budget: int = 200_000) -> EquivalenceSearch:
+def search_equivalence(a: Action, c: Action, budget: int = 200_000) -> EquivalenceSearch:
     """Look for an equivalence witness within the idempotent-matching class.
 
     Dimension mismatches are a definitive refusal.  Exceeding the budget in
     either candidate generation or combination raises BudgetExceeded, which
     is an inconclusive outcome distinct from an exhausted search.
     """
-    if a.groupoid != c.groupoid:
+    if a.structure != c.structure:
         raise GroupoidMismatch("equivalence is defined over a single groupoid")
-    for g in a.arrows():
+    for g in a.index.grades:
         da, dc = a.ideal_of[g].rank, c.ideal_of[g].rank
         if da != dc:
             return EquivalenceSearch(
                 None,
-                f"ideal at {a.groupoid.names[g]} has dimension {da} on one side, {dc} on the other",
+                f"ideal at {a.structure.names[g]} has dimension {da} on one side, {dc} on the other",
                 0,
             )
-    objects = a.objects()
+    objects = a.index.anchors
     per_object = [_object_candidates(a, c, e, budget) for e in objects]
     combos = 1
     for cands in per_object:
@@ -642,9 +632,9 @@ def search_equivalence(a: POAction, c: POAction, budget: int = 200_000) -> Equiv
 # -- inverse-semigroup actions ------------------------------------------
 
 
-def validate_inv_sgp_action(a: InvSgpAction) -> ValidationReport:
-    a.semigroup.require_valid()
-    s0 = a.semigroup
+def validate_inv_sgp_action(a: Action) -> ValidationReport:
+    a.structure.require_valid()
+    s0 = a.structure
     nm = s0.names
     rep = ValidationReport(a.name or "semigroup action", INV_ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep, prime="'")
@@ -680,47 +670,40 @@ inv_action_is_preunital = is_preunital
 inv_action_is_unital = is_unital
 
 
-def semigroup_action_to_groupoid_action(a: InvSgpAction) -> POAction:
+def semigroup_action_to_groupoid_action(a: Action) -> Action:
     """Reindex a preunital semigroup action over the derived groupoid.
 
     The result must validate and be strong; a counterexample would
     contradict the transfer argument, so it raises rather than returns.
     """
-    rep = validate_inv_sgp_action(a)
-    if not rep.ok:
-        raise InvalidAction(str(rep))
+    a.require_valid()
     if not is_preunital(a):
         raise NotPreunital("semigroup action has a non-unital idempotent ideal")
-    g = esn_to_groupoid(a.semigroup)
-    out = POAction(g, a.carrier, a.ideal_of, a.map_of, name=f"{a.name or 'action'}@groupoid")
-    out_rep = validate_po_action(out)
-    if not out_rep.ok:
-        raise InvalidAction(f"transferred action fails validation (finding):\n{out_rep}")
+    out = replace(a, structure=esn_to_groupoid(a.structure), name=f"{a.name or 'action'}@groupoid")
+    out.require_valid("transferred action fails validation (finding)")
     if not is_strong(out):
         raise InvalidAction("transferred action is not strong (finding)")
     return out
 
 
-def groupoid_action_to_semigroup_action(a: POAction, s: InverseSemigroup) -> InvSgpAction:
+def groupoid_action_to_semigroup_action(a: Action, s: InverseSemigroup) -> Action:
     """Transport a global action over the derived groupoid back to s."""
-    if esn_to_groupoid(s) != a.groupoid:
+    if esn_to_groupoid(s) != a.structure:
         raise GroupoidMismatch("action's groupoid was not derived from this semigroup")
     if not is_global(a):
         raise NotGlobal("only global actions transport back to the semigroup")
-    out = InvSgpAction(s, a.carrier, a.ideal_of, a.map_of, name=f"{a.name or 'action'}@semigroup")
-    rep = validate_inv_sgp_action(out)
-    if not rep.ok:
-        raise InvalidAction(f"transported action fails validation:\n{rep}")
+    out = replace(a, structure=s, name=f"{a.name or 'action'}@semigroup")
+    out.require_valid("transported action fails validation")
     return out
 
 
-def relabel_action(a: POAction, perm: Sequence[int]) -> POAction:
+def relabel_action(a: Action, perm: Sequence[int]) -> Action:
     """The same action with groupoid arrows renumbered by perm."""
-    g = a.groupoid.relabeled(perm)
-    n = a.groupoid.n
+    g = a.structure.relabeled(perm)
+    n = a.structure.n
     ideals: list[Subspace] = [None] * n  # type: ignore[list-item]
     maps: list[LinMap] = [None] * n  # type: ignore[list-item]
     for i in range(n):
         ideals[perm[i]] = a.ideal_of[i]
         maps[perm[i]] = a.map_of[i]
-    return POAction(g, a.carrier, tuple(ideals), tuple(maps), name=f"{a.name or 'action'}~relabeled")
+    return Action(g, a.carrier, tuple(ideals), tuple(maps), name=f"{a.name or 'action'}~relabeled")

@@ -24,7 +24,7 @@ def _pointed_arrow_doc() -> dict:
             "three_block": algebra_to_json(beta.carrier),
             "two_block": algebra_to_json(alpha.carrier),
         },
-        "groupoids": {"pointed_arrow": groupoid_to_json(beta.groupoid)},
+        "groupoids": {"pointed_arrow": groupoid_to_json(beta.structure)},
         "actions": {
             "block_swap": action_to_json(beta, "pointed_arrow", "three_block"),
             "restricted_swap": action_to_json(alpha, "pointed_arrow", "two_block"),
@@ -71,7 +71,7 @@ def _stacked_involutions_doc() -> dict:
     a = fx.stacked_involutions_action()
     return {
         "algebras": {"four_block": algebra_to_json(a.carrier)},
-        "groupoids": {"stacked_involutions": groupoid_to_json(a.groupoid)},
+        "groupoids": {"stacked_involutions": groupoid_to_json(a.structure)},
         "actions": {
             "stacked_action": action_to_json(a, "stacked_involutions", "four_block")
         },
@@ -101,7 +101,7 @@ def _brandt_doc() -> dict:
     a = fx.brandt_action()
     return {
         "algebras": {"three_block": algebra_to_json(a.carrier)},
-        "semigroups": {"brandt_b2": semigroup_to_json(a.semigroup)},
+        "semigroups": {"brandt_b2": semigroup_to_json(a.structure)},
         "inv_actions": {"block_swap_b2": inv_action_to_json(a, "brandt_b2", "three_block")},
         "tasks": [
             {"id": "validate-action", "task": "validate-action", "inv_action": "block_swap_b2"},
@@ -120,7 +120,7 @@ def _semilattice_doc() -> dict:
     a = fx.chain_semilattice_action()
     return {
         "algebras": {"two_block": algebra_to_json(a.carrier)},
-        "semigroups": {"chain": semigroup_to_json(a.semigroup)},
+        "semigroups": {"chain": semigroup_to_json(a.structure)},
         "inv_actions": {"trivial_chain": inv_action_to_json(a, "chain", "two_block")},
         "tasks": [
             {"id": "validate-action", "task": "validate-action", "inv_action": "trivial_chain"},
@@ -134,7 +134,7 @@ def _nilpotent_edge_doc() -> dict:
     a = fx.nilpotent_edge_action()
     return {
         "algebras": {"dual_numbers": algebra_to_json(a.carrier)},
-        "semigroups": {"order_two_group": semigroup_to_json(a.semigroup)},
+        "semigroups": {"order_two_group": semigroup_to_json(a.structure)},
         "inv_actions": {
             "square_zero_edge": inv_action_to_json(a, "order_two_group", "dual_numbers")
         },

@@ -4,7 +4,7 @@ pointwise products of prime fields with p = 5 unless stated."""
 
 from __future__ import annotations
 
-from .actions import InvSgpAction, POAction
+from .actions import Action
 from .algebras import Algebra, diagonal_algebra
 from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace
@@ -38,7 +38,7 @@ def pointed_arrow_groupoid() -> OrderedGroupoid:
     )
 
 
-def pointed_arrow_global_action() -> POAction:
+def pointed_arrow_global_action() -> Action:
     """The global ordered action on three orthogonal idempotent blocks:
     s swaps the first and third blocks and fixes the middle one."""
     g = pointed_arrow_groupoid()
@@ -59,7 +59,7 @@ def pointed_arrow_global_action() -> POAction:
     maps[idx["r_s"]] = LinMap.identity(span23)
     maps[idx["d_s"]] = LinMap.identity(span12)
     maps[idx["e_min"]] = LinMap.identity(span2)
-    return POAction(g, b, tuple(ideals), tuple(maps), name="block swap")
+    return Action(g, b, tuple(ideals), tuple(maps), name="block swap")
 
 
 def pointed_arrow_restriction_ideal() -> Subspace:
@@ -67,7 +67,7 @@ def pointed_arrow_restriction_ideal() -> Subspace:
     return Subspace.span(3, [[0, 1, 0], [0, 0, 1]], P)
 
 
-def pointed_arrow_partial_action() -> POAction:
+def pointed_arrow_partial_action() -> Action:
     """The standard restriction of the block swap, authored directly on the
     two-block carrier: every map is the identity."""
     g = pointed_arrow_groupoid()
@@ -79,7 +79,7 @@ def pointed_arrow_partial_action() -> POAction:
     ideals[idx["r_s"]] = full
     maps = [LinMap.identity(first)] * 5
     maps[idx["r_s"]] = LinMap.identity(full)
-    return POAction(g, a, tuple(ideals), tuple(maps), name="restricted swap")
+    return Action(g, a, tuple(ideals), tuple(maps), name="restricted swap")
 
 
 def stacked_involutions_groupoid() -> OrderedGroupoid:
@@ -106,7 +106,7 @@ def stacked_involutions_groupoid() -> OrderedGroupoid:
     )
 
 
-def stacked_involutions_action() -> POAction:
+def stacked_involutions_action() -> Action:
     """A unital action that is not strong: the lower involution acts on a
     strictly smaller ideal than the object intersection suggests."""
     g = stacked_involutions_groupoid()
@@ -130,7 +130,7 @@ def stacked_involutions_action() -> POAction:
     maps[idx["n0"]] = LinMap.identity(full)
     maps[idx["n1"]] = swap_pairs
     maps[idx["m1"]] = swap_odd
-    return POAction(g, a, tuple(ideals), tuple(maps), name="stacked involutions")
+    return Action(g, a, tuple(ideals), tuple(maps), name="stacked involutions")
 
 
 def brandt_b2() -> InverseSemigroup:
@@ -154,7 +154,7 @@ def brandt_b2() -> InverseSemigroup:
     return InverseSemigroup(names, table)
 
 
-def brandt_action() -> InvSgpAction:
+def brandt_action() -> Action:
     """B_2 moving one block onto another, zero at the zero element.  The
     ideal at the non-idempotent sits strictly inside its anchor, so the
     action is genuinely partial (not global)."""
@@ -177,7 +177,7 @@ def brandt_action() -> InvSgpAction:
     maps[idx["f1"]] = LinMap.identity(plane12)
     maps[idx["f2"]] = LinMap.identity(third)
     maps[idx["z"]] = LinMap(zero, zero, ())
-    return InvSgpAction(s, a, tuple(ideals), tuple(maps), name="block swap on B2")
+    return Action(s, a, tuple(ideals), tuple(maps), name="block swap on B2")
 
 
 def chain_semilattice() -> InverseSemigroup:
@@ -187,13 +187,13 @@ def chain_semilattice() -> InverseSemigroup:
     return InverseSemigroup(names, table)
 
 
-def chain_semilattice_action() -> InvSgpAction:
+def chain_semilattice_action() -> Action:
     s = chain_semilattice()
     a = diagonal_algebra(P, 2, name="two-block carrier")
     full = a.space()
     ideals = (full, full)
     maps = (LinMap.identity(full), LinMap.identity(full))
-    return InvSgpAction(s, a, ideals, maps, name="trivial semilattice action")
+    return Action(s, a, ideals, maps, name="trivial semilattice action")
 
 
 def symmetric_monoid_i1() -> InverseSemigroup:
@@ -217,7 +217,7 @@ def nilpotent_edge_semigroup() -> InverseSemigroup:
     return InverseSemigroup(["one", "t"], [[0, 1], [1, 0]])
 
 
-def nilpotent_edge_action() -> InvSgpAction:
+def nilpotent_edge_action() -> Action:
     """Preunital but not unital: the non-identity element acts on the
     square-zero ideal, which has no identity element."""
     s = nilpotent_edge_semigroup()
@@ -226,10 +226,10 @@ def nilpotent_edge_action() -> InvSgpAction:
     nil = Subspace.span(2, [[0, 1]], P)
     ideals = (full, nil)
     maps = (LinMap.identity(full), LinMap.identity(nil))
-    return InvSgpAction(s, a, ideals, maps, name="square-zero edge")
+    return Action(s, a, ideals, maps, name="square-zero edge")
 
 
-def nilpotent_edge_po_action() -> POAction:
+def nilpotent_edge_po_action() -> Action:
     """The same data over the trivially ordered one-object group."""
     g = OrderedGroupoid.from_parts(
         ["one", "t"],
@@ -241,7 +241,7 @@ def nilpotent_edge_po_action() -> POAction:
     a = dual_numbers()
     full = a.space()
     nil = Subspace.span(2, [[0, 1]], P)
-    return POAction(
+    return Action(
         g,
         a,
         (full, nil),
@@ -258,7 +258,7 @@ def multiplier_twist_algebra() -> Algebra:
     return Algebra(P, 3, table, name="multiplier twist")
 
 
-def zero_ring_swap_action() -> POAction:
+def zero_ring_swap_action() -> Action:
     """Regression fixture: a valid non-unital action whose skew ring is not
     associative.  The order-2 group swaps the two zero-multiplying
     coordinates, which no multiplier of the carrier can follow."""
@@ -273,12 +273,12 @@ def zero_ring_swap_action() -> POAction:
     full = a.space()
     flat = Subspace.span(3, [[1, 0, 0], [0, 1, 0]], P)
     swap = LinMap.from_images(flat, flat, [[0, 1, 0], [1, 0, 0]])
-    return POAction(
+    return Action(
         g, a, (full, flat), (LinMap.identity(full), swap), name="zero-ring swap"
     )
 
 
-def zero_product_point() -> POAction:
+def zero_product_point() -> Action:
     """A valid action that is not even preunital: the carrier is a one
     dimensional zero-multiplication ring under the trivial group."""
     g = OrderedGroupoid.from_parts(
@@ -286,7 +286,7 @@ def zero_product_point() -> POAction:
     )
     a = Algebra(P, 1, [[(0,)]], name="zero line")
     full = a.space()
-    return POAction(g, a, (full,), (LinMap.identity(full),), name="zero line point")
+    return Action(g, a, (full,), (LinMap.identity(full),), name="zero line point")
 
 
 def matrix_units_f2() -> Algebra:

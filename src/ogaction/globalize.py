@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .actions import (
-    InvSgpAction,
-    POAction,
+    Action,
     _pull_coords,
     groupoid_action_to_semigroup_action,
     is_global,
@@ -24,7 +23,7 @@ from .actions import (
     require_unital,
     satisfies_ps,
     semigroup_action_to_groupoid_action,
-    validate_po_action,
+    validate_po_action,  # unused here; perfbench checks that the tracer rebinds this copy
 )
 from .algebras import (
     Algebra,
@@ -75,8 +74,8 @@ class Globalization:
     is the report of that check on a globalization built here.
     """
 
-    base: POAction
-    global_action: POAction
+    base: Action
+    global_action: Action
     embeddings: dict[int, LinMap]
     minimal: bool = False
     ambient: Optional[Algebra] = None
@@ -86,8 +85,8 @@ class Globalization:
 
 
 def as_globalization(
-    base: POAction,
-    global_action: POAction,
+    base: Action,
+    global_action: Action,
     embeddings: dict[int, LinMap],
     minimal: bool = False,
 ) -> Globalization:
@@ -129,10 +128,10 @@ def _translation_map(
 
 
 def _embedding_vector(
-    a: POAction, e: int, v: Vector, support: Sequence[int], total_dim: int
+    a: Action, e: int, v: Vector, support: Sequence[int], total_dim: int
 ) -> Vector:
     """The product-ring vector with block h holding alpha_{h^{-1}}(v * 1_h)."""
-    g0 = a.groupoid
+    g0 = a.structure
     n = a.carrier.dim
     out = [0] * total_dim
     for h in support:
@@ -145,12 +144,10 @@ def _embedding_vector(
     return tuple(out)
 
 
-def _build(a: POAction, minimal: bool) -> Globalization:
-    rep = validate_po_action(a)
-    if not rep.ok:
-        raise InvalidAction(f"cannot globalize an invalid action:\n{rep}")
+def _build(a: Action, minimal: bool) -> Globalization:
+    a.require_valid("cannot globalize an invalid action")
     require_unital(a)
-    g0 = a.groupoid
+    g0 = a.structure
     if minimal:
         if not is_strong(a):
             raise NotStrong("minimal globalization needs a strong action")
@@ -233,7 +230,7 @@ def _build(a: POAction, minimal: bool) -> Globalization:
                 )
             images.append(carrier_sub.coordinates_of(out))
         maps.append(LinMap.from_images(dom, ideals[g], images))
-    beta = POAction(
+    beta = Action(
         g0,
         big_algebra,
         ideals,
@@ -265,12 +262,12 @@ def _build(a: POAction, minimal: bool) -> Globalization:
     return built
 
 
-def build_globalization(a: POAction) -> Globalization:
+def build_globalization(a: Action) -> Globalization:
     """Globalize a unital partial ordered action over the down-range sets."""
     return _build(a, minimal=False)
 
 
-def build_minimal_globalization(a: POAction) -> Globalization:
+def build_minimal_globalization(a: Action) -> Globalization:
     """Globalize a unital strong action over pseudoproduct translations,
     generating each piece only from arrows of equal range."""
     return _build(a, minimal=True)
@@ -288,12 +285,12 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
     )
     rep = ValidationReport("globalization", checked)
     a, b = gl.base, gl.global_action
-    g0 = a.groupoid
+    g0 = a.structure
     nm = g0.names
-    if g0 != b.groupoid:
+    if g0 != b.structure:
         rep.add("GLOB(valid)", "base and global actions live over different groupoids")
         return rep
-    beta_rep = validate_po_action(b)
+    beta_rep = b.validate()
     if not beta_rep.ok:
         rep.add("GLOB(valid)", f"global action fails validation: {beta_rep.issues[0]}")
     if not is_global(b):
@@ -364,7 +361,7 @@ class InvSgpGlobalization:
     """Result of the inverse-semigroup pipeline: a global semigroup action,
     its embeddings, the checklist report, and the inner groupoid build."""
 
-    action: InvSgpAction
+    action: Action
     embeddings: dict[int, LinMap]
     report: ValidationReport
     inner: Globalization
@@ -380,7 +377,7 @@ def semigroup_checklist(glob: ValidationReport) -> ValidationReport:
     return rep
 
 
-def globalize_inverse_semigroup_action(a: InvSgpAction) -> InvSgpGlobalization:
+def globalize_inverse_semigroup_action(a: Action) -> InvSgpGlobalization:
     """Transfer to the derived groupoid, build the minimal globalization,
     and transport the result back, reporting the semigroup checklist."""
     if not is_preunital(a):
@@ -388,7 +385,7 @@ def globalize_inverse_semigroup_action(a: InvSgpAction) -> InvSgpGlobalization:
     require_unital(a)
     omega = semigroup_action_to_groupoid_action(a)
     inner = build_minimal_globalization(omega)
-    beta = groupoid_action_to_semigroup_action(inner.global_action, a.semigroup)
+    beta = groupoid_action_to_semigroup_action(inner.global_action, a.structure)
     return InvSgpGlobalization(
         beta, dict(inner.embeddings), semigroup_checklist(inner.checklist), inner
     )

@@ -7,15 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .actions import (
-    Action,
-    InvSgpAction,
-    POAction,
-    is_preunital,
-    require_unital,
-    validate_inv_sgp_action,
-    validate_po_action,
-)
+from .actions import Action, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
 from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
 from .globalize import Globalization, InvSgpGlobalization, verify_globalization
@@ -60,12 +52,7 @@ class SkewRing:
 
 def build_skew(a: Action) -> SkewRing:
     """Skew ring of a validated action; grading recorded per basis vector."""
-    if isinstance(a, POAction):
-        rep = validate_po_action(a)
-    else:
-        rep = validate_inv_sgp_action(a)
-    if not rep.ok:
-        raise InvalidAction(f"skew ring needs a valid action:\n{rep}")
+    a.require_valid("skew ring needs a valid action")
     ix = a.index
     offsets = []
     grading: list[int] = []
@@ -181,12 +168,10 @@ def skew_unit(o: OrderedSkewRing) -> Vector:
     return img
 
 
-def build_inv_sgp_skew(a: InvSgpAction) -> OrderedSkewRing:
+def build_inv_sgp_skew(a: Action) -> OrderedSkewRing:
     """Skew ring of a unital inverse-semigroup action, quotiented along the
     natural partial order."""
-    rep = validate_inv_sgp_action(a)
-    if not rep.ok:
-        raise InvalidAction(f"skew ring needs a valid action:\n{rep}")
+    a.require_valid("skew ring needs a valid action")
     require_unital(a)
     return build_ordered_skew(build_skew(a))
 
@@ -225,7 +210,7 @@ class MoritaReport:
         return rep
 
 
-def morita_context(a: POAction, gl: Globalization) -> MoritaReport:
+def morita_context(a: Action, gl: Globalization) -> MoritaReport:
     """Verify the corner identities and context axioms for an action and a
     globalization of it, identifying the carrier with its embedded image."""
     if gl.base is not a and gl.base != a:
@@ -237,10 +222,10 @@ def morita_context(a: POAction, gl: Globalization) -> MoritaReport:
     return _morita_core(a, gl.global_action, gl.embeddings, build_ordered_skew(build_skew(a)))
 
 
-def inv_sgp_morita(a: InvSgpAction, gl: InvSgpGlobalization) -> MoritaReport:
+def inv_sgp_morita(a: Action, gl: InvSgpGlobalization) -> MoritaReport:
     """Same corner identities for an inverse-semigroup action and the
     globalization produced by the pipeline."""
-    if gl.action.semigroup != a.semigroup:
+    if gl.action.structure != a.structure:
         raise NotAGlobalization("globalization belongs to a different semigroup")
     require_unital(a)
     return _morita_core(a, gl.action, gl.embeddings, build_inv_sgp_skew(a))

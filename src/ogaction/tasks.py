@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .actions import (
-    POAction,
     general_restriction,
     is_global,
     is_preunital,
@@ -17,8 +16,6 @@ from .actions import (
     satisfies_ps,
     search_equivalence,
     standard_restriction,
-    validate_inv_sgp_action,
-    validate_po_action,
 )
 from .errors import WorkbenchError, WorkspaceError
 from .globalize import (
@@ -71,11 +68,29 @@ class TaskReport:
         return head
 
 
-def _required(t: dict, key: str) -> Any:
-    """A field the task cannot run without; its absence fails this task only."""
+def _task_error(t: dict, message: str) -> WorkspaceError:
+    return WorkspaceError(f"task {t.get('id', t.get('task'))!r}: {message}")
+
+
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _required(t: dict, key: str, kind: type = str) -> Any:
+    """A field the task cannot run without; its absence, or a value of
+    another JSON type, fails this task only."""
     if key not in t:
-        raise WorkspaceError(f"task {t.get('id', t.get('task'))!r}: missing field {key!r}")
+        raise _task_error(t, f"missing field {key!r}")
+    if not isinstance(t[key], kind):
+        raise _task_error(t, f"field {key!r} must be {_JSON_TYPES[kind]}")
     return t[key]
+
+
+def _rows(t: dict, key: str, rows: Any) -> tuple[tuple[int, ...], ...]:
+    """An integer matrix read from field `key`; a malformed one fails this task only."""
+    try:
+        return tuple(tuple(int(x) for x in row) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise _task_error(t, f"field {key!r}: {exc}")
 
 
 def _dims_by_name(names, ideals) -> dict[str, int]:
@@ -83,7 +98,7 @@ def _dims_by_name(names, ideals) -> dict[str, int]:
 
 
 def _task_validate_groupoid(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    g = ws.groupoids.get(t.get("groupoid", ""))
+    g = ws.groupoids.get(_required(t, "groupoid"))
     if g is None:
         raise WorkspaceError(f"unknown groupoid {t.get('groupoid')!r}")
     rep1 = g.validate_groupoid()
@@ -99,38 +114,39 @@ def _task_validate_groupoid(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _task_validate_action(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    if "inv_action" in t:
-        a = ws.inv_action(t["inv_action"])
-        rep = validate_inv_sgp_action(a)
-    else:
+    on_groupoid = "inv_action" not in t
+    if on_groupoid:
         a = ws.action(_required(t, "action"))
-        rep = validate_po_action(a)
+    else:
+        a = ws.inv_action(_required(t, "inv_action"))
+    rep = a.validate()
     data = {
         "dims": _dims_by_name(a.index.names, a.ideal_of),
         "preunital": is_preunital(a),
         "unital": is_unital(a),
         "global": is_global(a),
     }
-    if isinstance(a, POAction) and rep.ok:
+    if on_groupoid and rep.ok:
         data["strong"] = is_strong(a)
     return rep.clauses(), data
 
 
 def _task_restrict(ws: Workspace, t: dict) -> tuple[dict, dict]:
     beta = ws.action(_required(t, "action"))
+    alg = beta.carrier
     if "family" in t:
         family = {}
-        index = {nm: i for i, nm in enumerate(beta.groupoid.names)}
-        for key, rows in t["family"].items():
+        index = {nm: i for i, nm in enumerate(beta.structure.names)}
+        for key, rows in _required(t, "family", dict).items():
             if key not in index:
                 raise WorkspaceError(f"unknown object {key!r} in family")
-            family[index[key]] = Subspace.span(beta.carrier.dim, rows, beta.carrier.p)
+            family[index[key]] = Subspace.span(alg.dim, _rows(t, "family", rows), alg.p)
         out = general_restriction(beta, family)
     else:
-        ideal = Subspace.span(beta.carrier.dim, _required(t, "ideal"), beta.carrier.p)
+        ideal = Subspace.span(alg.dim, _rows(t, "ideal", _required(t, "ideal", list)), alg.p)
         out = standard_restriction(beta, ideal)
     data = {
-        "dims": _dims_by_name(out.groupoid.names, out.ideal_of),
+        "dims": _dims_by_name(out.structure.names, out.ideal_of),
         "carrier_dim": out.carrier.dim,
         "strong": is_strong(out),
     }
@@ -152,32 +168,31 @@ def _glob_of(ws: Workspace, t: dict):
 
 
 def _task_globalize(ws: Workspace, t: dict) -> tuple[dict, dict]:
-    a, gl = _glob_of(ws, t)
-    rep = verify_globalization(gl)
+    _, gl = _glob_of(ws, t)
     b = gl.global_action
     data = {
-        "dims": _dims_by_name(b.groupoid.names, b.ideal_of),
+        "dims": _dims_by_name(b.structure.names, b.ideal_of),
         "carrier_dim": b.carrier.dim,
         "minimal": gl.minimal,
         "embedding_dims": {
-            b.groupoid.names[e]: m.domain.rank for e, m in sorted(gl.embeddings.items())
+            b.structure.names[e]: m.domain.rank for e, m in sorted(gl.embeddings.items())
         },
     }
-    return rep.clauses(), data
+    # _build ran the checklist on this globalization and raised if it failed
+    return gl.checklist.clauses(), data
 
 
 def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
     a = ws.action(_required(t, "action"))
     b = ws.action(_required(t, "global"))
-    index = {nm: i for i, nm in enumerate(a.groupoid.names)}
+    index = {nm: i for i, nm in enumerate(a.structure.names)}
     embeddings = {}
-    for key, matrix in t.get("embeddings", {}).items():
+    listed = _required(t, "embeddings", dict) if "embeddings" in t else {}
+    for key, matrix in listed.items():
         if key not in index:
             raise WorkspaceError(f"unknown object {key!r} in embeddings")
         e = index[key]
-        embeddings[e] = LinMap(
-            a.ideal_of[e], b.ideal_of[e], tuple(tuple(int(x) for x in row) for row in matrix)
-        )
+        embeddings[e] = LinMap(a.ideal_of[e], b.ideal_of[e], _rows(t, "embeddings", matrix))
     gl = as_globalization(a, b, embeddings, minimal=bool(t.get("minimal")))
     rep = verify_globalization(gl)
     return rep.clauses(), {"carrier_dim": b.carrier.dim}
@@ -188,9 +203,7 @@ def _task_equivalence(ws: Workspace, t: dict) -> tuple[dict, dict]:
     right = ws.action(_required(t, "right"))
     budget = t.get("budget", 200_000)
     if isinstance(budget, bool) or not isinstance(budget, int):
-        raise WorkspaceError(
-            f"task {t.get('id', t.get('task'))!r}: budget {budget!r} is not an integer"
-        )
+        raise _task_error(t, f"budget {budget!r} is not an integer")
     result = search_equivalence(left, right, budget=budget)
     outcome = "found" if result.found else ("disproved" if result.definitive_no else "exhausted")
     data = {"outcome": outcome, "tested": result.tested}
@@ -203,7 +216,7 @@ def _task_equivalence(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
     if "inv_action" in t:
-        a = ws.inv_action(t["inv_action"])
+        a = ws.inv_action(_required(t, "inv_action"))
         if t.get("ordered", True):
             o = build_inv_sgp_skew(a)
             data = {
@@ -236,14 +249,14 @@ def _task_morita(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 def _task_esn(ws: Workspace, t: dict) -> tuple[dict, dict]:
     if "semigroup" in t:
-        s = ws.semigroups.get(t["semigroup"])
+        s = ws.semigroups.get(_required(t, "semigroup"))
         if s is None:
             raise WorkspaceError(f"unknown semigroup {t['semigroup']!r}")
         g = esn_to_groupoid(s)
         back = esn_to_semigroup(g)
         data = {"arrows": g.n, "objects": len(g.objects)}
         return {"ROUNDTRIP": back == s}, data
-    name = t.get("groupoid", "")
+    name = _required(t, "groupoid")
     g = ws.groupoids.get(name)
     if g is None:
         raise WorkspaceError(f"unknown groupoid {name!r}")
@@ -258,7 +271,7 @@ def _task_inv_pipeline(ws: Workspace, t: dict) -> tuple[dict, dict]:
     clauses = dict(result.report.clauses())
     b = result.action
     data: dict[str, Any] = {
-        "dims": _dims_by_name(b.semigroup.names, b.ideal_of),
+        "dims": _dims_by_name(b.structure.names, b.ideal_of),
         "carrier_dim": b.carrier.dim,
     }
     if t.get("with_morita"):

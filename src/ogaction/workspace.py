@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .actions import InvSgpAction, POAction
+from .actions import Action
 from .algebras import Algebra
 from .errors import WorkspaceError
 from .groupoids import OrderedGroupoid
@@ -25,17 +25,17 @@ class Workspace:
     algebras: dict[str, Algebra] = field(default_factory=dict)
     groupoids: dict[str, OrderedGroupoid] = field(default_factory=dict)
     semigroups: dict[str, InverseSemigroup] = field(default_factory=dict)
-    actions: dict[str, POAction] = field(default_factory=dict)
-    inv_actions: dict[str, InvSgpAction] = field(default_factory=dict)
+    actions: dict[str, Action] = field(default_factory=dict)
+    inv_actions: dict[str, Action] = field(default_factory=dict)
     tasks: list[dict[str, Any]] = field(default_factory=list)
 
-    def action(self, name: str) -> POAction:
+    def action(self, name: str) -> Action:
         try:
             return self.actions[name]
         except KeyError:
             raise WorkspaceError(f"unknown action {name!r}")
 
-    def inv_action(self, name: str) -> InvSgpAction:
+    def inv_action(self, name: str) -> Action:
         try:
             return self.inv_actions[name]
         except KeyError:
@@ -127,15 +127,15 @@ def _maps_to_json(names, ideal_of, map_of) -> dict:
     }
 
 
-def action_to_json(a: POAction, groupoid_name: str, algebra_name: str) -> dict:
+def action_to_json(a: Action, groupoid_name: str, algebra_name: str) -> dict:
     doc = {"groupoid": groupoid_name, "algebra": algebra_name}
-    doc.update(_maps_to_json(a.groupoid.names, a.ideal_of, a.map_of))
+    doc.update(_maps_to_json(a.structure.names, a.ideal_of, a.map_of))
     return doc
 
 
-def inv_action_to_json(a: InvSgpAction, semigroup_name: str, algebra_name: str) -> dict:
+def inv_action_to_json(a: Action, semigroup_name: str, algebra_name: str) -> dict:
     doc = {"semigroup": semigroup_name, "algebra": algebra_name}
-    doc.update(_maps_to_json(a.semigroup.names, a.ideal_of, a.map_of))
+    doc.update(_maps_to_json(a.structure.names, a.ideal_of, a.map_of))
     return doc
 
 
@@ -196,7 +196,7 @@ def _parse_family(
     return tuple(ideals), tuple(maps)
 
 
-def action_from_json(doc: dict, ws: Workspace, name: str) -> POAction:
+def action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
     try:
         g = ws.groupoids[doc["groupoid"]]
         alg = ws.algebras[doc["algebra"]]
@@ -205,10 +205,10 @@ def action_from_json(doc: dict, ws: Workspace, name: str) -> POAction:
     ideals, maps = _parse_family(
         doc, g.names, lambda i: g.inv[i], alg, f"action {name!r}"
     )
-    return POAction(g, alg, ideals, maps, name=name)
+    return Action(g, alg, ideals, maps, name=name)
 
 
-def inv_action_from_json(doc: dict, ws: Workspace, name: str) -> InvSgpAction:
+def inv_action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
     try:
         s = ws.semigroups[doc["semigroup"]]
         alg = ws.algebras[doc["algebra"]]
@@ -218,7 +218,7 @@ def inv_action_from_json(doc: dict, ws: Workspace, name: str) -> InvSgpAction:
     ideals, maps = _parse_family(
         doc, s.names, s.inverse, alg, f"inverse action {name!r}"
     )
-    return InvSgpAction(s, alg, ideals, maps, name=name)
+    return Action(s, alg, ideals, maps, name=name)
 
 
 def load_workspace(path: str | Path) -> Workspace:
@@ -245,8 +245,10 @@ def load_workspace(path: str | Path) -> Workspace:
         raise WorkspaceError(f"{path}: tasks must be a list")
     seen = set()
     for t in tasks:
-        if "task" not in t:
-            raise WorkspaceError(f"{path}: task entry without a 'task' kind")
+        if not isinstance(t, dict) or "task" not in t:
+            raise WorkspaceError(f"{path}: task entry {t!r} is not an object with a 'task' kind")
+        if not all(isinstance(t.get(key, ""), str) for key in ("task", "id")):
+            raise WorkspaceError(f"{path}: task entry {t!r}: 'task' and 'id' must be strings")
         tid = t.get("id", t["task"])
         if tid in seen:
             raise WorkspaceError(f"{path}: duplicate task id {tid!r}")

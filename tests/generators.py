@@ -196,7 +196,7 @@ def random_ideal(rng, beta):
 
 
 def random_monotone_family(rng, beta, coords_by_object):
-    g = beta.groupoid
+    g = beta.structure
     index = {n: i for i, n in enumerate(g.names)}
     chosen = {
         obj: {c for c in cols if rng.random() < 0.5}

@@ -110,7 +110,7 @@ def glob_restr_report(gl):
     """The GLOB(restr) clause as its own loop over the restriction data."""
     rep = ValidationReport("globalization", ("GLOB(restr)",))
     a, b = gl.base, gl.global_action
-    g0 = a.groupoid
+    g0 = a.structure
     nm = g0.names
     phi = gl.embeddings
     images = {e: gl.embeddings[e].image() for e in g0.objects}
@@ -139,7 +139,7 @@ def verify_semigroup_globalization(
     a: InvSgpAction, b: InvSgpAction, phi: dict[int, LinMap]
 ) -> ValidationReport:
     rep = ValidationReport("semigroup globalization", SEMIGROUP_GLOBALIZATION_CLAUSES)
-    s0 = a.semigroup
+    s0 = a.structure
     nm = s0.names
     images = {e: phi[e].image() for e in s0.idempotents()}
     for e in s0.idempotents():

@@ -56,7 +56,7 @@ def test_criterion_01_standard_restriction_dimensions():
     start = time.time()
     beta = fx.pointed_arrow_global_action()
     alpha = standard_restriction(beta, fx.pointed_arrow_restriction_ideal())
-    i = arrow_index(alpha.groupoid)
+    i = arrow_index(alpha.structure)
     dims = tuple(
         alpha.ideal_of[i[nm]].rank for nm in ["r_s", "d_s", "s", "s_inv", "e_min"]
     )
@@ -82,7 +82,7 @@ def test_criterion_02_full_globalization_and_non_equivalence():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_globalization(alpha)
     b = gl.global_action
-    i = arrow_index(b.groupoid)
+    i = arrow_index(b.structure)
     dims_ok = b.ideal_of[i["s"]].rank == 3 and b.carrier.dim == 5
     checklist = verify_globalization(gl)
     _, incl = inclusion_globalization()
@@ -104,7 +104,7 @@ def test_criterion_03_minimal_globalization_and_equivalence():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_minimal_globalization(alpha)
     b = gl.global_action
-    i = arrow_index(b.groupoid)
+    i = arrow_index(b.structure)
     dims_ok = b.ideal_of[i["s"]].rank == 2 and b.carrier.dim == 3
     checklist = verify_globalization(gl)
     minimal_clause = checklist.clause_ok("GLOB(iv')") and "GLOB(iv')" in checklist.checked
@@ -185,7 +185,7 @@ def test_criterion_05_restriction_and_meet_identities():
     ok = True
     for action in strong_fixtures:
         assert is_strong(action), action.name
-        g0 = action.groupoid
+        g0 = action.structure
         for g in g0.arrows():
             for e in g0.objects:
                 if g0.le(e, g0.dom[g]):

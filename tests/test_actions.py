@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -26,13 +28,18 @@ from ogaction.actions import (
     validate_po_action,
     verify_equivalence,
 )
+from ogaction.corpus import emit_fixture_corpus
 from ogaction.errors import (
     GroupoidMismatch,
+    InvalidAction,
     NotAnIdeal,
     NotGlobal,
     NotMonotone,
 )
+from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
+from ogaction.tasks import run_tasks
+from ogaction.workspace import load_workspace
 
 from generators import random_global_action, random_ideal, random_monotone_family
 
@@ -55,7 +62,7 @@ def test_fixture_actions_validate():
 
 def test_sum_violation_is_reported():
     alpha = fx.pointed_arrow_partial_action()
-    g = alpha.groupoid
+    g = alpha.structure
     i = idx(g)
     small = Subspace.span(2, [[1, 0]], 5)
     ideals = list(alpha.ideal_of)
@@ -71,7 +78,7 @@ def test_sum_violation_is_reported():
 
 def test_nested_ideal_violation_is_reported():
     alpha = fx.pointed_arrow_partial_action()
-    g = alpha.groupoid
+    g = alpha.structure
     i = idx(g)
     other = Subspace.span(2, [[0, 1]], 5)
     ideals = list(alpha.ideal_of)
@@ -87,7 +94,7 @@ def test_nested_ideal_violation_is_reported():
 def test_unitality_flags():
     alpha = fx.pointed_arrow_partial_action()
     assert is_preunital(alpha) and is_unital(alpha)
-    i = idx(alpha.groupoid)
+    i = idx(alpha.structure)
     assert alpha.unit_vector(i["s"]) == (1, 0)
     assert alpha.unit_vector(i["r_s"]) == (1, 1)
     stacked = fx.stacked_involutions_action()
@@ -147,7 +154,7 @@ def test_standard_restriction_requires_global_and_ideal():
 def test_general_restriction_with_object_intersections_is_standard():
     beta = fx.pointed_arrow_global_action()
     ideal = fx.pointed_arrow_restriction_ideal()
-    family = {e: ideal.intersect(beta.ideal_of[e]) for e in beta.groupoid.objects}
+    family = {e: ideal.intersect(beta.ideal_of[e]) for e in beta.structure.objects}
     via_family = general_restriction(beta, family)
     via_ideal = standard_restriction(beta, ideal)
     assert via_family.ideal_of == via_ideal.ideal_of
@@ -156,7 +163,7 @@ def test_general_restriction_with_object_intersections_is_standard():
 
 def test_general_restriction_rejects_non_monotone_families():
     beta = fx.pointed_arrow_global_action()
-    g = beta.groupoid
+    g = beta.structure
     i = idx(g)
     family = {
         i["r_s"]: Subspace.span(3, [[0, 0, 1]], 5),
@@ -206,14 +213,14 @@ def test_witnesses_form_an_equivalence_relation():
     conj = LinMap.from_images(carrier.space(), carrier.space(), swap)
     ideals = tuple(conj.image_of(s) for s in alpha.ideal_of)
     maps = []
-    for g in alpha.arrows():
-        dom = ideals[alpha.groupoid.inv[g]]
+    for g in alpha.index.grades:
+        dom = ideals[alpha.structure.inv[g]]
         images = []
         for v in dom.basis:
             back = conj.inverse().apply(v)
             images.append(conj.apply(alpha.map_of[g].apply(back)))
         maps.append(LinMap.from_images(dom, ideals[g], images))
-    mirrored = POAction(alpha.groupoid, carrier, ideals, tuple(maps), name="mirrored")
+    mirrored = POAction(alpha.structure, carrier, ideals, tuple(maps), name="mirrored")
     assert validate_po_action(mirrored).ok
 
     res = search_equivalence(alpha, mirrored)
@@ -320,12 +327,12 @@ def test_transfer_back_requires_global_and_matching_semigroup():
     b = fx.brandt_action()
     omega = semigroup_action_to_groupoid_action(b)
     with pytest.raises(NotGlobal):
-        groupoid_action_to_semigroup_action(omega, b.semigroup)
+        groupoid_action_to_semigroup_action(omega, b.structure)
     triv = fx.chain_semilattice_action()
     omega2 = semigroup_action_to_groupoid_action(triv)
     with pytest.raises(GroupoidMismatch):
-        groupoid_action_to_semigroup_action(omega2, b.semigroup)
-    back = groupoid_action_to_semigroup_action(omega2, triv.semigroup)
+        groupoid_action_to_semigroup_action(omega2, b.structure)
+    back = groupoid_action_to_semigroup_action(omega2, triv.structure)
     assert back.ideal_of == triv.ideal_of
     assert back.map_of == triv.map_of
 
@@ -335,7 +342,7 @@ def test_derived_identities_hold_on_valid_fixtures():
         fx.pointed_arrow_partial_action(),
         fx.stacked_involutions_action(),
     ]:
-        g = action.groupoid
+        g = action.structure
         for a in g.arrows():
             inv_map = action.map_of[a].inverse()
             other = action.map_of[g.inv[a]]
@@ -356,3 +363,93 @@ def test_relabeled_action_still_validates():
     moved = relabel_action(alpha, [4, 2, 0, 1, 3])
     assert validate_po_action(moved).ok
     assert is_strong(moved) and is_unital(moved)
+
+
+FIXTURE_ACTIONS = [
+    fx.pointed_arrow_global_action,
+    fx.pointed_arrow_partial_action,
+    fx.stacked_involutions_action,
+    fx.nilpotent_edge_po_action,
+    fx.zero_ring_swap_action,
+    fx.zero_product_point,
+    fx.brandt_action,
+    fx.chain_semilattice_action,
+    fx.nilpotent_edge_action,
+]
+
+
+@pytest.mark.parametrize("make", [fx.pointed_arrow_partial_action, fx.brandt_action])
+def test_a_family_shorter_than_the_index_is_refused(make):
+    a = make()
+    with pytest.raises(InvalidAction):
+        POAction(a.structure, a.carrier, a.ideal_of[:-1], a.map_of[:-1])
+
+
+def _broken_variants(a):
+    """Two invalid copies of a: the last grade's map doubled (not a ring
+    map unless its ideal squares to zero), and the first anchor's ideal
+    and map emptied."""
+    last = a.index.grades[-1]
+    m = a.map_of[last]
+    doubled = tuple(tuple(2 * x % m.p for x in row) for row in m.matrix)
+    doubled = LinMap(m.domain, m.codomain, doubled)
+    maps = a.map_of[:last] + (doubled,) + a.map_of[last + 1 :]
+    yield dataclasses.replace(a, map_of=maps, _units={})
+    e = a.index.anchors[0]
+    zero = Subspace.zero(a.carrier.dim, a.carrier.p)
+    ideals = a.ideal_of[:e] + (zero,) + a.ideal_of[e + 1 :]
+    maps = a.map_of[:e] + (LinMap(zero, zero, ()),) + a.map_of[e + 1 :]
+    yield dataclasses.replace(a, ideal_of=ideals, map_of=maps, _units={})
+
+
+def test_the_kept_report_equals_a_fresh_validation():
+    rng = random.Random(11)
+    valid = [make() for make in FIXTURE_ACTIONS]
+    for _ in range(6):
+        beta, coords = random_global_action(rng)
+        valid += [
+            beta,
+            standard_restriction(beta, random_ideal(rng, beta)),
+            general_restriction(beta, random_monotone_family(rng, beta, coords)),
+        ]
+    failing = {True: 0, False: 0}
+    for a in valid + [b for a in valid for b in _broken_variants(a)]:
+        kept = a.validate()
+        assert a.validate() is kept
+        on_groupoid = isinstance(a.structure, OrderedGroupoid)
+        check = validate_po_action if on_groupoid else validate_inv_sgp_action
+        fresh = check(dataclasses.replace(a))
+        assert fresh is not kept
+        assert kept.clauses() == fresh.clauses() and kept.issues == fresh.issues, a.name
+        failing[on_groupoid] += not kept.ok
+    assert failing[True] >= 30 and failing[False] >= 4
+
+
+def test_actions_are_frozen():
+    a = fx.pointed_arrow_partial_action()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.ideal_of = a.ideal_of
+
+
+def test_a_corpus_pass_validates_each_action_once(tmp_path, monkeypatch):
+    import ogaction.actions as actions_module
+
+    seen = []
+    for original in (actions_module.validate_po_action, actions_module.validate_inv_sgp_action):
+
+        def counting(a, _original=original):
+            seen.append(a)
+            return _original(a)
+
+        # rebind every module-level copy, as `from .actions import ...` made them
+        for name, module in list(sys.modules.items()):
+            if name == "ogaction" or name.startswith("ogaction."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    for path in emit_fixture_corpus(tmp_path):
+        reports = run_tasks(load_workspace(path))
+        assert all(r.status == "pass" for r in reports), path.name
+    assert seen
+    repeats = [a.name for i, a in enumerate(seen) if any(a is b for b in seen[:i])]
+    assert repeats == []

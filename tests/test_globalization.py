@@ -40,7 +40,7 @@ def inclusion_globalization():
     ideal = fx.pointed_arrow_restriction_ideal()
     alpha = standard_restriction(beta, ideal)
     emb = {}
-    for e in sorted(beta.groupoid.objects):
+    for e in sorted(beta.structure.objects):
         dom = alpha.ideal_of[e]
         images = [ideal.from_coordinates(v) for v in dom.basis]
         emb[e] = LinMap.from_images(dom, beta.ideal_of[e], images)
@@ -51,7 +51,7 @@ def test_full_construction_reproduces_expected_dimensions():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_globalization(alpha)
     b = gl.global_action
-    i = idx(b.groupoid)
+    i = idx(b.structure)
     assert b.carrier.dim == 5
     assert b.ideal_of[i["s"]].rank == 3
     assert b.ideal_of[i["s_inv"]].rank == 3
@@ -64,7 +64,7 @@ def test_minimal_construction_reproduces_expected_dimensions():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_minimal_globalization(alpha)
     b = gl.global_action
-    i = idx(b.groupoid)
+    i = idx(b.structure)
     assert b.carrier.dim == 3
     assert b.ideal_of[i["s"]].rank == 2
     assert b.ideal_of[i["e_min"]].rank == 1
@@ -82,7 +82,7 @@ def test_minimal_pieces_are_never_larger_than_full_pieces():
         assert is_strong(alpha) and is_unital(alpha)
         full = build_globalization(alpha)
         minimal = build_minimal_globalization(alpha)
-        for g in alpha.arrows():
+        for g in alpha.index.grades:
             assert (
                 minimal.global_action.ideal_of[g].rank
                 <= full.global_action.ideal_of[g].rank
@@ -139,13 +139,13 @@ def test_corrupting_the_global_map_fails_the_intertwining_clause():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_minimal_globalization(alpha)
     b = gl.global_action
-    i = idx(b.groupoid)
+    i = idx(b.structure)
     maps = list(b.map_of)
     twisted = tuple(
         tuple((2 * x) % 5 for x in row) for row in maps[i["s"]].matrix
     )
     maps[i["s"]] = LinMap(maps[i["s"]].domain, maps[i["s"]].codomain, twisted)
-    broken = POAction(b.groupoid, b.carrier, b.ideal_of, tuple(maps))
+    broken = POAction(b.structure, b.carrier, b.ideal_of, tuple(maps))
     rep = verify_globalization(
         Globalization(alpha, broken, gl.embeddings, minimal=True)
     )
@@ -154,7 +154,7 @@ def test_corrupting_the_global_map_fails_the_intertwining_clause():
 
 def test_translation_maps_compose_and_restrict():
     alpha = fx.pointed_arrow_partial_action()
-    g0 = alpha.groupoid
+    g0 = alpha.structure
     for minimal in (False, True):
         gl = (
             build_minimal_globalization(alpha)
@@ -202,7 +202,7 @@ def test_globalized_carrier_has_local_units():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_globalization(alpha)
     b = gl.global_action
-    g0 = alpha.groupoid
+    g0 = alpha.structure
     candidates = []
     for h in g0.arrows():
         e = g0.dom[h]
@@ -228,8 +228,8 @@ def test_semigroup_pipeline_on_brandt_fixture():
     result = globalize_inverse_semigroup_action(b)
     assert result.report.ok
     assert result.inner.minimal
-    i = {nm: k for k, nm in enumerate(b.semigroup.names)}
-    dims = [result.action.ideal_of[i[nm]].rank for nm in b.semigroup.names]
+    i = {nm: k for k, nm in enumerate(b.structure.names)}
+    dims = [result.action.ideal_of[i[nm]].rank for nm in b.structure.names]
     assert dims == [2, 2, 2, 2, 0]
 
 

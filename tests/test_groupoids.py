@@ -155,7 +155,7 @@ def test_pseudoassociativity():
     assert one_arrow().is_pseudoassociative()
     assert fx.pointed_arrow_groupoid().is_pseudoassociative()
     assert fx.stacked_involutions_groupoid().is_pseudoassociative()
-    assert fx.nilpotent_edge_po_action().groupoid.is_pseudoassociative()
+    assert fx.nilpotent_edge_po_action().structure.is_pseudoassociative()
 
 
 def test_inductive_fixtures():
@@ -182,7 +182,7 @@ def test_down_range_sets():
     assert names(g.down_range_set(i["s_inv"])) == {"s_inv", "d_s", "e_min"}
     for a in g.arrows():
         assert g.down_range_set(a) == g.down_range_set(g.ran[a])
-    triv = fx.nilpotent_edge_po_action().groupoid
+    triv = fx.nilpotent_edge_po_action().structure
     for a in triv.arrows():
         assert set(triv.down_range_set(a)) == {
             h for h in triv.arrows() if triv.ran[h] == triv.ran[a]
@@ -196,7 +196,7 @@ def test_pseudo_composable_sets():
     st = fx.stacked_involutions_groupoid()
     i = idx(st)
     assert st.pseudo_composable_set(i["n1"]) == tuple(st.arrows())
-    triv = fx.nilpotent_edge_po_action().groupoid
+    triv = fx.nilpotent_edge_po_action().structure
     for a in triv.arrows():
         assert set(triv.pseudo_composable_set(a)) == {
             h for h in triv.arrows() if triv.ran[h] == triv.ran[a]

@@ -149,12 +149,12 @@ def test_constant_non_idempotent_map_fails_inverse_condition():
 
 
 def _partial_bijection_family(action: POAction):
-    return [action.map_of[g] for g in action.arrows()]
+    return [action.map_of[g] for g in action.index.grades]
 
 
 def test_action_induces_semigroup_premorphism_into_partial_bijections():
     alpha = fx.pointed_arrow_partial_action()
-    s = esn_to_semigroup(alpha.groupoid)
+    s = esn_to_semigroup(alpha.structure)
     maps = _partial_bijection_family(alpha)
     p = Premorphism(s, PartialBijections(alpha.carrier), maps, kind="inverse-semigroup")
     assert verify_premorphism(p).ok
@@ -164,7 +164,7 @@ def test_action_induces_inductive_premorphism_with_diagnostics():
     alpha = fx.pointed_arrow_partial_action()
     maps = _partial_bijection_family(alpha)
     p = Premorphism(
-        alpha.groupoid, PartialBijections(alpha.carrier), maps, kind="inductive-groupoid"
+        alpha.structure, PartialBijections(alpha.carrier), maps, kind="inductive-groupoid"
     )
     rep = verify_premorphism(p)
     assert rep.ok
@@ -175,7 +175,7 @@ def test_non_strong_action_fails_the_meet_diagnostic():
     stacked = fx.stacked_involutions_action()
     maps = _partial_bijection_family(stacked)
     p = Premorphism(
-        stacked.groupoid, PartialBijections(stacked.carrier), maps, kind="inductive-groupoid"
+        stacked.structure, PartialBijections(stacked.carrier), maps, kind="inductive-groupoid"
     )
     rep = verify_premorphism(p)
     assert not rep.clause_ok("PM(meet)")
@@ -183,9 +183,9 @@ def test_non_strong_action_fails_the_meet_diagnostic():
 
 def test_scaled_map_fails_order_preservation():
     alpha = fx.pointed_arrow_partial_action()
-    s = esn_to_semigroup(alpha.groupoid)
+    s = esn_to_semigroup(alpha.structure)
     maps = _partial_bijection_family(alpha)
-    i = {nm: k for k, nm in enumerate(alpha.groupoid.names)}
+    i = {nm: k for k, nm in enumerate(alpha.structure.names)}
     broken = list(maps)
     dom = broken[i["e_min"]].domain
     broken[i["e_min"]] = LinMap(dom, dom, ((2,),))

@@ -224,7 +224,7 @@ def test_morita_context_of_a_global_action_with_itself():
     gl = as_globalization(
         beta,
         beta,
-        {e: LinMap.identity(beta.ideal_of[e]) for e in beta.groupoid.objects},
+        {e: LinMap.identity(beta.ideal_of[e]) for e in beta.structure.objects},
     )
     rep = morita_context(beta, gl)
     assert rep.ok

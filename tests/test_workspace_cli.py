@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,7 @@ def test_semigroup_roundtrip():
 def test_action_roundtrip():
     beta = fx.pointed_arrow_global_action()
     ws = Workspace(
-        algebras={"B": beta.carrier}, groupoids={"G": beta.groupoid}
+        algebras={"B": beta.carrier}, groupoids={"G": beta.structure}
     )
     doc = action_to_json(beta, "G", "B")
     back = action_from_json(doc, ws, "beta")
@@ -55,7 +57,7 @@ def test_action_roundtrip():
 def test_inv_action_roundtrip():
     b = fx.brandt_action()
     ws = Workspace(
-        algebras={"A": b.carrier}, semigroups={"S": b.semigroup}
+        algebras={"A": b.carrier}, semigroups={"S": b.structure}
     )
     doc = inv_action_to_json(b, "S", "A")
     back = inv_action_from_json(doc, ws, "b")
@@ -170,18 +172,18 @@ def test_verify_globalization_task_with_supplied_embeddings(tmp_path):
     alpha = fx.pointed_arrow_partial_action()
     ideal = fx.pointed_arrow_restriction_ideal()
     embeddings = {}
-    for e in sorted(beta.groupoid.objects):
+    for e in sorted(beta.structure.objects):
         rows = []
         for v in alpha.ideal_of[e].basis:
             big = ideal.from_coordinates(v)
             rows.append(list(beta.ideal_of[e].coordinates_of(big)))
-        embeddings[beta.groupoid.names[e]] = rows
+        embeddings[beta.structure.names[e]] = rows
     doc = {
         "algebras": {
             "B": algebra_to_json(beta.carrier),
             "A": algebra_to_json(alpha.carrier),
         },
-        "groupoids": {"G": groupoid_to_json(beta.groupoid)},
+        "groupoids": {"G": groupoid_to_json(beta.structure)},
         "actions": {
             "beta": action_to_json(beta, "G", "B"),
             "alpha": action_to_json(alpha, "G", "A"),
@@ -269,8 +271,28 @@ def _task_entry(doc, tid):
          1, "equivalence-self", "budget"),
         (lambda doc: doc["algebras"]["two_block"].update(p=4), 2, None, "not prime"),
         (lambda doc: doc["algebras"]["two_block"].update(structure=5), 2, None, "two_block"),
+        (lambda doc: doc["tasks"].append(5), 2, None, "task entry 5"),
+        (lambda doc: _task_entry(doc, "esn").update(task=5), 2, None, "must be strings"),
+        (lambda doc: _task_entry(doc, "esn").update(id=7), 2, None, "must be strings"),
+        (lambda doc: _task_entry(doc, "restrict").update(family=5), 1, "restrict", "'family'"),
+        (lambda doc: _task_entry(doc, "restrict").update(family={"r_s": 5}),
+         1, "restrict", "'family'"),
+        (lambda doc: _task_entry(doc, "restrict").update(ideal=5), 1, "restrict", "'ideal'"),
+        (lambda doc: _task_entry(doc, "strong-check").update(
+            {"task": "verify-globalization", "global": "block_swap", "embeddings": 5}),
+         1, "strong-check", "'embeddings'"),
+        (lambda doc: _task_entry(doc, "strong-check").update(
+            {"task": "verify-globalization", "global": "block_swap", "embeddings": {"r_s": 5}}),
+         1, "strong-check", "'embeddings'"),
+        (lambda doc: _task_entry(doc, "validate-global").update(action=["x"]),
+         1, "validate-global", "'action'"),
     ],
-    ids=["task-without-action", "budget-not-integer", "modulus-not-prime", "structure-not-a-list"],
+    ids=[
+        "task-without-action", "budget-not-integer", "modulus-not-prime", "structure-not-a-list",
+        "task-entry-not-an-object", "task-kind-not-a-string", "task-id-not-a-string",
+        "family-not-an-object", "family-row-not-a-list", "ideal-not-a-list",
+        "embeddings-not-an-object", "embedding-not-a-matrix", "action-name-not-a-string",
+    ],
 )
 def test_malformed_input_ends_in_a_task_error_or_exit_2(
     tmp_path, capsys, corrupt, code, bad_task, needle
@@ -293,3 +315,19 @@ def test_malformed_input_ends_in_a_task_error_or_exit_2(
     report = json.loads((out / f"{bad_task}.json").read_text())
     assert report["status"] == "error"
     assert needle in report["error"] and bad_task in report["error"]
+
+
+def test_corpus_reports_match_the_benchmark_reference_digests(tmp_path, capsys):
+    """Byte-identical reports on the fixture corpus, checked against the
+    digests the benchmark compares every pass with."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["workloads"]["corpus"]
+    digests = {}
+    for path in emit_fixture_corpus(tmp_path / "fx"):
+        out = tmp_path / "reports" / path.name
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        for report in out.iterdir():
+            digests[f"{path.name}/{report.name}"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert len(digests) == 32
+    assert digests == expected
