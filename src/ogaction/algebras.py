@@ -1,18 +1,18 @@
 """Finite-dimensional algebras over a prime field, given by structure constants.
 
-An algebra of dimension n stores a rank-3 table c with basis products
-b_i * b_j = sum_k c[i][j][k] * b_k.  Associativity (and the unit law when a
-unit is declared) is checked at construction unless check=False is passed;
-downstream operations assume it.
+An algebra of dimension n has basis products b_i * b_j = sum_k c[i][j][k] * b_k
+and stores only the non-zero constants: products[i] maps j to {k: c[i][j][k]}.
+A dense n x n x n table is accepted at construction and offered back as the
+`table` view.  Associativity (and the unit law when a unit is declared) is
+checked at construction unless check=False is passed; downstream operations
+assume it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     AmbientMismatch,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import (
     LinMap,
-    Matrix,
     PrimeModulus,
     Subspace,
     Vector,
@@ -39,6 +38,36 @@ from .linalg import (
 from .validation import Issue, ValidationReport
 
 
+# products[i][j] = {k: c[i][j][k]} over the non-zero constants only, each a
+# residue in (0, p); a pair whose product is zero has no entry.
+Products = tuple[dict[int, dict[int, int]], ...]
+
+
+def _products_of_table(table: Sequence[Sequence[Sequence[int]]], dim: int, p: int) -> Products:
+    """The non-zero constants of a dense dim x dim x dim table, reduced mod p."""
+    if len(table) != dim:
+        raise AmbientMismatch("structure table must have dim rows")
+    products = []
+    for row in table:
+        if len(row) != dim:
+            raise AmbientMismatch("structure table must be dim x dim")
+        entries = [vec(entry, p) for entry in row]
+        if any(len(entry) != dim for entry in entries):
+            raise AmbientMismatch("structure vectors must have length dim")
+        products.append(_nonzero_products(entries))
+    return tuple(products)
+
+
+def _nonzero_products(row: Iterable[Vector]) -> dict[int, dict[int, int]]:
+    """One row of `Products` from the reduced vectors b_i * b_0, b_i * b_1, ..."""
+    out = {}
+    for j, v in enumerate(row):
+        kc = {k: c for k, c in enumerate(v) if c}
+        if kc:
+            out[j] = kc
+    return out
+
+
 class Algebra:
     """An associative F_p-algebra on an explicit basis."""
 
@@ -51,20 +80,30 @@ class Algebra:
         check: bool = True,
         name: str = "",
     ):
+        """From a dense table: table[i][j] is the coefficient vector of b_i * b_j."""
+        p = as_modulus(modulus).p
+        self._setup(modulus, int(dim), _products_of_table(table, int(dim), p), unit, check, name)
+
+    @classmethod
+    def from_products(
+        cls,
+        modulus: PrimeModulus | int,
+        dim: int,
+        products: Products,
+        unit: Optional[Sequence[int]] = None,
+        check: bool = True,
+        name: str = "",
+    ) -> "Algebra":
+        """From non-zero constants already reduced mod p (see `Products`)."""
+        alg = cls.__new__(cls)
+        alg._setup(modulus, dim, products, unit, check, name)
+        return alg
+
+    def _setup(self, modulus, dim: int, products: Products, unit, check: bool, name: str) -> None:
         self.modulus = as_modulus(modulus)
         self.p = self.modulus.p
-        self.dim = int(dim)
-        if len(table) != self.dim:
-            raise AmbientMismatch("structure table must have dim rows")
-        tab = []
-        for row in table:
-            if len(row) != self.dim:
-                raise AmbientMismatch("structure table must be dim x dim")
-            tab.append(tuple(vec(entry, self.p) for entry in row))
-            for entry in tab[-1]:
-                if len(entry) != self.dim:
-                    raise AmbientMismatch("structure vectors must have length dim")
-        self.table: tuple[tuple[Vector, ...], ...] = tuple(tab)
+        self.dim = dim
+        self.products = products
         self.unit: Optional[Vector] = vec(unit, self.p) if unit is not None else None
         self.name = name
         self._commutative: Optional[bool] = None
@@ -73,17 +112,45 @@ class Algebra:
             if not report.ok:
                 raise InvalidAlgebra(str(report))
 
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """Dense view: table[i][j] is the coefficient vector of b_i * b_j."""
+        n = self.dim
+        zero = zero_vec(n)
+
+        def entry(kc: dict[int, int]) -> Vector:
+            out = [0] * n
+            for k, c in kc.items():
+                out[k] = c
+            return tuple(out)
+
+        return tuple(
+            tuple(entry(row[j]) if j in row else zero for j in range(n))
+            for row in self.products
+        )
+
     def __eq__(self, other) -> bool:
+        # Dict equality ignores insertion order, and `Products` holds no
+        # zeros, so equal algebras have equal products.
         return (
             isinstance(other, Algebra)
             and self.p == other.p
             and self.dim == other.dim
-            and self.table == other.table
+            and self.products == other.products
             and self.unit == other.unit
         )
 
+    @functools.cached_property
+    def _constants(self) -> frozenset[tuple[int, int, int, int]]:
+        return frozenset(
+            (i, j, k, c)
+            for i, row in enumerate(self.products)
+            for j, kc in row.items()
+            for k, c in kc.items()
+        )
+
     def __hash__(self):
-        return hash((self.p, self.dim, self.table, self.unit))
+        return hash((self.p, self.dim, self._constants, self.unit))
 
     def __repr__(self):
         tag = self.name or "algebra"
@@ -101,22 +168,21 @@ class Algebra:
     def mul(self, x: Sequence[int], y: Sequence[int]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatch("element length differs from algebra dimension")
+        # Exact integer sums, reduced once: unreduced inputs give the same residues.
+        ys = [(j, b) for j, b in enumerate(y) if b]
         out = [0] * self.dim
-        p = self.p
         for i, a in enumerate(x):
-            a %= p
-            if not a:
+            row = self.products[i]
+            if not (a and row):
                 continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                b %= p
-                if not b:
-                    continue
-                c = (a * b) % p
-                for k, t in enumerate(row[j]):
-                    if t:
-                        out[k] = (out[k] + c * t) % p
-        return tuple(out)
+            for j, b in ys:
+                kc = row.get(j)
+                if kc is not None:
+                    ab = a * b
+                    for k, c in kc.items():
+                        out[k] += ab * c
+        p = self.p
+        return tuple([v % p for v in out])
 
     def element(self, coeffs: Sequence[int]) -> "Element":
         return Element(vec(coeffs, self.p), self)
@@ -128,10 +194,9 @@ class Algebra:
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
+            rows = self.products
             self._commutative = all(
-                self.table[i][j] == self.table[j][i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
+                rows[j].get(i) == kc for i, row in enumerate(rows) for j, kc in row.items()
             )
         return self._commutative
 
@@ -186,36 +251,47 @@ def mul(alg: Algebra, x: Sequence[int], y: Sequence[int]) -> Vector:
     return alg.mul(x, y)
 
 
-# int64 products of residues stay exact as long as a full inner sum fits.
-_INT64_SAFE = 2**62
+def _reduced(coeffs: Optional[dict[int, int]], p: int) -> dict[int, int]:
+    return {k: c % p for k, c in coeffs.items() if c % p} if coeffs else {}
 
 
 def _associator_failures(alg: Algebra, limit: int = 32) -> list[tuple[int, int, int]]:
-    n, p = alg.dim, alg.p
-    if n == 0:
-        return []
-    if n * (p - 1) * (p - 1) < _INT64_SAFE:
-        c = np.array(alg.table, dtype=np.int64)
-        bad: list[tuple[int, int, int]] = []
-        for i in range(n):
-            left = np.einsum("jm,mkl->jkl", c[i], c) % p
-            right = np.einsum("jkm,ml->jkl", c, c[i]) % p
-            if left.shape != right.shape:
-                raise AmbientMismatch("malformed structure table")
-            mism = np.argwhere((left != right).any(axis=-1))
-            for j, k in mism:
-                bad.append((i, int(j), int(k)))
-                if len(bad) >= limit:
-                    return bad
-        return bad
-    bad = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = alg.mul(alg.mul(alg.basis_vector(i), alg.basis_vector(j)), alg.basis_vector(k))
-        rhs = alg.mul(alg.basis_vector(i), alg.mul(alg.basis_vector(j), alg.basis_vector(k)))
-        if lhs != rhs:
+    """The first `limit` basis triples (i, j, k), in lexicographic order, with
+    (b_i b_j) b_k != b_i (b_j b_k).
+
+    For each i both bracketings are expanded only along chains of non-zero
+    constants, so a pair (j, k) that no such chain reaches is zero on both
+    sides.  Sums are exact Python integers, reduced mod p once per pair.
+    """
+    rows, p = alg.products, alg.p
+    # makers[m]: every (j, k, c) with b_j b_k having coefficient c != 0 at b_m.
+    makers: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
+    for j, row in enumerate(rows):
+        for k, jk in row.items():
+            for m, c in jk.items():
+                makers[m].append((j, k, c))
+    bad: list[tuple[int, int, int]] = []
+    for i, row_i in enumerate(rows):
+        left: dict[tuple[int, int], dict[int, int]] = {}
+        for j, ij in row_i.items():
+            for m, a in ij.items():
+                for k, mk in rows[m].items():
+                    out = left.setdefault((j, k), {})
+                    for l, c in mk.items():
+                        out[l] = out.get(l, 0) + a * c
+        right: dict[tuple[int, int], dict[int, int]] = {}
+        for m, im in row_i.items():
+            for j, k, a in makers[m]:
+                out = right.setdefault((j, k), {})
+                for l, c in im.items():
+                    out[l] = out.get(l, 0) + a * c
+        for j, k in sorted(
+            jk for jk in left.keys() | right.keys()
+            if _reduced(left.get(jk), p) != _reduced(right.get(jk), p)
+        ):
             bad.append((i, j, k))
             if len(bad) >= limit:
-                break
+                return bad
     return bad
 
 
@@ -348,9 +424,14 @@ def quotient(alg: Algebra, ideal: Subspace) -> QuotientResult:
         return tuple(w[c] for c in coords)
 
     reps = [alg.basis_vector(c) for c in coords]
-    table = [[project(alg.mul(reps[i], reps[j])) for j in range(m)] for i in range(m)]
+    products = tuple(
+        _nonzero_products(project(alg.mul(reps[i], reps[j])) for j in range(m))
+        for i in range(m)
+    )
     unit = project(alg.unit) if alg.unit is not None else None
-    q = Algebra(alg.p, m, table, unit=unit, check=True, name=f"{alg.name or 'algebra'}/ideal")
+    q = Algebra.from_products(
+        alg.p, m, products, unit=unit, check=True, name=f"{alg.name or 'algebra'}/ideal"
+    )
     proj = LinMap.from_images(
         alg.space(), q.space(), [project(alg.basis_vector(i)) for i in range(alg.dim)]
     )
@@ -381,25 +462,17 @@ def product_ring(alg: Algebra, copies: int) -> Algebra:
         raise ValueError("at least one copy required")
     n, p = alg.dim, alg.p
     total = n * copies
-    zero = zero_vec(total)
-    table = []
-    for a in range(copies):
-        for i in range(n):
-            row = []
-            for b in range(copies):
-                for j in range(n):
-                    if a != b:
-                        row.append(zero)
-                    else:
-                        entry = [0] * total
-                        for k, t in enumerate(alg.table[i][j]):
-                            entry[a * n + k] = t
-                        row.append(tuple(entry))
-            table.append(row)
+    products = tuple(
+        {a * n + j: {a * n + k: c for k, c in kc.items()} for j, kc in row.items()}
+        for a in range(copies)
+        for row in alg.products
+    )
     unit = None
     if alg.unit is not None:
         unit = tuple(alg.unit[i % n] for i in range(total))
-    return Algebra(p, total, table, unit=unit, check=True, name=f"{alg.name or 'algebra'}^{copies}")
+    return Algebra.from_products(
+        p, total, products, unit=unit, check=True, name=f"{alg.name or 'algebra'}^{copies}"
+    )
 
 
 def local_units_witness(
@@ -439,14 +512,15 @@ def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResu
         raise AmbientMismatch("subspace lives in a different ambient space")
     if not is_multiplicatively_closed(alg, sub):
         raise NotMultiplicativelyClosed("subspace is not closed under the product")
-    r = sub.rank
-    table = [
-        [sub.coordinates_of(alg.mul(sub.basis[i], sub.basis[j])) for j in range(r)]
-        for i in range(r)
-    ]
+    products = tuple(
+        _nonzero_products(sub.coordinates_of(alg.mul(u, v)) for v in sub.basis)
+        for u in sub.basis
+    )
     ident = identity_of(alg, sub)
     unit = sub.coordinates_of(ident.element.coeffs) if ident is not None else None
-    small = Algebra(alg.p, r, table, unit=unit, check=True, name=name or "subalgebra")
+    small = Algebra.from_products(
+        alg.p, sub.rank, products, unit=unit, check=True, name=name or "subalgebra"
+    )
     incl = LinMap.from_images(small.space(), sub, list(sub.basis))
     return SubalgebraResult(small, incl)
 
@@ -454,11 +528,5 @@ def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResu
 def diagonal_algebra(p: PrimeModulus | int, n: int, name: str = "") -> Algebra:
     """F_p^n with the pointwise product."""
     mod = as_modulus(p)
-    table = [
-        [
-            tuple(1 if i == j == k else 0 for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Algebra(mod, n, table, unit=(1,) * n, name=name or f"F{mod.p}^{n}")
+    products = tuple({i: {i: 1}} for i in range(n))
+    return Algebra.from_products(mod, n, products, unit=(1,) * n, name=name or f"F{mod.p}^{n}")

@@ -6,6 +6,7 @@ row echelon form, so subspace equality is plain tuple equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -135,8 +136,10 @@ class Subspace:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
+    @functools.cached_property
     def pivots(self) -> tuple[int, ...]:
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # equality, hashing and the frozen fields are unaffected.
         return _pivots(self.basis)
 
     def _check_ambient(self, other: "Subspace") -> None:

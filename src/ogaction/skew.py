@@ -27,7 +27,7 @@ MORITA_CLAUSES = (
 
 
 def _lift(a: Action, offsets: Sequence[int], dim: int, grade: int, v: Sequence[int]) -> Vector:
-    """SkewRing.lift from explicit block offsets, usable while the table is built."""
+    """SkewRing.lift from explicit block offsets, usable before the SkewRing exists."""
     out = [0] * dim
     for k, c in enumerate(a.ideal_of[grade].coordinates_of(v)):
         out[offsets[grade] + k] = c
@@ -67,14 +67,13 @@ def build_skew(a: Action) -> SkewRing:
     zero = (0,) * dim
     basis_members = [(g, v) for g in ix.grades for v in a.ideal_of[g].basis]
 
-    table = []
+    products = []
     for g, vg in basis_members:
-        row = []
+        row = {}
         twisted = a.map_of[ix.inv[g]].apply(vg)
-        for h, vh in basis_members:
+        for col, (h, vh) in enumerate(basis_members):
             gh = ix.prod(g, h)
             if gh is None:
-                row.append(zero)
                 continue
             y = carrier.mul(twisted, vh)
             if not a.map_of[g].domain.contains(y):
@@ -87,9 +86,12 @@ def build_skew(a: Action) -> SkewRing:
                     f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
                     f"{ix.names[gh]}"
                 )
-            row.append(_lift(a, offsets, dim, gh, z))
-        table.append(row)
-    alg = Algebra(p, dim, table, unit=None, check=False, name="skew ring")
+            coords = a.ideal_of[gh].coordinates_of(z)
+            kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
+            if kc:
+                row[col] = kc
+        products.append(row)
+    alg = Algebra.from_products(p, dim, tuple(products), unit=None, check=False, name="skew ring")
     if is_preunital(a):
         unit = zero
         for e in ix.anchors:

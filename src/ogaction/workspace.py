@@ -139,22 +139,36 @@ def inv_action_to_json(a: Action, semigroup_name: str, algebra_name: str) -> dic
     return doc
 
 
+def _matrices(doc: dict, key: str, where: str) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """The integer matrices under `key`, one per grade name."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise WorkspaceError(f"{where}: {key!r} must be an object")
+    out = {}
+    for n, rows in section.items():
+        try:
+            out[n] = tuple(tuple(int(x) for x in row) for row in rows)
+        except (TypeError, ValueError) as exc:
+            raise WorkspaceError(f"{where}: {key!r} at {n!r}: {exc}")
+    return out
+
+
 def _parse_family(
     doc: dict, names, inv, carrier: Algebra, where: str
 ) -> tuple[tuple[Subspace, ...], tuple[LinMap, ...]]:
-    ideals_doc = doc.get("ideals", {})
-    maps_doc = doc.get("maps", {})
+    ideals_doc = _matrices(doc, "ideals", where)
+    maps_doc = _matrices(doc, "maps", where)
     index = {n: i for i, n in enumerate(names)}
     for key in list(ideals_doc) + list(maps_doc):
         if key not in index:
             raise WorkspaceError(f"{where}: unknown arrow {key!r}")
-    listed: list[list[list[int]]] = []
+    listed: list[tuple[tuple[int, ...], ...]] = []
     ideals: list[Subspace] = []
     for n in names:
         rows = ideals_doc.get(n)
         if rows is None:
             raise WorkspaceError(f"{where}: missing ideal for {n!r}")
-        listed.append([list(r) for r in rows])
+        listed.append(rows)
         ideals.append(Subspace.span(carrier.dim, rows, carrier.p))
     maps: list[LinMap] = []
     for i, n in enumerate(names):
@@ -177,11 +191,11 @@ def _parse_family(
             img = [0] * carrier.dim
             for c, dst in zip(row, dst_rows):
                 for j, x in enumerate(dst):
-                    img[j] = (img[j] + int(c) * int(x)) % p
+                    img[j] = (img[j] + c * x) % p
             listed_images.append(tuple(img))
         images = []
         for v in ideals[src].basis:
-            combo = express([tuple(int(x) % p for x in r) for r in src_rows], v, p)
+            combo = express([tuple(x % p for x in r) for r in src_rows], v, p)
             if combo is None:
                 raise WorkspaceError(f"{where}: listed ideal rows at {names[src]!r} do not span")
             img = [0] * carrier.dim
@@ -221,6 +235,17 @@ def inv_action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
     return Action(s, alg, ideals, maps, name=name)
 
 
+def _entries(doc: dict, key: str, path: Path) -> list[tuple[str, dict]]:
+    """The named objects of one section, in name order."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise WorkspaceError(f"{path}: {key!r} must be an object")
+    for name, sub in section.items():
+        if not isinstance(sub, dict):
+            raise WorkspaceError(f"{path}: {key} entry {name!r} must be an object")
+    return sorted(section.items())
+
+
 def load_workspace(path: str | Path) -> Workspace:
     path = Path(path)
     try:
@@ -230,15 +255,15 @@ def load_workspace(path: str | Path) -> Workspace:
     if not isinstance(doc, dict):
         raise WorkspaceError(f"{path}: top level must be an object")
     ws = Workspace()
-    for name, sub in sorted(doc.get("algebras", {}).items()):
+    for name, sub in _entries(doc, "algebras", path):
         ws.algebras[name] = algebra_from_json(sub, name)
-    for name, sub in sorted(doc.get("groupoids", {}).items()):
+    for name, sub in _entries(doc, "groupoids", path):
         ws.groupoids[name] = groupoid_from_json(sub, name)
-    for name, sub in sorted(doc.get("semigroups", {}).items()):
+    for name, sub in _entries(doc, "semigroups", path):
         ws.semigroups[name] = semigroup_from_json(sub, name)
-    for name, sub in sorted(doc.get("actions", {}).items()):
+    for name, sub in _entries(doc, "actions", path):
         ws.actions[name] = action_from_json(sub, ws, name)
-    for name, sub in sorted(doc.get("inv_actions", {}).items()):
+    for name, sub in _entries(doc, "inv_actions", path):
         ws.inv_actions[name] = inv_action_from_json(sub, ws, name)
     tasks = doc.get("tasks", [])
     if not isinstance(tasks, list):

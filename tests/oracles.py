@@ -73,21 +73,27 @@ def naive_ideal_closure(mul, dim, p, gens, basis_vectors):
         current = new
 
 
+def naive_mul(table, p, x, y):
+    """The product of x and y under a dense structure table."""
+    n = len(table)
+    out = [0] * n
+    for i, a in enumerate(x):
+        if a % p == 0:
+            continue
+        for j, b in enumerate(y):
+            if b % p == 0:
+                continue
+            for k, t in enumerate(table[i][j]):
+                out[k] = (out[k] + a * b * t) % p
+    return tuple(out)
+
+
 def naive_assoc_failures(table, p):
     """All basis triples (i, j, k) where the two bracketings differ."""
     n = len(table)
 
     def mul(x, y):
-        out = [0] * n
-        for i, a in enumerate(x):
-            if a % p == 0:
-                continue
-            for j, b in enumerate(y):
-                if b % p == 0:
-                    continue
-                for k, t in enumerate(table[i][j]):
-                    out[k] = (out[k] + a * b * t) % p
-        return tuple(out)
+        return naive_mul(table, p, x, y)
 
     def basis(i):
         return tuple(1 if j == i else 0 for j in range(n))

@@ -286,12 +286,20 @@ def _task_entry(doc, tid):
          1, "strong-check", "'embeddings'"),
         (lambda doc: _task_entry(doc, "validate-global").update(action=["x"]),
          1, "validate-global", "'action'"),
+        (lambda doc: doc.update(algebras=5), 2, None, "'algebras'"),
+        (lambda doc: doc["actions"].update(block_swap=5), 2, None, "'block_swap'"),
+        (lambda doc: doc["actions"]["block_swap"]["ideals"].update(s=5), 2, None, "'ideals'"),
+        (lambda doc: doc["actions"]["block_swap"].update(maps=5), 2, None, "'maps'"),
+        (lambda doc: doc["algebras"]["two_block"]["structure"].__setitem__(0, 5),
+         2, None, "two_block"),
     ],
     ids=[
         "task-without-action", "budget-not-integer", "modulus-not-prime", "structure-not-a-list",
         "task-entry-not-an-object", "task-kind-not-a-string", "task-id-not-a-string",
         "family-not-an-object", "family-row-not-a-list", "ideal-not-a-list",
         "embeddings-not-an-object", "embedding-not-a-matrix", "action-name-not-a-string",
+        "algebras-not-an-object", "action-entry-not-an-object", "ideal-not-a-matrix",
+        "maps-not-an-object", "structure-row-not-a-list",
     ],
 )
 def test_malformed_input_ends_in_a_task_error_or_exit_2(
