@@ -446,12 +446,14 @@ def is_ring_iso(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
 
 
 def is_ring_hom(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
-    for u in m.domain.basis:
-        for v in m.domain.basis:
+    basis = m.domain.basis
+    images = [m.apply(u) for u in basis]
+    for u, mu in zip(basis, images):
+        for v, mv in zip(basis, images):
             prod = dom_alg.mul(u, v)
             if not m.domain.contains(prod):
                 return False
-            if m.apply(prod) != cod_alg.mul(m.apply(u), m.apply(v)):
+            if m.apply(prod) != cod_alg.mul(mu, mv):
                 return False
     return True
 

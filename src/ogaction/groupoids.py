@@ -4,6 +4,7 @@ globalization constructions."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -34,11 +35,27 @@ def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[bool, ...]
     return tuple(tuple(row) for row in leq)
 
 
+def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """The arrows grouped by key[arrow], each group in the order given."""
+    out: dict[int, list[int]] = {}
+    for x in arrows:
+        out.setdefault(key[x], []).append(x)
+    return {k: tuple(v) for k, v in out.items()}
+
+
 class OrderedGroupoid:
     """Arrows 0..n-1 with partial composition, inverses, and a partial order.
 
     The order is stored as a full boolean matrix; `from_parts` closes the
     authored generating pairs reflexively and transitively before storing.
+
+    A groupoid is not changed after construction, so the tables that
+    restrictions read (the arrows below each arrow, grouped by domain and
+    by range) are built on first use and kept, as are object meets per
+    pair.  The checks walk up-sets and composites
+    grouped by arrow; like the tables, these skip only pairs a scan over
+    all arrows would have passed over, in the same order, so reports,
+    issue lists and exceptions are those of the plain scans.
     """
 
     def __init__(
@@ -61,6 +78,7 @@ class OrderedGroupoid:
         self.leq = tuple(tuple(bool(x) for x in row) for row in leq)
         self._groupoid_report: Optional[ValidationReport] = None
         self._order_report: Optional[ValidationReport] = None
+        self._meets: dict[tuple[int, int], Optional[int]] = {}
 
     @classmethod
     def from_parts(
@@ -133,6 +151,23 @@ class OrderedGroupoid:
     def le(self, g: int, h: int) -> bool:
         return self.leq[g][h]
 
+    # -- index tables --------------------------------------------------
+
+    @cached_property
+    def _down(self) -> tuple[tuple[int, ...], ...]:
+        """down[b]: the arrows a with a <= b, ascending."""
+        return tuple(tuple(a for a, x in enumerate(col) if x) for col in zip(*self.leq))
+
+    @cached_property
+    def _below_by_dom(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Per arrow g: the arrows below g grouped by domain."""
+        return tuple(_group(down, self.dom) for down in self._down)
+
+    @cached_property
+    def _below_by_ran(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Per arrow g: the arrows below g grouped by range."""
+        return tuple(_group(down, self.ran) for down in self._down)
+
     # -- validation ----------------------------------------------------
 
     def validate_groupoid(self) -> ValidationReport:
@@ -173,10 +208,12 @@ class OrderedGroupoid:
                 rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
             if self.comp.get((g, self.inv[g])) != self.ran[g]:
                 rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
+        after: dict[int, list[int]] = {}  # h -> the arrows k with (h, k) composed
+        for h, k in sorted(self.comp):
+            if k in self.arrows():
+                after.setdefault(h, []).append(k)
         for (g, h), gh in self.comp.items():
-            for k in self.arrows():
-                if (h, k) not in self.comp:
-                    continue
+            for k in after.get(h, ()):
                 hk = self.comp[(h, k)]
                 left = self.comp.get((gh, k))
                 right = self.comp.get((g, hk))
@@ -190,45 +227,48 @@ class OrderedGroupoid:
             return self._order_report
         rep = ValidationReport("groupoid order", ORDER_CLAUSES)
         nm = self.names
+        leq = self.leq
+        up = [tuple(b for b, x in enumerate(row) if x) for row in leq]
+        up_sets = [frozenset(u) for u in up]
         for a in self.arrows():
-            if not self.leq[a][a]:
+            if not leq[a][a]:
                 rep.add("ORD", f"order is not reflexive at {nm[a]}")
-            for b in self.arrows():
-                if a != b and self.leq[a][b] and self.leq[b][a]:
+            for b in up[a]:
+                if a != b and leq[b][a]:
                     rep.add("ORD", f"order is not antisymmetric on {nm[a]}, {nm[b]}")
-                if self.leq[a][b]:
-                    for c in self.arrows():
-                        if self.leq[b][c] and not self.leq[a][c]:
+                if not up_sets[b] <= up_sets[a]:
+                    for c in up[b]:
+                        if c not in up_sets[a]:
                             rep.add("ORD", f"order is not transitive via {nm[a]}<={nm[b]}<={nm[c]}")
         for g in self.arrows():
-            for h in self.arrows():
-                if self.leq[g][h] and not self.leq[self.inv[g]][self.inv[h]]:
+            for h in up[g]:
+                if not leq[self.inv[g]][self.inv[h]]:
                     rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
+        # OG2 over g <= h, k composable with g, l >= k composable with h
+        dom, ran, comp = self.dom, self.ran, self.comp
+        by_ran = _group(self.arrows(), ran)
+        up_by_ran = [_group(ls, ran) for ls in up]
         for g in self.arrows():
-            for h in self.arrows():
-                if not self.leq[g][h]:
-                    continue
-                for k in self.arrows():
-                    for l in self.arrows():
-                        if not self.leq[k][l]:
-                            continue
-                        if self.composable(g, k) and self.composable(h, l):
-                            if not self.leq[self.comp[(g, k)]][self.comp[(h, l)]]:
-                                rep.add(
-                                    "OG2",
-                                    f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered",
-                                )
+            ks = by_ran.get(dom[g], ())
+            for h in up[g]:
+                for k in ks:
+                    for l in up_by_ran[k].get(dom[h], ()):
+                        if not leq[comp[(g, k)]][comp[(h, l)]]:
+                            rep.add(
+                                "OG2",
+                                f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered",
+                            )
         for g in self.arrows():
             for e in self.objects:
-                if self.leq[e][self.dom[g]]:
-                    found = [x for x in self.arrows() if self.leq[x][g] and self.dom[x] == e]
+                if leq[e][dom[g]]:
+                    found = self._below_by_dom[g].get(e, ())
                     if len(found) != 1:
                         rep.add(
                             "OG3",
                             f"restriction of {nm[g]} at {nm[e]}: {len(found)} candidates",
                         )
-                if self.leq[e][self.ran[g]]:
-                    found = [x for x in self.arrows() if self.leq[x][g] and self.ran[x] == e]
+                if leq[e][ran[g]]:
+                    found = self._below_by_ran[g].get(e, ())
                     if len(found) != 1:
                         rep.add(
                             "OG3*",
@@ -254,7 +294,7 @@ class OrderedGroupoid:
             raise NotBelowDomain(
                 f"{self.names[e]} is not an object below the domain of {self.names[g]}"
             )
-        found = [x for x in self.arrows() if self.leq[x][g] and self.dom[x] == e]
+        found = self._below_by_dom[g].get(e, ())
         if len(found) != 1:
             raise InvalidGroupoid(
                 f"restriction of {self.names[g]} at {self.names[e]} is not unique"
@@ -267,7 +307,7 @@ class OrderedGroupoid:
             raise NotBelowRange(
                 f"{self.names[e]} is not an object below the range of {self.names[g]}"
             )
-        found = [x for x in self.arrows() if self.leq[x][g] and self.ran[x] == e]
+        found = self._below_by_ran[g].get(e, ())
         if len(found) != 1:
             raise InvalidGroupoid(
                 f"corestriction of {self.names[g]} at {self.names[e]} is not unique"
@@ -275,13 +315,12 @@ class OrderedGroupoid:
         return found[0]
 
     def meet_objects(self, e: int, f: int) -> Optional[int]:
-        lower = [
-            x
-            for x in sorted(self.objects)
-            if self.leq[x][e] and self.leq[x][f]
-        ]
-        greatest = [z for z in lower if all(self.leq[w][z] for w in lower)]
-        return greatest[0] if len(greatest) == 1 else None
+        if (e, f) not in self._meets:
+            leq = self.leq
+            lower = [x for x in sorted(self.objects) if leq[x][e] and leq[x][f]]
+            greatest = [z for z in lower if all(leq[w][z] for w in lower)]
+            self._meets[(e, f)] = greatest[0] if len(greatest) == 1 else None
+        return self._meets[(e, f)]
 
     def pseudoproduct(self, g: int, h: int) -> Optional[int]:
         """(g | d(g)∧r(h)) * (d(g)∧r(h) | h) when the object meet exists."""

@@ -5,6 +5,7 @@ symmetric inverse structure on subspaces of an algebra)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .algebras import Algebra
@@ -19,7 +20,12 @@ PREMORPHISM_DIAGNOSTICS = ("PM(dom)", "PM(meet)")
 
 
 class InverseSemigroup:
-    """A finite inverse semigroup given by its full multiplication table."""
+    """A finite inverse semigroup given by its full multiplication table.
+
+    The table is not changed after construction.  The idempotents are
+    listed once; once `validate()` passes, the inverses and the down-set
+    of each element under the natural order are kept as tables.
+    """
 
     def __init__(self, names: Sequence[str], mult: Sequence[Sequence[int]]):
         self.names = tuple(names)
@@ -31,6 +37,8 @@ class InverseSemigroup:
         self.mult = tuple(tuple(int(x) for x in row) for row in mult)
         self._report: Optional[ValidationReport] = None
         self._inverse: Optional[tuple[int, ...]] = None
+        self._idempotents: Optional[tuple[int, ...]] = None
+        self._below: Optional[tuple[frozenset[int], ...]] = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -52,17 +60,26 @@ class InverseSemigroup:
         return self.mult[s][t]
 
     def idempotents(self) -> tuple[int, ...]:
-        return tuple(e for e in self.elements() if self.mult[e][e] == e)
+        if self._idempotents is None:
+            self._idempotents = tuple(e for e in self.elements() if self.mult[e][e] == e)
+        return self._idempotents
 
     def validate(self) -> ValidationReport:
         if self._report is not None:
             return self._report
         rep = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES)
         nm = self.names
+        mult = self.mult
+        # Row (ab)c over all c is mult[ab]; row a(bc) is mult[a] read at
+        # mult[b].  Only a pair whose rows differ is scanned per c.  (With
+        # one argument, itemgetter returns a scalar, so n <= 1 always scans.)
+        pick = [itemgetter(*row) for row in mult] if self.n > 1 else None
         for a in self.elements():
             for b in self.elements():
+                if pick is not None and mult[mult[a][b]] == pick[b](mult[a]):
+                    continue
                 for c in self.elements():
-                    if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
+                    if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
                         rep.add("ASSOC", f"({nm[a]}{nm[b]}){nm[c]} != {nm[a]}({nm[b]}{nm[c]})")
         inverse = []
         for s in self.elements():
@@ -81,7 +98,7 @@ class InverseSemigroup:
             for f in idem:
                 if self.mult[e][f] != self.mult[f][e]:
                     rep.add("IDEMPOTENTS", f"idempotents {nm[e]}, {nm[f]} do not commute")
-        if rep.clause_ok("INVERSES"):
+        if rep.ok:
             self._inverse = tuple(inverse)
         self._report = rep
         return rep
@@ -94,14 +111,22 @@ class InverseSemigroup:
             raise InvalidSemigroup(str(self.validate()))
 
     def inverse(self, s: int) -> int:
-        self.require_valid()
+        if self._inverse is None:
+            self.require_valid()
         assert self._inverse is not None
         return self._inverse[s]
 
+    def _down_sets(self) -> tuple[frozenset[int], ...]:
+        """below[t] = {t*e : e idempotent}, the elements below t."""
+        if self._below is None:
+            self.require_valid()
+            idem = self.idempotents()
+            self._below = tuple(frozenset(row[e] for e in idem) for row in self.mult)
+        return self._below
+
     def natural_le(self, s: int, t: int) -> bool:
         """s below t iff s = t*e for some idempotent e."""
-        self.require_valid()
-        return any(self.mult[t][e] == s for e in self.idempotents())
+        return s in self._down_sets()[t]
 
     def relabeled(self, perm: Sequence[int]) -> "InverseSemigroup":
         if sorted(perm) != list(range(self.n)):
@@ -128,20 +153,14 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     """Elements become arrows; composition is defined on matching idempotents;
     the order is the natural partial order.  The result is inductive."""
     s.require_valid()
-    comp = {}
-    for a in s.elements():
-        for b in s.elements():
-            if s.mul(s.inverse(a), a) == s.mul(b, s.inverse(b)):
-                comp[(a, b)] = s.mul(a, b)
-    dom = [s.mul(s.inverse(a), a) for a in s.elements()]
-    ran = [s.mul(a, s.inverse(a)) for a in s.elements()]
-    leq = [
-        [s.natural_le(a, b) for b in s.elements()]
-        for a in s.elements()
-    ]
-    g = OrderedGroupoid(
-        s.names, set(s.idempotents()), [s.inverse(a) for a in s.elements()], comp, dom, ran, leq
-    )
+    mult, elems = s.mult, s.elements()
+    inv = [s.inverse(a) for a in elems]
+    dom = [mult[inv[a]][a] for a in elems]
+    ran = [mult[a][inv[a]] for a in elems]
+    comp = {(a, b): mult[a][b] for a in elems for b in elems if dom[a] == ran[b]}
+    below = s._down_sets()
+    leq = [[a in below[b] for b in elems] for a in elems]
+    g = OrderedGroupoid(s.names, set(s.idempotents()), inv, comp, dom, ran, leq)
     g.require_valid()
     if not g.is_inductive():
         raise NotInductive("derived groupoid is not inductive")

@@ -279,17 +279,19 @@ def _morita_core(
     sum_range = graded_sum(range_pieces)
     embedded_copy = graded_sum(embedded_pieces)
 
+    # Every triple is compared; each pair product is formed once.
     compat = True
-    for x in left_module.basis:
-        for xp in right_module.basis:
-            for y in left_module.basis:
-                if q.mul(q.mul(x, xp), y) != q.mul(x, q.mul(xp, y)):
-                    compat = False
-    for xp in left_module.basis:  # second law with the roles exchanged
-        for x in right_module.basis:
-            for yp in right_module.basis:
-                if q.mul(q.mul(x, xp), yp) != q.mul(x, q.mul(xp, yp)):
-                    compat = False
+    for firsts, mids, lasts in (
+        (left_module.basis, right_module.basis, left_module.basis),
+        (right_module.basis, left_module.basis, right_module.basis),  # roles exchanged
+    ):
+        mid_last = [[q.mul(xp, y) for y in lasts] for xp in mids]
+        for x in firsts:
+            for xp, xp_ys in zip(mids, mid_last):
+                x_xp = q.mul(x, xp)
+                for y, xp_y in zip(lasts, xp_ys):
+                    if q.mul(x_xp, y) != q.mul(x, xp_y):
+                        compat = False
 
     pair_to_r = _span_products(q, left_module.basis, right_module.basis)
     pair_to_t = _span_products(q, right_module.basis, left_module.basis)

@@ -7,10 +7,13 @@ or double a component along the order.  The resulting actions are global
 and ordered by construction; tests still validate every instance.
 """
 
+from itertools import combinations, permutations
+
 from ogaction.actions import POAction
 from ogaction.algebras import diagonal_algebra
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
+from ogaction.semigroups import InverseSemigroup
 
 
 def _cyclic_component(k, tag):
@@ -211,3 +214,22 @@ def random_monotone_family(rng, beta, coords_by_object):
         index[obj]: _coord_span(cols, beta.carrier.dim, beta.carrier.p)
         for obj, cols in chosen.items()
     }
+
+
+def symmetric_inverse_monoid(n):
+    """I_n: all partial injections of range(n) under composition (apply the
+    right factor first), named by their image tuples, "_" where undefined."""
+    elems = []
+    for size in range(n + 1):
+        for dom in combinations(range(n), size):
+            for img in permutations(range(n), size):
+                f = [None] * n
+                for x, y in zip(dom, img):
+                    f[x] = y
+                elems.append(tuple(f))
+    index = {f: i for i, f in enumerate(elems)}
+    mult = [
+        [index[tuple(None if y is None else s[y] for y in t)] for t in elems] for s in elems
+    ]
+    names = ["s" + "".join("_" if y is None else str(y) for y in f) for f in elems]
+    return InverseSemigroup(names, mult)

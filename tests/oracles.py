@@ -2,18 +2,22 @@
 
 Most of this is deliberately naive: plain forward elimination, set
 enumeration, and fixpoint loops that only rely on a multiplication
-callback, sharing no code with the package under test.  The last section
+callback, sharing no code with the package under test.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
-reading.
+reading.  The last section keeps the groupoid, order, semigroup and
+pseudoproduct checks as plain scans over all arrows or elements, as the library wrote
+them before it read them from index tables.
 """
 
 from itertools import product
 
 from ogaction.actions import InvSgpAction
 from ogaction.algebras import is_ideal
-from ogaction.errors import NotContained
+from ogaction.errors import InvalidGroupoid, NotBelowDomain, NotBelowRange, NotContained
+from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES
+from ogaction.semigroups import SEMIGROUP_CLAUSES
 from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES
 from ogaction.linalg import LinMap, Subspace
 from ogaction.validation import ValidationReport
@@ -185,3 +189,217 @@ def verify_semigroup_globalization(
         if total != b.ideal_of[s]:
             rep.add("SGLOB(iv)", f"piece at {nm[s]} differs from the equal-anchor sum")
     return rep
+
+
+# -- retained scans of the combinatorial layer ---------------------------
+#
+# Free functions of `self` (an OrderedGroupoid or an InverseSemigroup), so
+# that each body reads as it did on the class.  They cache nothing, and a
+# call on `self` goes to these functions, never to the index tables.
+
+
+def validate_groupoid(self):
+    rep = ValidationReport("groupoid", GROUPOID_CLAUSES)
+    nm = self.names
+    for e in self.objects:
+        if self.inv[e] != e:
+            rep.add("OBJ", f"object {nm[e]} is not its own inverse")
+        if self.dom[e] != e or self.ran[e] != e:
+            rep.add("OBJ", f"object {nm[e]} is not its own domain/range")
+    for g in self.arrows():
+        if self.dom[g] not in self.objects:
+            rep.add("OBJ", f"domain of {nm[g]} is not an object")
+        if self.ran[g] not in self.objects:
+            rep.add("OBJ", f"range of {nm[g]} is not an object")
+        if self.inv[self.inv[g]] != g:
+            rep.add("INV", f"inverse of {nm[g]} is not an involution")
+    for g in self.arrows():
+        for h in self.arrows():
+            defined = (g, h) in self.comp
+            if defined != self.composable(g, h):
+                rep.add(
+                    "CAT",
+                    f"product {nm[g]}*{nm[h]} defined iff domains match fails",
+                )
+    for (g, h), gh in self.comp.items():
+        if self.composable(g, h):
+            if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:
+                rep.add("CAT", f"endpoints of {nm[g]}*{nm[h]} are wrong")
+    for g in self.arrows():
+        if self.comp.get((g, self.dom[g])) != g:
+            rep.add("CAT", f"{nm[g]} * its domain is not {nm[g]}")
+        if self.comp.get((self.ran[g], g)) != g:
+            rep.add("CAT", f"range * {nm[g]} is not {nm[g]}")
+        if self.comp.get((self.inv[g], g)) != self.dom[g]:
+            rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
+        if self.comp.get((g, self.inv[g])) != self.ran[g]:
+            rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
+    for (g, h), gh in self.comp.items():
+        for k in self.arrows():
+            if (h, k) not in self.comp:
+                continue
+            hk = self.comp[(h, k)]
+            left = self.comp.get((gh, k))
+            right = self.comp.get((g, hk))
+            if left is None or right is None or left != right:
+                rep.add("CAT", f"associativity fails on ({nm[g]},{nm[h]},{nm[k]})")
+    return rep
+
+
+def validate_order(self):
+    rep = ValidationReport("groupoid order", ORDER_CLAUSES)
+    nm = self.names
+    for a in self.arrows():
+        if not self.leq[a][a]:
+            rep.add("ORD", f"order is not reflexive at {nm[a]}")
+        for b in self.arrows():
+            if a != b and self.leq[a][b] and self.leq[b][a]:
+                rep.add("ORD", f"order is not antisymmetric on {nm[a]}, {nm[b]}")
+            if self.leq[a][b]:
+                for c in self.arrows():
+                    if self.leq[b][c] and not self.leq[a][c]:
+                        rep.add("ORD", f"order is not transitive via {nm[a]}<={nm[b]}<={nm[c]}")
+    for g in self.arrows():
+        for h in self.arrows():
+            if self.leq[g][h] and not self.leq[self.inv[g]][self.inv[h]]:
+                rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
+    for g in self.arrows():
+        for h in self.arrows():
+            if not self.leq[g][h]:
+                continue
+            for k in self.arrows():
+                for l in self.arrows():
+                    if not self.leq[k][l]:
+                        continue
+                    if self.composable(g, k) and self.composable(h, l):
+                        if not self.leq[self.comp[(g, k)]][self.comp[(h, l)]]:
+                            rep.add(
+                                "OG2",
+                                f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered",
+                            )
+    for g in self.arrows():
+        for e in self.objects:
+            if self.leq[e][self.dom[g]]:
+                found = [x for x in self.arrows() if self.leq[x][g] and self.dom[x] == e]
+                if len(found) != 1:
+                    rep.add(
+                        "OG3",
+                        f"restriction of {nm[g]} at {nm[e]}: {len(found)} candidates",
+                    )
+            if self.leq[e][self.ran[g]]:
+                found = [x for x in self.arrows() if self.leq[x][g] and self.ran[x] == e]
+                if len(found) != 1:
+                    rep.add(
+                        "OG3*",
+                        f"corestriction of {nm[g]} at {nm[e]}: {len(found)} candidates",
+                    )
+    return rep
+
+
+def restriction(self, g, e):
+    """The unique arrow below g with domain e (e below dom g)."""
+    if e not in self.objects or not self.leq[e][self.dom[g]]:
+        raise NotBelowDomain(
+            f"{self.names[e]} is not an object below the domain of {self.names[g]}"
+        )
+    found = [x for x in self.arrows() if self.leq[x][g] and self.dom[x] == e]
+    if len(found) != 1:
+        raise InvalidGroupoid(
+            f"restriction of {self.names[g]} at {self.names[e]} is not unique"
+        )
+    return found[0]
+
+
+def corestriction(self, e, g):
+    """The unique arrow below g with range e (e below ran g)."""
+    if e not in self.objects or not self.leq[e][self.ran[g]]:
+        raise NotBelowRange(
+            f"{self.names[e]} is not an object below the range of {self.names[g]}"
+        )
+    found = [x for x in self.arrows() if self.leq[x][g] and self.ran[x] == e]
+    if len(found) != 1:
+        raise InvalidGroupoid(
+            f"corestriction of {self.names[g]} at {self.names[e]} is not unique"
+        )
+    return found[0]
+
+
+def meet_objects(self, e, f):
+    lower = [
+        x
+        for x in sorted(self.objects)
+        if self.leq[x][e] and self.leq[x][f]
+    ]
+    greatest = [z for z in lower if all(self.leq[w][z] for w in lower)]
+    return greatest[0] if len(greatest) == 1 else None
+
+
+def pseudoproduct(self, g, h):
+    """(g | d(g)∧r(h)) * (d(g)∧r(h) | h) when the object meet exists."""
+    m = meet_objects(self, self.dom[g], self.ran[h])
+    if m is None:
+        return None
+    left = restriction(self, g, m)
+    right = corestriction(self, m, h)
+    return self.comp[(left, right)]
+
+
+def is_pseudoassociative(self):
+    """Existence of (g*h)*k and g*(h*k) agree on all triples.
+
+    When both sides exist they must coincide; a difference would break
+    the ordered-groupoid axioms and raises instead of returning False.
+    """
+    for g in self.arrows():
+        for h in self.arrows():
+            gh = pseudoproduct(self, g, h)
+            for k in self.arrows():
+                hk = pseudoproduct(self, h, k)
+                left = None if gh is None else pseudoproduct(self, gh, k)
+                right = None if hk is None else pseudoproduct(self, g, hk)
+                if (left is None) != (right is None):
+                    return False
+                if left is not None and left != right:
+                    raise InvalidGroupoid(
+                        "pseudoproducts exist on both sides but differ on "
+                        f"({self.names[g]},{self.names[h]},{self.names[k]})"
+                    )
+    return True
+
+
+def idempotents(self):
+    return tuple(e for e in self.elements() if self.mult[e][e] == e)
+
+
+def validate_semigroup(self):
+    rep = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES)
+    nm = self.names
+    for a in self.elements():
+        for b in self.elements():
+            for c in self.elements():
+                if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
+                    rep.add("ASSOC", f"({nm[a]}{nm[b]}){nm[c]} != {nm[a]}({nm[b]}{nm[c]})")
+    inverse = []
+    for s in self.elements():
+        partners = [
+            t
+            for t in self.elements()
+            if self.mult[self.mult[s][t]][s] == s and self.mult[self.mult[t][s]][t] == t
+        ]
+        if len(partners) != 1:
+            rep.add("INVERSES", f"{nm[s]} has {len(partners)} inverse partner(s)")
+            inverse.append(s)
+        else:
+            inverse.append(partners[0])
+    idem = idempotents(self)
+    for e in idem:
+        for f in idem:
+            if self.mult[e][f] != self.mult[f][e]:
+                rep.add("IDEMPOTENTS", f"idempotents {nm[e]}, {nm[f]} do not commute")
+    return rep
+
+
+def natural_le(self, s, t):
+    """s below t iff s = t*e for some idempotent e."""
+    self.require_valid()
+    return any(self.mult[t][e] == s for e in idempotents(self))

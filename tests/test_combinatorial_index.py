@@ -1,0 +1,234 @@
+"""The indexed combinatorial layer against the plain scans it replaced.
+
+`OrderedGroupoid` reads its groupoid and order checks, restrictions,
+meets and pseudoproducts from composite and up-/down-set tables, and `InverseSemigroup` compares
+whole rows for associativity and keeps its natural order as down-sets.
+`tests/oracles.py` keeps the scans over all arrows and elements as they
+were.  Both sides must give the same clauses, the same issues in the same
+order, the same values and the same exceptions, on valid structures and on
+copies with one order entry flipped, one product swapped or removed, or
+one inverse broken.
+"""
+
+import inspect
+import random
+
+import pytest
+
+import oracles
+from ogaction import fixtures as fx
+from ogaction.actions import Action
+from ogaction.errors import NotInductive
+from ogaction.groupoids import OrderedGroupoid
+from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup
+from ogaction.validation import ValidationReport
+
+from generators import random_global_action, symmetric_inverse_monoid
+
+# The retained is_pseudoassociative scan costs about 3 n^3 unindexed
+# pseudoproducts; above this many arrows it is left out.
+PSEUDOASSOC_MAX_ARROWS = 16
+
+
+def outcome(fn, *args):
+    """What a call gives: a report's clauses and issues, a value, or the
+    type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared with the oracle's, never swallowed
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(value, ValidationReport):
+        return ("report", value.subject, value.clauses(), [(i.clause, i.message) for i in value.issues])
+    return ("value", value)
+
+
+def _fixture_structures():
+    """Every groupoid and semigroup the fixtures module builds, directly or
+    under one of its actions."""
+    found = []
+    for name in sorted(dir(fx)):
+        fn = getattr(fx, name)
+        if not inspect.isfunction(fn) or fn.__module__ != fx.__name__:
+            continue
+        if inspect.signature(fn).parameters:
+            continue
+        made = fn()
+        if isinstance(made, Action):
+            made = made.structure
+        if isinstance(made, (OrderedGroupoid, InverseSemigroup)):
+            found.append((f"fx.{name}", made))
+    return found
+
+
+def _base_structures():
+    named = _fixture_structures()
+    rng = random.Random(5)
+    for i in range(8):
+        beta, _ = random_global_action(rng, max_dim=5)
+        named.append((f"generated{i}", beta.structure))
+    for n in (2, 3):
+        named.append((f"I_{n}", symmetric_inverse_monoid(n)))
+    for label, s in list(named):
+        if isinstance(s, InverseSemigroup) and s.is_valid():
+            named.append((f"esn({label})", esn_to_groupoid(s)))
+    for label, g in list(named):
+        if isinstance(g, OrderedGroupoid) and not label.startswith("esn("):
+            try:
+                named.append((f"esn({label})", esn_to_semigroup(g)))
+            except NotInductive:
+                pass
+    distinct = {}
+    for label, x in named:
+        distinct.setdefault(x, label)
+    return [(label, x) for x, label in distinct.items()]
+
+
+def _groupoid_copy(g, inv=None, comp=None, leq=None):
+    """A fresh groupoid (no cached tables) with some fields replaced."""
+    return OrderedGroupoid(
+        g.names,
+        g.objects,
+        g.inv if inv is None else inv,
+        g.comp if comp is None else comp,
+        g.dom,
+        g.ran,
+        g.leq if leq is None else leq,
+    )
+
+
+def _groupoid_perturbations(label, g, rng):
+    out = []
+    cells = [(a, a) for a in rng.sample(range(g.n), min(2, g.n))]
+    cells += [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(3)]
+    for a, b in cells:
+        leq = [list(row) for row in g.leq]
+        leq[a][b] = not leq[a][b]
+        out.append((f"{label}: leq[{a}][{b}] flipped", _groupoid_copy(g, leq=leq)))
+    keys = list(g.comp)
+    for _ in range(2):
+        x, y = rng.sample(keys, 2) if len(keys) > 1 else (keys[0], keys[0])
+        comp = dict(g.comp)
+        comp[x], comp[y] = comp[y], comp[x]
+        if comp != g.comp:
+            out.append((f"{label}: products {x}, {y} swapped", _groupoid_copy(g, comp=comp)))
+    if len(keys) > 1:
+        comp = dict(g.comp)
+        del comp[x]
+        out.append((f"{label}: product {x} removed", _groupoid_copy(g, comp=comp)))
+    if g.n > 1:
+        a = rng.randrange(g.n)
+        inv = list(g.inv)
+        inv[a] = (inv[a] + 1) % g.n
+        out.append((f"{label}: inverse of {a} broken", _groupoid_copy(g, inv=inv)))
+    return out
+
+
+def _semigroup_perturbations(label, s, rng):
+    out = []
+    n = s.n
+    for _ in range(2):
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        mult = [list(row) for row in s.mult]
+        mult[a][b], mult[c][d] = mult[c][d], mult[a][b]
+        if mult != [list(row) for row in s.mult]:
+            out.append((f"{label}: products ({a},{b}), ({c},{d}) swapped", InverseSemigroup(s.names, mult)))
+    if s.is_valid() and n > 1:
+        a = rng.randrange(n)
+        mult = [list(row) for row in s.mult]
+        # a * a^-1 moved to the next element
+        mult[a][s.inverse(a)] = (mult[a][s.inverse(a)] + 1) % n
+        out.append((f"{label}: inverse of {a} broken", InverseSemigroup(s.names, mult)))
+    return out
+
+
+def _all_cases():
+    rng = random.Random(17)
+    groupoids, semigroups = [], []
+    for label, x in _base_structures():
+        if isinstance(x, OrderedGroupoid):
+            groupoids += [(label, x)] + _groupoid_perturbations(label, x, rng)
+        else:
+            semigroups += [(label, x)] + _semigroup_perturbations(label, x, rng)
+    return groupoids, semigroups
+
+
+GROUPOIDS, SEMIGROUPS = _all_cases()
+
+
+def _groupoid_outcomes(g, impl):
+    """Every compared call on g, through the library (impl None) or the oracle."""
+
+    def call(name, *args):
+        if impl is None:
+            return outcome(getattr(g, name), *args)
+        return outcome(getattr(impl, name), g, *args)
+
+    arrows = range(g.n)
+    out = {"validate_groupoid": call("validate_groupoid"), "validate_order": call("validate_order")}
+    for a in arrows:
+        for b in arrows:
+            out[("restriction", a, b)] = call("restriction", a, b)
+            out[("corestriction", b, a)] = call("corestriction", b, a)
+            out[("meet_objects", a, b)] = call("meet_objects", a, b)
+            out[("pseudoproduct", a, b)] = call("pseudoproduct", a, b)
+    if g.n <= PSEUDOASSOC_MAX_ARROWS:
+        out["is_pseudoassociative"] = call("is_pseudoassociative")
+    return out
+
+
+@pytest.mark.parametrize("label,g", GROUPOIDS, ids=[label for label, _ in GROUPOIDS])
+def test_indexed_groupoid_matches_the_retained_scans(label, g):
+    fresh = _groupoid_copy(g)
+    assert _groupoid_outcomes(fresh, None) == _groupoid_outcomes(g, oracles)
+    # A second pass reads the kept tables and the meet memo.
+    assert _groupoid_outcomes(fresh, None) == _groupoid_outcomes(g, oracles)
+
+
+@pytest.mark.parametrize("label,s", SEMIGROUPS, ids=[label for label, _ in SEMIGROUPS])
+def test_indexed_semigroup_matches_the_retained_scans(label, s):
+    fresh = InverseSemigroup(s.names, s.mult)
+    assert outcome(fresh.validate) == outcome(oracles.validate_semigroup, s)
+    assert fresh.idempotents() == oracles.idempotents(s)
+    pairs = [(a, b) for a in range(s.n) for b in range(s.n)]
+    lib = [outcome(fresh.natural_le, a, b) for a, b in pairs]
+    assert lib == [outcome(oracles.natural_le, s, a, b) for a, b in pairs]
+    if fresh.is_valid():
+        # Lawson: s <= t iff s = t s^-1 s, the same order from the inverses
+        m = fresh.mult
+        assert lib == [("value", a == m[b][m[fresh.inverse(a)][a]]) for a, b in pairs]
+        g = esn_to_groupoid(fresh)
+        assert [list(row) for row in g.leq] == [
+            [oracles.natural_le(s, a, b) for b in range(s.n)] for a in range(s.n)
+        ]
+
+
+def test_every_checked_clause_fails_on_some_case():
+    """The comparisons above meet a failing report for each of these
+    clauses, so they cover the issue lists of every check."""
+    failing = set()
+    for _, g in GROUPOIDS:
+        fresh = _groupoid_copy(g)
+        for rep in (outcome(fresh.validate_groupoid), outcome(fresh.validate_order)):
+            if rep[0] == "report":
+                failing |= {clause for clause, ok in rep[2].items() if not ok}
+    for _, s in SEMIGROUPS:
+        rep = outcome(InverseSemigroup(s.names, s.mult).validate)
+        failing |= {clause for clause, ok in rep[2].items() if not ok}
+    assert {"CAT", "ORD", "OG1", "OG2", "OG3", "OG3*", "ASSOC", "INVERSES"} <= failing
+    assert len(GROUPOIDS) >= 100 and len(SEMIGROUPS) >= 20
+
+
+def test_the_compared_calls_raise_on_some_perturbed_copies():
+    """Restriction, corestriction, pseudoproduct and the order check each
+    raise on some copy, so the comparison above covers their exceptions."""
+    kinds = set()
+    for _, g in GROUPOIDS:
+        if g.n > PSEUDOASSOC_MAX_ARROWS:
+            continue
+        for key, result in _groupoid_outcomes(_groupoid_copy(g), None).items():
+            if result[0] == "raised":
+                kinds.add((key[0] if isinstance(key, tuple) else key, result[1]))
+    assert ("restriction", "NotBelowDomain") in kinds
+    assert ("corestriction", "NotBelowRange") in kinds
+    assert ("pseudoproduct", "InvalidGroupoid") in kinds
+    assert ("validate_order", "KeyError") in kinds
