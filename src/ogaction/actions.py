@@ -29,7 +29,7 @@ from .errors import (
     NotUnital,
 )
 from .groupoids import OrderedGroupoid
-from .linalg import LinMap, Subspace, Vector, express
+from .linalg import LinMap, Subspace, Vector, express_all
 from .semigroups import InverseSemigroup, esn_to_groupoid
 from .validation import ValidationReport
 
@@ -545,8 +545,7 @@ def _linear_extension(
 ) -> Optional[LinMap]:
     """The linear map sending each primitive idempotent to its partner."""
     images = []
-    for v in dom.basis:
-        combo = express(prims_a, v, dom.p)
+    for combo in express_all(prims_a, dom.basis, dom.p):
         if combo is None:
             return None
         img = [0] * cod.dim

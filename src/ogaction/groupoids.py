@@ -5,6 +5,7 @@ globalization constructions."""
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -343,6 +344,28 @@ class OrderedGroupoid:
         When both sides exist they must coincide; a difference would break
         the ordered-groupoid axioms and raises instead of returning False.
         """
+        # Tabulate the pseudoproduct once, with n for "undefined", and for
+        # each pair (g, h) compare row g*h whole with row g read through
+        # row h.  Any exception or disagreement reruns the scan, so the
+        # value returned and the exception raised are the scan's.
+        n = self.n
+        try:
+            rows = [[self.pseudoproduct(g, h) for h in self.arrows()] for g in self.arrows()]
+            if all(x is None or 0 <= x < n for row in rows for x in row):
+                table = [tuple(n if x is None else x for x in row) + (n,) for row in rows]
+                table.append((n,) * (n + 1))
+                through = [itemgetter(*row) for row in table[:n]]
+                if all(
+                    through[h](table[g]) == table[table[g][h]]
+                    for g in self.arrows()
+                    for h in self.arrows()
+                ):
+                    return True
+        except Exception:
+            pass
+        return self._scan_pseudoassociative()
+
+    def _scan_pseudoassociative(self) -> bool:
         for g in self.arrows():
             for h in self.arrows():
                 gh = self.pseudoproduct(g, h)

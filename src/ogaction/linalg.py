@@ -70,8 +70,8 @@ def vec_scale(c: int, v: Vector, p: int) -> Vector:
     return tuple((c * a) % p for a in v)
 
 
-def is_zero_vec(v: Vector) -> bool:
-    return all(a == 0 for a in v)
+def is_zero_vec(v: Sequence[int]) -> bool:
+    return not any(v)
 
 
 def rref(rows: Iterable[Sequence[int]], p: int) -> Matrix:
@@ -89,20 +89,27 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> Matrix:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(inv * x) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [(x - c * y) % p for x, y in zip(work[r], work[rank])]
+        lead = work[rank][col]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            work[rank] = [(inv * x) % p for x in work[rank]]
+        # Entries left of col are zero in the pivot row: eliminate along
+        # its support only.
+        support = [(j, x) for j, x in enumerate(work[rank][col:], col) if x]
+        for r, row in enumerate(work):
+            c = row[col]
+            if c and r != rank:
+                for j, x in support:
+                    row[j] = (row[j] - c * x) % p
         rank += 1
         if rank == len(work):
             break
     return tuple(tuple(row) for row in work[:rank] if any(row))
 
 
-def _pivots(basis: Matrix) -> tuple[int, ...]:
-    return tuple(next(i for i, x in enumerate(row) if x) for row in basis)
+def _entries(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The non-zero (column, value) entries of a reduced vector."""
+    return tuple((j, x) for j, x in enumerate(v) if x)
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,13 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         # Kept in the instance __dict__, outside the dataclass fields, so
         # equality, hashing and the frozen fields are unaffected.
-        return _pivots(self.basis)
+        return tuple(row[0][0] for row in self.entries)
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The non-zero (column, value) entries of each basis row, kept
+        like `pivots`; elimination walks only these."""
+        return tuple(_entries(row) for row in self.basis)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.dim != other.dim or self.p != other.p:
@@ -152,15 +165,18 @@ class Subspace:
         """Residual of v after elimination against the basis."""
         if len(v) != self.dim:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
-        w = [int(x) % self.p for x in v]
-        for row, piv in zip(self.basis, self.pivots):
+        p = self.p
+        w = [int(x) % p for x in v]
+        for piv, row in zip(self.pivots, self.entries):
             c = w[piv]
             if c:
-                for j in range(piv, self.dim):
-                    w[j] = (w[j] - c * row[j]) % self.p
+                for j, x in row:
+                    w[j] = (w[j] - c * x) % p
         return tuple(w)
 
     def contains(self, v: Sequence[int]) -> bool:
+        if self.rank == self.dim and len(v) == self.dim:
+            return True
         return is_zero_vec(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -171,27 +187,29 @@ class Subspace:
         """Coefficients of v over the canonical basis; raises if v is outside."""
         if len(v) != self.dim:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
-        w = [int(x) % self.p for x in v]
+        p = self.p
+        w = [int(x) % p for x in v]
         coords = []
-        for row, piv in zip(self.basis, self.pivots):
+        for piv, row in zip(self.pivots, self.entries):
             c = w[piv]
             coords.append(c)
             if c:
-                for j in range(piv, self.dim):
-                    w[j] = (w[j] - c * row[j]) % self.p
-        if not is_zero_vec(tuple(w)):
+                for j, x in row:
+                    w[j] = (w[j] - c * x) % p
+        if not is_zero_vec(w):
             raise ValueError("vector not in subspace")
         return tuple(coords)
 
     def from_coordinates(self, coords: Sequence[int]) -> Vector:
         if len(coords) != self.rank:
             raise AmbientMismatch(f"{len(coords)} coordinates for rank {self.rank}")
+        p = self.p
         out = [0] * self.dim
-        for c, row in zip(coords, self.basis):
-            c = int(c) % self.p
+        for c, row in zip(coords, self.entries):
+            c = int(c) % p
             if c:
-                for j, x in enumerate(row):
-                    out[j] = (out[j] + c * x) % self.p
+                for j, x in row:
+                    out[j] = (out[j] + c * x) % p
         return tuple(out)
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -199,8 +217,14 @@ class Subspace:
         return Subspace(self.dim, self.p, rref(list(self.basis) + list(other.basis), self.p))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: eliminate [U|U] over [V|0]; zero-left rows carry U∩V.
         self._check_ambient(other)
+        # RREF is canonical, so a nested pair returns the smaller operand
+        # itself: the very tuple the elimination below would give.
+        if other.contains_subspace(self):
+            return self
+        if self.contains_subspace(other):
+            return other
+        # Zassenhaus: eliminate [U|U] over [V|0]; zero-left rows carry U∩V.
         n = self.dim
         rows = [list(r) + list(r) for r in self.basis]
         rows += [list(r) + [0] * n for r in other.basis]
@@ -236,27 +260,42 @@ def intersect_subspaces(u: Subspace, v: Subspace) -> Subspace:
 
 def express(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> Optional[Vector]:
     """Coefficients c with sum(c_i * rows_i) = target, or None."""
+    return express_all(rows, [target], p)[0]
+
+
+def express_all(
+    rows: Sequence[Sequence[int]], targets: Iterable[Sequence[int]], p: int
+) -> list[Optional[Vector]]:
+    """`express(rows, t, p)` for each target t, from one elimination.
+
+    The reduced rows of [rows | I] with a pivot on the left are kept as
+    sparse entries; each target is reduced along them, and the identity
+    half of the rows it used sums to its combination.
+    """
     if not rows:
-        return () if all(int(x) % p == 0 for x in target) else None
+        return [() if all(int(x) % p == 0 for x in t) else None for t in targets]
     n = len(rows[0])
     k = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(rows)]
-    reduced = rref(aug, p)
-    w = [int(x) % p for x in target]
-    combo = [0] * k
-    for row in reduced:
+    steps = []
+    for row in rref(aug, p):
         piv = next(i for i, x in enumerate(row) if x)
         if piv >= n:
-            continue
-        c = w[piv]
-        if c:
-            for j in range(n):
-                w[j] = (w[j] - c * row[j]) % p
-            for j in range(k):
-                combo[j] = (combo[j] + c * row[n + j]) % p
-    if any(w):
-        return None
-    return tuple(combo)
+            break  # pivots increase, so every later row is zero on the left
+        steps.append((piv, _entries(row[:n]), _entries(row[n:])))
+    out: list[Optional[Vector]] = []
+    for target in targets:
+        w = [int(x) % p for x in target]
+        combo = [0] * k
+        for piv, left, right in steps:
+            c = w[piv]
+            if c:
+                for j, x in left:
+                    w[j] = (w[j] - c * x) % p
+                for j, x in right:
+                    combo[j] = (combo[j] + c * x) % p
+        out.append(None if any(w) else tuple(combo))
+    return out
 
 
 def kernel(matrix: Sequence[Sequence[int]], nrows: int, p: int) -> Matrix:
@@ -296,6 +335,16 @@ class LinMap:
     def p(self) -> int:
         return self.domain.p
 
+    @functools.cached_property
+    def images(self) -> Matrix:
+        """Ambient images of the domain's canonical basis, kept once
+        computed (outside the dataclass fields, like `Subspace.pivots`)."""
+        return tuple(self.codomain.from_coordinates(row) for row in self.matrix)
+
+    @functools.cached_property
+    def _image_entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(_entries(img) for img in self.images)
+
     @staticmethod
     def from_images(domain: Subspace, codomain: Subspace, images: Sequence[Sequence[int]]) -> "LinMap":
         """Build from ambient images of the domain's canonical basis."""
@@ -310,17 +359,16 @@ class LinMap:
         return LinMap(sub, sub, eye)
 
     def apply(self, v: Sequence[int]) -> Vector:
-        coords = self.domain.coordinates_of(v)
-        out = [0] * self.codomain.rank
-        for c, row in zip(coords, self.matrix):
+        p = self.p
+        out = [0] * self.codomain.dim
+        for c, img in zip(self.domain.coordinates_of(v), self._image_entries):
             if c:
-                for j, x in enumerate(row):
-                    out[j] = (out[j] + c * x) % self.p
-        return self.codomain.from_coordinates(out)
+                for j, x in img:
+                    out[j] = (out[j] + c * x) % p
+        return tuple(out)
 
     def image(self) -> Subspace:
-        imgs = [self.codomain.from_coordinates(row) for row in self.matrix]
-        return Subspace.span(self.codomain.dim, imgs, self.p)
+        return Subspace.span(self.codomain.dim, self.images, self.p)
 
     def image_of(self, sub: Subspace) -> Subspace:
         if not self.domain.contains_subspace(sub):
@@ -360,17 +408,15 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if not self.is_iso:
             raise ValueError("map is not invertible")
-        inv_imgs = []
-        for v in self.codomain.basis:
-            combo = express(list(self.matrix), self.codomain.coordinates_of(v), self.p)
-            if combo is None:
-                raise ValueError("map is not surjective onto its codomain")
-            inv_imgs.append(self.domain.from_coordinates(combo))
-        return LinMap.from_images(self.codomain, self.domain, inv_imgs)
+        # The codomain's basis vectors have the unit coordinate vectors, so
+        # the combinations are the rows of the inverse matrix.
+        k = self.codomain.rank
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        return LinMap(self.codomain, self.domain, tuple(express_all(self.matrix, eye, self.p)))
 
     def then(self, after: "LinMap") -> "LinMap":
         """Composite v -> after(self(v)); the image must fit after's domain."""
-        imgs = [self.codomain.from_coordinates(row) for row in self.matrix]
+        imgs = self.images
         for img in imgs:
             if not after.domain.contains(img):
                 raise AmbientMismatch("composite escapes the second map's domain")
@@ -412,10 +458,7 @@ def partial_inverse(f: LinMap) -> LinMap:
     img = f.image()
     if img.rank != f.domain.rank:
         raise ValueError("partial map is not injective")
-    back = []
-    for v in img.basis:
-        combo = express(list(f.matrix), f.codomain.coordinates_of(v), f.p)
-        if combo is None:
-            raise ValueError("image vector not reachable")
-        back.append(f.domain.from_coordinates(combo))
-    return LinMap.from_images(img, f.domain, back)
+    # f is injective, so each image vector has one combination of the rows
+    # of f's matrix, and that combination is its coordinate row in f.domain.
+    targets = [f.codomain.coordinates_of(v) for v in img.basis]
+    return LinMap(img, f.domain, tuple(express_all(f.matrix, targets, f.p)))

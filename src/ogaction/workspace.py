@@ -16,7 +16,7 @@ from .actions import Action
 from .algebras import Algebra
 from .errors import WorkspaceError
 from .groupoids import OrderedGroupoid
-from .linalg import LinMap, Subspace, express
+from .linalg import LinMap, Subspace, express_all
 from .semigroups import InverseSemigroup
 
 
@@ -194,8 +194,8 @@ def _parse_family(
                     img[j] = (img[j] + c * x) % p
             listed_images.append(tuple(img))
         images = []
-        for v in ideals[src].basis:
-            combo = express([tuple(x % p for x in r) for r in src_rows], v, p)
+        src_mod = [tuple(x % p for x in r) for r in src_rows]
+        for combo in express_all(src_mod, ideals[src].basis, p):
             if combo is None:
                 raise WorkspaceError(f"{where}: listed ideal rows at {names[src]!r} do not span")
             img = [0] * carrier.dim
@@ -210,28 +210,30 @@ def _parse_family(
     return tuple(ideals), tuple(maps)
 
 
-def action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
+def _reference(doc: dict, key: str, table: dict, where: str):
+    """The workspace entry that doc[key] names."""
+    if key in doc and not isinstance(doc[key], str):
+        raise WorkspaceError(f"{where}: {key!r} must be a string naming a {key}")
     try:
-        g = ws.groupoids[doc["groupoid"]]
-        alg = ws.algebras[doc["algebra"]]
+        return table[doc[key]]
     except KeyError as exc:
-        raise WorkspaceError(f"action {name!r}: dangling reference {exc}")
-    ideals, maps = _parse_family(
-        doc, g.names, lambda i: g.inv[i], alg, f"action {name!r}"
-    )
+        raise WorkspaceError(f"{where}: dangling reference {exc}")
+
+
+def action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
+    where = f"action {name!r}"
+    g = _reference(doc, "groupoid", ws.groupoids, where)
+    alg = _reference(doc, "algebra", ws.algebras, where)
+    ideals, maps = _parse_family(doc, g.names, lambda i: g.inv[i], alg, where)
     return Action(g, alg, ideals, maps, name=name)
 
 
 def inv_action_from_json(doc: dict, ws: Workspace, name: str) -> Action:
-    try:
-        s = ws.semigroups[doc["semigroup"]]
-        alg = ws.algebras[doc["algebra"]]
-    except KeyError as exc:
-        raise WorkspaceError(f"inverse action {name!r}: dangling reference {exc}")
+    where = f"inverse action {name!r}"
+    s = _reference(doc, "semigroup", ws.semigroups, where)
+    alg = _reference(doc, "algebra", ws.algebras, where)
     s.require_valid()
-    ideals, maps = _parse_family(
-        doc, s.names, s.inverse, alg, f"inverse action {name!r}"
-    )
+    ideals, maps = _parse_family(doc, s.names, s.inverse, alg, where)
     return Action(s, alg, ideals, maps, name=name)
 
 

@@ -8,14 +8,22 @@ semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
 reading.  The last section keeps the groupoid, order, semigroup and
 pseudoproduct checks as plain scans over all arrows or elements, as the library wrote
-them before it read them from index tables.
+them before it read them from index tables.  The kernel section keeps the
+dense F_p routines as the library wrote them before it eliminated along
+vector supports.
 """
 
 from itertools import product
 
 from ogaction.actions import InvSgpAction
 from ogaction.algebras import is_ideal
-from ogaction.errors import InvalidGroupoid, NotBelowDomain, NotBelowRange, NotContained
+from ogaction.errors import (
+    AmbientMismatch,
+    InvalidGroupoid,
+    NotBelowDomain,
+    NotBelowRange,
+    NotContained,
+)
 from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES
 from ogaction.semigroups import SEMIGROUP_CLAUSES
 from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES
@@ -403,3 +411,172 @@ def natural_le(self, s, t):
     """s below t iff s = t*e for some idempotent e."""
     self.require_valid()
     return any(self.mult[t][e] == s for e in idempotents(self))
+
+
+# -- retained dense kernel -----------------------------------------------
+#
+# Free functions of `self` (a Subspace or a LinMap), each body as the class
+# wrote it, walking every coordinate.  A call on a subspace or map goes to
+# these functions, never to the library's supports or kept images.
+
+
+def is_zero_vec(v):
+    return all(a == 0 for a in v)
+
+
+def rref(rows, p):
+    """Reduced row echelon form; zero rows dropped, pivots by column."""
+    work = [[int(x) % p for x in row] for row in rows]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    for row in work:
+        if len(row) != ncols:
+            raise AmbientMismatch("rows of unequal length")
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [(inv * x) % p for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                c = work[r][col]
+                work[r] = [(x - c * y) % p for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return tuple(tuple(row) for row in work[:rank] if any(row))
+
+
+def express(rows, target, p):
+    """Coefficients c with sum(c_i * rows_i) = target, or None."""
+    if not rows:
+        return () if all(int(x) % p == 0 for x in target) else None
+    n = len(rows[0])
+    k = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(rows)]
+    reduced = rref(aug, p)
+    w = [int(x) % p for x in target]
+    combo = [0] * k
+    for row in reduced:
+        piv = next(i for i, x in enumerate(row) if x)
+        if piv >= n:
+            continue
+        c = w[piv]
+        if c:
+            for j in range(n):
+                w[j] = (w[j] - c * row[j]) % p
+            for j in range(k):
+                combo[j] = (combo[j] + c * row[n + j]) % p
+    if any(w):
+        return None
+    return tuple(combo)
+
+
+def reduce(self, v):
+    """Residual of v after elimination against the basis."""
+    if len(v) != self.dim:
+        raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
+    w = [int(x) % self.p for x in v]
+    for row, piv in zip(self.basis, self.pivots):
+        c = w[piv]
+        if c:
+            for j in range(piv, self.dim):
+                w[j] = (w[j] - c * row[j]) % self.p
+    return tuple(w)
+
+
+def contains(self, v):
+    return is_zero_vec(reduce(self, v))
+
+
+def coordinates_of(self, v):
+    """Coefficients of v over the canonical basis; raises if v is outside."""
+    if len(v) != self.dim:
+        raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
+    w = [int(x) % self.p for x in v]
+    coords = []
+    for row, piv in zip(self.basis, self.pivots):
+        c = w[piv]
+        coords.append(c)
+        if c:
+            for j in range(piv, self.dim):
+                w[j] = (w[j] - c * row[j]) % self.p
+    if not is_zero_vec(tuple(w)):
+        raise ValueError("vector not in subspace")
+    return tuple(coords)
+
+
+def from_coordinates(self, coords):
+    if len(coords) != self.rank:
+        raise AmbientMismatch(f"{len(coords)} coordinates for rank {self.rank}")
+    out = [0] * self.dim
+    for c, row in zip(coords, self.basis):
+        c = int(c) % self.p
+        if c:
+            for j, x in enumerate(row):
+                out[j] = (out[j] + c * x) % self.p
+    return tuple(out)
+
+
+def intersect(self, other):
+    # Zassenhaus: eliminate [U|U] over [V|0]; zero-left rows carry U∩V.
+    self._check_ambient(other)
+    n = self.dim
+    rows = [list(r) + list(r) for r in self.basis]
+    rows += [list(r) + [0] * n for r in other.basis]
+    reduced = rref(rows, self.p)
+    inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
+    return Subspace(n, self.p, rref(inter, self.p))
+
+
+def from_images(domain, codomain, images):
+    """Build from ambient images of the domain's canonical basis."""
+    if len(images) != domain.rank:
+        raise AmbientMismatch("one image per domain basis vector required")
+    matrix = tuple(coordinates_of(codomain, img) for img in images)
+    return LinMap(domain, codomain, matrix)
+
+
+def apply(self, v):
+    coords = coordinates_of(self.domain, v)
+    out = [0] * self.codomain.rank
+    for c, row in zip(coords, self.matrix):
+        if c:
+            for j, x in enumerate(row):
+                out[j] = (out[j] + c * x) % self.p
+    return from_coordinates(self.codomain, out)
+
+
+def image(self):
+    imgs = [from_coordinates(self.codomain, row) for row in self.matrix]
+    return Subspace(self.codomain.dim, self.p, rref(imgs, self.p))
+
+
+def inverse(self):
+    if not self.is_iso:
+        raise ValueError("map is not invertible")
+    inv_imgs = []
+    for v in self.codomain.basis:
+        combo = express(list(self.matrix), coordinates_of(self.codomain, v), self.p)
+        if combo is None:
+            raise ValueError("map is not surjective onto its codomain")
+        inv_imgs.append(from_coordinates(self.domain, combo))
+    return from_images(self.codomain, self.domain, inv_imgs)
+
+
+def partial_inverse(f):
+    """Inverse of a partial linear bijection, image becoming the domain."""
+    img = image(f)
+    if img.rank != f.domain.rank:
+        raise ValueError("partial map is not injective")
+    back = []
+    for v in img.basis:
+        combo = express(list(f.matrix), coordinates_of(f.codomain, v), f.p)
+        if combo is None:
+            raise ValueError("image vector not reachable")
+        back.append(from_coordinates(f.domain, combo))
+    return from_images(img, f.domain, back)

@@ -184,6 +184,16 @@ def test_indexed_groupoid_matches_the_retained_scans(label, g):
     assert _groupoid_outcomes(fresh, None) == _groupoid_outcomes(g, oracles)
 
 
+def test_tabulated_pseudoassociativity_matches_the_scan_above_the_oracle_size():
+    """Up to PSEUDOASSOC_MAX_ARROWS the oracle comparison above covers it;
+    the larger cases are compared with the library's own retained scan."""
+    large = [(label, g) for label, g in GROUPOIDS if g.n > PSEUDOASSOC_MAX_ARROWS]
+    assert large
+    for label, g in large:
+        got = outcome(_groupoid_copy(g).is_pseudoassociative)
+        assert got == outcome(g._scan_pseudoassociative), label
+
+
 @pytest.mark.parametrize("label,s", SEMIGROUPS, ids=[label for label, _ in SEMIGROUPS])
 def test_indexed_semigroup_matches_the_retained_scans(label, s):
     fresh = InverseSemigroup(s.names, s.mult)

@@ -1,0 +1,189 @@
+"""The support-aware kernel against the dense routines it replaced.
+
+`Subspace` eliminates along the kept non-zero entries of its basis rows,
+`LinMap` combines kept ambient images, `intersect` returns a nested
+operand unchanged, and `inverse`, `partial_inverse` and `express_all` run
+one elimination per linear system.  `tests/oracles.py` keeps the dense
+routines as they were.  Both sides must give the same tuples, the same
+values and the same exceptions on every subspace and map the fixtures and
+`tests/generators.py` build, on skewed copies with dense supports, on
+non-invertible maps, and on drawn matrices.
+"""
+
+import inspect
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ogaction import fixtures as fx
+from ogaction.actions import Action
+from ogaction.algebras import Algebra
+from ogaction.linalg import LinMap, Subspace, express_all, partial_inverse, rref
+
+from generators import random_global_action, random_ideal, random_monotone_family
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared with the oracle's, never swallowed
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _skewed(sub):
+    """The image of sub under x_j -> x_j + 2 x_{j+1}: same rank, and rows
+    whose supports are no longer single coordinates."""
+    n, p = sub.dim, sub.p
+    rows = [[(r[j] + 2 * r[j + 1]) if j + 1 < n else r[j] for j in range(n)] for r in sub.basis]
+    return Subspace.span(n, rows, p)
+
+
+def _collect():
+    """(subspaces, maps) built by the fixtures and the generators, with a
+    skewed copy of each and the zero and full space of each ambient."""
+    subs, maps = [], []
+    for name in sorted(dir(fx)):
+        fn = getattr(fx, name)
+        if not inspect.isfunction(fn) or fn.__module__ != fx.__name__:
+            continue
+        if inspect.signature(fn).parameters:
+            continue
+        made = fn()
+        if isinstance(made, Action):
+            subs += [made.carrier.space(), *made.ideal_of]
+            maps += made.map_of
+        elif isinstance(made, Algebra):
+            subs.append(made.space())
+        elif isinstance(made, Subspace):
+            subs.append(made)
+    rng = random.Random(5)
+    for _ in range(12):
+        beta, coords = random_global_action(rng)
+        subs += [*beta.ideal_of, random_ideal(rng, beta)]
+        subs += random_monotone_family(rng, beta, coords).values()
+        maps += beta.map_of
+    maps += [LinMap(_skewed(f.domain), _skewed(f.codomain), f.matrix) for f in maps]
+    subs += [_skewed(s) for s in subs]
+    for s in list(subs):
+        subs += [Subspace.zero(s.dim, s.p), Subspace.full(s.dim, s.p)]
+    return sorted(set(subs), key=repr), maps
+
+
+SUBSPACES, MAPS = _collect()
+
+
+def _non_invertible(f):
+    """Maps out of f's domain that are not isomorphisms: zero, an inclusion
+    into the full ambient, and one with a repeated row."""
+    dom, p = f.domain, f.p
+    out = [LinMap.from_images(dom, Subspace.full(dom.dim, p), dom.basis)]
+    if dom.rank and f.codomain.rank:
+        zero = ((0,) * f.codomain.rank,) * dom.rank
+        out.append(LinMap(dom, f.codomain, zero))
+    if dom.rank >= 2 and f.codomain.rank == dom.rank:
+        out.append(LinMap(dom, f.codomain, (f.matrix[0],) + f.matrix[:-1]))
+    return out
+
+
+def _probe_vectors(dim, p, rows):
+    """Rows, their sum, unit vectors, and unreduced and negative entries."""
+    out = [tuple(r) for r in rows]
+    out.append(tuple(sum(col) for col in zip(*rows)) if rows else (0,) * dim)
+    out += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    out.append(tuple(3 * p + j for j in range(dim)))
+    out.append(tuple(-(j + 1) for j in range(dim)))
+    return out
+
+
+def check_subspace(u):
+    vectors = _probe_vectors(u.dim, u.p, u.basis) + [(1,) * (u.dim + 1)]
+    for v in vectors:
+        assert outcome(u.reduce, v) == outcome(oracles.reduce, u, v)
+        assert outcome(u.contains, v) == outcome(oracles.contains, u, v)
+        assert outcome(u.coordinates_of, v) == outcome(oracles.coordinates_of, u, v)
+    for coords in _probe_vectors(u.rank, u.p, ()) + [(1,) * (u.rank + 1)]:
+        assert outcome(u.from_coordinates, coords) == outcome(oracles.from_coordinates, u, coords)
+    rows = list(u.basis) + [v for v in vectors if len(v) == u.dim][-3:]
+    assert rref(rows, u.p) == oracles.rref(rows, u.p)
+    targets = [v for v in vectors if len(v) == u.dim]
+    assert express_all(u.basis, targets, u.p) == [oracles.express(u.basis, t, u.p) for t in targets]
+    assert express_all(rows, targets, u.p) == [oracles.express(rows, t, u.p) for t in targets]
+
+
+def check_pair(u, v):
+    got = outcome(u.intersect, v)
+    assert got == outcome(oracles.intersect, u, v)
+    if u <= v:
+        assert got == ("value", u)
+    assert rref(u.basis + v.basis, u.p) == oracles.rref(u.basis + v.basis, u.p)
+
+
+def check_map(f):
+    assert f.images == tuple(oracles.from_coordinates(f.codomain, row) for row in f.matrix)
+    assert f.image() == oracles.image(f)
+    for v in _probe_vectors(f.domain.dim, f.p, f.domain.basis):
+        assert outcome(f.apply, v) == outcome(oracles.apply, f, v)
+    assert outcome(f.inverse) == outcome(oracles.inverse, f)
+    assert outcome(partial_inverse, f) == outcome(oracles.partial_inverse, f)
+
+
+def test_the_collection_covers_the_cases_it_names():
+    assert any(s.rank == 0 for s in SUBSPACES) and any(s.rank == s.dim for s in SUBSPACES)
+    assert any(0 < s.rank < s.dim and any(len(row) > 1 for row in s.entries) for s in SUBSPACES)
+    pairs = [(u, v) for u in SUBSPACES for v in SUBSPACES if (u.dim, u.p) == (v.dim, v.p)]
+    assert any(u <= v for u, v in pairs if u != v)
+    assert any(not u <= v and not v <= u for u, v in pairs)
+    assert any(not g.is_iso for f in MAPS for g in _non_invertible(f))
+
+
+def test_subspaces_match_the_dense_kernel():
+    for u in SUBSPACES:
+        check_subspace(u)
+
+
+def test_intersections_match_zassenhaus():
+    for u in SUBSPACES:
+        for v in SUBSPACES:
+            if (u.dim, u.p) == (v.dim, v.p):
+                check_pair(u, v)
+
+
+def test_maps_match_the_dense_kernel():
+    for f in MAPS:
+        for g in [f, *_non_invertible(f)]:
+            check_map(g)
+
+
+PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+@st.composite
+def spaces(draw):
+    """(u, v, f): two subspaces of one drawn ambient, the second built from
+    combinations of the first's rows and fresh ones so that nesting and
+    overlap are common, and a map from u to v with a drawn matrix."""
+    p = draw(st.sampled_from(PRIMES))
+    dim = draw(st.integers(1, 6))
+    entry = st.integers(-2 * p, 2 * p) if p < 100 else st.integers(-(2**40), 2**40)
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    u = Subspace.span(dim, draw(st.lists(row, max_size=4)), p)
+    combos = draw(st.lists(st.lists(st.integers(0, 2), min_size=u.rank, max_size=u.rank), max_size=3))
+    mixed = [[sum(c * r[j] for c, r in zip(cs, u.basis)) for j in range(dim)] for cs in combos]
+    v = Subspace.span(dim, mixed + draw(st.lists(row, max_size=2)), p)
+    matrix = draw(st.lists(st.lists(st.integers(0, p - 1) | st.just(0), min_size=v.rank, max_size=v.rank),
+                           min_size=u.rank, max_size=u.rank))
+    return u, v, LinMap(u, v, tuple(tuple(r) for r in matrix))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spaces())
+def test_drawn_spaces_match_the_dense_kernel(case):
+    u, v, f = case
+    check_subspace(u)
+    check_subspace(v)
+    check_pair(u, v)
+    check_pair(v, u)
+    check_map(f)

@@ -292,6 +292,15 @@ def _task_entry(doc, tid):
         (lambda doc: doc["actions"]["block_swap"].update(maps=5), 2, None, "'maps'"),
         (lambda doc: doc["algebras"]["two_block"]["structure"].__setitem__(0, 5),
          2, None, "two_block"),
+        (lambda doc: doc["actions"]["block_swap"].update(groupoid={"x": 1}),
+         2, None, "'groupoid' must be a string"),
+        (lambda doc: doc["actions"]["block_swap"].update(algebra=["three_block"]),
+         2, None, "'algebra' must be a string"),
+        (lambda doc: doc.update(inv_actions={"bad": {"semigroup": {"x": 1}, "algebra": "two_block"}}),
+         2, None, "'semigroup' must be a string"),
+        (lambda doc: doc.update(semigroups={"S": semigroup_to_json(fx.symmetric_monoid_i1())},
+                                inv_actions={"bad": {"semigroup": "S", "algebra": 5}}),
+         2, None, "'algebra' must be a string"),
     ],
     ids=[
         "task-without-action", "budget-not-integer", "modulus-not-prime", "structure-not-a-list",
@@ -299,7 +308,9 @@ def _task_entry(doc, tid):
         "family-not-an-object", "family-row-not-a-list", "ideal-not-a-list",
         "embeddings-not-an-object", "embedding-not-a-matrix", "action-name-not-a-string",
         "algebras-not-an-object", "action-entry-not-an-object", "ideal-not-a-matrix",
-        "maps-not-an-object", "structure-row-not-a-list",
+        "maps-not-an-object", "structure-row-not-a-list", "groupoid-reference-not-a-string",
+        "algebra-reference-not-a-string", "semigroup-reference-not-a-string",
+        "inverse-action-algebra-reference-not-a-string",
     ],
 )
 def test_malformed_input_ends_in_a_task_error_or_exit_2(
