@@ -295,6 +295,7 @@ def require_unital(a: Action) -> None:
 def is_strong(a: Action) -> bool:
     """Corestriction ideals equal object-arrow intersections everywhere."""
     g0 = a.structure
+    g0.require_valid()
     for g in g0.arrows():
         for e in g0.objects:
             if g0.le(e, g0.ran[g]):
@@ -331,6 +332,7 @@ def satisfies_ps(a: Action) -> bool:
     left, the product-side intersection on the right) and the same values.
     """
     g0 = a.structure
+    g0.require_valid()
     for g in g0.arrows():
         for h in g0.arrows():
             gh = g0.pseudoproduct(g, h)

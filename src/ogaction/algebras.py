@@ -369,23 +369,21 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     """
     if sub.dim != alg.dim or sub.p != alg.p:
         raise AmbientMismatch("subspace lives in a different ambient space")
-    if not is_multiplicatively_closed(alg, sub):
+    # Every product of two basis vectors, formed once: the closure check
+    # and the identity system both read it.
+    prod = [[alg.mul(u, v) for v in sub.basis] for u in sub.basis]
+    if not all(sub.contains(x) for row in prod for x in row):
         raise NotMultiplicativelyClosed("subspace is not closed under the product")
     if sub.rank == 0:
         return SubringIdentity(alg.element(alg.zero()), True, True)
-    rows = []
-    target: list[int] = []
-    for v in sub.basis:
-        stacked_l = [alg.mul(u, v) for u in sub.basis]
-        stacked_r = [alg.mul(v, u) for u in sub.basis]
-        rows.append([x for lv, rv in zip(stacked_l, stacked_r) for x in (*lv, *rv)])
-        target.extend((*v, *v))
-    # rows[i] is the concatenated contribution of basis vector u_i; solve
-    # sum_i c_i rows[i] = target for the identity's coordinates.
-    stacked = [
-        [rows[i][j] for j in range(len(target))] for i in range(sub.rank)
+    # Row k holds u * u_k and u_k * u for each basis vector u in turn; solve
+    # sum_k c_k row_k = (u, u for each u) for the identity's coordinates.
+    rows = [
+        [x for i in range(sub.rank) for x in (*prod[i][k], *prod[k][i])]
+        for k in range(sub.rank)
     ]
-    combo = express(stacked, target, alg.p)
+    target = [x for v in sub.basis for x in (*v, *v)]
+    combo = express(rows, target, alg.p)
     if combo is None:
         return None
     u = sub.from_coordinates(combo)

@@ -4,6 +4,7 @@ globalization constructions."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -188,14 +189,23 @@ class OrderedGroupoid:
                 rep.add("OBJ", f"range of {nm[g]} is not an object")
             if self.inv[self.inv[g]] != g:
                 rep.add("INV", f"inverse of {nm[g]} is not an involution")
-        for g in self.arrows():
-            for h in self.arrows():
-                defined = (g, h) in self.comp
-                if defined != self.composable(g, h):
-                    rep.add(
-                        "CAT",
-                        f"product {nm[g]}*{nm[h]} defined iff domains match fails",
-                    )
+        # "Defined iff composable" holds when comp has as many keys as there
+        # are composable pairs and each key is one; only otherwise are all
+        # pairs scanned.
+        arrows, dom, ran = self.arrows(), self.dom, self.ran
+        ran_count = Counter(ran)
+        composable = sum(c * ran_count[v] for v, c in Counter(dom).items())
+        if len(self.comp) != composable or not all(
+            g in arrows and h in arrows and dom[g] == ran[h] for g, h in self.comp
+        ):
+            for g in arrows:
+                for h in arrows:
+                    defined = (g, h) in self.comp
+                    if defined != self.composable(g, h):
+                        rep.add(
+                            "CAT",
+                            f"product {nm[g]}*{nm[h]} defined iff domains match fails",
+                        )
         for (g, h), gh in self.comp.items():
             if self.composable(g, h):
                 if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:

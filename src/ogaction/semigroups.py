@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Union
 
 from .algebras import Algebra
 from .errors import InvalidSemigroup, NotInductive
-from .groupoids import OrderedGroupoid
+from .groupoids import OrderedGroupoid, _group
 from .linalg import LinMap, compose_partial, partial_inverse
 from .validation import ValidationReport
 
@@ -25,6 +25,15 @@ class InverseSemigroup:
     The table is not changed after construction.  The idempotents are
     listed once; once `validate()` passes, the inverses and the down-set
     of each element under the natural order are kept as tables.
+
+    ASSOC is decided by Light's test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, section 1.2): in any finite magma the middle
+    factors b with (ab)c = a(bc) for all a, c form a sub-magma, so the
+    table is associative as soon as every member of a generating set is
+    such a middle factor.  `validate` takes a generating set greedily by
+    incremental closure and compares whole rows for those members only.
+    If a row differs (or an entry is out of range) it runs the scan over
+    all pairs, so the ASSOC issues and their order are the scan's.
     """
 
     def __init__(self, names: Sequence[str], mult: Sequence[Sequence[int]]):
@@ -74,13 +83,14 @@ class InverseSemigroup:
         # mult[b].  Only a pair whose rows differ is scanned per c.  (With
         # one argument, itemgetter returns a scalar, so n <= 1 always scans.)
         pick = [itemgetter(*row) for row in mult] if self.n > 1 else None
-        for a in self.elements():
-            for b in self.elements():
-                if pick is not None and mult[mult[a][b]] == pick[b](mult[a]):
-                    continue
-                for c in self.elements():
-                    if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                        rep.add("ASSOC", f"({nm[a]}{nm[b]}){nm[c]} != {nm[a]}({nm[b]}{nm[c]})")
+        if pick is None or not _light_certificate(mult, pick):
+            for a in self.elements():
+                for b in self.elements():
+                    if pick is not None and mult[mult[a][b]] == pick[b](mult[a]):
+                        continue
+                    for c in self.elements():
+                        if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                            rep.add("ASSOC", f"({nm[a]}{nm[b]}){nm[c]} != {nm[a]}({nm[b]}{nm[c]})")
         inverse = []
         for s in self.elements():
             partners = [
@@ -141,6 +151,49 @@ class InverseSemigroup:
         return InverseSemigroup(names, mult)
 
 
+def _magma_generators(mult: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set of the table's magma, taken greedily.
+
+    Elements are visited by the number of distinct entries in their row,
+    largest first (in I_n the permutations, then the maps of rank n-1, and
+    so on), and one joins when it lies outside the closure of those before
+    it.  Each new member of the closure is multiplied on both sides with
+    every member so far, so every product of members is formed once:
+    O(n^2) lookups in all.  Entries must lie in range.
+    """
+    inside = [False] * len(mult)
+    members: list[int] = []
+    gens = []
+    for x in sorted(range(len(mult)), key=lambda x: -len(set(mult[x]))):
+        if inside[x]:
+            continue
+        gens.append(x)
+        inside[x] = True
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            members.append(y)
+            row = mult[y]
+            for z in members:
+                for w in (row[z], mult[z][y]):
+                    if not inside[w]:
+                        inside[w] = True
+                        queue.append(w)
+    return gens
+
+
+def _light_certificate(mult: Sequence[Sequence[int]], pick: Sequence[itemgetter]) -> bool:
+    """True when every greedy generator b is a middle factor of
+    associativity: row (ab)c equals row a(bc) for every a.  By Light's
+    lemma the table is then associative.  False proves nothing."""
+    n = len(mult)
+    if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
+        return False
+    return all(
+        mult[mult[a][b]] == pick[b](mult[a]) for b in _magma_generators(mult) for a in range(n)
+    )
+
+
 def validate_inverse_semigroup(s: InverseSemigroup) -> ValidationReport:
     return s.validate()
 
@@ -157,9 +210,14 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     inv = [s.inverse(a) for a in elems]
     dom = [mult[inv[a]][a] for a in elems]
     ran = [mult[a][inv[a]] for a in elems]
-    comp = {(a, b): mult[a][b] for a in elems for b in elems if dom[a] == ran[b]}
-    below = s._down_sets()
-    leq = [[a in below[b] for b in elems] for a in elems]
+    # The pairs with dom a = ran b, from the elements grouped by range, in
+    # the order a scan over all pairs (a, b) would insert them.
+    by_ran = _group(elems, ran)
+    comp = {(a, b): mult[a][b] for a in elems for b in by_ran.get(dom[a], ())}
+    leq = [[False] * s.n for _ in elems]
+    for b, below in enumerate(s._down_sets()):
+        for a in below:
+            leq[a][b] = True
     g = OrderedGroupoid(s.names, set(s.idempotents()), inv, comp, dom, ran, leq)
     g.require_valid()
     if not g.is_inductive():
@@ -172,12 +230,23 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     g.require_valid()
     if not g.is_inductive():
         raise NotInductive("pseudoproduct is not total without object meets")
-    mult = [[0] * g.n for _ in range(g.n)]
+    # The pseudoproduct a*b is (a | m) * (m | b) with m = dom a ^ ran b.  In
+    # a valid groupoid the restriction and corestriction at an object m are
+    # the single arrows below a with domain m and below b with range m, so
+    # each entry is one lookup in comp.
+    objs = sorted(g.objects)
+    meet = {e: {f: g.meet_objects(e, f) for f in objs} for e in objs}
+    res = [{m: found[0] for m, found in by_dom.items()} for by_dom in g._below_by_dom]
+    cores = [{m: found[0] for m, found in by_ran.items()} for by_ran in g._below_by_ran]
+    comp, ran = g.comp, g.ran
+    mult = []
     for a in g.arrows():
+        left, meet_a = res[a], meet[g.dom[a]]
+        row = []
         for b in g.arrows():
-            prod = g.pseudoproduct(a, b)
-            assert prod is not None
-            mult[a][b] = prod
+            m = meet_a[ran[b]]
+            row.append(comp[(left[m], cores[b][m])])
+        mult.append(row)
     s = InverseSemigroup(g.names, mult)
     s.require_valid()
     return s

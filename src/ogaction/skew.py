@@ -76,17 +76,21 @@ def build_skew(a: Action) -> SkewRing:
             if gh is None:
                 continue
             y = carrier.mul(twisted, vh)
-            if not a.map_of[g].domain.contains(y):
+            # One elimination per step: a vector outside the subspace makes
+            # the coordinate read raise ValueError.
+            try:
+                z = a.map_of[g].apply(y)
+            except ValueError:
                 raise InvalidAction(
                     f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain"
-                )
-            z = a.map_of[g].apply(y)
-            if not a.ideal_of[gh].contains(z):
+                ) from None
+            try:
+                coords = a.ideal_of[gh].coordinates_of(z)
+            except ValueError:
                 raise InvalidAction(
                     f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
                     f"{ix.names[gh]}"
-                )
-            coords = a.ideal_of[gh].coordinates_of(z)
+                ) from None
             kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
             if kc:
                 row[col] = kc

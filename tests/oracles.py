@@ -6,9 +6,10 @@ callback, sharing no code with the package under test.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
-reading.  The last section keeps the groupoid, order, semigroup and
-pseudoproduct checks as plain scans over all arrows or elements, as the library wrote
-them before it read them from index tables.  The kernel section keeps the
+reading.  The next section keeps the groupoid, order, semigroup and
+pseudoproduct checks, and the two ESN conversions, as plain scans over all
+arrows or elements, as the library wrote them before it read them from
+index tables.  The kernel section keeps the
 dense F_p routines as the library wrote them before it eliminated along
 vector supports.
 """
@@ -23,9 +24,10 @@ from ogaction.errors import (
     NotBelowDomain,
     NotBelowRange,
     NotContained,
+    NotInductive,
 )
-from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES
-from ogaction.semigroups import SEMIGROUP_CLAUSES
+from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES, OrderedGroupoid
+from ogaction.semigroups import SEMIGROUP_CLAUSES, InverseSemigroup
 from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES
 from ogaction.linalg import LinMap, Subspace
 from ogaction.validation import ValidationReport
@@ -411,6 +413,39 @@ def natural_le(self, s, t):
     """s below t iff s = t*e for some idempotent e."""
     self.require_valid()
     return any(self.mult[t][e] == s for e in idempotents(self))
+
+
+def esn_to_groupoid(s):
+    """Composable pairs from a scan over all pairs, the order from
+    `natural_le`, then the library's groupoid checks."""
+    s.require_valid()
+    mult, elems = s.mult, s.elements()
+    inv = [s.inverse(a) for a in elems]
+    dom = [mult[inv[a]][a] for a in elems]
+    ran = [mult[a][inv[a]] for a in elems]
+    comp = {(a, b): mult[a][b] for a in elems for b in elems if dom[a] == ran[b]}
+    leq = [[natural_le(s, a, b) for b in elems] for a in elems]
+    g = OrderedGroupoid(s.names, set(s.idempotents()), inv, comp, dom, ran, leq)
+    g.require_valid()
+    if not g.is_inductive():
+        raise NotInductive("derived groupoid is not inductive")
+    return g
+
+
+def esn_to_semigroup(g):
+    """One `pseudoproduct` call per entry of the table."""
+    g.require_valid()
+    if not g.is_inductive():
+        raise NotInductive("pseudoproduct is not total without object meets")
+    mult = [[0] * g.n for _ in range(g.n)]
+    for a in g.arrows():
+        for b in g.arrows():
+            prod = g.pseudoproduct(a, b)
+            assert prod is not None
+            mult[a][b] = prod
+    s = InverseSemigroup(g.names, mult)
+    s.require_valid()
+    return s
 
 
 # -- retained dense kernel -----------------------------------------------

@@ -3,11 +3,13 @@
 `OrderedGroupoid` reads its groupoid and order checks, restrictions,
 meets and pseudoproducts from composite and up-/down-set tables, and `InverseSemigroup` compares
 whole rows for associativity and keeps its natural order as down-sets.
-`tests/oracles.py` keeps the scans over all arrows and elements as they
-were.  Both sides must give the same clauses, the same issues in the same
-order, the same values and the same exceptions, on valid structures and on
-copies with one order entry flipped, one product swapped or removed, or
-one inverse broken.
+`InverseSemigroup` decides ASSOC by Light's test on a greedy generating
+set, and the ESN conversions read the same tables.  `tests/oracles.py`
+keeps the scans over all arrows and elements as they were.  Both sides
+must give the same clauses, the same issues in the same order, the same
+values and the same exceptions, on valid structures and on copies with
+one order entry flipped, one product swapped, removed or moved to a pair
+that does not compose, or one inverse broken.
 """
 
 import inspect
@@ -120,6 +122,13 @@ def _groupoid_perturbations(label, g, rng):
         inv = list(g.inv)
         inv[a] = (inv[a] + 1) % g.n
         out.append((f"{label}: inverse of {a} broken", _groupoid_copy(g, inv=inv)))
+    # As many products as composable pairs, one of them on a pair that
+    # does not compose: "defined iff composable" fails with the count intact.
+    loose = [(a, b) for a in range(g.n) for b in range(g.n) if g.dom[a] != g.ran[b]]
+    if loose:
+        comp = dict(g.comp)
+        comp[loose[0]] = comp.pop(keys[-1])
+        out.append((f"{label}: product {keys[-1]} moved to {loose[0]}", _groupoid_copy(g, comp=comp)))
     return out
 
 
@@ -210,6 +219,73 @@ def test_indexed_semigroup_matches_the_retained_scans(label, s):
         assert [list(row) for row in g.leq] == [
             [oracles.natural_le(s, a, b) for b in range(s.n)] for a in range(s.n)
         ]
+
+
+def _bad_middles(mult):
+    """The b with (ab)c != a(bc) for some a, c."""
+    n = len(mult)
+    return {
+        b
+        for a in range(n)
+        for b in range(n)
+        if list(mult[mult[a][b]]) != [mult[a][mult[b][c]] for c in range(n)]
+    }
+
+
+def _one_bad_middle_cases():
+    """Each valid semigroup S with one element x adjoined: x multiplies
+    like some y of S except that x*x is moved off y*y.  Every product lies
+    in S, which is a proper sub-closure, and a triple can only break with
+    x in the middle, so the ASSOC certificate must check x itself."""
+    cases = []
+    for label, s in _base_structures():
+        if not (isinstance(s, InverseSemigroup) and s.is_valid()):
+            continue
+        n = s.n
+        for y in range(n):
+            mult = [list(row) + [row[y]] for row in s.mult]
+            mult.append(list(s.mult[y]) + [(s.mult[y][y] + 1) % n])
+            names = s.names + (f"copy_of_{s.names[y]}",)
+            cases.append((f"{label} + copy of {y}", InverseSemigroup(names, mult)))
+    return cases
+
+
+ONE_BAD_MIDDLE = _one_bad_middle_cases()
+
+
+def test_assoc_certificate_matches_the_scan_when_one_middle_factor_breaks():
+    broken = 0
+    for label, s in ONE_BAD_MIDDLE:
+        bad = _bad_middles(s.mult)
+        assert bad <= {s.n - 1}, label
+        broken += bool(bad)
+        fresh = InverseSemigroup(s.names, s.mult)
+        assert outcome(fresh.validate) == outcome(oracles.validate_semigroup, s), label
+    assert broken >= 20
+
+
+def test_tabulated_esn_to_semigroup_matches_the_pseudoproduct_loop():
+    converted = 0
+    for label, g in GROUPOIDS:
+        got = outcome(esn_to_semigroup, _groupoid_copy(g))
+        want = outcome(oracles.esn_to_semigroup, _groupoid_copy(g))
+        assert got == want, label
+        converted += got[0] == "value"
+    assert converted >= 10
+
+
+def test_esn_to_groupoid_matches_the_pair_scan():
+    converted = 0
+    for label, s in SEMIGROUPS + ONE_BAD_MIDDLE:
+        got = outcome(esn_to_groupoid, InverseSemigroup(s.names, s.mult))
+        want = outcome(oracles.esn_to_groupoid, InverseSemigroup(s.names, s.mult))
+        assert got == want, label
+        if got[0] == "value":
+            # equality ignores the insertion order of comp, which issue
+            # lists and the kept tables follow
+            assert list(got[1].comp.items()) == list(want[1].comp.items()), label
+            converted += 1
+    assert converted >= 10
 
 
 def test_every_checked_clause_fails_on_some_case():

@@ -2,13 +2,14 @@ import pytest
 
 from ogaction import fixtures as fx
 from ogaction.actions import (
+    Action,
     is_unital,
     relabel_action,
     standard_restriction,
     validate_po_action,
 )
 from ogaction.algebras import diagonal_algebra
-from ogaction.errors import NotAssociative, NotPreunital, NotUnital
+from ogaction.errors import InvalidAction, NotAssociative, NotPreunital, NotUnital
 from ogaction.globalize import (
     as_globalization,
     build_globalization,
@@ -16,7 +17,7 @@ from ogaction.globalize import (
     globalize_inverse_semigroup_action,
 )
 from ogaction.groupoids import OrderedGroupoid
-from ogaction.linalg import LinMap
+from ogaction.linalg import LinMap, Subspace
 from ogaction.skew import (
     build_inv_sgp_skew,
     build_ordered_skew,
@@ -27,12 +28,36 @@ from ogaction.skew import (
     skew_unit,
 )
 
+from ogaction.validation import ValidationReport
+
 from oracles import naive_ideal_closure, naive_rank
 from test_globalization import inclusion_globalization
 
 
 def idx(names):
     return {nm: i for i, nm in enumerate(names)}
+
+
+def _passed_as_valid(a, ideal_of=None, map_of=None):
+    """A copy of a with some ideals or maps replaced and a passing report
+    put in place, so that build_skew meets data validation would refuse."""
+    b = Action(a.structure, a.carrier, ideal_of or a.ideal_of, map_of or a.map_of, name="forged")
+    object.__setattr__(b, "_report", ValidationReport("forged", ()))
+    return b
+
+
+def test_build_skew_names_the_step_a_twisted_product_fails():
+    a = fx.pointed_arrow_partial_action()
+    i = idx(a.structure.names)
+    zero = Subspace.zero(a.carrier.dim, a.carrier.p)
+    maps = list(a.map_of)
+    maps[i["s"]] = LinMap(zero, maps[i["s"]].codomain, ())
+    with pytest.raises(InvalidAction, match=r"^twisted product at \(s,s_inv\) leaves its domain$"):
+        build_skew(_passed_as_valid(a, map_of=maps))
+    ideals = list(a.ideal_of)
+    ideals[i["r_s"]] = zero
+    with pytest.raises(InvalidAction, match=r"^twisted product at \(s,s_inv\) escapes grade r_s$"):
+        build_skew(_passed_as_valid(a, ideal_of=ideals))
 
 
 def test_skew_dimension_is_the_sum_of_ideal_dimensions():

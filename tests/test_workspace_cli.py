@@ -336,6 +336,26 @@ def test_malformed_input_ends_in_a_task_error_or_exit_2(
     assert needle in report["error"] and bad_task in report["error"]
 
 
+def test_strong_check_on_a_groupoid_missing_a_composite_reports_the_groupoid_error(
+    tmp_path, capsys
+):
+    """The composition law reads pseudoproducts, so the groupoid is
+    validated first: a missing composite ends in an InvalidGroupoid report
+    (exit 1), not a KeyError traceback."""
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == "pointed_arrow.json"]
+    doc = json.loads(path.read_text())
+    doc["groupoids"]["pointed_arrow"]["comp"].remove(["d_s", "s_inv", "s_inv"])
+    doc["tasks"] = [_task_entry(doc, "strong-check")]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "strong-check.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"].startswith("InvalidGroupoid: groupoid: ")
+    assert "[CAT] product d_s*s_inv defined iff domains match fails" in report["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_corpus_reports_match_the_benchmark_reference_digests(tmp_path, capsys):
     """Byte-identical reports on the fixture corpus, checked against the
     digests the benchmark compares every pass with."""
