@@ -358,40 +358,59 @@ def _pull_coords(ambient_sub: Subspace, s: Subspace) -> Subspace:
     return Subspace.span(ambient_sub.rank, rows, ambient_sub.p)
 
 
+def _cut_out(
+    g0: OrderedGroupoid,
+    ambient: Algebra,
+    carrier_sub: Subspace,
+    pieces: Sequence[Subspace],
+    ambient_maps: Sequence[LinMap],
+    name: str,
+    carrier_name: str,
+) -> Action:
+    """The action on the subring carrier_sub of `ambient` whose ideal at
+    each arrow is pieces[g] and whose map is ambient_maps[g] read on the
+    pieces, all rewritten in carrier_sub's coordinates.  `inclusion`
+    embeds the new carrier into `ambient`.  A map that carries a piece out
+    of carrier_sub contradicts the construction, so it raises."""
+    small, incl = subalgebra_on(ambient, carrier_sub, name=carrier_name)
+    ideals = tuple(_pull_coords(carrier_sub, s) for s in pieces)
+    maps = []
+    for g in g0.arrows():
+        dom = ideals[g0.inv[g]]
+        images = []
+        for v in dom.basis:
+            out = ambient_maps[g].apply(carrier_sub.from_coordinates(v))
+            try:
+                images.append(carrier_sub.coordinates_of(out))
+            except ValueError:
+                raise InvalidAction(
+                    f"translated carrier escapes the generated subring at {g0.names[g]} (finding)"
+                )
+        maps.append(LinMap.from_images(dom, ideals[g], images))
+    return Action(g0, small, ideals, tuple(maps), name=name, inclusion=incl)
+
+
 def _restrict_global(
     beta: Action,
     carrier_sub: Subspace,
     object_family: dict[int, Subspace],
     name: str,
 ) -> Action:
+    """Cut the valid global action beta down along the object family: the
+    piece at g is the family's ideal at ran g met with beta_g of the one at
+    dom g (at an object, where beta is the identity, the family's ideal)."""
     g0 = beta.structure
-    small, incl = subalgebra_on(beta.carrier, carrier_sub, name=name)
-    ideals_b: list[Subspace] = [None] * g0.n  # type: ignore[list-item]
-    for e in g0.objects:
-        ideals_b[e] = object_family[e]
+    pieces = []
     for g in g0.arrows():
-        if g in g0.objects:
-            continue
-        moved = beta.map_of[g].image_of(
-            object_family[g0.dom[g]].intersect(beta.map_of[g].domain)
-        )
-        ideals_b[g] = object_family[g0.ran[g]].intersect(moved)
-    ideals = tuple(_pull_coords(carrier_sub, s) for s in ideals_b)
-    maps = []
-    for g in g0.arrows():
-        dom = ideals[g0.inv[g]]
-        images = []
-        for v in dom.basis:
-            big = carrier_sub.from_coordinates(v)
-            out = beta.map_of[g].apply(big)
-            images.append(carrier_sub.coordinates_of(out))
-        maps.append(LinMap.from_images(dom, ideals[g], images))
-    return Action(g0, small, tuple(ideals), tuple(maps), name=name, inclusion=incl)
+        m = beta.map_of[g]
+        moved = m.image_of(object_family[g0.dom[g]].intersect(m.domain))
+        pieces.append(object_family[g0.ran[g]].intersect(moved))
+    return _cut_out(g0, beta.carrier, carrier_sub, pieces, beta.map_of, name, name)
 
 
 def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
     """Restrict a global ordered action to a two-sided ideal of its carrier."""
-    beta.structure.require_valid()
+    beta.require_valid("cannot restrict an invalid action")
     if not is_global(beta):
         raise NotGlobal("standard restriction needs a global ordered action")
     try:
@@ -411,7 +430,7 @@ def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
 
 def general_restriction(beta: Action, family: dict[int, Subspace]) -> Action:
     """Restrict a global ordered action along a monotone family of ideals."""
-    beta.structure.require_valid()
+    beta.require_valid("cannot restrict an invalid action")
     g0 = beta.structure
     if not is_global(beta):
         raise NotGlobal("restriction needs a global ordered action")
@@ -460,10 +479,31 @@ def identity_witness(a: Action) -> EquivalenceWitness:
     return EquivalenceWitness({e: LinMap.identity(a.ideal_of[e]) for e in a.structure.objects})
 
 
-def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
-    """Object-wise isos matching ideals and intertwining the partial maps."""
+def _require_valid_pair(a: Action, c: Action) -> None:
     if a.structure != c.structure:
         raise GroupoidMismatch("equivalence is defined over a single groupoid")
+    a.require_valid("equivalence needs valid actions")
+    c.require_valid("equivalence needs valid actions")
+
+
+def _intertwining_failures(a: Action, c: Action, phi: dict[int, LinMap]):
+    """Per arrow g and basis vector v of a's map domain at g where phi fails
+    to intertwine alpha_g with gamma_g: (g, True) when phi_dom(v) leaves
+    gamma_g's domain, (g, False) when the two sides differ."""
+    ix = a.index
+    for g, r, d in ix.triples:
+        for v in a.ideal_of[ix.inv[g]].basis:
+            lhs = phi[r].apply(a.map_of[g].apply(v))
+            moved = phi[d].apply(v)
+            if not c.map_of[g].domain.contains(moved):
+                yield g, True
+            elif lhs != c.map_of[g].apply(moved):
+                yield g, False
+
+
+def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
+    """Object-wise isos matching ideals and intertwining the partial maps."""
+    _require_valid_pair(a, c)
     g0 = a.structure
     for e in g0.objects:
         m = w.maps.get(e)
@@ -476,17 +516,7 @@ def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
     for g in g0.arrows():
         if w.maps[g0.ran[g]].image_of(a.ideal_of[g]) != c.ideal_of[g]:
             return False
-    for g in g0.arrows():
-        phi_r = w.maps[g0.ran[g]]
-        phi_d = w.maps[g0.dom[g]]
-        for v in a.ideal_of[g0.inv[g]].basis:
-            lhs = phi_r.apply(a.map_of[g].apply(v))
-            moved = phi_d.apply(v)
-            if not c.map_of[g].domain.contains(moved):
-                return False
-            if lhs != c.map_of[g].apply(moved):
-                return False
-    return True
+    return next(_intertwining_failures(a, c, w.maps), None) is None
 
 
 @dataclass
@@ -602,8 +632,7 @@ def search_equivalence(a: Action, c: Action, budget: int = 200_000) -> Equivalen
     either candidate generation or combination raises BudgetExceeded, which
     is an inconclusive outcome distinct from an exhausted search.
     """
-    if a.structure != c.structure:
-        raise GroupoidMismatch("equivalence is defined over a single groupoid")
+    _require_valid_pair(a, c)
     for g in a.index.grades:
         da, dc = a.ideal_of[g].rank, c.ideal_of[g].rank
         if da != dc:

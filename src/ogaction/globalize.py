@@ -1,11 +1,12 @@
 """Globalization of partial ordered actions.
 
 Both constructions embed the carrier into a product ring indexed by the
-arrows, push the ideals around with arrow translations, and cut out the
-subring generated by the translated images.  The full construction
-translates along restriction-then-compose over the down-range arrow sets;
-the minimal one translates along pseudoproducts over the pseudo-composable
-sets and only sums over arrows with equal range.
+arrows, push the ideals around with arrow translations along
+pseudoproducts, and cut out the subring generated by the translated images
+the way a restriction cuts out an ideal.  The full construction translates
+over the down-range arrow sets (where the pseudoproduct is
+restriction-then-compose); the minimal one over the pseudo-composable sets,
+and it only sums over arrows with equal range.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Optional, Sequence
 
 from .actions import (
     Action,
-    _pull_coords,
+    _cut_out,
+    _intertwining_failures,
     groupoid_action_to_semigroup_action,
     is_global,
     is_preunital,
@@ -30,7 +32,6 @@ from .algebras import (
     is_ideal,
     is_ring_hom,
     product_ring,
-    subalgebra_on,
     subring_closure,
 )
 from .errors import (
@@ -69,9 +70,11 @@ class Globalization:
     """A global action together with the embeddings that witness it.
 
     `ambient` and `gamma` carry the product-ring scaffolding when the
-    globalization was built here; externally supplied globalizations leave
+    globalization was built here (the global action's `inclusion` embeds
+    its carrier into `ambient`); externally supplied globalizations leave
     them unset and are still checkable by verify_globalization.  `checklist`
-    is the report of that check on a globalization built here.
+    is the report of that check on a globalization built here; the
+    semigroup pipeline's carries the SGLOB clauses.
     """
 
     base: Action
@@ -79,7 +82,6 @@ class Globalization:
     embeddings: dict[int, LinMap]
     minimal: bool = False
     ambient: Optional[Algebra] = None
-    ambient_inclusion: Optional[LinMap] = None
     gamma: Optional[dict[int, LinMap]] = None
     checklist: Optional[ValidationReport] = field(default=None, compare=False)
 
@@ -160,8 +162,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         if not g0.is_pseudoassociative():
             raise NotPseudoassociative("minimal globalization needs a pseudoassociative groupoid")
     n = a.carrier.dim
-    count = g0.n
-    ambient = product_ring(a.carrier, count)
+    ambient = product_ring(a.carrier, g0.n)
     total = ambient.dim
     p = a.carrier.p
 
@@ -170,20 +171,13 @@ def _build(a: Action, minimal: bool) -> Globalization:
     else:
         support_of = {g: g0.down_range_set(g) for g in g0.arrows()}
 
+    # On a down-range set the object meet is ran h and the corestriction
+    # there is h, so the pseudoproduct is restriction-then-compose.
     gamma: dict[int, LinMap] = {}
     for g in g0.arrows():
         gi = g0.inv[g]
-        out_blocks = support_of[g]
-        in_blocks = support_of[gi]
-        source_of = {}
-        for h in out_blocks:
-            if minimal:
-                src = g0.pseudoproduct(gi, h)
-                assert src is not None
-            else:
-                src = g0.comp[(g0.restriction(gi, g0.ran[h]), h)]
-            source_of[h] = src
-        gamma[g] = _translation_map(total, p, n, in_blocks, out_blocks, source_of)
+        source_of = {h: g0.pseudoproduct(gi, h) for h in support_of[g]}
+        gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
 
     emb_support = {
         e: (support_of[e] if minimal else tuple(h for h in g0.arrows() if g0.ran[h] == e))
@@ -198,7 +192,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         cod = Subspace.span(total, images, p)
         phi_raw[e] = LinMap.from_images(dom, cod, images)
 
-    piece: dict[int, Subspace] = {}
+    piece: list[Subspace] = []
     for g in g0.arrows():
         if minimal:
             gens_arrows = [h for h in g0.arrows() if g0.ran[h] == g0.ran[g]]
@@ -208,40 +202,26 @@ def _build(a: Action, minimal: bool) -> Globalization:
         for h in gens_arrows:
             img = phi_raw[g0.dom[h]].image()
             parts.append(gamma[h].image_of(img))
-        piece[g] = subring_closure(ambient, parts)
+        piece.append(subring_closure(ambient, parts))
 
     carrier_sub = Subspace.zero(total, p)
     for e in g0.objects:
         carrier_sub = carrier_sub.add(piece[e])
-    big_algebra, inclusion = subalgebra_on(
-        ambient, carrier_sub, name=f"{a.name or 'action'}::globalized-carrier"
-    )
-    ideals = tuple(_pull_coords(carrier_sub, piece[g]) for g in g0.arrows())
-    maps = []
-    for g in g0.arrows():
-        dom = ideals[g0.inv[g]]
-        images = []
-        for v in dom.basis:
-            big = carrier_sub.from_coordinates(v)
-            out = gamma[g].apply(big)
-            if not carrier_sub.contains(out):
-                raise InvalidAction(
-                    f"translated carrier escapes the generated subring at {g0.names[g]} (finding)"
-                )
-            images.append(carrier_sub.coordinates_of(out))
-        maps.append(LinMap.from_images(dom, ideals[g], images))
-    beta = Action(
+    name = a.name or "action"
+    beta = _cut_out(
         g0,
-        big_algebra,
-        ideals,
-        tuple(maps),
-        name=f"{a.name or 'action'}::globalized" + ("-minimal" if minimal else ""),
+        ambient,
+        carrier_sub,
+        piece,
+        [gamma[g] for g in g0.arrows()],
+        f"{name}::globalized" + ("-minimal" if minimal else ""),
+        f"{name}::globalized-carrier",
     )
     embeddings = {}
     for e in sorted(g0.objects):
         dom = a.ideal_of[e]
         images = [carrier_sub.coordinates_of(v) for v in (phi_raw[e].apply(w) for w in dom.basis)]
-        embeddings[e] = LinMap.from_images(dom, ideals[e], images)
+        embeddings[e] = LinMap.from_images(dom, beta.ideal_of[e], images)
 
     built = Globalization(
         base=a,
@@ -249,7 +229,6 @@ def _build(a: Action, minimal: bool) -> Globalization:
         embeddings=embeddings,
         minimal=minimal,
         ambient=ambient,
-        ambient_inclusion=inclusion,
         gamma=gamma,
     )
     built.checklist = verify_globalization(built)
@@ -322,16 +301,9 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
         r = g0.ran[g]
         if phi[r].image_of(a.ideal_of[g]) != images[r].intersect(moved[g]):
             rep.add("GLOB(ii)", f"embedded ideal at {nm[g]} is not the stated intersection")
-    for g in g0.arrows():
-        r, d = g0.ran[g], g0.dom[g]
-        for v in a.ideal_of[g0.inv[g]].basis:
-            lhs = phi[r].apply(a.map_of[g].apply(v))
-            moved_v = phi[d].apply(v)
-            if not b.map_of[g].domain.contains(moved_v):
-                rep.add("GLOB(iii)", f"embedded vector escapes the map domain at {nm[g]}")
-                continue
-            if lhs != b.map_of[g].apply(moved_v):
-                rep.add("GLOB(iii)", f"intertwining fails at {nm[g]}")
+    for g, escaped in _intertwining_failures(a, b, phi):
+        what = "embedded vector escapes the map domain" if escaped else "intertwining fails"
+        rep.add("GLOB(iii)", f"{what} at {nm[g]}")
     # Both sums depend on the range object only: (iv) over arrows whose
     # range lies below it, (iv') over arrows with exactly that range.
     for e in sorted(g0.objects):
@@ -356,17 +328,6 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
     return rep
 
 
-@dataclass
-class InvSgpGlobalization:
-    """Result of the inverse-semigroup pipeline: a global semigroup action,
-    its embeddings, the checklist report, and the inner groupoid build."""
-
-    action: Action
-    embeddings: dict[int, LinMap]
-    report: ValidationReport
-    inner: Globalization
-
-
 def semigroup_checklist(glob: ValidationReport) -> ValidationReport:
     """The SGLOB clauses, read off a minimal globalization's checklist over
     the derived groupoid."""
@@ -377,15 +338,19 @@ def semigroup_checklist(glob: ValidationReport) -> ValidationReport:
     return rep
 
 
-def globalize_inverse_semigroup_action(a: Action) -> InvSgpGlobalization:
+def globalize_inverse_semigroup_action(a: Action) -> Globalization:
     """Transfer to the derived groupoid, build the minimal globalization,
     and transport the result back, reporting the semigroup checklist."""
     if not is_preunital(a):
         raise NotPreunital("pipeline needs unital idempotent ideals")
     require_unital(a)
-    omega = semigroup_action_to_groupoid_action(a)
-    inner = build_minimal_globalization(omega)
-    beta = groupoid_action_to_semigroup_action(inner.global_action, a.structure)
-    return InvSgpGlobalization(
-        beta, dict(inner.embeddings), semigroup_checklist(inner.checklist), inner
+    inner = build_minimal_globalization(semigroup_action_to_groupoid_action(a))
+    return Globalization(
+        a,
+        groupoid_action_to_semigroup_action(inner.global_action, a.structure),
+        dict(inner.embeddings),
+        minimal=True,
+        ambient=inner.ambient,
+        gamma=inner.gamma,
+        checklist=semigroup_checklist(inner.checklist),
     )

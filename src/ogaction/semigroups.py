@@ -267,36 +267,29 @@ Structure = Union[InverseSemigroup, OrderedGroupoid, PartialBijections]
 class Premorphism:
     """A candidate premorphism between finite structures.
 
-    `kind` selects the defining conditions: "inverse-semigroup" maps are
-    checked on all pairs against the natural order; "inductive-groupoid"
-    maps on composable pairs against the groupoid order.  Targets may be a
-    concrete structure (mapping holds element indices) or PartialBijections
-    (mapping holds one LinMap per source element).
+    The source decides the defining conditions: a semigroup's map is
+    checked on all pairs against the natural order, an inductive
+    groupoid's on composable pairs against the groupoid order.  Targets
+    may be a concrete structure (mapping holds element indices) or
+    PartialBijections (mapping holds one LinMap per source element).
     """
 
     source: Union[InverseSemigroup, OrderedGroupoid]
     target: Structure
     mapping: Sequence[Union[int, LinMap]]
-    kind: str = "inverse-semigroup"
 
 
 def _source_pairs(p: Premorphism):
     src = p.source
-    if p.kind == "inverse-semigroup":
-        if not isinstance(src, InverseSemigroup):
-            raise InvalidSemigroup("inverse-semigroup premorphism needs a semigroup source")
+    if isinstance(src, InverseSemigroup):
         for a in src.elements():
             for b in src.elements():
                 yield a, b, src.mul(a, b)
-    elif p.kind == "inductive-groupoid":
-        if not isinstance(src, OrderedGroupoid):
-            raise InvalidSemigroup("inductive-groupoid premorphism needs a groupoid source")
+    else:
         for a in src.arrows():
             for b in src.arrows():
                 if src.composable(a, b):
                     yield a, b, src.compose(a, b)
-    else:
-        raise ValueError(f"unknown premorphism kind {p.kind!r}")
 
 
 def _src_inverse(p: Premorphism, a: int) -> int:
@@ -370,7 +363,7 @@ def _verify_into_partial_bijections(p: Premorphism, rep: ValidationReport) -> No
         for b in range(len(maps)):
             if _src_le(p, a, b) and not maps[a].as_partial_le(maps[b]):
                 rep.add("PM(iii)", f"{names[a]} below {names[b]} but images are unordered")
-    if p.kind == "inductive-groupoid" and isinstance(p.source, OrderedGroupoid):
+    if isinstance(p.source, OrderedGroupoid):
         g = p.source
         for a in g.arrows():
             # d(psi(a)) is the identity on the image map's domain
@@ -389,10 +382,12 @@ def _verify_into_partial_bijections(p: Premorphism, rep: ValidationReport) -> No
 
 
 def verify_premorphism(p: Premorphism) -> ValidationReport:
+    on_groupoid = isinstance(p.source, OrderedGroupoid)
     checked = PREMORPHISM_CLAUSES
-    if p.kind == "inductive-groupoid" and isinstance(p.target, PartialBijections):
+    if on_groupoid and isinstance(p.target, PartialBijections):
         checked = PREMORPHISM_CLAUSES + PREMORPHISM_DIAGNOSTICS
-    rep = ValidationReport(f"{p.kind} premorphism", checked)
+    kind = "inductive-groupoid" if on_groupoid else "inverse-semigroup"
+    rep = ValidationReport(f"{kind} premorphism", checked)
     if len(p.mapping) != (
         p.source.n if isinstance(p.source, (InverseSemigroup, OrderedGroupoid)) else 0
     ):

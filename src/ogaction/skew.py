@@ -10,7 +10,7 @@ from typing import Sequence
 from .actions import Action, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
 from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
-from .globalize import Globalization, InvSgpGlobalization, verify_globalization
+from .globalize import Globalization, verify_globalization
 from .linalg import LinMap, Subspace, Vector, vec_add, vec_sub
 from .validation import ValidationReport
 
@@ -225,23 +225,25 @@ def morita_context(a: Action, gl: Globalization) -> MoritaReport:
     checklist = verify_globalization(gl)
     if not checklist.ok:
         raise NotAGlobalization(str(checklist))
-    return _morita_core(a, gl.global_action, gl.embeddings, build_ordered_skew(build_skew(a)))
+    return _morita_core(a, gl)
 
 
-def inv_sgp_morita(a: Action, gl: InvSgpGlobalization) -> MoritaReport:
+def inv_sgp_morita(a: Action, gl: Globalization) -> MoritaReport:
     """Same corner identities for an inverse-semigroup action and the
     globalization produced by the pipeline."""
-    if gl.action.structure != a.structure:
+    if gl.global_action.structure != a.structure:
         raise NotAGlobalization("globalization belongs to a different semigroup")
     require_unital(a)
-    return _morita_core(a, gl.action, gl.embeddings, build_inv_sgp_skew(a))
+    a.require_valid("skew ring needs a valid action")
+    return _morita_core(a, gl)
 
 
-def _morita_core(
-    a: Action, b: Action, phi: dict[int, LinMap], r_ring: OrderedSkewRing
-) -> MoritaReport:
-    """Corner identities inside the ordered quotient T of b's skew ring,
-    with 1_R the image of a's anchor units along the embeddings phi."""
+def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
+    """Corner identities inside the ordered quotient T of the global
+    action's skew ring, with R the ordered quotient of a's skew ring and
+    1_R the image of a's anchor units along the embeddings."""
+    r_ring = build_ordered_skew(build_skew(a))
+    b, phi = gl.global_action, gl.embeddings
     t_ring = build_ordered_skew(build_skew(b))
     ix = a.index
     q = t_ring.quotient

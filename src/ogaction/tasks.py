@@ -268,8 +268,8 @@ def _task_esn(ws: Workspace, t: dict) -> tuple[dict, dict]:
 def _task_inv_pipeline(ws: Workspace, t: dict) -> tuple[dict, dict]:
     a = ws.inv_action(_required(t, "inv_action"))
     result = globalize_inverse_semigroup_action(a)
-    clauses = dict(result.report.clauses())
-    b = result.action
+    clauses = dict(result.checklist.clauses())
+    b = result.global_action
     data: dict[str, Any] = {
         "dims": _dims_by_name(b.structure.names, b.ideal_of),
         "carrier_dim": b.carrier.dim,

@@ -6,12 +6,12 @@ callback, sharing no code with the package under test.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
-reading.  The next section keeps the groupoid, order, semigroup and
-pseudoproduct checks, and the two ESN conversions, as plain scans over all
-arrows or elements, as the library wrote them before it read them from
-index tables.  The kernel section keeps the
-dense F_p routines as the library wrote them before it eliminated along
-vector supports.
+reading.  The next section keeps the order closure, the groupoid, order,
+semigroup and pseudoproduct checks, and the two ESN conversions, as plain
+scans over all arrows or elements, as the library wrote them before it
+read them from index tables or closed the order in one Warshall pass.
+The kernel section keeps the dense F_p routines as the library wrote them
+before it eliminated along vector supports.
 """
 
 from itertools import product
@@ -206,6 +206,24 @@ def verify_semigroup_globalization(
 # Free functions of `self` (an OrderedGroupoid or an InverseSemigroup), so
 # that each body reads as it did on the class.  They cache nothing, and a
 # call on `self` goes to these functions, never to the index tables.
+
+
+def order_closure(n, pairs):
+    """Reflexive-transitive closure of the pairs, repeated until unchanged."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if leq[a][b]:
+                    for c in range(n):
+                        if leq[b][c] and not leq[a][c]:
+                            leq[a][c] = True
+                            changed = True
+    return tuple(tuple(row) for row in leq)
 
 
 def validate_groupoid(self):

@@ -225,7 +225,7 @@ def test_criterion_06_esn_roundtrips():
 def test_criterion_07_semigroup_pipeline():
     start = time.time()
     result = globalize_inverse_semigroup_action(fx.brandt_action())
-    clauses = result.report.clauses()
+    clauses = result.checklist.clauses()
     rejected = False
     try:
         globalize_inverse_semigroup_action(fx.nilpotent_edge_action())
@@ -233,7 +233,7 @@ def test_criterion_07_semigroup_pipeline():
         rejected = True
     record(
         7,
-        result.report.ok and rejected,
+        result.checklist.ok and rejected,
         f"checklist {sorted(clauses)} all true; non-unital input rejected",
         1.0,
         time.time() - start,

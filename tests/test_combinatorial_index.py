@@ -16,12 +16,14 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ogaction import fixtures as fx
 from ogaction.actions import Action
 from ogaction.errors import NotInductive
-from ogaction.groupoids import OrderedGroupoid
+from ogaction.groupoids import OrderedGroupoid, _closure
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup
 from ogaction.validation import ValidationReport
 
@@ -318,3 +320,14 @@ def test_the_compared_calls_raise_on_some_perturbed_copies():
     assert ("corestriction", "NotBelowRange") in kinds
     assert ("pseudoproduct", "InvalidGroupoid") in kinds
     assert ("validate_order", "KeyError") in kinds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_warshall_closure_matches_the_fixpoint_loop(data):
+    """The order closure against the loop it replaced, on drawn relations
+    (cycles and repeated pairs included)."""
+    n = data.draw(st.integers(1, 12))
+    arrow = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(arrow, arrow), max_size=3 * n))
+    assert _closure(n, pairs) == oracles.order_closure(n, pairs)

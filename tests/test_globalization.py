@@ -11,6 +11,7 @@ from ogaction.actions import (
     relabel_action,
     satisfies_ps,
     search_equivalence,
+    semigroup_action_to_groupoid_action,
     standard_restriction,
     validate_po_action,
 )
@@ -194,7 +195,7 @@ def test_embeddings_fix_the_home_coordinate():
         )
         for e, m in gl.embeddings.items():
             for v in m.domain.basis:
-                big = gl.ambient_inclusion.apply(m.apply(v))
+                big = gl.global_action.inclusion.apply(m.apply(v))
                 assert big[e * n : (e + 1) * n] == v
 
 
@@ -226,18 +227,18 @@ def test_two_relabeled_builds_are_equivalent():
 def test_semigroup_pipeline_on_brandt_fixture():
     b = fx.brandt_action()
     result = globalize_inverse_semigroup_action(b)
-    assert result.report.ok
-    assert result.inner.minimal
+    assert result.checklist.ok
+    assert result.minimal
     i = {nm: k for k, nm in enumerate(b.structure.names)}
-    dims = [result.action.ideal_of[i[nm]].rank for nm in b.structure.names]
+    dims = [result.global_action.ideal_of[i[nm]].rank for nm in b.structure.names]
     assert dims == [2, 2, 2, 2, 0]
 
 
 def test_semigroup_pipeline_on_semilattice_is_stationary():
     triv = fx.chain_semilattice_action()
     result = globalize_inverse_semigroup_action(triv)
-    assert result.report.ok
-    assert result.action.carrier.dim == triv.carrier.dim
+    assert result.checklist.ok
+    assert result.global_action.carrier.dim == triv.carrier.dim
 
 
 def test_semigroup_pipeline_rejects_preunital_but_not_unital():
@@ -291,6 +292,10 @@ def _perturbed_embeddings(gl, rng):
             yield {**gl.embeddings, e: bad}
 
 
+def _issues(rep, clause):
+    return [i.message for i in rep.issues if i.clause == clause]
+
+
 def test_merged_checklist_clauses_match_the_retained_checks():
     """GLOB(restr) read as GLOB(ii) and GLOB(iii), and SGLOB(i)-(iv) read off
     the derived groupoid's checklist, agree with the separate loops they
@@ -320,14 +325,16 @@ def test_merged_checklist_clauses_match_the_retained_checks():
     failing_sglob = 0
     for a in [fx.brandt_action(), fx.chain_semilattice_action()]:
         result = globalize_inverse_semigroup_action(a)
-        inner = result.inner
-        assert result.report.clauses() == verify_semigroup_globalization(
-            a, result.action, result.embeddings
+        inner = build_minimal_globalization(semigroup_action_to_groupoid_action(a))
+        assert result.checklist.clauses() == verify_semigroup_globalization(
+            a, result.global_action, result.embeddings
         ).clauses()
         for emb in _perturbed_embeddings(inner, rng):
             perturbed = as_globalization(inner.base, inner.global_action, emb, minimal=True)
-            merged = semigroup_checklist(verify_globalization(perturbed)).clauses()
-            oracle = verify_semigroup_globalization(a, result.action, emb).clauses()
-            assert merged == oracle
-            failing_sglob += not all(oracle.values())
+            merged = semigroup_checklist(verify_globalization(perturbed))
+            oracle = verify_semigroup_globalization(a, result.global_action, emb)
+            assert merged.clauses() == oracle.clauses()
+            # GLOB(iii) keeps the retained loop's messages, in its order
+            assert _issues(merged, "SGLOB(iii)") == _issues(oracle, "SGLOB(iii)")
+            failing_sglob += not oracle.ok
     assert failing_restr > 0 and failing_sglob > 0

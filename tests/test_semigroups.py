@@ -136,14 +136,14 @@ def test_one_object_trivial_groupoid_gives_trivial_group():
 
 def test_homomorphism_is_a_premorphism():
     s = fx.brandt_b2()
-    p = Premorphism(s, s, list(range(s.n)), kind="inverse-semigroup")
+    p = Premorphism(s, s, list(range(s.n)))
     assert verify_premorphism(p).ok
 
 
 def test_constant_non_idempotent_map_fails_inverse_condition():
     s = fx.brandt_b2()
     i = idx(s)
-    p = Premorphism(s, s, [i["a"]] * s.n, kind="inverse-semigroup")
+    p = Premorphism(s, s, [i["a"]] * s.n)
     rep = verify_premorphism(p)
     assert not rep.clause_ok("PM(ii)")
 
@@ -156,16 +156,14 @@ def test_action_induces_semigroup_premorphism_into_partial_bijections():
     alpha = fx.pointed_arrow_partial_action()
     s = esn_to_semigroup(alpha.structure)
     maps = _partial_bijection_family(alpha)
-    p = Premorphism(s, PartialBijections(alpha.carrier), maps, kind="inverse-semigroup")
+    p = Premorphism(s, PartialBijections(alpha.carrier), maps)
     assert verify_premorphism(p).ok
 
 
 def test_action_induces_inductive_premorphism_with_diagnostics():
     alpha = fx.pointed_arrow_partial_action()
     maps = _partial_bijection_family(alpha)
-    p = Premorphism(
-        alpha.structure, PartialBijections(alpha.carrier), maps, kind="inductive-groupoid"
-    )
+    p = Premorphism(alpha.structure, PartialBijections(alpha.carrier), maps)
     rep = verify_premorphism(p)
     assert rep.ok
     assert "PM(dom)" in rep.checked and "PM(meet)" in rep.checked
@@ -174,9 +172,7 @@ def test_action_induces_inductive_premorphism_with_diagnostics():
 def test_non_strong_action_fails_the_meet_diagnostic():
     stacked = fx.stacked_involutions_action()
     maps = _partial_bijection_family(stacked)
-    p = Premorphism(
-        stacked.structure, PartialBijections(stacked.carrier), maps, kind="inductive-groupoid"
-    )
+    p = Premorphism(stacked.structure, PartialBijections(stacked.carrier), maps)
     rep = verify_premorphism(p)
     assert not rep.clause_ok("PM(meet)")
 
@@ -189,6 +185,6 @@ def test_scaled_map_fails_order_preservation():
     broken = list(maps)
     dom = broken[i["e_min"]].domain
     broken[i["e_min"]] = LinMap(dom, dom, ((2,),))
-    p = Premorphism(s, PartialBijections(alpha.carrier), broken, kind="inverse-semigroup")
+    p = Premorphism(s, PartialBijections(alpha.carrier), broken)
     rep = verify_premorphism(p)
     assert not rep.ok

@@ -356,6 +356,37 @@ def test_strong_check_on_a_groupoid_missing_a_composite_reports_the_groupoid_err
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt, task, error",
+    [
+        (lambda doc: doc["actions"]["block_swap"]["maps"]["d_s"][1].__setitem__(0, 1),
+         "restrict", "InvalidAction: cannot restrict an invalid action:\nblock_swap: "),
+        (lambda doc: doc["groupoids"]["pointed_arrow"]["comp"].__setitem__(0, ["d_s", "d_s", "s"]),
+         "equivalence-self", "InvalidGroupoid: groupoid: "),
+        (lambda doc: doc["groupoids"]["pointed_arrow"]["comp"].remove(["d_s", "s_inv", "s_inv"]),
+         "equivalence-self", "InvalidGroupoid: groupoid: "),
+    ],
+    ids=["restrict-non-iso-map", "equivalence-moved-composite", "equivalence-missing-composite"],
+)
+def test_restriction_and_equivalence_validate_their_actions_first(
+    tmp_path, capsys, corrupt, task, error
+):
+    """An invalid action ends `restrict` and `equivalence` in a report
+    naming the failed validation (exit 1): not a ValueError or KeyError
+    traceback, and not a pass over a structure that is not a groupoid."""
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == "pointed_arrow.json"]
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    doc["tasks"] = [_task_entry(doc, task)]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / f"{task}.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"].startswith(error)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_corpus_reports_match_the_benchmark_reference_digests(tmp_path, capsys):
     """Byte-identical reports on the fixture corpus, checked against the
     digests the benchmark compares every pass with."""
