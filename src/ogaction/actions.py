@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebras import (
     Algebra,
@@ -127,7 +127,7 @@ class Action:
             if ident is None or not (ident.central and ident.idempotent):
                 self._units[g] = None
             else:
-                self._units[g] = ident.element.coeffs
+                self._units[g] = ident.element
         return self._units[g]
 
     def validate(self) -> ValidationReport:
@@ -191,6 +191,30 @@ def _check_ideals_and_isos(a: Action, rep: ValidationReport, prime: str = "") ->
     return iso_ok
 
 
+def _composite_failures(a: Action, s: int, t: int, st: int, overlap: Subspace):
+    """The composite law alpha_s alpha_t = alpha_st on the overlap: one
+    message per basis vector where alpha_t leaves alpha_s's domain, where
+    alpha_st is undefined, or where the two sides differ."""
+    nm = a.index.names
+    ms, mt, mst = a.map_of[s], a.map_of[t], a.map_of[st]
+    for v in overlap.basis:
+        mid = mt.apply(v)
+        # One elimination per step: a vector outside a map's domain makes
+        # the coordinate read raise ValueError.
+        try:
+            lhs = ms.apply(mid)
+        except ValueError:
+            yield f"composite at ({nm[s]},{nm[t]}) leaves the domain"
+            continue
+        try:
+            rhs = mst.apply(v)
+        except ValueError:
+            yield f"product map at ({nm[s]},{nm[t]}) undefined on the overlap"
+            continue
+        if lhs != rhs:
+            yield f"composite and product map differ at ({nm[s]},{nm[t]})"
+
+
 def validate_po_action(a: Action) -> ValidationReport:
     """Full axiom check: ideal chains, iso property, the three partial-action
     conditions, order compatibility, and the two derived identities."""
@@ -215,17 +239,8 @@ def validate_po_action(a: Action) -> ValidationReport:
                 rep.add("P2", f"pulled-back overlap of ({nm[g]},{nm[h]}) escapes its target")
             if not iso_ok[gh]:
                 continue
-            for v in pulled.basis:
-                mid = a.map_of[h].apply(v)
-                if not a.map_of[g].domain.contains(mid):
-                    rep.add("P3", f"composite at ({nm[g]},{nm[h]}) leaves the domain")
-                    continue
-                lhs = a.map_of[g].apply(mid)
-                if not a.map_of[gh].domain.contains(v):
-                    rep.add("P3", f"product map at ({nm[g]},{nm[h]}) undefined on the overlap")
-                    continue
-                if lhs != a.map_of[gh].apply(v):
-                    rep.add("P3", f"composite and product map differ at ({nm[g]},{nm[h]})")
+            for message in _composite_failures(a, g, h, gh, pulled):
+                rep.add("P3", message)
     for g in g0.arrows():
         for h in g0.arrows():
             if g == h or not g0.le(g, h):
@@ -294,8 +309,8 @@ def require_unital(a: Action) -> None:
 
 def is_strong(a: Action) -> bool:
     """Corestriction ideals equal object-arrow intersections everywhere."""
+    a.require_valid("strength needs a valid action")
     g0 = a.structure
-    g0.require_valid()
     for g in g0.arrows():
         for e in g0.objects:
             if g0.le(e, g0.ran[g]):
@@ -331,8 +346,8 @@ def satisfies_ps(a: Action) -> bool:
     Both sides must have the same domain (the pulled-back overlap on the
     left, the product-side intersection on the right) and the same values.
     """
+    a.require_valid("the composition law needs a valid action")
     g0 = a.structure
-    g0.require_valid()
     for g in g0.arrows():
         for h in g0.arrows():
             gh = g0.pseudoproduct(g, h)
@@ -343,12 +358,8 @@ def satisfies_ps(a: Action) -> bool:
             right_dom = a.ideal_of[g0.inv[gh]].intersect(a.ideal_of[g0.inv[h]])
             if left_dom != right_dom:
                 return False
-            for v in left_dom.basis:
-                mid = a.map_of[h].apply(v)
-                if not a.map_of[g].domain.contains(mid):
-                    return False
-                if a.map_of[g].apply(mid) != a.map_of[gh].apply(v):
-                    return False
+            if next(_composite_failures(a, g, h, gh, left_dom), None) is not None:
+                return False
     return True
 
 
@@ -390,6 +401,16 @@ def _cut_out(
     return Action(g0, small, ideals, tuple(maps), name=name, inclusion=incl)
 
 
+def _translated(
+    maps: Sequence[LinMap],
+    triples: Sequence[tuple[int, int, int]],
+    family: Mapping[int, Subspace],
+) -> list[Subspace]:
+    """Per grade g, with (g, ran g, dom g) in `triples`: maps[g] applied to
+    the family's subspace at dom g met with the map's domain."""
+    return [maps[g].image_of(family[d].intersect(maps[g].domain)) for g, _, d in triples]
+
+
 def _restrict_global(
     beta: Action,
     carrier_sub: Subspace,
@@ -399,13 +420,10 @@ def _restrict_global(
     """Cut the valid global action beta down along the object family: the
     piece at g is the family's ideal at ran g met with beta_g of the one at
     dom g (at an object, where beta is the identity, the family's ideal)."""
-    g0 = beta.structure
-    pieces = []
-    for g in g0.arrows():
-        m = beta.map_of[g]
-        moved = m.image_of(object_family[g0.dom[g]].intersect(m.domain))
-        pieces.append(object_family[g0.ran[g]].intersect(moved))
-    return _cut_out(g0, beta.carrier, carrier_sub, pieces, beta.map_of, name, name)
+    triples = beta.index.triples
+    moved = _translated(beta.map_of, triples, object_family)
+    pieces = [object_family[r].intersect(moved[g]) for g, r, _ in triples]
+    return _cut_out(beta.structure, beta.carrier, carrier_sub, pieces, beta.map_of, name, name)
 
 
 def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
@@ -684,13 +702,8 @@ def validate_inv_sgp_action(a: Action) -> ValidationReport:
             if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
                 continue
             dom = a.ideal_of[inv[t]].intersect(a.ideal_of[inv[st]])
-            for v in dom.basis:
-                mid = a.map_of[t].apply(v)
-                if not a.map_of[s].domain.contains(mid):
-                    rep.add("P3'", f"composite at ({nm[s]},{nm[t]}) leaves the domain")
-                    continue
-                if a.map_of[s].apply(mid) != a.map_of[st].apply(v):
-                    rep.add("P3'", f"composite and product map differ at ({nm[s]},{nm[t]})")
+            for message in _composite_failures(a, s, t, st, dom):
+                rep.add("P3'", message)
     return rep
 
 

@@ -11,7 +11,6 @@ assume it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -29,10 +28,7 @@ from .linalg import (
     Vector,
     as_modulus,
     express,
-    is_zero_vec,
     vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from .validation import Issue, ValidationReport
@@ -184,14 +180,6 @@ class Algebra:
         p = self.p
         return tuple([v % p for v in out])
 
-    def element(self, coeffs: Sequence[int]) -> "Element":
-        return Element(vec(coeffs, self.p), self)
-
-    def one(self) -> "Element":
-        if self.unit is None:
-            raise InvalidAlgebra("algebra has no declared unit")
-        return Element(self.unit, self)
-
     def is_commutative(self) -> bool:
         if self._commutative is None:
             rows = self.products
@@ -208,47 +196,6 @@ class Algebra:
             self.mul(v, self.basis_vector(i)) == self.mul(self.basis_vector(i), v)
             for i in range(self.dim)
         )
-
-
-@dataclass(frozen=True)
-class Element:
-    coeffs: Vector
-    algebra: Algebra
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.algebra.dim:
-            raise AmbientMismatch("coefficient vector length differs from algebra dim")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(vec_add(self.coeffs, other.coeffs, self.algebra.p), self.algebra)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._same(other)
-        p = self.algebra.p
-        return Element(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), self.algebra)
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._same(other)
-            return Element(self.algebra.mul(self.coeffs, other.coeffs), self.algebra)
-        return Element(vec_scale(int(other), self.coeffs, self.algebra.p), self.algebra)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Element":
-        return Element(vec_scale(-1, self.coeffs, self.algebra.p), self.algebra)
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coeffs)
-
-    def _same(self, other: "Element") -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AmbientMismatch("elements of different algebras")
-
-
-def mul(alg: Algebra, x: Sequence[int], y: Sequence[int]) -> Vector:
-    return alg.mul(x, y)
 
 
 def _reduced(coeffs: Optional[dict[int, int]], p: int) -> dict[int, int]:
@@ -356,7 +303,7 @@ def subring_closure(alg: Algebra, parts: Iterable[Subspace]) -> Subspace:
 
 
 class SubringIdentity(NamedTuple):
-    element: Element
+    element: Vector
     central: bool
     idempotent: bool
 
@@ -375,7 +322,7 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     if not all(sub.contains(x) for row in prod for x in row):
         raise NotMultiplicativelyClosed("subspace is not closed under the product")
     if sub.rank == 0:
-        return SubringIdentity(alg.element(alg.zero()), True, True)
+        return SubringIdentity(alg.zero(), True, True)
     # Row k holds u * u_k and u_k * u for each basis vector u in turn; solve
     # sum_k c_k row_k = (u, u for each u) for the identity's coordinates.
     rows = [
@@ -387,9 +334,7 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     if combo is None:
         return None
     u = sub.from_coordinates(combo)
-    return SubringIdentity(
-        alg.element(u), alg.is_central_vec(u), alg.is_idempotent_vec(u)
-    )
+    return SubringIdentity(u, alg.is_central_vec(u), alg.is_idempotent_vec(u))
 
 
 def is_ideal(alg: Algebra, inner: Subspace, outer: Subspace) -> bool:
@@ -517,7 +462,7 @@ def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResu
         for u in sub.basis
     )
     ident = identity_of(alg, sub)
-    unit = sub.coordinates_of(ident.element.coeffs) if ident is not None else None
+    unit = sub.coordinates_of(ident.element) if ident is not None else None
     small = Algebra.from_products(
         alg.p, sub.rank, products, unit=unit, check=True, name=name or "subalgebra"
     )

@@ -18,6 +18,7 @@ from .actions import (
     Action,
     _cut_out,
     _intertwining_failures,
+    _translated,
     groupoid_action_to_semigroup_action,
     is_global,
     is_preunital,
@@ -192,28 +193,32 @@ def _build(a: Action, minimal: bool) -> Globalization:
         cod = Subspace.span(total, images, p)
         phi_raw[e] = LinMap.from_images(dom, cod, images)
 
-    piece: list[Subspace] = []
-    for g in g0.arrows():
-        if minimal:
-            gens_arrows = [h for h in g0.arrows() if g0.ran[h] == g0.ran[g]]
-        else:
-            gens_arrows = [h for h in g0.arrows() if g0.le(g0.ran[h], g0.ran[g])]
-        parts = []
-        for h in gens_arrows:
-            img = phi_raw[g0.dom[h]].image()
-            parts.append(gamma[h].image_of(img))
-        piece.append(subring_closure(ambient, parts))
+    # One piece per range object, shared by every arrow with that range:
+    # the subring generated by the translated embedded ideals of the arrows
+    # whose range equals it (minimal) or lies below it (full), the sets
+    # that GLOB(iv') and GLOB(iv) sum.
+    ix = a.index
+    gamma_maps = [gamma[g] for g in g0.arrows()]
+    moved = _translated(gamma_maps, ix.triples, {e: phi_raw[e].image() for e in ix.anchors})
+    piece_at = {
+        e: subring_closure(
+            ambient,
+            [moved[h] for h, r, _ in ix.triples if (r == e if minimal else ix.le(r, e))],
+        )
+        for e in ix.anchors
+    }
+    piece = [piece_at[r] for _, r, _ in ix.triples]
 
     carrier_sub = Subspace.zero(total, p)
-    for e in g0.objects:
-        carrier_sub = carrier_sub.add(piece[e])
+    for e in ix.anchors:
+        carrier_sub = carrier_sub.add(piece_at[e])
     name = a.name or "action"
     beta = _cut_out(
         g0,
         ambient,
         carrier_sub,
         piece,
-        [gamma[g] for g in g0.arrows()],
+        gamma_maps,
         f"{name}::globalized" + ("-minimal" if minimal else ""),
         f"{name}::globalized-carrier",
     )
@@ -255,7 +260,9 @@ def build_minimal_globalization(a: Action) -> Globalization:
 def verify_globalization(gl: Globalization) -> ValidationReport:
     """Checklist for a global action plus embeddings to be a globalization.
 
-    Clause (iv') is evaluated only when the globalization claims minimality.
+    It reads the base action's index, so a groupoid action and the
+    semigroup pipeline's result are checked alike.  Clause (iv') is
+    evaluated only when the globalization claims minimality.
     The final clause rebuilds the restriction data of the global action
     along the embedding images and checks it is equivalent to the base.
     """
@@ -264,17 +271,17 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
     )
     rep = ValidationReport("globalization", checked)
     a, b = gl.base, gl.global_action
-    g0 = a.structure
-    nm = g0.names
-    if g0 != b.structure:
+    if a.structure != b.structure:
         rep.add("GLOB(valid)", "base and global actions live over different groupoids")
         return rep
+    ix = a.index
+    nm = ix.names
     beta_rep = b.validate()
     if not beta_rep.ok:
         rep.add("GLOB(valid)", f"global action fails validation: {beta_rep.issues[0]}")
     if not is_global(b):
         rep.add("GLOB(global)", "some ideal differs from its range ideal")
-    for e in sorted(g0.objects):
+    for e in ix.anchors:
         m = gl.embeddings.get(e)
         if m is None or m.domain != a.ideal_of[e]:
             rep.add("GLOB(mono)", f"embedding at {nm[e]} missing or with wrong domain")
@@ -285,20 +292,16 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
             rep.add("GLOB(mono)", f"embedding at {nm[e]} is not multiplicative")
         if not b.ideal_of[e].contains_subspace(m.image()):
             rep.add("GLOB(mono)", f"embedding at {nm[e]} escapes the object ideal")
-    images = {e: gl.embeddings[e].image() for e in g0.objects}
-    for e in sorted(g0.objects):
+    images = {e: gl.embeddings[e].image() for e in ix.anchors}
+    for e in ix.anchors:
         try:
             if not is_ideal(b.carrier, images[e], b.ideal_of[e]):
                 rep.add("GLOB(i)", f"embedded ideal at {nm[e]} does not absorb its object ideal")
         except NotContained:
             rep.add("GLOB(i)", f"embedded ideal at {nm[e]} is not inside its object ideal")
     phi = gl.embeddings
-    moved = {}
-    for g in g0.arrows():
-        m = b.map_of[g]
-        moved[g] = m.image_of(images[g0.dom[g]].intersect(m.domain))
-    for g in g0.arrows():
-        r = g0.ran[g]
+    moved = _translated(b.map_of, ix.triples, images)
+    for g, r, _ in ix.triples:
         if phi[r].image_of(a.ideal_of[g]) != images[r].intersect(moved[g]):
             rep.add("GLOB(ii)", f"embedded ideal at {nm[g]} is not the stated intersection")
     for g, escaped in _intertwining_failures(a, b, phi):
@@ -306,15 +309,15 @@ def verify_globalization(gl: Globalization) -> ValidationReport:
         rep.add("GLOB(iii)", f"{what} at {nm[g]}")
     # Both sums depend on the range object only: (iv) over arrows whose
     # range lies below it, (iv') over arrows with exactly that range.
-    for e in sorted(g0.objects):
+    for e in ix.anchors:
         down = equal = Subspace.zero(b.carrier.dim, b.carrier.p)
-        for h in g0.arrows():
-            if g0.le(g0.ran[h], e):
+        for h, r, _ in ix.triples:
+            if ix.le(r, e):
                 down = down.add(moved[h])
-                if g0.ran[h] == e:
+                if r == e:
                     equal = equal.add(moved[h])
-        for g in g0.arrows():
-            if g0.ran[g] != e:
+        for g, r, _ in ix.triples:
+            if r != e:
                 continue
             if down != b.ideal_of[g]:
                 rep.add("GLOB(iv)", f"piece at {nm[g]} differs from the down-range sum")

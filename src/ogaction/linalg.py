@@ -65,11 +65,6 @@ def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
     return tuple((a - b) % p for a, b in zip(u, v))
 
 
-def vec_scale(c: int, v: Vector, p: int) -> Vector:
-    c %= p
-    return tuple((c * a) % p for a in v)
-
-
 def is_zero_vec(v: Sequence[int]) -> bool:
     return not any(v)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .actions import Action, is_preunital, require_unital
+from .actions import Action, _translated, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
 from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
 from .globalize import Globalization, verify_globalization
@@ -265,25 +265,14 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     double = _span_products(q, right_module.basis, basis)  # T 1_R T
 
     def graded_sum(pieces: Sequence[tuple[int, Subspace]]) -> Subspace:
-        total = Subspace.zero(q.dim, p)
-        rows = []
-        for grade, sub in pieces:
-            for v in sub.basis:
-                rows.append(t_ring.project_lift(grade, v))
-        return total.add(Subspace.span(q.dim, rows, p))
+        rows = [t_ring.project_lift(grade, v) for grade, sub in pieces for v in sub.basis]
+        return Subspace.span(q.dim, rows, p)
 
-    moved_pieces = []
-    range_pieces = []
-    embedded_pieces = []
-    for g, anchor_r, anchor_d in ix.triples:
-        img_d = phi[anchor_d].image()
-        moved = b.map_of[g].image_of(img_d.intersect(b.map_of[g].domain))
-        moved_pieces.append((g, moved))
-        range_pieces.append((g, phi[anchor_r].image()))
-        embedded_pieces.append((g, phi[anchor_r].image_of(a.ideal_of[g])))
-    sum_moved = graded_sum(moved_pieces)
-    sum_range = graded_sum(range_pieces)
-    embedded_copy = graded_sum(embedded_pieces)
+    images = {e: phi[e].image() for e in ix.anchors}
+    moved = _translated(b.map_of, ix.triples, images)
+    sum_moved = graded_sum(list(zip(ix.grades, moved)))
+    sum_range = graded_sum([(g, images[r]) for g, r, _ in ix.triples])
+    embedded_copy = graded_sum([(g, phi[r].image_of(a.ideal_of[g])) for g, r, _ in ix.triples])
 
     # Every triple is compared; each pair product is formed once.
     compat = True

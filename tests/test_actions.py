@@ -402,6 +402,58 @@ def _broken_variants(a):
     yield dataclasses.replace(a, ideal_of=ideals, map_of=maps, _units={})
 
 
+def _with(a, **changes):
+    """A copy of a with the (ideal, map) at each named grade replaced;
+    None keeps the old one."""
+    idx = {nm: i for i, nm in enumerate(a.index.names)}
+    ideals, maps = list(a.ideal_of), list(a.map_of)
+    for nm, (ideal, m) in changes.items():
+        if ideal is not None:
+            ideals[idx[nm]] = ideal
+        if m is not None:
+            maps[idx[nm]] = m
+    return dataclasses.replace(a, ideal_of=tuple(ideals), map_of=tuple(maps), _units={})
+
+
+def _composite_law_cases():
+    beta = fx.pointed_arrow_global_action()
+    span12 = Subspace.span(3, [[1, 0, 0], [0, 1, 0]], 5)
+    span2 = Subspace.span(3, [[0, 1, 0]], 5)
+    b = fx.brandt_action()
+    plane12 = b.ideal_of[b.index.names.index("f1")]
+    differ = [f"composite and product map differ at ({g},{h})" for g, h in (
+        ("s", "d_s"), ("s", "d_s"), ("s_inv", "s"), ("s_inv", "s"),
+        ("d_s", "s_inv"), ("d_s", "s_inv"), ("d_s", "d_s"), ("d_s", "d_s"),
+    )]
+    return [
+        # the map at d_s swaps its two blocks
+        (_with(beta, d_s=(None, LinMap.from_images(span12, span12, [[0, 1, 0], [1, 0, 0]]))),
+         "P3", differ),
+        # the ideal at d_s shrunk below the one at s_inv
+        (_with(beta, d_s=(span2, LinMap.identity(span2))),
+         "P3", ["product map at (s_inv,s) undefined on the overlap"]),
+        # the map at f1 swaps its two blocks
+        (_with(b, f1=(None, LinMap.from_images(plane12, plane12, [[0, 1, 0], [1, 0, 0]]))),
+         "P3'", [
+             "composite and product map differ at (a,a_inv)",
+             "composite at (a_inv,f1) leaves the domain",
+             "composite and product map differ at (f1,a)",
+             "composite and product map differ at (f1,f1)",
+             "composite and product map differ at (f1,f1)",
+         ]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, clause, messages", _composite_law_cases(), ids=["p3-differ", "p3-undefined", "p3-prime"]
+)
+def test_composite_law_issues_name_the_failing_step(a, clause, messages):
+    """P3 and P3' share one check of alpha_s alpha_t = alpha_st on the
+    overlap; each failing basis vector gives one message naming the step
+    that fails, in pair order."""
+    assert [i.message for i in a.validate().issues if i.clause == clause] == messages
+
+
 def test_the_kept_report_equals_a_fresh_validation():
     rng = random.Random(11)
     valid = [make() for make in FIXTURE_ACTIONS]

@@ -11,7 +11,6 @@ from ogaction.algebras import (
     is_ideal,
     is_ring_iso,
     local_units_witness,
-    mul,
     product_ring,
     quotient,
     subalgebra_on,
@@ -62,8 +61,8 @@ def test_bad_unit_is_reported():
 
 
 def test_pointwise_multiplication():
-    assert mul(F5_3, (1, 2, 0), (3, 1, 4)) == (3, 2, 0)
-    assert mul(F5_3, (2, 4, 1), (0, 0, 0)) == (0, 0, 0)
+    assert F5_3.mul((1, 2, 0), (3, 1, 4)) == (3, 2, 0)
+    assert F5_3.mul((2, 4, 1), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_matrix_unit_relations():
@@ -71,15 +70,6 @@ def test_matrix_unit_relations():
     e11, e12 = alg.basis_vector(0), alg.basis_vector(1)
     assert alg.mul(e11, e12) == e12
     assert alg.mul(e12, e11) == (0, 0, 0, 0)
-
-
-def test_element_arithmetic():
-    x = F5_3.element((1, 2, 0))
-    y = F5_3.element((3, 1, 4))
-    assert (x + y).coeffs == (4, 3, 4)
-    assert (x * y).coeffs == (3, 2, 0)
-    assert (2 * x).coeffs == (2, 4, 0)
-    assert (x - x).is_zero()
 
 
 def test_ideal_closure_pointwise():
@@ -157,16 +147,16 @@ def test_identity_of_subrings():
     sub = Subspace.span(3, [(0, 1, 0), (0, 0, 1)], 5)
     ident = identity_of(F5_3, sub)
     assert ident is not None
-    assert ident.element.coeffs == (0, 1, 1)
+    assert ident.element == (0, 1, 1)
     assert ident.central and ident.idempotent
 
     diag_line = Subspace.span(3, [(1, 1, 0)], 5)
     ident2 = identity_of(F5_3, diag_line)
-    assert ident2 is not None and ident2.element.coeffs == (1, 1, 0)
+    assert ident2 is not None and ident2.element == (1, 1, 0)
 
     zero = Subspace.zero(3, 5)
     ident3 = identity_of(F5_3, zero)
-    assert ident3 is not None and ident3.element.is_zero()
+    assert ident3 is not None and not any(ident3.element)
     assert ident3.central and ident3.idempotent
 
 

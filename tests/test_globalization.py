@@ -224,6 +224,25 @@ def test_two_relabeled_builds_are_equivalent():
     assert res.found
 
 
+@pytest.mark.parametrize("build", [build_globalization, build_minimal_globalization])
+def test_constructions_close_one_piece_per_object(monkeypatch, build):
+    """A piece depends only on its arrow's range object, so each
+    construction generates one subring per object, not one per arrow."""
+    import ogaction.globalize as globalize
+
+    calls = []
+    closure = globalize.subring_closure
+
+    def counted(alg, parts):
+        calls.append(alg.dim)
+        return closure(alg, parts)
+
+    monkeypatch.setattr(globalize, "subring_closure", counted)
+    alpha = fx.pointed_arrow_partial_action()
+    build(alpha)
+    assert len(calls) == len(alpha.structure.objects) == 3
+
+
 def test_semigroup_pipeline_on_brandt_fixture():
     b = fx.brandt_action()
     result = globalize_inverse_semigroup_action(b)

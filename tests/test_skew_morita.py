@@ -15,6 +15,8 @@ from ogaction.globalize import (
     build_globalization,
     build_minimal_globalization,
     globalize_inverse_semigroup_action,
+    semigroup_checklist,
+    verify_globalization,
 )
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
@@ -315,6 +317,19 @@ def test_brandt_skew_and_pipeline_morita():
     assert rep.ok
     assert rep.dims["R"] == 5
     assert rep.dims["copy_faithful"] == 1
+
+
+@pytest.mark.parametrize("make", [fx.brandt_action, fx.chain_semilattice_action])
+def test_checklist_and_morita_read_the_semigroup_globalization(make):
+    """The checklist walks the base action's index, so it reads the
+    semigroup pipeline's result as it reads a groupoid one, and the
+    checked Morita entry point agrees with the pipeline's."""
+    a = make()
+    result = globalize_inverse_semigroup_action(a)
+    assert semigroup_checklist(verify_globalization(result)) == result.checklist
+    checked, pipeline = morita_context(a, result), inv_sgp_morita(a, result)
+    assert checked.clauses == pipeline.clauses
+    assert checked.dims == pipeline.dims
 
 
 def test_inv_skew_requires_unital():

@@ -356,6 +356,17 @@ def test_strong_check_on_a_groupoid_missing_a_composite_reports_the_groupoid_err
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _set_restricted_swap(arrow, ideal, matrix=None):
+    """A corruption of the corpus action `restricted_swap`: the ideal at
+    one arrow replaced, and its map too when a matrix is given."""
+    def corrupt(doc):
+        action = doc["actions"]["restricted_swap"]
+        action["ideals"][arrow] = ideal
+        if matrix is not None:
+            action["maps"][arrow] = matrix
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, task, error",
     [
@@ -365,15 +376,23 @@ def test_strong_check_on_a_groupoid_missing_a_composite_reports_the_groupoid_err
          "equivalence-self", "InvalidGroupoid: groupoid: "),
         (lambda doc: doc["groupoids"]["pointed_arrow"]["comp"].remove(["d_s", "s_inv", "s_inv"]),
          "equivalence-self", "InvalidGroupoid: groupoid: "),
+        (_set_restricted_swap("r_s", [[1, 0]], [[1]]), "strong-check",
+         "InvalidAction: strength needs a valid action:\nrestricted_swap: 1 violation(s)\n  [P1] "),
+        (_set_restricted_swap("e_min", [[0, 1]]), "strong-check",
+         "InvalidAction: strength needs a valid action:\nrestricted_swap: 3 violation(s)\n  [PO] "),
     ],
-    ids=["restrict-non-iso-map", "equivalence-moved-composite", "equivalence-missing-composite"],
+    ids=[
+        "restrict-non-iso-map", "equivalence-moved-composite", "equivalence-missing-composite",
+        "strong-check-fails-p1", "strong-check-fails-po",
+    ],
 )
 def test_restriction_and_equivalence_validate_their_actions_first(
     tmp_path, capsys, corrupt, task, error
 ):
-    """An invalid action ends `restrict` and `equivalence` in a report
-    naming the failed validation (exit 1): not a ValueError or KeyError
-    traceback, and not a pass over a structure that is not a groupoid."""
+    """An invalid action ends `restrict`, `equivalence` and `strong-check`
+    in a report naming the failed validation (exit 1): not a ValueError or
+    KeyError traceback, and not a pass over a structure that is not a
+    groupoid or an action that fails its axioms."""
     (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == "pointed_arrow.json"]
     doc = json.loads(path.read_text())
     corrupt(doc)
