@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebras import (
     Algebra,
@@ -30,53 +30,11 @@ from .errors import (
 )
 from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace, Vector, express_all
-from .semigroups import InverseSemigroup, esn_to_groupoid
+from .semigroups import GradedIndex, InverseSemigroup, esn_to_groupoid, graded_index
 from .validation import ValidationReport
 
 ACTION_CLAUSES = ("IDEAL", "ISO", "P1", "P2", "P3", "PO", "INV", "IMG")
 INV_ACTION_CLAUSES = ("IDEAL'", "ISO'", "P1'", "P2'", "P3'")
-
-
-class GradedIndex:
-    """One index view of an ordered groupoid or an inverse semigroup.
-
-    Grades are the arrows or the elements.  `inv`, `ran` and `dom` are
-    tuples (for a semigroup, ran(s) = ss^-1 and dom(s) = s^-1 s);
-    `prod(i, j)` is the composite, None where a groupoid pair does not
-    compose; `le` is the groupoid order or the natural partial order;
-    `anchors` are the objects or the idempotents; `triples` holds
-    (grade, ran, dom) per grade.  Read through the ESN correspondence, a
-    semigroup's view is its derived inductive groupoid's view with the
-    composite widened to the total product.
-    """
-
-    def __init__(self, structure: "OrderedGroupoid | InverseSemigroup"):
-        self.names = structure.names
-        if isinstance(structure, OrderedGroupoid):
-            self.inv, self.ran, self.dom = structure.inv, structure.ran, structure.dom
-            comp = structure.comp
-            self.prod: Callable[[int, int], Optional[int]] = lambda i, j: comp.get((i, j))
-            self.le = structure.le
-            self.anchors = tuple(sorted(structure.objects))
-        else:
-            structure.require_valid()
-            mult = structure.mult
-            self.inv = tuple(structure.inverse(s) for s in structure.elements())
-            self.ran = tuple(mult[s][self.inv[s]] for s in structure.elements())
-            self.dom = tuple(mult[self.inv[s]][s] for s in structure.elements())
-            self.prod = structure.mul
-            self.le = structure.natural_le
-            self.anchors = tuple(sorted(structure.idempotents()))
-        self.grades = range(len(self.names))
-        self.triples = tuple(zip(self.grades, self.ran, self.dom))
-
-
-def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex:
-    """The structure's index view, built on first use and kept on it."""
-    view = structure.__dict__.get("_graded_index")
-    if view is None:
-        view = structure._graded_index = GradedIndex(structure)
-    return view
 
 
 @dataclass(frozen=True)
@@ -218,59 +176,51 @@ def _composite_failures(a: Action, s: int, t: int, st: int, overlap: Subspace):
 def validate_po_action(a: Action) -> ValidationReport:
     """Full axiom check: ideal chains, iso property, the three partial-action
     conditions, order compatibility, and the two derived identities."""
-    a.structure.require_valid()
-    g0 = a.structure
-    nm = g0.names
+    ix = a.index  # validates the structure
+    nm = ix.names
     rep = ValidationReport(a.name or "action", ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep)
-    for e in g0.objects:
+    for e in a.structure.objects:
         if iso_ok[e]:
             ide = LinMap.identity(a.ideal_of[e])
             if not a.map_of[e].agrees_with(ide, a.ideal_of[e]):
                 rep.add("P1", f"map at object {nm[e]} is not the identity")
-    for g in g0.arrows():
-        for h in g0.arrows():
-            if not g0.composable(g, h) or not (iso_ok[g] and iso_ok[h]):
+    for g, h, gh in ix.products():
+        if not (iso_ok[g] and iso_ok[h]):
+            continue
+        inter = a.ideal_of[ix.inv[g]].intersect(a.ideal_of[h])
+        pulled = a.map_of[h].preimage_of(inter)
+        if not a.ideal_of[ix.inv[gh]].contains_subspace(pulled):
+            rep.add("P2", f"pulled-back overlap of ({nm[g]},{nm[h]}) escapes its target")
+        if not iso_ok[gh]:
+            continue
+        for message in _composite_failures(a, g, h, gh, pulled):
+            rep.add("P3", message)
+    for g, h in ix.order_pairs():
+        if not a.ideal_of[h].contains_subspace(a.ideal_of[g]):
+            rep.add("PO", f"{nm[g]} <= {nm[h]} but ideals are not nested")
+            continue
+        if iso_ok[g] and iso_ok[h]:
+            dom = a.ideal_of[ix.inv[g]]
+            if not a.map_of[h].domain.contains_subspace(dom):
+                rep.add("PO", f"map at {nm[h]} does not extend the one at {nm[g]}")
                 continue
-            gh = g0.comp[(g, h)]
-            inter = a.ideal_of[g0.inv[g]].intersect(a.ideal_of[h])
-            pulled = a.map_of[h].preimage_of(inter)
-            if not a.ideal_of[g0.inv[gh]].contains_subspace(pulled):
-                rep.add("P2", f"pulled-back overlap of ({nm[g]},{nm[h]}) escapes its target")
-            if not iso_ok[gh]:
-                continue
-            for message in _composite_failures(a, g, h, gh, pulled):
-                rep.add("P3", message)
-    for g in g0.arrows():
-        for h in g0.arrows():
-            if g == h or not g0.le(g, h):
-                continue
-            if not a.ideal_of[h].contains_subspace(a.ideal_of[g]):
-                rep.add("PO", f"{nm[g]} <= {nm[h]} but ideals are not nested")
-                continue
-            if iso_ok[g] and iso_ok[h]:
-                dom = a.ideal_of[g0.inv[g]]
-                if not a.map_of[h].domain.contains_subspace(dom):
-                    rep.add("PO", f"map at {nm[h]} does not extend the one at {nm[g]}")
-                    continue
-                if not all(a.map_of[h].apply(v) == a.map_of[g].apply(v) for v in dom.basis):
-                    rep.add("PO", f"maps at {nm[g]} <= {nm[h]} disagree")
-    for g in g0.arrows():
-        if iso_ok[g] and iso_ok[g0.inv[g]]:
+            if not all(a.map_of[h].apply(v) == a.map_of[g].apply(v) for v in dom.basis):
+                rep.add("PO", f"maps at {nm[g]} <= {nm[h]} disagree")
+    for g in ix.grades:
+        if iso_ok[g] and iso_ok[ix.inv[g]]:
             inv_map = a.map_of[g].inverse()
-            other = a.map_of[g0.inv[g]]
+            other = a.map_of[ix.inv[g]]
             if not (inv_map.domain == other.domain and inv_map.agrees_with(other, other.domain)):
                 rep.add("INV", f"inverse of map at {nm[g]} differs from map at inv({nm[g]})")
-    for g in g0.arrows():
-        for h in g0.arrows():
-            if not g0.composable(g, h) or not iso_ok[g]:
-                continue
-            gh = g0.comp[(g, h)]
-            inter = a.ideal_of[g0.inv[g]].intersect(a.ideal_of[h])
-            image = a.map_of[g].image_of(inter.intersect(a.map_of[g].domain))
-            expected = a.ideal_of[g].intersect(a.ideal_of[gh])
-            if image != expected:
-                rep.add("IMG", f"image identity fails on ({nm[g]},{nm[h]})")
+    for g, h, gh in ix.products():
+        if not iso_ok[g]:
+            continue
+        inter = a.ideal_of[ix.inv[g]].intersect(a.ideal_of[h])
+        image = a.map_of[g].image_of(inter.intersect(a.map_of[g].domain))
+        expected = a.ideal_of[g].intersect(a.ideal_of[gh])
+        if image != expected:
+            rep.add("IMG", f"image identity fails on ({nm[g]},{nm[h]})")
     return rep
 
 
@@ -494,7 +444,7 @@ class EquivalenceWitness:
 
 
 def identity_witness(a: Action) -> EquivalenceWitness:
-    return EquivalenceWitness({e: LinMap.identity(a.ideal_of[e]) for e in a.structure.objects})
+    return EquivalenceWitness({e: LinMap.identity(a.ideal_of[e]) for e in a.index.anchors})
 
 
 def _require_valid_pair(a: Action, c: Action) -> None:
@@ -522,8 +472,8 @@ def _intertwining_failures(a: Action, c: Action, phi: dict[int, LinMap]):
 def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
     """Object-wise isos matching ideals and intertwining the partial maps."""
     _require_valid_pair(a, c)
-    g0 = a.structure
-    for e in g0.objects:
+    ix = a.index
+    for e in ix.anchors:
         m = w.maps.get(e)
         if m is None or m.domain != a.ideal_of[e] or m.codomain.dim != c.carrier.dim:
             return False
@@ -531,8 +481,8 @@ def verify_equivalence(a: Action, c: Action, w: EquivalenceWitness) -> bool:
             return False
         if not is_ring_iso(m, a.carrier, c.carrier):
             return False
-    for g in g0.arrows():
-        if w.maps[g0.ran[g]].image_of(a.ideal_of[g]) != c.ideal_of[g]:
+    for g, r, _ in ix.triples:
+        if w.maps[r].image_of(a.ideal_of[g]) != c.ideal_of[g]:
             return False
     return next(_intertwining_failures(a, c, w.maps), None) is None
 
@@ -681,29 +631,23 @@ def search_equivalence(a: Action, c: Action, budget: int = 200_000) -> Equivalen
 
 
 def validate_inv_sgp_action(a: Action) -> ValidationReport:
-    a.structure.require_valid()
-    s0 = a.structure
-    nm = s0.names
+    ix = a.index  # validates the structure
+    nm = ix.names
     rep = ValidationReport(a.name or "semigroup action", INV_ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep, prime="'")
-    inv = a.index.inv
-    for s in s0.elements():
-        for t in s0.elements():
-            if not (iso_ok[s] and iso_ok[t]):
-                continue
-            st = s0.mul(s, t)
-            inter = a.ideal_of[inv[s]].intersect(a.ideal_of[t])
-            image = a.map_of[s].image_of(inter)
-            if image != a.ideal_of[s].intersect(a.ideal_of[st]):
-                rep.add("P2'", f"moved overlap of ({nm[s]},{nm[t]}) misses its target")
-    for s in s0.elements():
-        for t in s0.elements():
-            st = s0.mul(s, t)
-            if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
-                continue
-            dom = a.ideal_of[inv[t]].intersect(a.ideal_of[inv[st]])
-            for message in _composite_failures(a, s, t, st, dom):
-                rep.add("P3'", message)
+    for s, t, st in ix.products():
+        if not (iso_ok[s] and iso_ok[t]):
+            continue
+        inter = a.ideal_of[ix.inv[s]].intersect(a.ideal_of[t])
+        image = a.map_of[s].image_of(inter)
+        if image != a.ideal_of[s].intersect(a.ideal_of[st]):
+            rep.add("P2'", f"moved overlap of ({nm[s]},{nm[t]}) misses its target")
+    for s, t, st in ix.products():
+        if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
+            continue
+        dom = a.ideal_of[ix.inv[t]].intersect(a.ideal_of[ix.inv[st]])
+        for message in _composite_failures(a, s, t, st, dom):
+            rep.add("P3'", message)
     return rep
 
 

@@ -453,15 +453,13 @@ class SubalgebraResult(NamedTuple):
 
 def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResult:
     """Re-coordinatize a multiplicatively closed subspace as its own algebra."""
-    if sub.dim != alg.dim or sub.p != alg.p:
-        raise AmbientMismatch("subspace lives in a different ambient space")
-    if not is_multiplicatively_closed(alg, sub):
-        raise NotMultiplicativelyClosed("subspace is not closed under the product")
+    # identity_of refuses a subspace of another ambient space or one that
+    # is not closed under the product.
+    ident = identity_of(alg, sub)
     products = tuple(
         _nonzero_products(sub.coordinates_of(alg.mul(u, v)) for v in sub.basis)
         for u in sub.basis
     )
-    ident = identity_of(alg, sub)
     unit = sub.coordinates_of(ident.element) if ident is not None else None
     small = Algebra.from_products(
         alg.p, sub.rank, products, unit=unit, check=True, name=name or "subalgebra"

@@ -13,7 +13,7 @@ from .errors import (
     NotBelowDomain,
     NotBelowRange,
 )
-from .validation import Issue, ValidationReport
+from .validation import ValidationReport
 
 GROUPOID_CLAUSES = ("CAT", "INV", "OBJ")
 ORDER_CLAUSES = ("ORD", "OG1", "OG2", "OG3", "OG3*")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .algebras import Algebra
 from .errors import InvalidSemigroup, NotInductive
@@ -202,23 +202,91 @@ def natural_order(s: InverseSemigroup, a: int, b: int) -> bool:
     return s.natural_le(a, b)
 
 
+class GradedIndex:
+    """One index view of a valid ordered groupoid or inverse semigroup.
+
+    Grades are the arrows or the elements.  `inv`, `ran` and `dom` are
+    tuples (for a semigroup, ran(s) = ss^-1 and dom(s) = s^-1 s); `le` is
+    the groupoid order or the natural partial order; `anchors` are the
+    objects or the idempotents; `triples` holds (grade, ran, dom) per
+    grade.  Read through the Ehresmann-Schein-Nambooripad correspondence
+    (Lawson, *Inverse Semigroups*, 1998), a semigroup's view is its derived
+    inductive groupoid's view with the composite widened to the total
+    product.  The structure is validated first, so every composable pair
+    of a groupoid has its composite.  The view holds the structure's
+    tables, not the structure, so keeping it on the structure makes no
+    reference cycle: both are freed as soon as the structure is dropped.
+    """
+
+    def __init__(self, structure: "OrderedGroupoid | InverseSemigroup"):
+        structure.require_valid()
+        self.names = structure.names
+        self.grades = range(len(self.names))
+        if isinstance(structure, OrderedGroupoid):
+            self.inv, self.ran, self.dom = structure.inv, structure.ran, structure.dom
+            self.anchors = tuple(sorted(structure.objects))
+            self._down = structure._down
+            leq, comp = structure.leq, structure.comp
+            self.le: Callable[[int, int], bool] = lambda g, h: leq[g][h]
+            by_ran = _group(self.grades, self.ran)
+            # g composes with the arrows whose range is dom g.
+            self._partners = tuple(by_ran.get(d, ()) for d in self.dom)
+            self._prod: Callable[[int, int], int] = lambda g, h: comp[(g, h)]
+        else:
+            mult = structure.mult
+            self.inv = structure._inverse
+            self.ran = tuple(mult[s][t] for s, t in zip(self.grades, self.inv))
+            self.dom = tuple(mult[t][s] for s, t in zip(self.grades, self.inv))
+            self.anchors = tuple(sorted(structure.idempotents()))
+            below = self._down = structure._down_sets()
+            self.le = lambda s, t: s in below[t]
+            self._partners = (self.grades,) * len(self.grades)
+            self._prod = lambda g, h: mult[g][h]
+        self.triples = tuple(zip(self.grades, self.ran, self.dom))
+
+    def products(self) -> Iterator[tuple[int, int, int]]:
+        """(g, h, gh) for every defined composite, g-major with h
+        ascending: the composable pairs of a groupoid, every pair of a
+        semigroup."""
+        prod = self._prod
+        for g, hs in zip(self.grades, self._partners):
+            for h in hs:
+                yield g, h, prod(g, h)
+
+    def order_pairs(self) -> Iterator[tuple[int, int]]:
+        """(g, h) with g strictly below h, g-major with h ascending."""
+        up: list[list[int]] = [[] for _ in self.grades]
+        for h, below in enumerate(self._down):
+            for g in below:
+                if g != h:
+                    up[g].append(h)
+        for g, above in enumerate(up):
+            for h in above:
+                yield g, h
+
+
+def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex:
+    """The structure's index view, built on first use and kept on it."""
+    view = structure.__dict__.get("_graded_index")
+    if view is None:
+        view = structure._graded_index = GradedIndex(structure)
+    return view
+
+
 def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     """Elements become arrows; composition is defined on matching idempotents;
     the order is the natural partial order.  The result is inductive."""
-    s.require_valid()
-    mult, elems = s.mult, s.elements()
-    inv = [s.inverse(a) for a in elems]
-    dom = [mult[inv[a]][a] for a in elems]
-    ran = [mult[a][inv[a]] for a in elems]
+    ix = graded_index(s)
+    mult = s.mult
     # The pairs with dom a = ran b, from the elements grouped by range, in
     # the order a scan over all pairs (a, b) would insert them.
-    by_ran = _group(elems, ran)
-    comp = {(a, b): mult[a][b] for a in elems for b in by_ran.get(dom[a], ())}
-    leq = [[False] * s.n for _ in elems]
+    by_ran = _group(ix.grades, ix.ran)
+    comp = {(a, b): mult[a][b] for a, d in enumerate(ix.dom) for b in by_ran.get(d, ())}
+    leq = [[False] * s.n for _ in ix.grades]
     for b, below in enumerate(s._down_sets()):
         for a in below:
             leq[a][b] = True
-    g = OrderedGroupoid(s.names, set(s.idempotents()), inv, comp, dom, ran, leq)
+    g = OrderedGroupoid(s.names, set(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, leq)
     g.require_valid()
     if not g.is_inductive():
         raise NotInductive("derived groupoid is not inductive")
@@ -279,71 +347,37 @@ class Premorphism:
     mapping: Sequence[Union[int, LinMap]]
 
 
-def _source_pairs(p: Premorphism):
-    src = p.source
-    if isinstance(src, InverseSemigroup):
-        for a in src.elements():
-            for b in src.elements():
-                yield a, b, src.mul(a, b)
-    else:
-        for a in src.arrows():
-            for b in src.arrows():
-                if src.composable(a, b):
-                    yield a, b, src.compose(a, b)
-
-
-def _src_inverse(p: Premorphism, a: int) -> int:
-    if isinstance(p.source, InverseSemigroup):
-        return p.source.inverse(a)
-    return p.source.inv[a]
-
-
-def _src_le(p: Premorphism, a: int, b: int) -> bool:
-    if isinstance(p.source, InverseSemigroup):
-        return p.source.natural_le(a, b)
-    return p.source.le(a, b)
-
-
-def _verify_into_structure(p: Premorphism, rep: ValidationReport) -> None:
+def _verify_into_structure(p: Premorphism, src: GradedIndex, rep: ValidationReport) -> None:
     tgt = p.target
     mapping = [int(x) for x in p.mapping]
-    if isinstance(tgt, InverseSemigroup):
-        tgt.require_valid()
-        prod = tgt.mul
-        t_inv = tgt.inverse
-        t_le = tgt.natural_le
-    else:
-        assert isinstance(tgt, OrderedGroupoid)
-        tgt.require_valid()
-        prod = tgt.pseudoproduct
-        t_inv = lambda a: tgt.inv[a]
-        t_le = tgt.le
-    src_names = p.source.names
-    tgt_names = tgt.names
-    for a, b, ab in _source_pairs(p):
+    tx = graded_index(tgt)
+    # An inductive groupoid's product is the pseudoproduct.
+    prod = tgt.mul if isinstance(tgt, InverseSemigroup) else tgt.pseudoproduct
+    for a, b, ab in src.products():
         img = prod(mapping[a], mapping[b])
-        if img is None or not t_le(img, mapping[ab]):
+        if img is None or not tx.le(img, mapping[ab]):
             rep.add(
                 "PM(i)",
-                f"image product of ({src_names[a]},{src_names[b]}) not below image of product",
+                f"image product of ({src.names[a]},{src.names[b]}) not below image of product",
             )
-    for a in range(len(mapping)):
-        if t_inv(mapping[a]) != mapping[_src_inverse(p, a)]:
-            rep.add("PM(ii)", f"image of inverse of {src_names[a]} is not the inverse image")
-    for a in range(len(mapping)):
-        for b in range(len(mapping)):
-            if _src_le(p, a, b) and not t_le(mapping[a], mapping[b]):
-                rep.add(
-                    "PM(iii)",
-                    f"{src_names[a]} below {src_names[b]} but images {tgt_names[mapping[a]]}, "
-                    f"{tgt_names[mapping[b]]} are unordered",
-                )
+    for a in src.grades:
+        if tx.inv[mapping[a]] != mapping[src.inv[a]]:
+            rep.add("PM(ii)", f"image of inverse of {src.names[a]} is not the inverse image")
+    for a, b in src.order_pairs():
+        if not tx.le(mapping[a], mapping[b]):
+            rep.add(
+                "PM(iii)",
+                f"{src.names[a]} below {src.names[b]} but images {tx.names[mapping[a]]}, "
+                f"{tx.names[mapping[b]]} are unordered",
+            )
 
 
-def _verify_into_partial_bijections(p: Premorphism, rep: ValidationReport) -> None:
+def _verify_into_partial_bijections(
+    p: Premorphism, src: GradedIndex, rep: ValidationReport
+) -> None:
     maps: list[LinMap] = list(p.mapping)  # type: ignore[arg-type]
-    names = p.source.names
-    for a, b, ab in _source_pairs(p):
+    names = src.names
+    for a, b, ab in src.products():
         composite = compose_partial(maps[a], maps[b])
         if not composite.as_partial_le(maps[ab]):
             rep.add(
@@ -351,18 +385,17 @@ def _verify_into_partial_bijections(p: Premorphism, rep: ValidationReport) -> No
                 f"composite of images of ({names[a]},{names[b]}) is not a restriction "
                 "of the image of the product",
             )
-    for a in range(len(maps)):
-        inv_img = maps[_src_inverse(p, a)]
+    for a in src.grades:
+        inv_img = maps[src.inv[a]]
         back = partial_inverse(maps[a])
         if not (
             back.domain == inv_img.domain
             and back.agrees_with(inv_img, back.domain)
         ):
             rep.add("PM(ii)", f"image of inverse of {names[a]} is not the inverse partial map")
-    for a in range(len(maps)):
-        for b in range(len(maps)):
-            if _src_le(p, a, b) and not maps[a].as_partial_le(maps[b]):
-                rep.add("PM(iii)", f"{names[a]} below {names[b]} but images are unordered")
+    for a, b in src.order_pairs():
+        if not maps[a].as_partial_le(maps[b]):
+            rep.add("PM(iii)", f"{names[a]} below {names[b]} but images are unordered")
     if isinstance(p.source, OrderedGroupoid):
         g = p.source
         for a in g.arrows():
@@ -388,12 +421,11 @@ def verify_premorphism(p: Premorphism) -> ValidationReport:
         checked = PREMORPHISM_CLAUSES + PREMORPHISM_DIAGNOSTICS
     kind = "inductive-groupoid" if on_groupoid else "inverse-semigroup"
     rep = ValidationReport(f"{kind} premorphism", checked)
-    if len(p.mapping) != (
-        p.source.n if isinstance(p.source, (InverseSemigroup, OrderedGroupoid)) else 0
-    ):
+    if len(p.mapping) != p.source.n:
         raise InvalidSemigroup("mapping must cover every source element")
+    src = graded_index(p.source)  # refuses an invalid source
     if isinstance(p.target, PartialBijections):
-        _verify_into_partial_bijections(p, rep)
+        _verify_into_partial_bijections(p, src, rep)
     else:
-        _verify_into_structure(p, rep)
+        _verify_into_structure(p, src, rep)
     return rep

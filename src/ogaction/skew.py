@@ -67,14 +67,18 @@ def build_skew(a: Action) -> SkewRing:
     zero = (0,) * dim
     basis_members = [(g, v) for g in ix.grades for v in a.ideal_of[g].basis]
 
+    # Per grade g, each basis column of each grade h that g composes with,
+    # in column order, so the first failure raised is the first in
+    # row-major order.
+    columns: list[list[tuple[int, int, int, Vector]]] = [[] for _ in ix.grades]
+    for g, h, gh in ix.products():
+        columns[g].extend((h, gh, offsets[h] + k, vh) for k, vh in enumerate(a.ideal_of[h].basis))
+
     products = []
     for g, vg in basis_members:
         row = {}
         twisted = a.map_of[ix.inv[g]].apply(vg)
-        for col, (h, vh) in enumerate(basis_members):
-            gh = ix.prod(g, h)
-            if gh is None:
-                continue
+        for h, gh, col, vh in columns[g]:
             y = carrier.mul(twisted, vh)
             # One elimination per step: a vector outside the subspace makes
             # the coordinate read raise ValueError.
@@ -142,16 +146,13 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
     ix = a.index
     p = s.algebra.p
     gens = []
-    for g in ix.grades:
-        for h in ix.grades:
-            if g == h or not ix.le(g, h):
-                continue
-            for v in a.ideal_of[g].basis:
-                if not a.ideal_of[h].contains(v):
-                    raise InvalidAction(
-                        f"ordered pair {ix.names[g]} <= {ix.names[h]} with non-nested ideals"
-                    )
-                gens.append(vec_sub(s.lift(g, v), s.lift(h, v), p))
+    for g, h in ix.order_pairs():
+        for v in a.ideal_of[g].basis:
+            if not a.ideal_of[h].contains(v):
+                raise InvalidAction(
+                    f"ordered pair {ix.names[g]} <= {ix.names[h]} with non-nested ideals"
+                )
+            gens.append(vec_sub(s.lift(g, v), s.lift(h, v), p))
     n_ideal = ideal_closure(s.algebra, gens)
     q, proj = quotient(s.algebra, n_ideal)
     return OrderedSkewRing(s, n_ideal, q, proj)
@@ -222,7 +223,8 @@ def morita_context(a: Action, gl: Globalization) -> MoritaReport:
     if gl.base is not a and gl.base != a:
         raise NotAGlobalization("globalization does not belong to this action")
     require_unital(a)
-    checklist = verify_globalization(gl)
+    # A globalization built here carries the checklist its build ran.
+    checklist = gl.checklist if gl.checklist is not None else verify_globalization(gl)
     if not checklist.ok:
         raise NotAGlobalization(str(checklist))
     return _morita_core(a, gl)

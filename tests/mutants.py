@@ -58,12 +58,14 @@ def leaf_mutations(doc: dict) -> list[tuple[tuple, object]]:
     return out
 
 
-def run_mutant(path: Path, doc: dict) -> int:
-    """Write doc to path and return the exit code of `workbench run` on it;
-    its output is discarded."""
+def run_mutant(path: Path, doc: dict, *flags: str) -> tuple[int, str, str]:
+    """Write doc to path and run `workbench run` on it with flags: the exit
+    code, stdout and stderr."""
     path.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["run", str(path)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
 
 
 def mutate(doc: dict, mutations) -> dict:

@@ -7,9 +7,10 @@ keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
 reading.  The next section keeps the order closure, the groupoid, order,
-semigroup and pseudoproduct checks, and the two ESN conversions, as plain
-scans over all arrows or elements, as the library wrote them before it
-read them from index tables or closed the order in one Warshall pass.
+semigroup and pseudoproduct checks, the two ESN conversions, and the
+walks over composites and over the strict order, as plain scans over all
+arrows or elements, as the library wrote them before it read them from
+index tables or closed the order in one Warshall pass.
 The kernel section keeps the dense F_p routines as the library wrote them
 before it eliminated along vector supports.
 """
@@ -464,6 +465,22 @@ def esn_to_semigroup(g):
     s = InverseSemigroup(g.names, mult)
     s.require_valid()
     return s
+
+
+def index_products(self):
+    """(g, h, gh) from a scan over all pairs, g-major: the pairs of a
+    groupoid that compose, every pair of a semigroup."""
+    if isinstance(self, OrderedGroupoid):
+        arrows = self.arrows()
+        return [(g, h, self.compose(g, h)) for g in arrows for h in arrows if self.composable(g, h)]
+    return [(a, b, self.mul(a, b)) for a in self.elements() for b in self.elements()]
+
+
+def index_order_pairs(self):
+    """(g, h) from a scan over all pairs, g-major, where g is strictly
+    below h in the groupoid order or the natural partial order."""
+    le = self.le if isinstance(self, OrderedGroupoid) else lambda a, b: natural_le(self, a, b)
+    return [(g, h) for g in range(self.n) for h in range(self.n) if g != h and le(g, h)]
 
 
 # -- retained dense kernel -----------------------------------------------

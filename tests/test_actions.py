@@ -205,6 +205,22 @@ def test_search_disproves_on_dimension_mismatch():
     assert res.definitive_no and not res.found
 
 
+@pytest.mark.parametrize("make", [fx.brandt_action, fx.chain_semilattice_action])
+def test_equivalence_on_a_semigroup_action_agrees_with_the_transferred_action(make):
+    """The search and both checks read the action's index, so they run on a
+    semigroup action and find what they find on the action moved to the
+    derived groupoid."""
+    a = make()
+    moved = semigroup_action_to_groupoid_action(a)
+    assert verify_equivalence(a, a, identity_witness(a))
+    assert verify_equivalence(moved, moved, identity_witness(moved))
+    res, res_moved = search_equivalence(a, a), search_equivalence(moved, moved)
+    assert res.found and res_moved.found
+    assert res.tested == res_moved.tested
+    assert res.witness.maps == res_moved.witness.maps
+    assert verify_equivalence(a, a, res.witness)
+
+
 def test_witnesses_form_an_equivalence_relation():
     alpha = fx.pointed_arrow_partial_action()
     # conjugated copy: swap the two carrier blocks everywhere

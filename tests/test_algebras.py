@@ -250,6 +250,12 @@ def test_subalgebra_on_recoordinatizes():
     assert incl.apply((1, 0)) == (0, 1, 0)
 
 
+def test_subalgebra_on_refuses_a_subspace_not_closed_under_the_product():
+    # (1, 2, 0) squares to (1, 4, 0), outside its span
+    with pytest.raises(NotMultiplicativelyClosed, match="not closed under the product"):
+        subalgebra_on(F5_3, Subspace.span(3, [(1, 2, 0)], 5))
+
+
 def test_random_associativity_and_distributivity():
     rng = random.Random(5)
     alg = fx.matrix_units_f2()

@@ -24,7 +24,7 @@ from ogaction import fixtures as fx
 from ogaction.actions import Action
 from ogaction.errors import NotInductive
 from ogaction.groupoids import OrderedGroupoid, _closure
-from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup
+from ogaction.semigroups import GradedIndex, InverseSemigroup, esn_to_groupoid, esn_to_semigroup
 from ogaction.validation import ValidationReport
 
 from generators import random_global_action, symmetric_inverse_monoid
@@ -288,6 +288,24 @@ def test_esn_to_groupoid_matches_the_pair_scan():
             assert list(got[1].comp.items()) == list(want[1].comp.items()), label
             converted += 1
     assert converted >= 10
+
+
+def test_index_walks_match_the_pair_scans():
+    """`products()` and `order_pairs()` against the n^2 filter scans they
+    replaced, in the same order, on every valid structure of the cases:
+    the fixtures, the generated groupoids, I_2, I_3, their ESN images and
+    the perturbed copies that stay valid."""
+    walked = []
+    for label, x in GROUPOIDS + SEMIGROUPS:
+        fresh = _groupoid_copy(x) if isinstance(x, OrderedGroupoid) else InverseSemigroup(x.names, x.mult)
+        if not fresh.is_valid():
+            continue
+        index = GradedIndex(fresh)
+        assert list(index.products()) == oracles.index_products(fresh), label
+        assert list(index.order_pairs()) == oracles.index_order_pairs(fresh), label
+        walked.append(label)
+    assert {label for label, _ in _base_structures()} <= set(walked)
+    assert "esn(I_3)" in walked
 
 
 def test_every_checked_clause_fails_on_some_case():

@@ -2,7 +2,7 @@ import pytest
 
 from ogaction import fixtures as fx
 from ogaction.actions import POAction
-from ogaction.errors import NotInductive
+from ogaction.errors import InvalidGroupoid, NotInductive
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap
 from ogaction.semigroups import (
@@ -167,6 +167,21 @@ def test_action_induces_inductive_premorphism_with_diagnostics():
     rep = verify_premorphism(p)
     assert rep.ok
     assert "PM(dom)" in rep.checked and "PM(meet)" in rep.checked
+
+
+def test_premorphism_refuses_a_source_groupoid_with_a_wrong_composite():
+    """The source is validated before any pair is read, so s * s_inv
+    pointing at d_s instead of r_s is refused, though every premorphism
+    clause on the pairs would hold."""
+    alpha = fx.pointed_arrow_partial_action()
+    g = alpha.structure
+    i = {nm: k for k, nm in enumerate(g.names)}
+    comp = dict(g.comp)
+    comp[(i["s"], i["s_inv"])] = i["d_s"]
+    bad = OrderedGroupoid(g.names, g.objects, g.inv, comp, g.dom, g.ran, g.leq)
+    p = Premorphism(bad, PartialBijections(alpha.carrier), _partial_bijection_family(alpha))
+    with pytest.raises(InvalidGroupoid):
+        verify_premorphism(p)
 
 
 def test_non_strong_action_fails_the_meet_diagnostic():

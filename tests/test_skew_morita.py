@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from ogaction import fixtures as fx
+from ogaction import globalize, skew
 from ogaction.actions import (
     Action,
     is_unital,
@@ -9,6 +12,7 @@ from ogaction.actions import (
     validate_po_action,
 )
 from ogaction.algebras import diagonal_algebra
+from ogaction.corpus import CORPUS
 from ogaction.errors import InvalidAction, NotAssociative, NotPreunital, NotUnital
 from ogaction.globalize import (
     as_globalization,
@@ -30,7 +34,9 @@ from ogaction.skew import (
     skew_unit,
 )
 
+from ogaction.tasks import run_task
 from ogaction.validation import ValidationReport
+from ogaction.workspace import load_workspace
 
 from oracles import naive_ideal_closure, naive_rank
 from test_globalization import inclusion_globalization
@@ -284,6 +290,26 @@ def test_morita_rejects_a_broken_globalization():
     broken = Globalization(alpha, gl.global_action, bad_embeddings, minimal=True)
     with pytest.raises(NotAGlobalization):
         morita_context(alpha, broken)
+
+
+def test_a_morita_task_runs_the_globalization_checklist_once(monkeypatch, tmp_path):
+    """`morita_context` reads the checklist that the build ran on its
+    globalization instead of running it again."""
+    calls = []
+    real = globalize.verify_globalization
+
+    def counted(gl):
+        calls.append(gl)
+        return real(gl)
+
+    monkeypatch.setattr(globalize, "verify_globalization", counted)
+    monkeypatch.setattr(skew, "verify_globalization", counted)
+    path = tmp_path / "pointed_arrow.json"
+    path.write_text(json.dumps(CORPUS["pointed_arrow.json"]()))
+    ws = load_workspace(path)
+    [task] = [t for t in ws.tasks if t.get("id") == "morita"]
+    assert run_task(ws, task).status == "pass"
+    assert len(calls) == 1
 
 
 def test_semilattice_skew_collapses_comparable_grades():
