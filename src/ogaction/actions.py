@@ -45,9 +45,9 @@ class Action:
     ideal_of[g] is a subspace of the carrier's space; map_of[g] sends
     ideal_of[inv g] to ideal_of[g].  `inclusion`, when set by a restriction
     builder, embeds the carrier into the parent action's carrier.  The
-    fields are frozen, so the validation report is computed once and kept.
-    `dataclasses.replace` hands on the unit cache (pass `_units={}` when
-    the ideals change) but not the report.
+    fields are frozen, so the validation report is computed once and kept;
+    `dataclasses.replace` does not hand it on.  The units of the ideals are
+    kept on the carrier, keyed by the ideal (see `identity_of`).
     """
 
     structure: "OrderedGroupoid | InverseSemigroup"
@@ -56,7 +56,6 @@ class Action:
     map_of: tuple[LinMap, ...]
     name: str = field(default="", compare=False)
     inclusion: Optional[LinMap] = field(default=None, compare=False)
-    _units: dict[int, Optional[Vector]] = field(default_factory=dict, repr=False, compare=False)
     _report: Optional[ValidationReport] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -76,17 +75,14 @@ class Action:
         return self.map_of[g].apply(v)
 
     def unit_vector(self, g: int) -> Optional[Vector]:
-        """Central idempotent identity of ideal_of[g], cached; None if absent."""
-        if g not in self._units:
-            try:
-                ident = identity_of(self.carrier, self.ideal_of[g])
-            except NotMultiplicativelyClosed:
-                ident = None
-            if ident is None or not (ident.central and ident.idempotent):
-                self._units[g] = None
-            else:
-                self._units[g] = ident.element
-        return self._units[g]
+        """Central idempotent identity of ideal_of[g]; None if absent."""
+        try:
+            ident = identity_of(self.carrier, self.ideal_of[g])
+        except NotMultiplicativelyClosed:
+            return None
+        if ident is None or not (ident.central and ident.idempotent):
+            return None
+        return ident.element
 
     def validate(self) -> ValidationReport:
         """The axiom report of the structure's kind, computed on the first

@@ -6,6 +6,14 @@ A dense n x n x n table is accepted at construction and offered back as the
 `table` view.  Associativity (and the unit law when a unit is declared) is
 checked at construction unless check=False is passed; downstream operations
 assume it.
+
+Each algebra keeps, per subspace it has been asked about, the products of
+the subspace's basis pairs in the subspace's own coordinates (or None when
+the subspace is not closed under the product).  `identity_of`,
+`subalgebra_on`, `is_ring_hom`, `is_ideal` and `is_multiplicatively_closed`
+read that table, and the identity and ideal answers are kept beside it, so
+a question asked again forms no product.  The kept answers, like `__hash__`,
+assume that `products` is never mutated after construction.
 """
 
 from __future__ import annotations
@@ -103,6 +111,10 @@ class Algebra:
         self.unit: Optional[Vector] = vec(unit, self.p) if unit is not None else None
         self.name = name
         self._commutative: Optional[bool] = None
+        # The kept answers of the module docstring, filled on first use.
+        self._subspace_products: dict[Subspace, Optional[Products]] = {}
+        self._identities: dict[Subspace, Optional[SubringIdentity]] = {}
+        self._ideals: dict[tuple[Subspace, Subspace], bool] = {}
         if check:
             report = validate_algebra(self)
             if not report.ok:
@@ -257,10 +269,32 @@ def validate_algebra(alg: Algebra) -> ValidationReport:
     return ValidationReport(alg.name or "algebra", ("ASSOC", "UNIT"), issues)
 
 
+def _products_on(alg: Algebra, sub: Subspace) -> Optional[Products]:
+    """The products of sub's basis pairs in sub's coordinates, in the
+    `Products` format, or None when one of them leaves sub.  Formed on the
+    first call for sub and kept on alg."""
+    table = alg._subspace_products
+    if sub not in table:
+        table[sub] = _form_products(alg, sub)
+    return table[sub]
+
+
+def _form_products(alg: Algebra, sub: Subspace) -> Optional[Products]:
+    rows = []
+    for u in sub.basis:
+        row = []
+        for v in sub.basis:
+            w = alg.mul(u, v)
+            try:
+                row.append(sub.coordinates_of(w))
+            except ValueError:
+                return None
+        rows.append(_nonzero_products(row))
+    return tuple(rows)
+
+
 def is_multiplicatively_closed(alg: Algebra, sub: Subspace) -> bool:
-    return all(
-        sub.contains(alg.mul(u, v)) for u in sub.basis for v in sub.basis
-    )
+    return _products_on(alg, sub) is not None
 
 
 def ideal_closure(alg: Algebra, gens: Iterable[Sequence[int]]) -> Subspace:
@@ -316,20 +350,33 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     """
     if sub.dim != alg.dim or sub.p != alg.p:
         raise AmbientMismatch("subspace lives in a different ambient space")
-    # Every product of two basis vectors, formed once: the closure check
-    # and the identity system both read it.
-    prod = [[alg.mul(u, v) for v in sub.basis] for u in sub.basis]
-    if not all(sub.contains(x) for row in prod for x in row):
+    memo = alg._identities
+    if sub in memo:
+        return memo[sub]
+    prod = _products_on(alg, sub)
+    if prod is None:
         raise NotMultiplicativelyClosed("subspace is not closed under the product")
-    if sub.rank == 0:
+    memo[sub] = ident = _identity(alg, sub, prod)
+    return ident
+
+
+def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringIdentity]:
+    r = sub.rank
+    if r == 0:
         return SubringIdentity(alg.zero(), True, True)
-    # Row k holds u * u_k and u_k * u for each basis vector u in turn; solve
-    # sum_k c_k row_k = (u, u for each u) for the identity's coordinates.
-    rows = [
-        [x for i in range(sub.rank) for x in (*prod[i][k], *prod[k][i])]
-        for k in range(sub.rank)
-    ]
-    target = [x for v in sub.basis for x in (*v, *v)]
+
+    def coords(i: int, k: int) -> list[int]:
+        out = [0] * r
+        for j, c in prod[i].get(k, {}).items():
+            out[j] = c
+        return out
+
+    # Row k holds the coordinates of u_i * u_k and u_k * u_i for each basis
+    # vector u_i in turn; solve sum_k c_k row_k = (e_i, e_i for each i).
+    # A two-sided identity is unique, so the rows are independent when one
+    # exists.
+    rows = [[x for i in range(r) for x in (*coords(i, k), *coords(k, i))] for k in range(r)]
+    target = [int(i == j) for i in range(r) for _ in range(2) for j in range(r)]
     combo = express(rows, target, alg.p)
     if combo is None:
         return None
@@ -339,15 +386,22 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
 
 def is_ideal(alg: Algebra, inner: Subspace, outer: Subspace) -> bool:
     """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer)."""
+    memo = alg._ideals
+    key = (inner, outer)
+    if key in memo:
+        return memo[key]
     if not outer.contains_subspace(inner):
         raise NotContained("inner subspace is not contained in the outer one")
-    for b in outer.basis:
-        for x in inner.basis:
-            if not inner.contains(alg.mul(b, x)):
-                return False
-            if not inner.contains(alg.mul(x, b)):
-                return False
-    return True
+    if inner == outer:
+        ok = _products_on(alg, inner) is not None
+    else:
+        ok = all(
+            inner.contains(alg.mul(b, x)) and inner.contains(alg.mul(x, b))
+            for b in outer.basis
+            for x in inner.basis
+        )
+    memo[key] = ok
+    return ok
 
 
 class QuotientResult(NamedTuple):
@@ -389,14 +443,21 @@ def is_ring_iso(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
 
 
 def is_ring_hom(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
-    basis = m.domain.basis
-    images = [m.apply(u) for u in basis]
-    for u, mu in zip(basis, images):
-        for v, mv in zip(basis, images):
-            prod = dom_alg.mul(u, v)
-            if not m.domain.contains(prod):
-                return False
-            if m.apply(prod) != cod_alg.mul(mu, mv):
+    """m(u_i u_j) = m(u_i) m(u_j) on the domain's basis pairs, where
+    m(u_i u_j) = sum_k c_ijk m(u_k) is read from the domain's product table."""
+    prod = _products_on(dom_alg, m.domain)
+    if prod is None:
+        return False
+    p, n = m.p, m.codomain.dim
+    images = m.images
+    entries = [[(col, x) for col, x in enumerate(img) if x] for img in images]
+    for mu, row in zip(images, prod):
+        for j, mv in enumerate(images):
+            out = [0] * n
+            for k, c in row.get(j, {}).items():
+                for col, x in entries[k]:
+                    out[col] += c * x
+            if tuple([x % p for x in out]) != cod_alg.mul(mu, mv):
                 return False
     return True
 
@@ -454,12 +515,9 @@ class SubalgebraResult(NamedTuple):
 def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResult:
     """Re-coordinatize a multiplicatively closed subspace as its own algebra."""
     # identity_of refuses a subspace of another ambient space or one that
-    # is not closed under the product.
+    # is not closed under the product, and leaves its product table kept.
     ident = identity_of(alg, sub)
-    products = tuple(
-        _nonzero_products(sub.coordinates_of(alg.mul(u, v)) for v in sub.basis)
-        for u in sub.basis
-    )
+    products = _products_on(alg, sub)
     unit = sub.coordinates_of(ident.element) if ident is not None else None
     small = Algebra.from_products(
         alg.p, sub.rank, products, unit=unit, check=True, name=name or "subalgebra"

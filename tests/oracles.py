@@ -2,7 +2,10 @@
 
 Most of this is deliberately naive: plain forward elimination, set
 enumeration, and fixpoint loops that only rely on a multiplication
-callback, sharing no code with the package under test.  One section
+callback, sharing no code with the package under test.  The algebra
+section keeps the identity, ideal, ring-map and subalgebra checks as pair
+scans that form every basis product afresh on each call, as the library
+wrote them before it kept one product table per subspace.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
@@ -18,7 +21,7 @@ before it eliminated along vector supports.
 from itertools import product
 
 from ogaction.actions import InvSgpAction
-from ogaction.algebras import is_ideal
+from ogaction.algebras import SubringIdentity
 from ogaction.errors import (
     AmbientMismatch,
     InvalidGroupoid,
@@ -26,6 +29,7 @@ from ogaction.errors import (
     NotBelowRange,
     NotContained,
     NotInductive,
+    NotMultiplicativelyClosed,
 )
 from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES, OrderedGroupoid
 from ogaction.semigroups import SEMIGROUP_CLAUSES, InverseSemigroup
@@ -122,6 +126,74 @@ def naive_assoc_failures(table, p):
                 if lhs != rhs:
                     bad.append((i, j, k))
     return bad
+
+
+# -- retained algebra pair scans -----------------------------------------
+#
+# Each forms the products of the basis pairs it needs with `Algebra.mul`
+# and keeps nothing; subspace and map calls go to the dense kernel below.
+
+
+def identity_of(alg, sub):
+    """Two-sided identity of a multiplicatively closed subspace, if any."""
+    if sub.dim != alg.dim or sub.p != alg.p:
+        raise AmbientMismatch("subspace lives in a different ambient space")
+    prod = [[alg.mul(u, v) for v in sub.basis] for u in sub.basis]
+    if not all(contains(sub, x) for row in prod for x in row):
+        raise NotMultiplicativelyClosed("subspace is not closed under the product")
+    if sub.rank == 0:
+        return SubringIdentity(alg.zero(), True, True)
+    # Row k holds u * u_k and u_k * u for each basis vector u in turn.
+    rows = [
+        [x for i in range(sub.rank) for x in (*prod[i][k], *prod[k][i])]
+        for k in range(sub.rank)
+    ]
+    target = [x for v in sub.basis for x in (*v, *v)]
+    combo = express(rows, target, alg.p)
+    if combo is None:
+        return None
+    u = from_coordinates(sub, combo)
+    return SubringIdentity(u, alg.is_central_vec(u), alg.is_idempotent_vec(u))
+
+
+def is_ideal(alg, inner, outer):
+    """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer)."""
+    if not outer.contains_subspace(inner):
+        raise NotContained("inner subspace is not contained in the outer one")
+    for b in outer.basis:
+        for x in inner.basis:
+            if not contains(inner, alg.mul(b, x)):
+                return False
+            if not contains(inner, alg.mul(x, b)):
+                return False
+    return True
+
+
+def is_ring_hom(m, dom_alg, cod_alg):
+    basis = m.domain.basis
+    images = [apply(m, u) for u in basis]
+    for u, mu in zip(basis, images):
+        for v, mv in zip(basis, images):
+            prod = dom_alg.mul(u, v)
+            if not contains(m.domain, prod):
+                return False
+            if apply(m, prod) != cod_alg.mul(mu, mv):
+                return False
+    return True
+
+
+def subalgebra_products(alg, sub):
+    """The structure constants of a closed subspace in its own coordinates:
+    row i maps j to {k: c} over the non-zero coordinates of u_i * u_j."""
+    out = []
+    for u in sub.basis:
+        row = {}
+        for j, v in enumerate(sub.basis):
+            kc = {k: c for k, c in enumerate(coordinates_of(sub, alg.mul(u, v))) if c}
+            if kc:
+                row[j] = kc
+        out.append(row)
+    return tuple(out)
 
 
 # -- retained globalization checks ---------------------------------------

@@ -410,12 +410,12 @@ def _broken_variants(a):
     doubled = tuple(tuple(2 * x % m.p for x in row) for row in m.matrix)
     doubled = LinMap(m.domain, m.codomain, doubled)
     maps = a.map_of[:last] + (doubled,) + a.map_of[last + 1 :]
-    yield dataclasses.replace(a, map_of=maps, _units={})
+    yield dataclasses.replace(a, map_of=maps)
     e = a.index.anchors[0]
     zero = Subspace.zero(a.carrier.dim, a.carrier.p)
     ideals = a.ideal_of[:e] + (zero,) + a.ideal_of[e + 1 :]
     maps = a.map_of[:e] + (LinMap(zero, zero, ()),) + a.map_of[e + 1 :]
-    yield dataclasses.replace(a, ideal_of=ideals, map_of=maps, _units={})
+    yield dataclasses.replace(a, ideal_of=ideals, map_of=maps)
 
 
 def _with(a, **changes):
@@ -428,7 +428,7 @@ def _with(a, **changes):
             ideals[idx[nm]] = ideal
         if m is not None:
             maps[idx[nm]] = m
-    return dataclasses.replace(a, ideal_of=tuple(ideals), map_of=tuple(maps), _units={})
+    return dataclasses.replace(a, ideal_of=tuple(ideals), map_of=tuple(maps))
 
 
 def _composite_law_cases():
