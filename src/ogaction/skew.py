@@ -4,8 +4,8 @@ quotient of a unital action and the quotient of its globalization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .actions import Action, _translated, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
@@ -38,12 +38,16 @@ def _lift(a: Action, offsets: Sequence[int], dim: int, grade: int, v: Sequence[i
 class SkewRing:
     """Graded algebra on symbols delta_g: one block per grade, sized by the
     grade's ideal.  Built without the associativity gate; run
-    check_skew_associative before quotienting."""
+    check_skew_associative before quotienting.  `_assoc` keeps that check's
+    report once it has run; `algebra` must never be mutated after it."""
 
     source: Action
     algebra: Algebra
     grading: tuple[int, ...]
     offsets: tuple[int, ...]
+    _assoc: Optional[ValidationReport] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def lift(self, grade: int, v: Sequence[int]) -> Vector:
         """Skew-ring vector holding v (a member of the grade's ideal) at delta_grade."""
@@ -115,15 +119,18 @@ def build_skew(a: Action) -> SkewRing:
 
 
 def check_skew_associative(s: SkewRing) -> ValidationReport:
-    """Associator scan over all basis triples, reported with grades."""
-    rep = ValidationReport("skew ring", ("ASSOC",))
-    nm = s.source.index.names
-    for i, j, k in _associator_failures(s.algebra):
-        rep.add(
-            "ASSOC",
-            f"associator at grades ({nm[s.grading[i]]},{nm[s.grading[j]]},{nm[s.grading[k]]})",
-        )
-    return rep
+    """Associator scan over all basis triples, reported with grades; run on
+    the first call and kept on the ring."""
+    if s._assoc is None:
+        rep = ValidationReport("skew ring", ("ASSOC",))
+        nm = s.source.index.names
+        for i, j, k in _associator_failures(s.algebra):
+            rep.add(
+                "ASSOC",
+                f"associator at grades ({nm[s.grading[i]]},{nm[s.grading[j]]},{nm[s.grading[k]]})",
+            )
+        s._assoc = rep
+    return s._assoc
 
 
 @dataclass
@@ -240,10 +247,38 @@ def inv_sgp_morita(a: Action, gl: Globalization) -> MoritaReport:
     return _morita_core(a, gl)
 
 
+def _module_compat(q: Algebra, left: Sequence[Vector], right: Sequence[Vector]) -> bool:
+    """(x x') y == x (x' y) for every x, y in one module basis and x' in the
+    other: L x R x L, and R x L x R with the roles exchanged.
+
+    The associator is trilinear, so when no basis triple of q fails it
+    (one associator scan that forms no product) no triple of module
+    vectors can.  Only a failing scan leads to the triple loop, whose
+    value is the clause's either way."""
+    if not _associator_failures(q, limit=1):
+        return True
+    compat = True
+    # Every triple is compared; each pair product is formed once.
+    for firsts, mids, lasts in ((left, right, left), (right, left, right)):
+        mid_last = [[q.mul(xp, y) for y in lasts] for xp in mids]
+        for x in firsts:
+            for xp, xp_ys in zip(mids, mid_last):
+                x_xp = q.mul(x, xp)
+                for y, xp_y in zip(lasts, xp_ys):
+                    if q.mul(x_xp, y) != q.mul(x, xp_y):
+                        compat = False
+    return compat
+
+
 def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     """Corner identities inside the ordered quotient T of the global
     action's skew ring, with R the ordered quotient of a's skew ring and
-    1_R the image of a's anchor units along the embeddings."""
+    1_R the image of a's anchor units along the embeddings.
+
+    MOR(compat) is associativity of T read on module triples.  T was built
+    by `quotient` with its full associator scan, so the clause holds by
+    trilinearity; `_module_compat` repeats that scan as a certificate and
+    compares the module triples only when it fails."""
     r_ring = build_ordered_skew(build_skew(a))
     b, phi = gl.global_action, gl.embeddings
     t_ring = build_ordered_skew(build_skew(b))
@@ -276,19 +311,7 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     sum_range = graded_sum([(g, images[r]) for g, r, _ in ix.triples])
     embedded_copy = graded_sum([(g, phi[r].image_of(a.ideal_of[g])) for g, r, _ in ix.triples])
 
-    # Every triple is compared; each pair product is formed once.
-    compat = True
-    for firsts, mids, lasts in (
-        (left_module.basis, right_module.basis, left_module.basis),
-        (right_module.basis, left_module.basis, right_module.basis),  # roles exchanged
-    ):
-        mid_last = [[q.mul(xp, y) for y in lasts] for xp in mids]
-        for x in firsts:
-            for xp, xp_ys in zip(mids, mid_last):
-                x_xp = q.mul(x, xp)
-                for y, xp_y in zip(lasts, xp_ys):
-                    if q.mul(x_xp, y) != q.mul(x, xp_y):
-                        compat = False
+    compat = _module_compat(q, left_module.basis, right_module.basis)
 
     pair_to_r = _span_products(q, left_module.basis, right_module.basis)
     pair_to_t = _span_products(q, right_module.basis, left_module.basis)

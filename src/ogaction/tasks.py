@@ -161,10 +161,17 @@ def _task_strong_check(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 
 def _glob_of(ws: Workspace, t: dict):
-    a = ws.action(_required(t, "action"))
-    if t.get("minimal"):
-        return a, build_minimal_globalization(a)
-    return a, build_globalization(a)
+    """The task's action and its (minimal) globalization, built on the first
+    request of the run and kept on the workspace with the checklist its
+    build ran.  A build that raises keeps nothing, so each task asking for
+    it raises again."""
+    name = _required(t, "action")
+    a = ws.action(name)
+    key = (name, bool(t.get("minimal")))
+    if key not in ws.globalizations:
+        build = build_minimal_globalization if key[1] else build_globalization
+        ws.globalizations[key] = build(a)
+    return a, ws.globalizations[key]
 
 
 def _task_globalize(ws: Workspace, t: dict) -> tuple[dict, dict]:
@@ -305,8 +312,10 @@ def run_task(ws: Workspace, t: dict) -> TaskReport:
     expect_error = t.get("expect_error")
     try:
         clauses, data = handler(ws, t)
-    except WorkbenchError as exc:
-        if expect_error and type(exc).__name__ == expect_error:
+    except Exception as exc:
+        # Any failure is this task's error, never a traceback that ends the
+        # run; expect_error accepts typed workbench errors only.
+        if isinstance(exc, WorkbenchError) and type(exc).__name__ == expect_error:
             return TaskReport(
                 tid, kind, "pass", {"EXPECTED-ERROR": True}, {"raised": expect_error},
                 error=None,

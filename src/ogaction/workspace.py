@@ -15,6 +15,7 @@ from typing import Any
 from .actions import Action
 from .algebras import Algebra
 from .errors import WorkspaceError
+from .globalize import Globalization
 from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace, express_all
 from .semigroups import InverseSemigroup
@@ -28,6 +29,9 @@ class Workspace:
     actions: dict[str, Action] = field(default_factory=dict)
     inv_actions: dict[str, Action] = field(default_factory=dict)
     tasks: list[dict[str, Any]] = field(default_factory=list)
+    # Globalizations built by this workspace's tasks, by (action name,
+    # minimal); they live and are freed with the workspace.
+    globalizations: dict[tuple[str, bool], Globalization] = field(default_factory=dict)
 
     def action(self, name: str) -> Action:
         try:

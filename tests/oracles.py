@@ -9,7 +9,9 @@ wrote them before it kept one product table per subspace.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
-reading.  The next section keeps the order closure, the groupoid, order,
+reading.  The Morita section keeps the MOR(compat) clause as the loop over
+module triples that the library ran before it read the clause from the
+quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
 walks over composites and over the strict order, as plain scans over all
 arrows or elements, as the library wrote them before it read them from
@@ -194,6 +196,21 @@ def subalgebra_products(alg, sub):
                 row[j] = kc
         out.append(row)
     return tuple(out)
+
+
+# -- retained Morita compatibility loop -------------------------------------
+
+
+def morita_compat(q, left, right):
+    """(x x') y == x (x' y) for every x, y in one module basis and x' in the
+    other, over L x R x L and R x L x R, forming every product afresh."""
+    for firsts, mids in ((left, right), (right, left)):
+        for x in firsts:
+            for xp in mids:
+                for y in firsts:
+                    if q.mul(q.mul(x, xp), y) != q.mul(x, q.mul(xp, y)):
+                        return False
+    return True
 
 
 # -- retained globalization checks ---------------------------------------

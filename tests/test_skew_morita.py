@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,9 @@ from ogaction.actions import (
     standard_restriction,
     validate_po_action,
 )
-from ogaction.algebras import diagonal_algebra
+from ogaction.algebras import Algebra, _associator_failures, diagonal_algebra
 from ogaction.corpus import CORPUS
-from ogaction.errors import InvalidAction, NotAssociative, NotPreunital, NotUnital
+from ogaction.errors import InvalidAction, InvalidAlgebra, NotAssociative, NotPreunital, NotUnital
 from ogaction.globalize import (
     as_globalization,
     build_globalization,
@@ -38,7 +39,7 @@ from ogaction.tasks import run_task
 from ogaction.validation import ValidationReport
 from ogaction.workspace import load_workspace
 
-from oracles import naive_ideal_closure, naive_rank
+from oracles import morita_compat, naive_ideal_closure, naive_rank
 from test_globalization import inclusion_globalization
 
 
@@ -153,6 +154,26 @@ def test_nonassociative_regression_fixture():
     assert not rep.ok
     with pytest.raises(NotAssociative):
         build_ordered_skew(sk)
+
+
+def test_the_skew_ring_keeps_its_associator_report(monkeypatch):
+    """The ordered quotient reads the report the skew task computed; the
+    kept report does not enter ring equality."""
+    calls = []
+    real = skew._associator_failures
+
+    def counted(alg, limit=32):
+        calls.append(alg)
+        return real(alg, limit)
+
+    monkeypatch.setattr(skew, "_associator_failures", counted)
+    a = fx.pointed_arrow_partial_action()
+    s = build_skew(a)
+    rep = check_skew_associative(s)
+    build_ordered_skew(s)
+    assert check_skew_associative(s) is rep
+    assert calls == [s.algebra]
+    assert s == build_skew(a)
 
 
 def test_trivially_ordered_actions_have_zero_identification_ideal():
@@ -310,6 +331,24 @@ def test_a_morita_task_runs_the_globalization_checklist_once(monkeypatch, tmp_pa
     [task] = [t for t in ws.tasks if t.get("id") == "morita"]
     assert run_task(ws, task).status == "pass"
     assert len(calls) == 1
+
+
+def test_module_compat_falls_back_to_the_triple_loop_when_the_certificate_fails():
+    """On an algebra built without the associativity gate the scan
+    certificate fails, and the clause is the triple loop's value: False on
+    the full bases, True on module bases that miss the failing triple."""
+    # b0 b0 = b1 and b1 b0 = b0: (b0 b0) b0 = b0 but b0 (b0 b0) = 0.
+    structure = [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]
+    q = Algebra(3, 2, structure, check=False)
+    with pytest.raises(InvalidAlgebra):
+        Algebra(3, 2, structure)
+    assert _associator_failures(q, limit=1)
+    b0, b1 = q.basis_vector(0), q.basis_vector(1)
+    assert skew._module_compat(q, [b0, b1], [b0, b1]) is False
+    assert skew._module_compat(q, [b1], [b1]) is True
+    bases = ([], [b0], [b1], [b0, b1])
+    for left, right in product(bases, bases):
+        assert skew._module_compat(q, left, right) == morita_compat(q, left, right), (left, right)
 
 
 def test_semilattice_skew_collapses_comparable_grades():
