@@ -26,14 +26,6 @@ MORITA_CLAUSES = (
 )
 
 
-def _lift(a: Action, offsets: Sequence[int], dim: int, grade: int, v: Sequence[int]) -> Vector:
-    """SkewRing.lift from explicit block offsets, usable before the SkewRing exists."""
-    out = [0] * dim
-    for k, c in enumerate(a.ideal_of[grade].coordinates_of(v)):
-        out[offsets[grade] + k] = c
-    return tuple(out)
-
-
 @dataclass
 class SkewRing:
     """Graded algebra on symbols delta_g: one block per grade, sized by the
@@ -51,7 +43,19 @@ class SkewRing:
 
     def lift(self, grade: int, v: Sequence[int]) -> Vector:
         """Skew-ring vector holding v (a member of the grade's ideal) at delta_grade."""
-        return _lift(self.source, self.offsets, self.algebra.dim, grade, v)
+        out = [0] * self.algebra.dim
+        for k, c in enumerate(self.source.ideal_of[grade].coordinates_of(v)):
+            out[self.offsets[grade] + k] = c
+        return tuple(out)
+
+
+def _anchor_unit(s: SkewRing) -> Vector:
+    """Sum over the anchors e of 1_e placed at delta_e."""
+    a = s.source
+    total = (0,) * s.algebra.dim
+    for e in a.index.anchors:
+        total = vec_add(total, s.lift(e, a.unit_vector(e)), s.algebra.p)
+    return total
 
 
 def build_skew(a: Action) -> SkewRing:
@@ -68,7 +72,6 @@ def build_skew(a: Action) -> SkewRing:
         dim += r
     carrier = a.carrier
     p = carrier.p
-    zero = (0,) * dim
     basis_members = [(g, v) for g in ix.grades for v in a.ideal_of[g].basis]
 
     # Per grade g, each basis column of each grade h that g composes with,
@@ -104,18 +107,16 @@ def build_skew(a: Action) -> SkewRing:
                 row[col] = kc
         products.append(row)
     alg = Algebra.from_products(p, dim, tuple(products), unit=None, check=False, name="skew ring")
+    s = SkewRing(a, alg, tuple(grading), tuple(offsets))
     if is_preunital(a):
-        unit = zero
-        for e in ix.anchors:
-            unit = vec_add(unit, _lift(a, offsets, dim, e, a.unit_vector(e)), p)
-        ok = all(
+        unit = _anchor_unit(s)
+        if all(
             alg.mul(unit, alg.basis_vector(i)) == alg.basis_vector(i)
             and alg.mul(alg.basis_vector(i), unit) == alg.basis_vector(i)
             for i in range(dim)
-        )
-        if ok:
+        ):
             alg.unit = unit
-    return SkewRing(a, alg, tuple(grading), tuple(offsets))
+    return s
 
 
 def check_skew_associative(s: SkewRing) -> ValidationReport:
@@ -167,13 +168,9 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
 
 def skew_unit(o: OrderedSkewRing) -> Vector:
     """Image of the sum of the anchor units; verified two-sided in the quotient."""
-    a = o.skew.source
-    if not is_preunital(a):
+    if not is_preunital(o.skew.source):
         raise NotPreunital("some anchor ideal has no central idempotent identity")
-    total = (0,) * o.skew.algebra.dim
-    for e in a.index.anchors:
-        total = vec_add(total, o.skew.lift(e, a.unit_vector(e)), o.skew.algebra.p)
-    img = o.projection.apply(total)
+    img = o.projection.apply(_anchor_unit(o.skew))
     q = o.quotient
     for i in range(q.dim):
         b = q.basis_vector(i)
@@ -198,16 +195,8 @@ def _span_products(alg: Algebra, left: Sequence[Vector], right: Sequence[Vector]
 @dataclass
 class MoritaReport:
     """Corner-subspace identities and context checks inside the globalized
-    quotient, with the intrinsic quotient kept for dimension comparison."""
+    quotient; `dims` holds the subspace ranks and the dimensions of T and R."""
 
-    r_ring: OrderedSkewRing
-    t_ring: OrderedSkewRing
-    one_r: Vector
-    right_module: Subspace  # T * 1_R
-    left_module: Subspace  # 1_R * T
-    corner: Subspace  # 1_R * T * 1_R
-    double: Subspace  # T * 1_R * T
-    embedded_copy: Subspace
     clauses: dict[str, bool]
     dims: dict[str, int]
     objects_finite: bool = True
@@ -288,17 +277,13 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     full = q.space()
     basis = [q.basis_vector(i) for i in range(q.dim)]
 
-    one = [0] * q.dim
+    one_r = (0,) * q.dim
     for e in ix.anchors:
-        u = a.unit_vector(e)
-        img = t_ring.project_lift(e, phi[e].apply(u))
-        for i, x in enumerate(img):
-            one[i] = (one[i] + x) % p
-    one_r = tuple(one)
+        one_r = vec_add(one_r, t_ring.project_lift(e, phi[e].apply(a.unit_vector(e))), p)
 
-    right_module = Subspace.span(q.dim, [q.mul(t, one_r) for t in basis], p)  # T 1_R
-    left_module = Subspace.span(q.dim, [q.mul(one_r, t) for t in basis], p)  # 1_R T
-    corner = Subspace.span(q.dim, [q.mul(one_r, q.mul(t, one_r)) for t in basis], p)
+    right_module = _span_products(q, basis, [one_r])  # T 1_R
+    left_module = _span_products(q, [one_r], basis)  # 1_R T
+    corner = _span_products(q, [one_r], right_module.basis)  # 1_R T 1_R
     double = _span_products(q, right_module.basis, basis)  # T 1_R T
 
     def graded_sum(pieces: Sequence[tuple[int, Subspace]]) -> Subspace:
@@ -348,15 +333,4 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
         "one_r_idempotent": int(q.mul(one_r, one_r) == one_r),
         "copy_faithful": int(embedded_copy.rank == r_ring.quotient.dim),
     }
-    return MoritaReport(
-        r_ring=r_ring,
-        t_ring=t_ring,
-        one_r=one_r,
-        right_module=right_module,
-        left_module=left_module,
-        corner=corner,
-        double=double,
-        embedded_copy=embedded_copy,
-        clauses=clauses,
-        dims=dims,
-    )
+    return MoritaReport(clauses, dims)

@@ -32,7 +32,6 @@ from .skew import (
     build_ordered_skew,
     build_skew,
     check_skew_associative,
-    inv_sgp_morita,
     morita_context,
     skew_unit,
 )
@@ -225,17 +224,13 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
     if "inv_action" in t:
         a = ws.inv_action(_required(t, "inv_action"))
         if t.get("ordered", True):
+            # Ordered by default, behind the unital gate; a non-associative
+            # skew ring raises NotAssociative, and no unit is reported.
             o = build_inv_sgp_skew(a)
-            data = {
-                "skew_dim": o.skew.algebra.dim,
-                "n_dim": o.n_ideal.rank,
-                "quotient_dim": o.quotient.dim,
-            }
-            return {"ASSOC": True}, data
-        s = build_skew(a)
-        rep = check_skew_associative(s)
-        return rep.clauses(), {"skew_dim": s.algebra.dim}
-    a = ws.action(_required(t, "action"))
+            s_dim, n_dim, q_dim = o.skew.algebra.dim, o.n_ideal.rank, o.quotient.dim
+            return {"ASSOC": True}, {"skew_dim": s_dim, "n_dim": n_dim, "quotient_dim": q_dim}
+    else:
+        a = ws.action(_required(t, "action"))
     s = build_skew(a)
     rep = check_skew_associative(s)
     data: dict[str, Any] = {"skew_dim": s.algebra.dim}
@@ -282,7 +277,7 @@ def _task_inv_pipeline(ws: Workspace, t: dict) -> tuple[dict, dict]:
         "carrier_dim": b.carrier.dim,
     }
     if t.get("with_morita"):
-        rep = inv_sgp_morita(a, result)
+        rep = morita_context(a, result)
         clauses.update(rep.clauses)
         data["morita_dims"] = rep.dims
     return clauses, data

@@ -281,6 +281,9 @@ def load_workspace(path: str | Path) -> Workspace:
         if not all(isinstance(t.get(key, ""), str) for key in ("task", "id")):
             raise WorkspaceError(f"{path}: task entry {t!r}: 'task' and 'id' must be strings")
         tid = t.get("id", t["task"])
+        # `run --out` writes each report to <id>.json next to summary.json.
+        if tid in ("", ".", "..", "summary") or any(c in tid for c in "/\\\0"):
+            raise WorkspaceError(f"{path}: task id {tid!r} cannot name a report file")
         if tid in seen:
             raise WorkspaceError(f"{path}: duplicate task id {tid!r}")
         seen.add(tid)

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from ogaction import fixtures as fx
 from ogaction import globalize, skew
 from ogaction.cli import main
 from ogaction.corpus import CORPUS
 from ogaction.tasks import TASK_CATALOG, run_task, run_tasks
-from ogaction.workspace import load_workspace
+from ogaction.workspace import Workspace, load_workspace
 
 from oracles import morita_compat
 
@@ -185,3 +186,57 @@ def test_an_untyped_exception_becomes_the_task_error(monkeypatch, tmp_path, caps
         assert report["status"] == "error"
         assert report["error"] == "ZeroDivisionError: integer division or modulo by zero"
     assert len(summary) == len(doc["tasks"])
+
+
+def _skew_report(ws, subject: dict, ordered) -> dict:
+    t = {"id": "skew", "task": "skew", **subject}
+    if ordered is not None:
+        t["ordered"] = ordered
+    return run_task(ws, t).to_dict()
+
+
+def _skew_outcome(status, clauses, data, error=None) -> dict:
+    return {"id": "skew", "task": "skew", "status": status, "clauses": clauses,
+            "data": data, "error": error}
+
+
+NOT_UNITAL = "NotUnital: ideal at t has no central idempotent identity"
+
+
+@pytest.mark.parametrize(
+    "doc, name, ordered, status, clauses, data, error",
+    [
+        # A semigroup skew task is ordered by default and reports no unit.
+        ("brandt_b2.json", "block_swap_b2", None, "pass", {"ASSOC": True},
+         {"skew_dim": 5, "n_dim": 0, "quotient_dim": 5}, None),
+        ("brandt_b2.json", "block_swap_b2", False, "pass", {"ASSOC": True},
+         {"skew_dim": 5}, None),
+        ("brandt_b2.json", "block_swap_b2", True, "pass", {"ASSOC": True},
+         {"skew_dim": 5, "n_dim": 0, "quotient_dim": 5}, None),
+        ("semilattice.json", "trivial_chain", None, "pass", {"ASSOC": True},
+         {"skew_dim": 4, "n_dim": 2, "quotient_dim": 2}, None),
+        ("semilattice.json", "trivial_chain", False, "pass", {"ASSOC": True},
+         {"skew_dim": 4}, None),
+        ("semilattice.json", "trivial_chain", True, "pass", {"ASSOC": True},
+         {"skew_dim": 4, "n_dim": 2, "quotient_dim": 2}, None),
+        # The ordered quotient has a unital gate; the bare skew ring has none.
+        ("nilpotent_edge.json", "square_zero_edge", None, "error", {}, {}, NOT_UNITAL),
+        ("nilpotent_edge.json", "square_zero_edge", False, "pass", {"ASSOC": True},
+         {"skew_dim": 3}, None),
+        ("nilpotent_edge.json", "square_zero_edge", True, "error", {}, {}, NOT_UNITAL),
+    ],
+)
+def test_skew_task_reports_on_inverse_semigroup_actions(
+    tmp_path, doc, name, ordered, status, clauses, data, error
+):
+    ws = load_workspace(_write(tmp_path, doc, CORPUS[doc]()))
+    got = _skew_report(ws, {"inv_action": name}, ordered)
+    assert got == _skew_outcome(status, clauses, data, error)
+
+
+@pytest.mark.parametrize("ordered", [None, False, True])
+def test_skew_task_on_a_non_associative_skew_ring_reports_assoc_false(ordered):
+    """No quotient is attempted: the skew ring's dimension is the only data."""
+    ws = Workspace(actions={"swap": fx.zero_ring_swap_action()})
+    got = _skew_report(ws, {"action": "swap"}, ordered)
+    assert got == _skew_outcome("fail", {"ASSOC": False}, {"skew_dim": 5})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,35 @@ def test_duplicate_task_ids_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(WorkspaceError):
         load_workspace(path)
+
+
+@pytest.mark.parametrize("tid", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "summary"])
+def test_a_task_id_that_cannot_name_a_report_file_is_rejected(tmp_path, capsys, tid):
+    """`run --out` writes <id>.json: an id that is a path, leaves the
+    directory or is the summary's name is a load error naming the id, and
+    nothing is written inside or outside --out."""
+    doc = CORPUS["semilattice.json"]()
+    doc["tasks"][1]["id"] = tid
+    run = tmp_path / "run"
+    run.mkdir()
+    path = run / "semilattice.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WorkspaceError, match=f"task id {re.escape(repr(tid))}"):
+        load_workspace(path)
+    assert main(["run", str(path), "--out", str(run / "out")]) == 2
+    assert repr(tid) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "semilattice.json"]
+
+
+def test_an_id_that_only_resembles_a_rejected_one_is_kept(tmp_path):
+    doc = CORPUS["semilattice.json"]()
+    doc["tasks"][1]["id"] = "summary..json"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ["inv-pipeline.json", "summary..json.json", "summary.json",
+                       "validate-action.json"]
 
 
 def test_corpus_files_roundtrip_and_pass(tmp_path):
