@@ -294,9 +294,8 @@ def satisfies_ps(a: Action) -> bool:
     """
     a.require_valid("the composition law needs a valid action")
     g0 = a.structure
-    for g in g0.arrows():
-        for h in g0.arrows():
-            gh = g0.pseudoproduct(g, h)
+    for g, row in enumerate(g0._pseudoproducts):
+        for h, gh in enumerate(row):
             if gh is None:
                 continue
             inter = a.ideal_of[g0.inv[g]].intersect(a.ideal_of[h])

@@ -177,7 +177,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
     gamma: dict[int, LinMap] = {}
     for g in g0.arrows():
         gi = g0.inv[g]
-        source_of = {h: g0.pseudoproduct(gi, h) for h in support_of[g]}
+        source_of = {h: g0._pseudoproducts[gi][h] for h in support_of[g]}
         gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
 
     emb_support = {

@@ -41,6 +41,53 @@ def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
+def light_certificate(table: Sequence[Sequence[int]]) -> bool:
+    """True when the square table over range(n) is associative, by Light's
+    test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2): in any magma the middle factors b with (ab)c = a(bc) for
+    all a, c form a sub-magma, so it is enough that every member of a
+    generating set is one.  A partial product is passed with an absorbing
+    sentinel for "undefined".  False proves nothing: it is also the answer
+    when the table has fewer than two rows (with one argument `itemgetter`
+    returns a scalar) or an entry outside range(n).
+
+    Generators are taken greedily.  Elements are visited by the number of
+    distinct entries in their row, largest first (in I_n the permutations,
+    then the maps of rank n-1, and so on), and one joins when it lies
+    outside the closure of those before it; each new member of the closure
+    is multiplied on both sides with every member so far, O(n^2) lookups
+    in all.  For a generator b, row (ab)c over all c is table[ab] and row
+    a(bc) is table[a] read at table[b]; whole rows are compared.
+    """
+    n = len(table)
+    rows = [tuple(row) for row in table]
+    if n < 2 or min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        return False
+    inside = [False] * n
+    members: list[int] = []
+    gens = []
+    for x in sorted(range(n), key=lambda x: -len(set(rows[x]))):
+        if inside[x]:
+            continue
+        gens.append(x)
+        inside[x] = True
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            members.append(y)
+            row = rows[y]
+            for z in members:
+                for w in (row[z], rows[z][y]):
+                    if not inside[w]:
+                        inside[w] = True
+                        queue.append(w)
+    for b in gens:
+        through = itemgetter(*rows[b])
+        if any(rows[rows[a][b]] != through(rows[a]) for a in range(n)):
+            return False
+    return True
+
+
 class OrderedGroupoid:
     """Arrows 0..n-1 with partial composition, inverses, and a partial order.
 
@@ -50,7 +97,8 @@ class OrderedGroupoid:
     A groupoid is not changed after construction, so the tables that
     restrictions read (the arrows below each arrow, grouped by domain and
     by range) are built on first use and kept, as are object meets per
-    pair.  The checks walk up-sets and composites
+    pair and, once the groupoid is valid, the pseudoproduct table.  The
+    checks walk up-sets and composites
     grouped by arrow; like the tables, these skip only pairs a scan over
     all arrows would have passed over, in the same order, so reports,
     issue lists and exceptions are those of the plain scans.
@@ -329,6 +377,32 @@ class OrderedGroupoid:
         right = self.corestriction(m, h)
         return self.comp[(left, right)]
 
+    @cached_property
+    def _pseudoproducts(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """The pseudoproduct table of a valid groupoid, None where dom g and
+        ran h have no meet.
+
+        The pseudoproduct g*h is (g | m) * (m | h) with m = dom g ^ ran h.
+        In a valid groupoid the restriction and corestriction at an object
+        m are the single arrows below g with domain m and below h with
+        range m, so each entry is one lookup in comp.
+        """
+        self.require_valid()
+        objs = sorted(self.objects)
+        meet = {e: {f: self.meet_objects(e, f) for f in objs} for e in objs}
+        res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]
+        cores = [{m: found[0] for m, found in by_ran.items()} for by_ran in self._below_by_ran]
+        comp, ran = self.comp, self.ran
+        rows = []
+        for g in self.arrows():
+            left, meet_g = res[g], meet[self.dom[g]]
+            row = []
+            for h in self.arrows():
+                m = meet_g[ran[h]]
+                row.append(None if m is None else comp[(left[m], cores[h][m])])
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def is_inductive(self) -> bool:
         objs = sorted(self.objects)
         return all(
@@ -341,23 +415,15 @@ class OrderedGroupoid:
         When both sides exist they must coincide; a difference would break
         the ordered-groupoid axioms and raises instead of returning False.
         """
-        # Tabulate the pseudoproduct once, with n for "undefined", and for
-        # each pair (g, h) compare row g*h whole with row g read through
-        # row h.  Any exception or disagreement reruns the scan, so the
-        # value returned and the exception raised are the scan's.
+        # With n for "undefined", an absorbing sentinel, pseudoassociativity
+        # is associativity of the kept table.  Any exception (an invalid
+        # groupoid has no table) or a failed certificate runs the scan, so
+        # the value returned and the exception raised are the scan's.
         n = self.n
         try:
-            rows = [[self.pseudoproduct(g, h) for h in self.arrows()] for g in self.arrows()]
-            if all(x is None or 0 <= x < n for row in rows for x in row):
-                table = [tuple(n if x is None else x for x in row) + (n,) for row in rows]
-                table.append((n,) * (n + 1))
-                through = [itemgetter(*row) for row in table[:n]]
-                if all(
-                    through[h](table[g]) == table[table[g][h]]
-                    for g in self.arrows()
-                    for h in self.arrows()
-                ):
-                    return True
+            rows = [tuple(n if x is None else x for x in row) + (n,) for row in self._pseudoproducts]
+            if light_certificate(rows + [(n,) * (n + 1)]):
+                return True
         except Exception:
             pass
         return self._scan_pseudoassociative()

@@ -5,12 +5,11 @@ symmetric inverse structure on subspaces of an algebra)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .algebras import Algebra
 from .errors import InvalidSemigroup, NotInductive
-from .groupoids import OrderedGroupoid, _group
+from .groupoids import OrderedGroupoid, _group, light_certificate
 from .linalg import LinMap, compose_partial, partial_inverse
 from .validation import ValidationReport
 
@@ -26,14 +25,9 @@ class InverseSemigroup:
     listed once; once `validate()` passes, the inverses and the down-set
     of each element under the natural order are kept as tables.
 
-    ASSOC is decided by Light's test (Clifford and Preston, *The Algebraic
-    Theory of Semigroups* I, section 1.2): in any finite magma the middle
-    factors b with (ab)c = a(bc) for all a, c form a sub-magma, so the
-    table is associative as soon as every member of a generating set is
-    such a middle factor.  `validate` takes a generating set greedily by
-    incremental closure and compares whole rows for those members only.
-    If a row differs (or an entry is out of range) it runs the scan over
-    all pairs, so the ASSOC issues and their order are the scan's.
+    ASSOC is decided by `light_certificate` (Light's test on a greedy
+    generating set).  When it fails `validate` runs the plain scan over
+    all triples, so the ASSOC issues and their order are the scan's.
     """
 
     def __init__(self, names: Sequence[str], mult: Sequence[Sequence[int]]):
@@ -44,6 +38,8 @@ class InverseSemigroup:
         if len(mult) != self.n or any(len(row) != self.n for row in mult):
             raise InvalidSemigroup("multiplication table must be n x n")
         self.mult = tuple(tuple(int(x) for x in row) for row in mult)
+        if self.n and (min(map(min, self.mult)) < 0 or max(map(max, self.mult)) >= self.n):
+            raise InvalidSemigroup("multiplication table entries must be element indices")
         self._report: Optional[ValidationReport] = None
         self._inverse: Optional[tuple[int, ...]] = None
         self._idempotents: Optional[tuple[int, ...]] = None
@@ -79,15 +75,9 @@ class InverseSemigroup:
         rep = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES)
         nm = self.names
         mult = self.mult
-        # Row (ab)c over all c is mult[ab]; row a(bc) is mult[a] read at
-        # mult[b].  Only a pair whose rows differ is scanned per c.  (With
-        # one argument, itemgetter returns a scalar, so n <= 1 always scans.)
-        pick = [itemgetter(*row) for row in mult] if self.n > 1 else None
-        if pick is None or not _light_certificate(mult, pick):
+        if not light_certificate(mult):
             for a in self.elements():
                 for b in self.elements():
-                    if pick is not None and mult[mult[a][b]] == pick[b](mult[a]):
-                        continue
                     for c in self.elements():
                         if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
                             rep.add("ASSOC", f"({nm[a]}{nm[b]}){nm[c]} != {nm[a]}({nm[b]}{nm[c]})")
@@ -149,49 +139,6 @@ class InverseSemigroup:
             for b in range(self.n):
                 mult[perm[a]][perm[b]] = perm[self.mult[a][b]]
         return InverseSemigroup(names, mult)
-
-
-def _magma_generators(mult: Sequence[Sequence[int]]) -> list[int]:
-    """A generating set of the table's magma, taken greedily.
-
-    Elements are visited by the number of distinct entries in their row,
-    largest first (in I_n the permutations, then the maps of rank n-1, and
-    so on), and one joins when it lies outside the closure of those before
-    it.  Each new member of the closure is multiplied on both sides with
-    every member so far, so every product of members is formed once:
-    O(n^2) lookups in all.  Entries must lie in range.
-    """
-    inside = [False] * len(mult)
-    members: list[int] = []
-    gens = []
-    for x in sorted(range(len(mult)), key=lambda x: -len(set(mult[x]))):
-        if inside[x]:
-            continue
-        gens.append(x)
-        inside[x] = True
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            members.append(y)
-            row = mult[y]
-            for z in members:
-                for w in (row[z], mult[z][y]):
-                    if not inside[w]:
-                        inside[w] = True
-                        queue.append(w)
-    return gens
-
-
-def _light_certificate(mult: Sequence[Sequence[int]], pick: Sequence[itemgetter]) -> bool:
-    """True when every greedy generator b is a middle factor of
-    associativity: row (ab)c equals row a(bc) for every a.  By Light's
-    lemma the table is then associative.  False proves nothing."""
-    n = len(mult)
-    if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
-        return False
-    return all(
-        mult[mult[a][b]] == pick[b](mult[a]) for b in _magma_generators(mult) for a in range(n)
-    )
 
 
 def validate_inverse_semigroup(s: InverseSemigroup) -> ValidationReport:
@@ -298,24 +245,7 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     g.require_valid()
     if not g.is_inductive():
         raise NotInductive("pseudoproduct is not total without object meets")
-    # The pseudoproduct a*b is (a | m) * (m | b) with m = dom a ^ ran b.  In
-    # a valid groupoid the restriction and corestriction at an object m are
-    # the single arrows below a with domain m and below b with range m, so
-    # each entry is one lookup in comp.
-    objs = sorted(g.objects)
-    meet = {e: {f: g.meet_objects(e, f) for f in objs} for e in objs}
-    res = [{m: found[0] for m, found in by_dom.items()} for by_dom in g._below_by_dom]
-    cores = [{m: found[0] for m, found in by_ran.items()} for by_ran in g._below_by_ran]
-    comp, ran = g.comp, g.ran
-    mult = []
-    for a in g.arrows():
-        left, meet_a = res[a], meet[g.dom[a]]
-        row = []
-        for b in g.arrows():
-            m = meet_a[ran[b]]
-            row.append(comp[(left[m], cores[b][m])])
-        mult.append(row)
-    s = InverseSemigroup(g.names, mult)
+    s = InverseSemigroup(g.names, g._pseudoproducts)
     s.require_valid()
     return s
 
@@ -352,9 +282,9 @@ def _verify_into_structure(p: Premorphism, src: GradedIndex, rep: ValidationRepo
     mapping = [int(x) for x in p.mapping]
     tx = graded_index(tgt)
     # An inductive groupoid's product is the pseudoproduct.
-    prod = tgt.mul if isinstance(tgt, InverseSemigroup) else tgt.pseudoproduct
+    table = tgt.mult if isinstance(tgt, InverseSemigroup) else tgt._pseudoproducts
     for a, b, ab in src.products():
-        img = prod(mapping[a], mapping[b])
+        img = table[mapping[a]][mapping[b]]
         if img is None or not tx.le(img, mapping[ab]):
             rep.add(
                 "PM(i)",

@@ -1,10 +1,11 @@
 """The indexed combinatorial layer against the plain scans it replaced.
 
 `OrderedGroupoid` reads its groupoid and order checks, restrictions,
-meets and pseudoproducts from composite and up-/down-set tables, and `InverseSemigroup` compares
-whole rows for associativity and keeps its natural order as down-sets.
-`InverseSemigroup` decides ASSOC by Light's test on a greedy generating
-set, and the ESN conversions read the same tables.  `tests/oracles.py`
+meets and pseudoproducts from composite and up-/down-set tables, and
+keeps its pseudoproduct table once valid; `InverseSemigroup` keeps its
+natural order as down-sets.  One Light certificate (`light_certificate`)
+decides ASSOC and, on the sentinel-extended pseudoproduct table,
+pseudoassociativity, and the ESN conversions read the same tables.  `tests/oracles.py`
 keeps the scans over all arrows and elements as they were.  Both sides
 must give the same clauses, the same issues in the same order, the same
 values and the same exceptions, on valid structures and on copies with
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 import oracles
 from ogaction import fixtures as fx
 from ogaction.actions import Action
-from ogaction.errors import NotInductive
-from ogaction.groupoids import OrderedGroupoid, _closure
+from ogaction.errors import InvalidGroupoid, NotInductive
+from ogaction.groupoids import OrderedGroupoid, _closure, light_certificate
 from ogaction.semigroups import GradedIndex, InverseSemigroup, esn_to_groupoid, esn_to_semigroup
 from ogaction.validation import ValidationReport
 
@@ -264,6 +265,81 @@ def test_assoc_certificate_matches_the_scan_when_one_middle_factor_breaks():
         fresh = InverseSemigroup(s.names, s.mult)
         assert outcome(fresh.validate) == outcome(oracles.validate_semigroup, s), label
     assert broken >= 20
+
+
+def _with_sentinel(rows):
+    """A partial table (None for "undefined") with an absorbing sentinel
+    n adjoined."""
+    n = len(rows)
+    return [[n if x is None else x for x in row] + [n] for row in rows] + [[n] * (n + 1)]
+
+
+def _adjoin_bad_copy(table, y):
+    """table with an element x adjoined that multiplies like y, except that
+    x*x moves off y*y: to the sentinel (the last element) when y*y is
+    defined, else to y.  Every product lies in the old elements, so they
+    form a proper sub-closure, and a triple can only break with x in the
+    middle."""
+    sentinel = len(table) - 1
+    xx = sentinel if table[y][y] != sentinel else y
+    out = [list(row) + [row[y]] for row in table]
+    out.append(list(table[y]) + [xx])
+    return out
+
+
+def test_light_certificate_on_partial_tables_with_one_bad_middle_factor():
+    """On the composite and pseudoproduct tables of every valid groupoid,
+    each with an absorbing sentinel for "undefined" and one element
+    adjoined by `_adjoin_bad_copy`, the certificate is True exactly when
+    the table is associative."""
+    broken = partial = 0
+    for label, g in GROUPOIDS:
+        fresh = _groupoid_copy(g)
+        if not fresh.is_valid():
+            continue
+        arrows = range(fresh.n)
+        composites = [[fresh.comp.get((a, b)) for b in arrows] for a in arrows]
+        for rows in (composites, fresh._pseudoproducts):
+            table = _with_sentinel(rows)
+            assert light_certificate(table), label
+            for y in arrows:
+                bad_table = _adjoin_bad_copy(table, y)
+                bad = _bad_middles(bad_table)
+                assert bad <= {len(table)}, (label, y)
+                assert light_certificate(bad_table) == (not bad), (label, y)
+                broken += bool(bad)
+                partial += table[y][y] == len(table) - 1
+    assert broken >= 100 and partial >= 20
+
+
+@pytest.mark.parametrize(
+    "table", [[], [[0]], [[0, 2], [1, 1]], [[0, -1], [1, 1]], [[0, 1, 3], [1, 1, 1], [2, 1, 0]]]
+)
+def test_light_certificate_proves_nothing_below_two_rows_or_out_of_range(table):
+    assert light_certificate(table) is False
+
+
+def test_light_certificate_accepts_an_associative_table_of_lists():
+    # max on {0, 1, 2}: a semilattice
+    assert light_certificate([[max(a, b) for b in range(3)] for a in range(3)])
+    assert not light_certificate([[(a - b) % 3 for b in range(3)] for a in range(3)])
+
+
+def test_kept_pseudoproduct_table_equals_the_per_call_pseudoproduct():
+    valid = with_none = 0
+    for label, g in GROUPOIDS:
+        fresh = _groupoid_copy(g)
+        if not fresh.is_valid():
+            with pytest.raises(InvalidGroupoid):
+                fresh._pseudoproducts
+            continue
+        arrows = range(g.n)
+        per_call = _groupoid_copy(g)
+        want = tuple(tuple(per_call.pseudoproduct(a, b) for b in arrows) for a in arrows)
+        assert fresh._pseudoproducts == want, label
+        valid += 1
+        with_none += any(None in row for row in want)
+    assert valid >= 15 and with_none >= 3
 
 
 def test_tabulated_esn_to_semigroup_matches_the_pseudoproduct_loop():

@@ -2,7 +2,7 @@ import pytest
 
 from ogaction import fixtures as fx
 from ogaction.actions import POAction
-from ogaction.errors import InvalidGroupoid, NotInductive
+from ogaction.errors import InvalidGroupoid, InvalidSemigroup, NotInductive
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap
 from ogaction.semigroups import (
@@ -51,6 +51,13 @@ def test_left_zero_band_is_invalid():
     assert not rep.ok
     assert not rep.clause_ok("IDEMPOTENTS")
     assert not rep.clause_ok("INVERSES")
+
+
+@pytest.mark.parametrize("mult", [[[0, 2], [1, 1]], [[0, -1], [1, 1]], [[5]]])
+def test_table_entries_outside_the_elements_are_refused(mult):
+    names = ["a", "b"][: len(mult)]
+    with pytest.raises(InvalidSemigroup, match="entries must be element indices"):
+        InverseSemigroup(names, mult)
 
 
 def test_natural_order():
