@@ -5,8 +5,9 @@ globalization constructions."""
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     InvalidGroupoid,
@@ -41,30 +42,75 @@ def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
-def light_certificate(table: Sequence[Sequence[int]]) -> bool:
-    """True when the square table over range(n) is associative, by Light's
-    test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
-    section 1.2): in any magma the middle factors b with (ab)c = a(bc) for
-    all a, c form a sub-magma, so it is enough that every member of a
-    generating set is one.  A partial product is passed with an absorbing
-    sentinel for "undefined".  False proves nothing: it is also the answer
-    when the table has fewer than two rows (with one argument `itemgetter`
-    returns a scalar) or an entry outside range(n).
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The entries of a row at these positions, always as a tuple
+    (`itemgetter` returns a scalar for one position and refuses none)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row: tuple(row[i] for i in positions)
+
+
+def light_certificate(
+    table: Sequence[Sequence[int]], partners: Optional[Sequence[Sequence[int]]] = None
+) -> bool:
+    """True when the table over range(n) is associative, by Light's test
+    (Clifford and Preston, *The Algebraic Theory of Semigroups* I, section
+    1.2): in any magma the middle factors b with (ab)c = a(bc) for all a, c
+    form a sub-magma, so it is enough that every member of a generating set
+    is one.  False proves nothing: it is also the answer when the table has
+    fewer than two rows or an entry outside range(n).
+
+    Without `partners` the table is square and total; a partial product
+    may be passed with an absorbing sentinel for "undefined".  With
+    `partners`, table[x][i] is x * partners[x][i], every other product is
+    an absorbing "undefined", and no sentinel is passed.  This is meant for
+    the composites of a category, where x * c is defined exactly when the
+    domain of x is the range of c: partners[x] lists the arrows with range
+    dom x, one list per domain, and x * c has the domain of c and the range
+    of x.  The certificate checks the part of that shape it relies on and
+    returns False where it fails: each element lies in at most one of the
+    distinct lists, and for a generator b, every ab has b's list and every
+    bc lies where b does.  Then a product that is undefined on one side of
+    (ab)c = a(bc) is undefined on the other, so only a with b in partners[a]
+    and c in partners[b] are compared.  The total case is the one where
+    every list is range(n).
 
     Generators are taken greedily.  Elements are visited by the number of
     distinct entries in their row, largest first (in I_n the permutations,
     then the maps of rank n-1, and so on), and one joins when it lies
     outside the closure of those before it; each new member of the closure
-    is multiplied on both sides with every member so far, O(n^2) lookups
-    in all.  For a generator b, row (ab)c over all c is table[ab] and row
-    a(bc) is table[a] read at table[b]; whole rows are compared.
+    is multiplied on both sides with the members it composes with, found
+    from the members kept per list they own and per list they lie in.  For
+    a generator b and each a, row (ab)c over the c in partners[b] is
+    table[ab], and row a(bc) is table[a] read at the positions of the bc;
+    whole rows are compared.
     """
     n = len(table)
     rows = [tuple(row) for row in table]
-    if n < 2 or min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+    if partners is None:
+        lists, key = [tuple(range(n))], [0] * n
+    else:
+        labels: dict[tuple[int, ...], int] = {}
+        key = [labels.setdefault(tuple(p), len(labels)) for p in partners]
+        lists = list(labels)
+    if (
+        n < 2
+        or any(len(row) != len(lists[k]) for row, k in zip(rows, key))
+        or min(map(min, filter(None, rows + lists)), default=0) < 0
+        or max(map(max, filter(None, rows + lists)), default=0) >= n
+    ):
         return False
+    # home[y]: the list y lies in, at position pos[y]; -1 (an extra, empty
+    # slot below) when y lies in none.
+    home, pos = [-1] * n, [0] * n
+    for k, ys in enumerate(lists):
+        for i, y in enumerate(ys):
+            if home[y] != -1:
+                return False
+            home[y], pos[y] = k, i
     inside = [False] * n
-    members: list[int] = []
+    lying_in = [[] for _ in range(len(lists) + 1)]  # per list: positions of the members in it
+    owning = [[] for _ in range(len(lists) + 1)]  # per list: rows of the members whose list it is
     gens = []
     for x in sorted(range(n), key=lambda x: -len(set(rows[x]))):
         if inside[x]:
@@ -74,17 +120,23 @@ def light_certificate(table: Sequence[Sequence[int]]) -> bool:
         queue = [x]
         while queue:
             y = queue.pop()
-            members.append(y)
-            row = rows[y]
-            for z in members:
-                for w in (row[z], rows[z][y]):
-                    if not inside[w]:
-                        inside[w] = True
-                        queue.append(w)
+            row, k, h = rows[y], key[y], home[y]
+            owning[k].append(row)
+            lying_in[h].append(pos[y])
+            for w in chain(map(row.__getitem__, lying_in[k]), map(itemgetter(pos[y]), owning[h])):
+                if not inside[w]:
+                    inside[w] = True
+                    queue.append(w)
+    # Every element is a member now, so owning[h] holds the row of every a
+    # with b in partners[a].
     for b in gens:
-        through = itemgetter(*rows[b])
-        if any(rows[rows[a][b]] != through(rows[a]) for a in range(n)):
+        k, h, pb = key[b], home[b], pos[b]
+        if any(home[c] != h for c in rows[b]):
             return False
+        through = _picker([pos[c] for c in rows[b]])
+        for row in owning[h]:
+            if key[row[pb]] != k or rows[row[pb]] != through(row):
+                return False
     return True
 
 
@@ -96,12 +148,14 @@ class OrderedGroupoid:
 
     A groupoid is not changed after construction, so the tables that
     restrictions read (the arrows below each arrow, grouped by domain and
-    by range) are built on first use and kept, as are object meets per
-    pair and, once the groupoid is valid, the pseudoproduct table.  The
-    checks walk up-sets and composites
-    grouped by arrow; like the tables, these skip only pairs a scan over
-    all arrows would have passed over, in the same order, so reports,
-    issue lists and exceptions are those of the plain scans.
+    by range) are built on first use and kept, as are the meets of all
+    pairs of objects and, once the groupoid is valid, the pseudoproduct
+    table.  The checks walk up-sets and composites grouped by arrow; like
+    the tables, these skip only pairs a scan over all arrows would have
+    passed over, in the same order.  CAT associativity is decided by
+    Light's test over composable pairs, and the loop over composable
+    triples runs only when that fails.  So reports, issue lists and
+    exceptions are those of the plain scans.
     """
 
     def __init__(
@@ -121,10 +175,9 @@ class OrderedGroupoid:
         self.comp = dict(comp)
         self.dom = tuple(dom)
         self.ran = tuple(ran)
-        self.leq = tuple(tuple(bool(x) for x in row) for row in leq)
+        self.leq = tuple(tuple(map(bool, row)) for row in leq)
         self._groupoid_report: Optional[ValidationReport] = None
         self._order_report: Optional[ValidationReport] = None
-        self._meets: dict[tuple[int, int], Optional[int]] = {}
 
     @classmethod
     def from_parts(
@@ -254,6 +307,33 @@ class OrderedGroupoid:
                 rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
             if self.comp.get((g, self.inv[g])) != self.ran[g]:
                 rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
+        # With no CAT issue so far, comp is defined exactly on the composable
+        # pairs, with the right endpoints, so a composable triple can only
+        # fail by (gh)k != g(hk), and the certificate decides that.  When it
+        # fails, or raises, the scan runs, so the issues are the scan's.
+        if not rep.clause_ok("CAT") or not self._cat_certificate(by_ran):
+            self._scan_cat_associativity(rep)
+        self._groupoid_report = rep
+        return rep
+
+    def _cat_certificate(self, by_ran: dict[int, tuple[int, ...]]) -> bool:
+        """Light's test over composable pairs: the partners of g are the
+        arrows with range dom g, one tuple per domain.  As many keys as
+        composable pairs leaves no key outside the arrows; the certificate
+        refuses a value outside them."""
+        try:
+            partners = [by_ran.get(d, ()) for d in self.dom]
+            if len(self.comp) != sum(map(len, partners)):
+                return False
+            comp = self.comp
+            table = [[comp[(g, h)] for h in hs] for g, hs in enumerate(partners)]
+            return light_certificate(table, partners)
+        except Exception:
+            return False
+
+    def _scan_cat_associativity(self, rep: ValidationReport) -> None:
+        """Associativity over every composable triple, as a plain scan."""
+        nm = self.names
         after: dict[int, list[int]] = {}  # h -> the arrows k with (h, k) composed
         for h, k in sorted(self.comp):
             if k in self.arrows():
@@ -265,8 +345,6 @@ class OrderedGroupoid:
                 right = self.comp.get((g, hk))
                 if left is None or right is None or left != right:
                     rep.add("CAT", f"associativity fails on ({nm[g]},{nm[h]},{nm[k]})")
-        self._groupoid_report = rep
-        return rep
 
     def validate_order(self) -> ValidationReport:
         if self._order_report is not None:
@@ -360,13 +438,34 @@ class OrderedGroupoid:
             )
         return found[0]
 
+    @cached_property
+    def _objects_below(self) -> dict[int, frozenset[int]]:
+        """Per object e: the objects x with x <= e."""
+        leq = self.leq
+        return {e: frozenset(x for x in self.objects if leq[x][e]) for e in self.objects}
+
+    def _greatest(self, lower: frozenset[int]) -> Optional[int]:
+        """The one member of a set of objects that every member is below,
+        or None when there is not exactly one."""
+        below = self._objects_below
+        top = [z for z in lower if lower <= below[z]]
+        return top[0] if len(top) == 1 else None
+
+    @cached_property
+    def _meets(self) -> dict[int, dict[int, Optional[int]]]:
+        """meets[e][f]: the meet of the objects e and f, None where there is
+        none.  Built from the order alone, so it exists on an invalid
+        groupoid too."""
+        below = self._objects_below
+        return {e: {f: self._greatest(below[e] & below[f]) for f in below} for e in below}
+
     def meet_objects(self, e: int, f: int) -> Optional[int]:
-        if (e, f) not in self._meets:
-            leq = self.leq
-            lower = [x for x in sorted(self.objects) if leq[x][e] and leq[x][f]]
-            greatest = [z for z in lower if all(leq[w][z] for w in lower)]
-            self._meets[(e, f)] = greatest[0] if len(greatest) == 1 else None
-        return self._meets[(e, f)]
+        """The greatest object below e and f, if there is exactly one."""
+        row = self._meets.get(e, {})
+        if f in row:
+            return row[f]
+        leq = self.leq
+        return self._greatest(frozenset(x for x in self.objects if leq[x][e] and leq[x][f]))
 
     def pseudoproduct(self, g: int, h: int) -> Optional[int]:
         """(g | d(g)∧r(h)) * (d(g)∧r(h) | h) when the object meet exists."""
@@ -388,14 +487,12 @@ class OrderedGroupoid:
         range m, so each entry is one lookup in comp.
         """
         self.require_valid()
-        objs = sorted(self.objects)
-        meet = {e: {f: self.meet_objects(e, f) for f in objs} for e in objs}
         res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]
         cores = [{m: found[0] for m, found in by_ran.items()} for by_ran in self._below_by_ran]
         comp, ran = self.comp, self.ran
         rows = []
         for g in self.arrows():
-            left, meet_g = res[g], meet[self.dom[g]]
+            left, meet_g = res[g], self._meets[self.dom[g]]
             row = []
             for h in self.arrows():
                 m = meet_g[ran[h]]
@@ -404,10 +501,7 @@ class OrderedGroupoid:
         return tuple(rows)
 
     def is_inductive(self) -> bool:
-        objs = sorted(self.objects)
-        return all(
-            self.meet_objects(e, f) is not None for e in objs for f in objs
-        )
+        return all(None not in row.values() for row in self._meets.values())
 
     def is_pseudoassociative(self) -> bool:
         """Existence of (g*h)*k and g*(h*k) agree on all triples.

@@ -37,7 +37,7 @@ class InverseSemigroup:
             raise InvalidSemigroup("duplicate element names")
         if len(mult) != self.n or any(len(row) != self.n for row in mult):
             raise InvalidSemigroup("multiplication table must be n x n")
-        self.mult = tuple(tuple(int(x) for x in row) for row in mult)
+        self.mult = tuple(tuple(map(int, row)) for row in mult)
         if self.n and (min(map(min, self.mult)) < 0 or max(map(max, self.mult)) >= self.n):
             raise InvalidSemigroup("multiplication table entries must be element indices")
         self._report: Optional[ValidationReport] = None
@@ -280,6 +280,8 @@ class Premorphism:
 def _verify_into_structure(p: Premorphism, src: GradedIndex, rep: ValidationReport) -> None:
     tgt = p.target
     mapping = [int(x) for x in p.mapping]
+    if any(x not in range(tgt.n) for x in mapping):
+        raise InvalidSemigroup("mapping values must be target element indices")
     tx = graded_index(tgt)
     # An inductive groupoid's product is the pseudoproduct.
     table = tgt.mult if isinstance(tgt, InverseSemigroup) else tgt._pseudoproducts

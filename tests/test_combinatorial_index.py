@@ -4,17 +4,21 @@
 meets and pseudoproducts from composite and up-/down-set tables, and
 keeps its pseudoproduct table once valid; `InverseSemigroup` keeps its
 natural order as down-sets.  One Light certificate (`light_certificate`)
-decides ASSOC and, on the sentinel-extended pseudoproduct table,
-pseudoassociativity, and the ESN conversions read the same tables.  `tests/oracles.py`
-keeps the scans over all arrows and elements as they were.  Both sides
-must give the same clauses, the same issues in the same order, the same
-values and the same exceptions, on valid structures and on copies with
-one order entry flipped, one product swapped, removed or moved to a pair
-that does not compose, or one inverse broken.
+decides ASSOC, pseudoassociativity on the sentinel-extended pseudoproduct
+table, and CAT associativity on the composites given with their
+composable partners, and the ESN conversions read the same tables.
+`tests/oracles.py` keeps the scans over all arrows and elements as they
+were.  Both sides must give the same clauses, the same issues in the same
+order, the same values and the same exceptions, on valid structures and
+on copies with one order entry flipped, one product swapped, removed or
+moved to a pair that does not compose, or one inverse broken, and on
+groupoids and semigroups with one adjoined element that is their only
+bad middle factor.
 """
 
 import inspect
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +314,216 @@ def test_light_certificate_on_partial_tables_with_one_bad_middle_factor():
                 broken += bool(bad)
                 partial += table[y][y] == len(table) - 1
     assert broken >= 100 and partial >= 20
+
+
+def _one_object_groupoid(label, mult):
+    """A finite group (identity 0) as a groupoid with one object."""
+    n = len(mult)
+    inv = [next(b for b in range(n) if mult[a][b] == 0) for a in range(n)]
+    comp = {(a, b): mult[a][b] for a in range(n) for b in range(n)}
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    names = [f"{label}{a}" for a in range(n)]
+    return OrderedGroupoid(names, [0], inv, comp, [0] * n, [0] * n, leq)
+
+
+def _groups():
+    """Z_2..Z_5 and S_3 as one-object groupoids."""
+    out = []
+    for m in range(2, 6):
+        table = [[(a + b) % m for b in range(m)] for a in range(m)]
+        out.append((f"Z_{m}", _one_object_groupoid("z", table)))
+    perms = sorted(permutations(range(3)))
+    mult = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    out.append(("S_3", _one_object_groupoid("s", mult)))
+    return out
+
+
+def _adjoin_bad_loop(g, e):
+    """g with a loop x at the object e adjoined, where e is the only object
+    of its component and its vertex group G_e has at least two arrows:
+    x*a = a*x = x for every a in G_e, x*x = e, and x is its own inverse.
+    Products are defined exactly on the composable pairs, with the right
+    endpoints and identities, so the certificate runs.  The old arrows form
+    a proper sub-closure, and a triple fails only with x in the middle:
+    (ax)x = e but a(xx) = a for a != e."""
+    x = g.n
+    comp = dict(g.comp)
+    for a in range(g.n):
+        if g.ran[a] == e:
+            comp[(x, a)] = comp[(a, x)] = x
+    comp[(x, x)] = e
+    leq = [list(row) + [False] for row in g.leq] + [[False] * g.n + [True]]
+    names = g.names + (f"bad_loop_at_{g.names[e]}",)
+    return OrderedGroupoid(names, g.objects, g.inv + (x,), comp, g.dom + (e,), g.ran + (e,), leq)
+
+
+GROUPS = _groups()
+
+
+def _cat_one_bad_middle_cases():
+    """The CAT analogue of ONE_BAD_MIDDLE: every valid groupoid of the
+    cases, and each group above, with `_adjoin_bad_loop` at each object
+    that is alone in its component under a vertex group of two or more
+    arrows."""
+    cases = []
+    for label, g in _base_structures() + GROUPS:
+        if not (isinstance(g, OrderedGroupoid) and _groupoid_copy(g).is_valid()):
+            continue
+        for e in sorted(g.objects):
+            loops = [a for a in range(g.n) if g.ran[a] == e]
+            if len(loops) > 1 and all(g.dom[a] == e for a in loops):
+                cases.append((f"{label} + bad loop at {g.names[e]}", _adjoin_bad_loop(g, e)))
+    return cases
+
+
+CAT_ONE_BAD_MIDDLE = _cat_one_bad_middle_cases()
+
+
+def _composites(g):
+    """The composite table in the certificate's partial form: per arrow,
+    the arrows with range its domain, and their composites."""
+    partners = [tuple(h for h in range(g.n) if g.ran[h] == g.dom[a]) for a in range(g.n)]
+    return [[g.comp[(a, h)] for h in hs] for a, hs in enumerate(partners)], partners
+
+
+def _bad_cat_middles(g):
+    """The h with (gh)k != g(hk) for some composable triple."""
+    comp = g.comp
+    return {
+        h
+        for (a, h), ah in comp.items()
+        for k in range(g.n)
+        if (h, k) in comp and comp[(ah, k)] != comp[(a, comp[(h, k)])]
+    }
+
+
+def _only_associativity_fails(rep):
+    """No CAT issue other than associativity, so the certificate is tried."""
+    return all(i.message.startswith("associativity") for i in rep.issues if i.clause == "CAT")
+
+
+@pytest.mark.parametrize(
+    "label,g",
+    GROUPOIDS + CAT_ONE_BAD_MIDDLE,
+    ids=[label for label, _ in GROUPOIDS + CAT_ONE_BAD_MIDDLE],
+)
+def test_cat_issues_and_exceptions_match_the_oracle(label, g):
+    """The groupoid report, CAT issues in order included, or the exception
+    raised, equals the oracle's on every case and on a relabeled copy."""
+    assert outcome(_groupoid_copy(g).validate_groupoid) == outcome(oracles.validate_groupoid, g)
+    perm = list(range(g.n))
+    random.Random(label).shuffle(perm)
+    moved = g.relabeled(perm)
+    there = outcome(moved.validate_groupoid)
+    assert there == outcome(oracles.validate_groupoid, moved)
+    # The generators follow element order; the clause verdicts must not.
+    here = outcome(_groupoid_copy(g).validate_groupoid)
+    assert there[:3] == here[:3] if here[0] == "report" else there[:2] == here[:2]
+
+
+def test_cat_certificate_checks_the_one_bad_middle_arrow():
+    """On each case the adjoined loop, which lies outside the closure of
+    the other arrows, is the only bad middle factor; the certificate is
+    tried and fails, and CAT fails on associativity alone."""
+    groups = 0
+    for label, g in CAT_ONE_BAD_MIDDLE:
+        assert _bad_cat_middles(g) == {g.n - 1}, label
+        assert not light_certificate(*_composites(g)), label
+        rep = _groupoid_copy(g).validate_groupoid()
+        assert not rep.clause_ok("CAT") and _only_associativity_fails(rep), label
+        groups += label.startswith(("Z_", "S_3"))
+    assert len(CAT_ONE_BAD_MIDDLE) >= 10 and groups == 5
+
+
+def test_partial_certificate_matches_the_composable_triple_scan():
+    """On the composite table of every case whose checks before
+    associativity pass, the groups above included, the certificate in its
+    partial form is True exactly when no composable triple fails."""
+    tried = 0
+    for label, g in GROUPOIDS + GROUPS + CAT_ONE_BAD_MIDDLE:
+        fresh = _groupoid_copy(g)
+        if not _only_associativity_fails(fresh.validate_groupoid()):
+            continue
+        want = fresh.n > 1 and not _bad_cat_middles(fresh)  # below two rows it proves nothing
+        assert light_certificate(*_composites(fresh)) == want, label
+        tried += 1
+    assert tried >= 50
+
+
+def test_cat_scan_runs_only_when_the_certificate_fails(monkeypatch):
+    """The composable-triple scan is not entered on the ESN groupoid of
+    I_4; it is entered on a copy with a bad loop adjoined (the certificate
+    fails) and on one with a composite removed (the certificate is not
+    tried)."""
+    entered = []
+    scan = OrderedGroupoid._scan_cat_associativity
+
+    def counted(self, rep):
+        entered.append(self.n)
+        return scan(self, rep)
+
+    monkeypatch.setattr(OrderedGroupoid, "_scan_cat_associativity", counted)
+    g = esn_to_groupoid(symmetric_inverse_monoid(4))
+    assert _groupoid_copy(g).validate_groupoid().ok and entered == []
+    top = next(e for e in g.objects if sum(r == e for r in g.ran) == 24)  # S_4 at the identity
+    assert not _adjoin_bad_loop(g, top).validate_groupoid().clause_ok("CAT")
+    assert entered == [g.n + 1]
+    comp = dict(g.comp)
+    del comp[next(iter(comp))]
+    assert not _groupoid_copy(g, comp=comp).validate_groupoid().clause_ok("CAT")
+    assert entered == [g.n + 1, g.n]
+
+
+def test_is_inductive_matches_the_meets_of_the_oracle():
+    """The kept meet table gives the per-pair answers of the oracle on
+    every case, valid or not."""
+    inductive = 0
+    for label, g in GROUPOIDS:
+        objs = sorted(g.objects)
+        meets = (oracles.meet_objects(g, e, f) for e in objs for f in objs)
+        want = outcome(lambda: all(m is not None for m in meets))
+        assert outcome(_groupoid_copy(g).is_inductive) == want, label
+        inductive += want == ("value", True)
+    assert 0 < inductive < len(GROUPOIDS)
+
+
+def test_esn_to_semigroup_reads_the_meet_table(monkeypatch):
+    """`is_inductive` and the pseudoproduct table read the kept meets: a
+    fresh ESN groupoid of I_4 goes back to I_4 without a `meet_objects`
+    call (512 when both asked it per pair of objects)."""
+    calls = []
+    meet = OrderedGroupoid.meet_objects
+
+    def counted(self, e, f):
+        calls.append((e, f))
+        return meet(self, e, f)
+
+    s = symmetric_inverse_monoid(4)
+    g = _groupoid_copy(esn_to_groupoid(s))
+    monkeypatch.setattr(OrderedGroupoid, "meet_objects", counted)
+    assert esn_to_semigroup(g) == s
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "table,partners",
+    [
+        # arrow 0 lies in two distinct partner lists
+        ([[0], [1, 1]], [[0], [0, 1]]),
+        # a row shorter than its partner list
+        ([[0, 1], [1]], [[0, 1], [0, 1]]),
+        # a composite names no arrow
+        ([[2], [1]], [[0], [1]]),
+        # a*b undefined but b*c = 3 composes with a: a(bc) is defined and
+        # (ab)c is not
+        ([[0], [3], [], []], [[3], [2], [], []]),
+        # a*b = 4 has another partner list than b, though the row of 4
+        # equals a's row read at b*c: (ab)c is undefined and a(bc) = 6
+        ([[4, 6], [3], [], [], [6], [], []], [[1, 3], [2], [], [], [5], [], []]),
+    ],
+)
+def test_partial_certificate_refuses_a_product_without_the_category_shape(table, partners):
+    assert light_certificate(table, partners) is False
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,16 @@ def test_constant_non_idempotent_map_fails_inverse_condition():
     assert not rep.clause_ok("PM(ii)")
 
 
+@pytest.mark.parametrize("mapping", [[-1, -1], [2, 2]])
+def test_premorphism_refuses_mapping_values_outside_the_target(mapping):
+    """A value that does not index the target is refused, like a mapping
+    of the wrong length: -1 used to be read from the end of the target's
+    tables, and 2 raised a raw IndexError."""
+    s = fx.chain_semilattice()
+    with pytest.raises(InvalidSemigroup, match="target element indices"):
+        verify_premorphism(Premorphism(s, s, mapping))
+
+
 def _partial_bijection_family(action: POAction):
     return [action.map_of[g] for g in action.index.grades]
 
