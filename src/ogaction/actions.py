@@ -681,11 +681,7 @@ def groupoid_action_to_semigroup_action(a: Action, s: InverseSemigroup) -> Actio
 
 def relabel_action(a: Action, perm: Sequence[int]) -> Action:
     """The same action with groupoid arrows renumbered by perm."""
-    g = a.structure.relabeled(perm)
-    n = a.structure.n
-    ideals: list[Subspace] = [None] * n  # type: ignore[list-item]
-    maps: list[LinMap] = [None] * n  # type: ignore[list-item]
-    for i in range(n):
-        ideals[perm[i]] = a.ideal_of[i]
-        maps[perm[i]] = a.map_of[i]
-    return Action(g, a.carrier, tuple(ideals), tuple(maps), name=f"{a.name or 'action'}~relabeled")
+    back = sorted(a.structure.arrows(), key=perm.__getitem__)  # back[perm[i]] = i
+    ideals, maps = (tuple(t[i] for i in back) for t in (a.ideal_of, a.map_of))
+    name = f"{a.name or 'action'}~relabeled"
+    return Action(a.structure.relabeled(perm), a.carrier, ideals, maps, name=name)

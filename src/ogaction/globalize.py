@@ -180,10 +180,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         source_of = {h: g0._pseudoproducts[gi][h] for h in support_of[g]}
         gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
 
-    emb_support = {
-        e: (support_of[e] if minimal else tuple(h for h in g0.arrows() if g0.ran[h] == e))
-        for e in g0.objects
-    }
+    emb_support = {e: support_of[e] if minimal else g0._by_ran[e] for e in g0.objects}
     phi_raw: dict[int, LinMap] = {}
     for e in sorted(g0.objects):
         dom = a.ideal_of[e]

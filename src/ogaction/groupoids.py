@@ -9,11 +9,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (
-    InvalidGroupoid,
-    NotBelowDomain,
-    NotBelowRange,
-)
+from .errors import InvalidGroupoid, NotBelowDomain, NotBelowRange
 from .validation import ValidationReport
 
 GROUPOID_CLAUSES = ("CAT", "INV", "OBJ")
@@ -40,6 +36,10 @@ def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ..
     for x in arrows:
         out.setdefault(key[x], []).append(x)
     return {k: tuple(v) for k, v in out.items()}
+
+
+def _og2_message(nm: Sequence[str], g: int, h: int, k: int, l: int) -> str:
+    return f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered"
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -146,14 +146,15 @@ class OrderedGroupoid:
     The order is stored as a full boolean matrix; `from_parts` closes the
     authored generating pairs reflexively and transitively before storing.
 
-    A groupoid is not changed after construction, so the tables that
-    restrictions read (the arrows below each arrow, grouped by domain and
-    by range) are built on first use and kept, as are the meets of all
-    pairs of objects and, once the groupoid is valid, the pseudoproduct
-    table.  The checks walk up-sets and composites grouped by arrow; like
-    the tables, these skip only pairs a scan over all arrows would have
-    passed over, in the same order.  CAT associativity is decided by
-    Light's test over composable pairs, and the loop over composable
+    A groupoid is not changed after construction, so its tables are built
+    on first use and kept: the arrows below each arrow grouped by domain
+    and by range; the meets of all pairs of objects; one composite table
+    (`_partners`, `_pos`, `_rows`), which CAT, OG2, the pseudoproduct table
+    and the index view read, while `comp` stays the input and the form for
+    equality, hashing and JSON; and, once the groupoid is valid, the
+    pseudoproduct table.  The checks skip only pairs a scan over all arrows
+    would have passed over, in the same order; CAT associativity is decided
+    by Light's test over composable pairs, and the loop over composable
     triples runs only when that fails.  So reports, issue lists and
     exceptions are those of the plain scans.
     """
@@ -208,11 +209,8 @@ class OrderedGroupoid:
         comp = {}
         for g, h, gh in comp_triples:
             comp[(look(g), look(h))] = look(gh)
-        dom = [-1] * n
-        ran = [-1] * n
-        for g in range(n):
-            dom[g] = comp.get((inv_t[g], g), -1)
-            ran[g] = comp.get((g, inv_t[g]), -1)
+        dom = [comp.get((inv_t[g], g), -1) for g in range(n)]
+        ran = [comp.get((g, inv_t[g]), -1) for g in range(n)]
         if any(d < 0 for d in dom) or any(r < 0 for r in ran):
             missing = [names[g] for g in range(n) if dom[g] < 0 or ran[g] < 0]
             raise InvalidGroupoid(f"missing inverse products for: {', '.join(missing)}")
@@ -267,6 +265,33 @@ class OrderedGroupoid:
         """Per arrow g: the arrows below g grouped by range."""
         return tuple(_group(down, self.ran) for down in self._down)
 
+    @cached_property
+    def _by_ran(self) -> dict[int, tuple[int, ...]]:
+        """The arrows grouped by range, each group ascending."""
+        return _group(self.arrows(), self.ran)
+
+    @cached_property
+    def _partners(self) -> tuple[tuple[int, ...], ...]:
+        """partners[g]: the arrows with range dom g, ascending."""
+        return tuple(self._by_ran.get(d, ()) for d in self.dom)
+
+    @cached_property
+    def _pos(self) -> tuple[int, ...]:
+        """pos[h]: the position of h among the arrows with its range, so
+        in partners[g] for every g with dom g = ran h."""
+        where = {h: i for hs in self._by_ran.values() for i, h in enumerate(hs)}
+        return tuple(map(where.__getitem__, self.arrows()))
+
+    @cached_property
+    def _rows(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """rows[g]: the composites g*h over partners[g]; None when a
+        composable pair has no composite, so a valid groupoid has its rows."""
+        comp = self.comp
+        try:
+            return tuple(tuple(comp[(g, h)] for h in hs) for g, hs in enumerate(self._partners))
+        except KeyError:
+            return None
+
     # -- validation ----------------------------------------------------
 
     def validate_groupoid(self) -> ValidationReport:
@@ -287,13 +312,16 @@ class OrderedGroupoid:
             if self.inv[self.inv[g]] != g:
                 rep.add("INV", f"inverse of {nm[g]} is not an involution")
         # "Defined iff composable" fails on the in-range keys of comp that
-        # are not composable and on the composable pairs missing from comp.
-        arrows, dom, ran, comp = self.arrows(), self.dom, self.ran, self.comp
-        by_ran = _group(arrows, ran)
-        bad = {(g, h) for g, h in comp if g in arrows and h in arrows and dom[g] != ran[h]}
-        bad.update((g, h) for g in arrows for h in by_ran.get(dom[g], ()) if (g, h) not in comp)
-        for g, h in sorted(bad):
-            rep.add("CAT", f"product {nm[g]}*{nm[h]} defined iff domains match fails")
+        # are not composable and on the composable pairs missing from comp;
+        # there are none when comp is exact: rows, and no other key.
+        rows, partners, comp = self._rows, self._partners, self.comp
+        exact = rows is not None and len(comp) == sum(map(len, partners))
+        if not exact:
+            arrows, dom, ran = self.arrows(), self.dom, self.ran
+            bad = {(g, h) for g, h in comp if g in arrows and h in arrows and dom[g] != ran[h]}
+            bad.update((g, h) for g, hs in enumerate(partners) for h in hs if (g, h) not in comp)
+            for g, h in sorted(bad):
+                rep.add("CAT", f"product {nm[g]}*{nm[h]} defined iff domains match fails")
         for (g, h), gh in self.comp.items():
             if self.composable(g, h):
                 if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:
@@ -307,29 +335,14 @@ class OrderedGroupoid:
                 rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
             if self.comp.get((g, self.inv[g])) != self.ran[g]:
                 rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
-        # With no CAT issue so far, comp is defined exactly on the composable
-        # pairs, with the right endpoints, so a composable triple can only
-        # fail by (gh)k != g(hk), and the certificate decides that.  When it
-        # fails, or raises, the scan runs, so the issues are the scan's.
-        if not rep.clause_ok("CAT") or not self._cat_certificate(by_ran):
+        # With no CAT issue so far and an exact comp, comp is defined exactly on
+        # the composable pairs with the right endpoints (so every composite is
+        # an arrow), and a triple can only fail by (gh)k != g(hk).  Light's test
+        # over composable pairs decides that; when it fails the scan runs.
+        if not (rep.clause_ok("CAT") and exact and light_certificate(rows, partners)):
             self._scan_cat_associativity(rep)
         self._groupoid_report = rep
         return rep
-
-    def _cat_certificate(self, by_ran: dict[int, tuple[int, ...]]) -> bool:
-        """Light's test over composable pairs: the partners of g are the
-        arrows with range dom g, one tuple per domain.  As many keys as
-        composable pairs leaves no key outside the arrows; the certificate
-        refuses a value outside them."""
-        try:
-            partners = [by_ran.get(d, ()) for d in self.dom]
-            if len(self.comp) != sum(map(len, partners)):
-                return False
-            comp = self.comp
-            table = [[comp[(g, h)] for h in hs] for g, hs in enumerate(partners)]
-            return light_certificate(table, partners)
-        except Exception:
-            return False
 
     def _scan_cat_associativity(self, rep: ValidationReport) -> None:
         """Associativity over every composable triple, as a plain scan."""
@@ -368,36 +381,40 @@ class OrderedGroupoid:
             for h in up[g]:
                 if not leq[self.inv[g]][self.inv[h]]:
                     rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
-        # OG2 over g <= h, k composable with g, l >= k composable with h
-        dom, ran, comp = self.dom, self.ran, self.comp
-        by_ran = _group(self.arrows(), ran)
+        # OG2 over g <= h, k composable with g, l >= k composable with h, with
+        # gk and hl read from the composite rows; without the table, from comp,
+        # so a missing composite raises KeyError where the scan would.
+        dom, ran, rows, pos, comp = self.dom, self.ran, self._rows, self._pos, self.comp
         up_by_ran = [_group(ls, ran) for ls in up]
-        for g in self.arrows():
-            ks = by_ran.get(dom[g], ())
-            for h in up[g]:
-                for k in ks:
-                    for l in up_by_ran[k].get(dom[h], ()):
-                        if not leq[comp[(g, k)]][comp[(h, l)]]:
-                            rep.add(
-                                "OG2",
-                                f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered",
-                            )
+        if rows is None:
+            for g, ks in enumerate(self._partners):
+                for h in up[g]:
+                    for k in ks:
+                        for l in up_by_ran[k].get(dom[h], ()):
+                            if not leq[comp[(g, k)]][comp[(h, l)]]:
+                                rep.add("OG2", _og2_message(nm, g, h, k, l))
+        else:
+            for g, ks in enumerate(self._partners):
+                for h in up[g]:
+                    d, row_h = dom[h], rows[h]
+                    for k, gk in zip(ks, rows[g]):
+                        ls = up_by_ran[k].get(d)
+                        if ls is None:
+                            continue
+                        le_gk = leq[gk]
+                        for l in ls:
+                            if not le_gk[row_h[pos[l]]]:
+                                rep.add("OG2", _og2_message(nm, g, h, k, l))
+        sides = (
+            ("OG3", "restriction", dom, self._below_by_dom),
+            ("OG3*", "corestriction", ran, self._below_by_ran),
+        )
         for g in self.arrows():
             for e in self.objects:
-                if leq[e][dom[g]]:
-                    found = self._below_by_dom[g].get(e, ())
-                    if len(found) != 1:
-                        rep.add(
-                            "OG3",
-                            f"restriction of {nm[g]} at {nm[e]}: {len(found)} candidates",
-                        )
-                if leq[e][ran[g]]:
-                    found = self._below_by_ran[g].get(e, ())
-                    if len(found) != 1:
-                        rep.add(
-                            "OG3*",
-                            f"corestriction of {nm[g]} at {nm[e]}: {len(found)} candidates",
-                        )
+                for clause, kind, end, below in sides:
+                    found = len(below[g].get(e, ())) if leq[e][end[g]] else 1
+                    if found != 1:
+                        rep.add(clause, f"{kind} of {nm[g]} at {nm[e]}: {found} candidates")
         self._order_report = rep
         return rep
 
@@ -484,21 +501,22 @@ class OrderedGroupoid:
         The pseudoproduct g*h is (g | m) * (m | h) with m = dom g ^ ran h.
         In a valid groupoid the restriction and corestriction at an object
         m are the single arrows below g with domain m and below h with
-        range m, so each entry is one lookup in comp.
+        range m, so the entry is the composite row of g | m read at the
+        position of m | h.
         """
         self.require_valid()
         res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]
-        cores = [{m: found[0] for m, found in by_ran.items()} for by_ran in self._below_by_ran]
-        comp, ran = self.comp, self.ran
-        rows = []
+        cores = [{m: self._pos[found[0]] for m, found in by_ran.items()} for by_ran in self._below_by_ran]
+        rows, ran = self._rows, self.ran
+        table = []
         for g in self.arrows():
             left, meet_g = res[g], self._meets[self.dom[g]]
             row = []
             for h in self.arrows():
                 m = meet_g[ran[h]]
-                row.append(None if m is None else comp[(left[m], cores[h][m])])
-            rows.append(tuple(row))
-        return tuple(rows)
+                row.append(None if m is None else rows[left[m]][cores[h][m]])
+            table.append(tuple(row))
+        return tuple(table)
 
     def is_inductive(self) -> bool:
         return all(None not in row.values() for row in self._meets.values())
@@ -545,32 +563,19 @@ class OrderedGroupoid:
         return tuple(h for h in self.arrows() if self.leq[self.ran[h]][r])
 
     def pseudo_composable_set(self, g: int) -> tuple[int, ...]:
-        """Arrows h with inv(g) * h defined."""
-        gi = self.inv[g]
-        return tuple(
-            h
-            for h in self.arrows()
-            if self.meet_objects(self.dom[gi], self.ran[h]) is not None
-        )
+        """Arrows h with inv(g) * h defined, read from the pseudoproduct
+        table of the (valid) groupoid."""
+        return tuple(h for h, x in enumerate(self._pseudoproducts[self.inv[g]]) if x is not None)
 
     def relabeled(self, perm: Sequence[int]) -> "OrderedGroupoid":
         """Rebuild with arrow i renamed to position perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the arrows")
-        names = [""] * self.n
-        inv = [0] * self.n
-        dom = [0] * self.n
-        ran = [0] * self.n
-        for i in range(self.n):
-            names[perm[i]] = self.names[i]
-            inv[perm[i]] = perm[self.inv[i]]
-            dom[perm[i]] = perm[self.dom[i]]
-            ran[perm[i]] = perm[self.ran[i]]
+        back = sorted(self.arrows(), key=perm.__getitem__)  # back[perm[i]] = i
+        names = [self.names[i] for i in back]
+        inv, dom, ran = ([perm[t[i]] for i in back] for t in (self.inv, self.dom, self.ran))
         comp = {(perm[g], perm[h]): perm[gh] for (g, h), gh in self.comp.items()}
-        leq = [[False] * self.n for _ in range(self.n)]
-        for a in range(self.n):
-            for b in range(self.n):
-                leq[perm[a]][perm[b]] = self.leq[a][b]
+        leq = [[self.leq[a][b] for b in back] for a in back]
         return OrderedGroupoid(names, {perm[o] for o in self.objects}, inv, comp, dom, ran, leq)
 
 

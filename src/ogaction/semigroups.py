@@ -131,14 +131,9 @@ class InverseSemigroup:
     def relabeled(self, perm: Sequence[int]) -> "InverseSemigroup":
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the elements")
-        names = [""] * self.n
-        mult = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            names[perm[i]] = self.names[i]
-        for a in range(self.n):
-            for b in range(self.n):
-                mult[perm[a]][perm[b]] = perm[self.mult[a][b]]
-        return InverseSemigroup(names, mult)
+        back = sorted(self.elements(), key=perm.__getitem__)  # back[perm[i]] = i
+        mult = [[perm[self.mult[a][b]] for b in back] for a in back]
+        return InverseSemigroup([self.names[i] for i in back], mult)
 
 
 def validate_inverse_semigroup(s: InverseSemigroup) -> ValidationReport:
@@ -159,8 +154,10 @@ class GradedIndex:
     grade.  Read through the Ehresmann-Schein-Nambooripad correspondence
     (Lawson, *Inverse Semigroups*, 1998), a semigroup's view is its derived
     inductive groupoid's view with the composite widened to the total
-    product.  The structure is validated first, so every composable pair
-    of a groupoid has its composite.  The view holds the structure's
+    product.  The structure is validated first, so a groupoid has its
+    composite table, and `products()` walks each grade's partners beside
+    its row of products: the groupoid's `_partners` and `_rows`, or every
+    element and the semigroup's table row.  The view holds the structure's
     tables, not the structure, so keeping it on the structure makes no
     reference cycle: both are freed as soon as the structure is dropped.
     """
@@ -173,12 +170,9 @@ class GradedIndex:
             self.inv, self.ran, self.dom = structure.inv, structure.ran, structure.dom
             self.anchors = tuple(sorted(structure.objects))
             self._down = structure._down
-            leq, comp = structure.leq, structure.comp
+            leq = structure.leq
             self.le: Callable[[int, int], bool] = lambda g, h: leq[g][h]
-            by_ran = _group(self.grades, self.ran)
-            # g composes with the arrows whose range is dom g.
-            self._partners = tuple(by_ran.get(d, ()) for d in self.dom)
-            self._prod: Callable[[int, int], int] = lambda g, h: comp[(g, h)]
+            self._partners, self._rows = structure._partners, structure._rows
         else:
             mult = structure.mult
             self.inv = structure._inverse
@@ -187,29 +181,20 @@ class GradedIndex:
             self.anchors = tuple(sorted(structure.idempotents()))
             below = self._down = structure._down_sets()
             self.le = lambda s, t: s in below[t]
-            self._partners = (self.grades,) * len(self.grades)
-            self._prod = lambda g, h: mult[g][h]
+            self._partners, self._rows = (self.grades,) * len(self.grades), mult
         self.triples = tuple(zip(self.grades, self.ran, self.dom))
 
     def products(self) -> Iterator[tuple[int, int, int]]:
         """(g, h, gh) for every defined composite, g-major with h
         ascending: the composable pairs of a groupoid, every pair of a
         semigroup."""
-        prod = self._prod
-        for g, hs in zip(self.grades, self._partners):
-            for h in hs:
-                yield g, h, prod(g, h)
+        for g, hs, row in zip(self.grades, self._partners, self._rows):
+            for h, gh in zip(hs, row):
+                yield g, h, gh
 
     def order_pairs(self) -> Iterator[tuple[int, int]]:
         """(g, h) with g strictly below h, g-major with h ascending."""
-        up: list[list[int]] = [[] for _ in self.grades]
-        for h, below in enumerate(self._down):
-            for g in below:
-                if g != h:
-                    up[g].append(h)
-        for g, above in enumerate(up):
-            for h in above:
-                yield g, h
+        yield from sorted((g, h) for h, below in enumerate(self._down) for g in below if g != h)
 
 
 def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex:

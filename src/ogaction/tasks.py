@@ -71,7 +71,7 @@ def _task_error(t: dict, message: str) -> WorkspaceError:
     return WorkspaceError(f"task {t.get('id', t.get('task'))!r}: {message}")
 
 
-_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", bool: "true or false"}
 
 
 def _required(t: dict, key: str, kind: type = str) -> Any:
@@ -82,6 +82,12 @@ def _required(t: dict, key: str, kind: type = str) -> Any:
     if not isinstance(t[key], kind):
         raise _task_error(t, f"field {key!r} must be {_JSON_TYPES[kind]}")
     return t[key]
+
+
+def _flag(t: dict, key: str, default: bool = False) -> bool:
+    """An optional boolean option; a value of another JSON type fails
+    this task only."""
+    return _required(t, key, bool) if key in t else default
 
 
 def _rows(t: dict, key: str, rows: Any) -> tuple[tuple[int, ...], ...]:
@@ -166,7 +172,7 @@ def _glob_of(ws: Workspace, t: dict):
     it raises again."""
     name = _required(t, "action")
     a = ws.action(name)
-    key = (name, bool(t.get("minimal")))
+    key = (name, _flag(t, "minimal"))
     if key not in ws.globalizations:
         build = build_minimal_globalization if key[1] else build_globalization
         ws.globalizations[key] = build(a)
@@ -199,7 +205,7 @@ def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
             raise WorkspaceError(f"unknown object {key!r} in embeddings")
         e = index[key]
         embeddings[e] = LinMap(a.ideal_of[e], b.ideal_of[e], _rows(t, "embeddings", matrix))
-    gl = as_globalization(a, b, embeddings, minimal=bool(t.get("minimal")))
+    gl = as_globalization(a, b, embeddings, minimal=_flag(t, "minimal"))
     rep = verify_globalization(gl)
     return rep.clauses(), {"carrier_dim": b.carrier.dim}
 
@@ -223,7 +229,7 @@ def _task_equivalence(ws: Workspace, t: dict) -> tuple[dict, dict]:
 def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
     if "inv_action" in t:
         a = ws.inv_action(_required(t, "inv_action"))
-        if t.get("ordered", True):
+        if _flag(t, "ordered", True):
             # Ordered by default, behind the unital gate; a non-associative
             # skew ring raises NotAssociative, and no unit is reported.
             o = build_inv_sgp_skew(a)
@@ -234,7 +240,7 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
     s = build_skew(a)
     rep = check_skew_associative(s)
     data: dict[str, Any] = {"skew_dim": s.algebra.dim}
-    if t.get("ordered") and rep.ok:
+    if _flag(t, "ordered") and rep.ok:
         o = build_ordered_skew(s)
         data["n_dim"] = o.n_ideal.rank
         data["quotient_dim"] = o.quotient.dim
@@ -276,7 +282,7 @@ def _task_inv_pipeline(ws: Workspace, t: dict) -> tuple[dict, dict]:
         "dims": _dims_by_name(b.structure.names, b.ideal_of),
         "carrier_dim": b.carrier.dim,
     }
-    if t.get("with_morita"):
+    if _flag(t, "with_morita"):
         rep = morita_context(a, result)
         clauses.update(rep.clauses)
         data["morita_dims"] = rep.dims

@@ -208,9 +208,16 @@ def _parse_family(
                     img[j] = (img[j] + c * x) % p
             images.append(tuple(img))
         try:
-            maps.append(LinMap.from_images(ideals[src], ideals[i], images))
+            m = LinMap.from_images(ideals[src], ideals[i], images)
         except ValueError:
             raise WorkspaceError(f"{where}: map at {n!r} does not land in its ideal")
+        # On dependent listed rows every listed image must agree with the map.
+        if len(src_rows) > ideals[src].rank and any(m.apply(r) != w for r, w in zip(src_mod, listed_images)):
+            raise WorkspaceError(
+                f"{where}: map at {n!r} gives contradicting images on the dependent "
+                f"listed rows of the ideal at {names[src]!r}"
+            )
+        maps.append(m)
     return tuple(ideals), tuple(maps)
 
 

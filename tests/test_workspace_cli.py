@@ -366,6 +366,60 @@ def test_malformed_input_ends_in_a_task_error_or_exit_2(
     assert needle in report["error"] and bad_task in report["error"]
 
 
+def test_a_map_with_contradicting_images_on_dependent_listed_rows_is_refused(tmp_path, capsys):
+    """`block_swap`'s ideal at s_inv listed on the dependent rows e1, e2, e1,
+    with its map at s sending the two copies of e1 to different images:
+    the map kept one of them and `validate-global` reported ISO false.  It
+    is a load error (exit 2) that names the map and the ideal."""
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == "pointed_arrow.json"]
+    doc = json.loads(path.read_text())
+    action = doc["actions"]["block_swap"]
+    action["ideals"]["s_inv"] = [[1, 0, 0], [0, 1, 0], [1, 0, 0]]
+    action["maps"]["s"] = [[0, 1], [1, 0], [1, 0]]
+    action["maps"]["s_inv"] = [[0, 1, 0], [1, 0, 0]]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "action 'block_swap': map at 's' gives contradicting images on the dependent "
+        "listed rows of the ideal at 's_inv'"
+    ) in err
+    assert not out.exists()
+    # The same dependent rows with agreeing images load and pass.
+    action["maps"]["s"] = [[0, 1], [1, 0], [0, 1]]
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, tid, key, value",
+    [
+        ("pointed_arrow.json", "globalize-minimal", "minimal", "false"),
+        ("pointed_arrow.json", "morita", "minimal", None),
+        ("pointed_arrow.json", "skew-ordered", "ordered", 1),
+        ("brandt_b2.json", "inv-pipeline", "with_morita", "true"),
+    ],
+)
+def test_a_task_flag_that_is_not_a_boolean_fails_its_task(tmp_path, capsys, name, tid, key, value):
+    """`"minimal": "false"` was read by truthiness and built the minimal
+    globalization.  Each flag must be a JSON boolean; any other value fails
+    its task with an error naming the field, and every other task passes."""
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == name]
+    doc = json.loads(path.read_text())
+    _task_entry(doc, tid)[key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    capsys.readouterr()
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert {t for t, status in results.items() if status != "pass"} == {tid}
+    report = json.loads((out / f"{tid}.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"] == f"WorkspaceError: task {tid!r}: field {key!r} must be true or false"
+
+
 def test_strong_check_on_a_groupoid_missing_a_composite_reports_the_groupoid_error(
     tmp_path, capsys
 ):
