@@ -19,7 +19,7 @@ assume that `products` is never mutated after construction.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     LinMap,
+    Matrix,
     PrimeModulus,
     Subspace,
     Vector,
@@ -297,24 +298,27 @@ def is_multiplicatively_closed(alg: Algebra, sub: Subspace) -> bool:
     return _products_on(alg, sub) is not None
 
 
-def ideal_closure(alg: Algebra, gens: Iterable[Sequence[int]]) -> Subspace:
-    """Smallest subspace containing gens and absorbing basis multiplication.
-
-    Breadth-first fixpoint over (basis x generator) products; terminates by
-    the ambient dimension bound.
-    """
-    current = Subspace.span(alg.dim, [vec(g, alg.p) for g in gens], alg.p)
+def _rank_fixpoint(
+    alg: Algebra, current: Subspace, products: Callable[[Matrix], Iterable[Vector]]
+) -> Subspace:
+    """Span current with products(current.basis) until the rank stops
+    growing; terminates by the ambient dimension bound."""
     while True:
-        new_rows = list(current.basis)
-        for v in current.basis:
-            for i in range(alg.dim):
-                b = alg.basis_vector(i)
-                new_rows.append(alg.mul(b, v))
-                new_rows.append(alg.mul(v, b))
-        grown = Subspace.span(alg.dim, new_rows, alg.p)
+        grown = Subspace.span(alg.dim, [*current.basis, *products(current.basis)], alg.p)
         if grown.rank == current.rank:
             return grown
         current = grown
+
+
+def ideal_closure(alg: Algebra, gens: Iterable[Sequence[int]]) -> Subspace:
+    """Smallest subspace containing gens and absorbing basis multiplication:
+    breadth-first over (basis x generator) products."""
+    units = [alg.basis_vector(i) for i in range(alg.dim)]
+    return _rank_fixpoint(
+        alg,
+        Subspace.span(alg.dim, [vec(g, alg.p) for g in gens], alg.p),
+        lambda basis: (w for v in basis for b in units for w in (alg.mul(b, v), alg.mul(v, b))),
+    )
 
 
 def subring_closure(alg: Algebra, parts: Iterable[Subspace]) -> Subspace:
@@ -324,16 +328,11 @@ def subring_closure(alg: Algebra, parts: Iterable[Subspace]) -> Subspace:
         if part.dim != alg.dim or part.p != alg.p:
             raise AmbientMismatch("part lives in a different ambient space")
         rows.extend(part.basis)
-    current = Subspace.span(alg.dim, rows, alg.p)
-    while True:
-        new_rows = list(current.basis)
-        for u in current.basis:
-            for v in current.basis:
-                new_rows.append(alg.mul(u, v))
-        grown = Subspace.span(alg.dim, new_rows, alg.p)
-        if grown.rank == current.rank:
-            return grown
-        current = grown
+    return _rank_fixpoint(
+        alg,
+        Subspace.span(alg.dim, rows, alg.p),
+        lambda basis: (alg.mul(u, v) for u in basis for v in basis),
+    )
 
 
 class SubringIdentity(NamedTuple):

@@ -12,6 +12,7 @@ and it only sums over arrows with equal range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 from .actions import (
@@ -97,53 +98,41 @@ def as_globalization(
     return Globalization(base, global_action, dict(embeddings), minimal=minimal)
 
 
-def _blocks_subspace(total_dim: int, p: int, block_dim: int, blocks: Sequence[int]) -> Subspace:
-    rows = []
-    for b in blocks:
-        for i in range(block_dim):
-            row = [0] * total_dim
-            row[b * block_dim + i] = 1
-            rows.append(row)
-    return Subspace.span(total_dim, rows, p)
-
-
 def _translation_map(
-    total_dim: int,
+    eye: Sequence[Vector],
     p: int,
-    block_dim: int,
-    in_blocks: Sequence[int],
-    out_blocks: Sequence[int],
-    source_of: dict[int, int],
+    n: int,
+    ins: Sequence[int],
+    outs: Sequence[int],
+    source_of: Sequence[Optional[int]],
 ) -> LinMap:
-    """Map F-vectors supported on in_blocks to out_blocks; output block h
-    copies input block source_of[h]."""
-    domain = _blocks_subspace(total_dim, p, block_dim, sorted(in_blocks))
-    codomain = _blocks_subspace(total_dim, p, block_dim, sorted(out_blocks))
-    images = []
-    for k in sorted(in_blocks):
-        for i in range(block_dim):
-            img = [0] * total_dim
-            for h in out_blocks:
-                if source_of[h] == k:
-                    img[h * block_dim + i] = 1
-            images.append(tuple(img))
-    return LinMap.from_images(domain, codomain, images)
+    """Map F-vectors supported on the blocks `ins` (n coordinates each) to
+    the blocks `outs`; output block h copies input block source_of[h].
+
+    Both ends are spans of the ambient's unit rows `eye` in sorted block
+    order, written down as they are: sorted distinct unit rows are already
+    in reduced row echelon form.  In those bases the matrix is 0/1, with a
+    1 from input block k, position i to output block h, position i for
+    each h with source_of[h] == k."""
+    ins, outs = sorted(ins), sorted(outs)
+    sources = [source_of[h] for h in outs]
+    matrix = tuple(
+        tuple(int(s == k and c == i) for s in sources for c in range(n)) for k in ins for i in range(n)
+    )
+
+    def blocks(bs: Sequence[int]) -> Subspace:
+        return Subspace(len(eye), p, tuple(eye[b * n + i] for b in bs for i in range(n)))
+
+    return LinMap(blocks(ins), blocks(outs), matrix)
 
 
-def _embedding_vector(
-    a: Action, e: int, v: Vector, support: Sequence[int], total_dim: int
-) -> Vector:
+def _embedding_vector(a: Action, v: Vector, support: Sequence[int], total_dim: int) -> Vector:
     """The product-ring vector with block h holding alpha_{h^{-1}}(v * 1_h)."""
-    g0 = a.structure
     n = a.carrier.dim
     out = [0] * total_dim
     for h in support:
-        unit_h = a.unit_vector(h)
-        assert unit_h is not None
-        cut = a.carrier.mul(v, unit_h)
-        moved = a.map_of[g0.inv[h]].apply(cut)
-        for i, x in enumerate(moved):
-            out[h * n + i] = x
+        cut = a.carrier.mul(v, a.unit_vector(h))
+        out[h * n : (h + 1) * n] = a.map_of[a.structure.inv[h]].apply(cut)
     return tuple(out)
 
 
@@ -166,37 +155,35 @@ def _build(a: Action, minimal: bool) -> Globalization:
     ambient = product_ring(a.carrier, g0.n)
     total = ambient.dim
     p = a.carrier.p
+    eye = ambient.space().basis
 
-    if minimal:
-        support_of = {g: g0.pseudo_composable_set(g) for g in g0.arrows()}
-    else:
-        support_of = {g: g0.down_range_set(g) for g in g0.arrows()}
+    support = g0.pseudo_composable_set if minimal else g0.down_range_set
+    support_of = {g: support(g) for g in g0.arrows()}
 
+    # gamma_g moves block h from the block of inv(g) * h, the pseudoproduct.
     # On a down-range set the object meet is ran h and the corestriction
     # there is h, so the pseudoproduct is restriction-then-compose.
-    gamma: dict[int, LinMap] = {}
-    for g in g0.arrows():
-        gi = g0.inv[g]
-        source_of = {h: g0._pseudoproducts[gi][h] for h in support_of[g]}
-        gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
+    gamma_maps = [
+        _translation_map(eye, p, n, support_of[gi], support_of[g], g0._pseudoproducts[gi])
+        for g, gi in enumerate(g0.inv)
+    ]
 
-    emb_support = {e: support_of[e] if minimal else g0._by_ran[e] for e in g0.objects}
-    phi_raw: dict[int, LinMap] = {}
-    for e in sorted(g0.objects):
-        dom = a.ideal_of[e]
-        images = [
-            _embedding_vector(a, e, v, emb_support[e], total) for v in dom.basis
+    # Per object, the embedded images of its ideal's basis.
+    embedded = {
+        e: [
+            _embedding_vector(a, v, support_of[e] if minimal else g0._by_ran[e], total)
+            for v in a.ideal_of[e].basis
         ]
-        cod = Subspace.span(total, images, p)
-        phi_raw[e] = LinMap.from_images(dom, cod, images)
+        for e in sorted(g0.objects)
+    }
 
     # One piece per range object, shared by every arrow with that range:
     # the subring generated by the translated embedded ideals of the arrows
     # whose range equals it (minimal) or lies below it (full), the sets
     # that GLOB(iv') and GLOB(iv) sum.
     ix = a.index
-    gamma_maps = [gamma[g] for g in g0.arrows()]
-    moved = _translated(gamma_maps, ix.triples, {e: phi_raw[e].image() for e in ix.anchors})
+    family = {e: Subspace.span(total, embedded[e], p) for e in ix.anchors}
+    moved = _translated(gamma_maps, ix.triples, family)
     piece_at = {
         e: subring_closure(
             ambient,
@@ -206,9 +193,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
     }
     piece = [piece_at[r] for _, r, _ in ix.triples]
 
-    carrier_sub = Subspace.zero(total, p)
-    for e in ix.anchors:
-        carrier_sub = carrier_sub.add(piece_at[e])
+    carrier_sub = reduce(Subspace.add, piece_at.values(), Subspace.zero(total, p))
     name = a.name or "action"
     beta = _cut_out(
         g0,
@@ -219,11 +204,12 @@ def _build(a: Action, minimal: bool) -> Globalization:
         f"{name}::globalized" + ("-minimal" if minimal else ""),
         f"{name}::globalized-carrier",
     )
-    embeddings = {}
-    for e in sorted(g0.objects):
-        dom = a.ideal_of[e]
-        images = [carrier_sub.coordinates_of(v) for v in (phi_raw[e].apply(w) for w in dom.basis)]
-        embeddings[e] = LinMap.from_images(dom, beta.ideal_of[e], images)
+    embeddings = {
+        e: LinMap.from_images(
+            a.ideal_of[e], beta.ideal_of[e], [carrier_sub.coordinates_of(v) for v in images]
+        )
+        for e, images in embedded.items()
+    }
 
     built = Globalization(
         base=a,
@@ -231,7 +217,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         embeddings=embeddings,
         minimal=minimal,
         ambient=ambient,
-        gamma=gamma,
+        gamma=dict(enumerate(gamma_maps)),
     )
     built.checklist = verify_globalization(built)
     if not built.checklist.ok:

@@ -311,51 +311,61 @@ class OrderedGroupoid:
                 rep.add("OBJ", f"range of {nm[g]} is not an object")
             if self.inv[self.inv[g]] != g:
                 rep.add("INV", f"inverse of {nm[g]} is not an involution")
-        # "Defined iff composable" fails on the in-range keys of comp that
-        # are not composable and on the composable pairs missing from comp;
-        # there are none when comp is exact: rows, and no other key.
-        rows, partners, comp = self._rows, self._partners, self.comp
-        exact = rows is not None and len(comp) == sum(map(len, partners))
+        # An entry of comp whose key or value is not an arrow fails CAT, and
+        # the checks below read only the entries inside the arrows.
+        arrows, comp = self.arrows(), {}
+        for (g, h), gh in self.comp.items():
+            if g in arrows and h in arrows and gh in arrows:
+                comp[(g, h)] = gh
+            else:
+                rep.add("CAT", f"product ({g}, {h}) -> {gh} has an index outside the arrows")
+        # "Defined iff composable" fails on the keys of comp that are not
+        # composable and on the composable pairs missing from comp; there are
+        # none when comp is exact: every entry inside, rows, and no other key.
+        rows, partners = self._rows, self._partners
+        exact = rows is not None and len(comp) == len(self.comp) == sum(map(len, partners))
         if not exact:
-            arrows, dom, ran = self.arrows(), self.dom, self.ran
-            bad = {(g, h) for g, h in comp if g in arrows and h in arrows and dom[g] != ran[h]}
+            dom, ran = self.dom, self.ran
+            bad = {(g, h) for g, h in comp if dom[g] != ran[h]}
             bad.update((g, h) for g, hs in enumerate(partners) for h in hs if (g, h) not in comp)
             for g, h in sorted(bad):
                 rep.add("CAT", f"product {nm[g]}*{nm[h]} defined iff domains match fails")
-        for (g, h), gh in self.comp.items():
+        for (g, h), gh in comp.items():
             if self.composable(g, h):
                 if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:
                     rep.add("CAT", f"endpoints of {nm[g]}*{nm[h]} are wrong")
         for g in self.arrows():
-            if self.comp.get((g, self.dom[g])) != g:
+            if comp.get((g, self.dom[g])) != g:
                 rep.add("CAT", f"{nm[g]} * its domain is not {nm[g]}")
-            if self.comp.get((self.ran[g], g)) != g:
+            if comp.get((self.ran[g], g)) != g:
                 rep.add("CAT", f"range * {nm[g]} is not {nm[g]}")
-            if self.comp.get((self.inv[g], g)) != self.dom[g]:
+            if comp.get((self.inv[g], g)) != self.dom[g]:
                 rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
-            if self.comp.get((g, self.inv[g])) != self.ran[g]:
+            if comp.get((g, self.inv[g])) != self.ran[g]:
                 rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
         # With no CAT issue so far and an exact comp, comp is defined exactly on
         # the composable pairs with the right endpoints (so every composite is
         # an arrow), and a triple can only fail by (gh)k != g(hk).  Light's test
         # over composable pairs decides that; when it fails the scan runs.
         if not (rep.clause_ok("CAT") and exact and light_certificate(rows, partners)):
-            self._scan_cat_associativity(rep)
+            self._scan_cat_associativity(rep, comp)
         self._groupoid_report = rep
         return rep
 
-    def _scan_cat_associativity(self, rep: ValidationReport) -> None:
-        """Associativity over every composable triple, as a plain scan."""
+    def _scan_cat_associativity(
+        self, rep: ValidationReport, comp: dict[tuple[int, int], int]
+    ) -> None:
+        """Associativity over every composable triple of comp (the entries
+        inside the arrows), as a plain scan."""
         nm = self.names
         after: dict[int, list[int]] = {}  # h -> the arrows k with (h, k) composed
-        for h, k in sorted(self.comp):
-            if k in self.arrows():
-                after.setdefault(h, []).append(k)
-        for (g, h), gh in self.comp.items():
+        for h, k in sorted(comp):
+            after.setdefault(h, []).append(k)
+        for (g, h), gh in comp.items():
             for k in after.get(h, ()):
-                hk = self.comp[(h, k)]
-                left = self.comp.get((gh, k))
-                right = self.comp.get((g, hk))
+                hk = comp[(h, k)]
+                left = comp.get((gh, k))
+                right = comp.get((g, hk))
                 if left is None or right is None or left != right:
                     rep.add("CAT", f"associativity fails on ({nm[g]},{nm[h]},{nm[k]})")
 

@@ -14,17 +14,6 @@ from .globalize import Globalization, verify_globalization
 from .linalg import LinMap, Subspace, Vector, vec_add, vec_sub
 from .validation import ValidationReport
 
-MORITA_CLAUSES = (
-    "MOR(i)",
-    "MOR(ii)",
-    "MOR(iii)",
-    "MOR(iv)",
-    "MOR(compat)",
-    "MOR(surj)",
-    "MOR(unital)",
-    "MOR(idem)",
-)
-
 
 @dataclass
 class SkewRing:
@@ -199,18 +188,10 @@ class MoritaReport:
 
     clauses: dict[str, bool]
     dims: dict[str, int]
-    objects_finite: bool = True
 
     @property
     def ok(self) -> bool:
         return all(self.clauses.values())
-
-    def report(self) -> ValidationReport:
-        rep = ValidationReport("morita context", MORITA_CLAUSES)
-        for label, good in self.clauses.items():
-            if not good:
-                rep.add(label, "identity fails (see dims payload)")
-        return rep
 
 
 def morita_context(a: Action, gl: Globalization) -> MoritaReport:

@@ -252,7 +252,8 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
 def _task_morita(ws: Workspace, t: dict) -> tuple[dict, dict]:
     a, gl = _glob_of(ws, t)
     rep = morita_context(a, gl)
-    return dict(rep.clauses), {"dims": rep.dims, "objects_finite": rep.objects_finite}
+    # Every groupoid and semigroup here has finitely many objects.
+    return dict(rep.clauses), {"dims": rep.dims, "objects_finite": True}
 
 
 def _task_esn(ws: Workspace, t: dict) -> tuple[dict, dict]:

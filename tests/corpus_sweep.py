@@ -10,9 +10,11 @@ each escape with its traceback, then a count and the wall time, and exits
 mutant's exit code (or the type and message of what it raised), stdout
 and stderr, with the temporary path written as `mutant.json`: two
 checkouts give byte-identical output on every mutant exactly when they
-print the same digest.  A guard kept outside the test suite: the suite's
-fuzzer draws a few hundred single- and two-leaf mutants from the same
-list.
+print the same digest.  The script also exits 1 when the digest is not
+`EXPECTED`, so a change to any mutant's report fails it; the value was the
+same under Python 3.10 and 3.11.  A guard kept outside the test suite: the
+suite's fuzzer draws a few hundred single- and two-leaf mutants from the
+same list.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ import traceback
 from pathlib import Path
 
 from mutants import NAMES, corpus_doc, leaf_mutations, mutate, run_mutant
+
+EXPECTED = "8239dbbe2a7302c8ae66e67d7e73d6c7c280a1fc0dd792da832233ea7bb515ed"
 
 
 def sweep() -> int:
@@ -51,6 +55,9 @@ def sweep() -> int:
                     digest.update(part.replace(str(path), "mutant.json").encode() + b"\0")
     print(f"{total} single-leaf mutants, {escapes} escaped, {time.perf_counter() - start:.1f} s")
     print(f"sha256 over exit codes, stdout and stderr: {digest.hexdigest()}")
+    if digest.hexdigest() != EXPECTED:
+        print(f"digest differs from the expected {EXPECTED}")
+        return 1
     return 1 if escapes else 0
 
 

@@ -9,9 +9,11 @@ wrote them before it kept one product table per subspace.  One section
 keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
-reading.  The Morita section keeps the MOR(compat) clause as the loop over
-module triples that the library ran before it read the clause from the
-quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
+reading.  The scaffolding section forms a built globalization's
+translations and embeddings by elimination, as the library did before it
+wrote the block spans and 0/1 matrices down.  The Morita section keeps the
+MOR(compat) clause as the loop over module triples that the library ran
+before it read the clause from the quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
 walks over composites and over the strict order, as plain scans over all
 arrows or elements, as the library wrote them before it read them from
@@ -291,6 +293,81 @@ def verify_semigroup_globalization(
     return rep
 
 
+# -- retained globalization scaffolding by elimination -------------------
+
+
+def _blocks_subspace(total_dim, p, block_dim, blocks):
+    rows = []
+    for b in blocks:
+        for i in range(block_dim):
+            row = [0] * total_dim
+            row[b * block_dim + i] = 1
+            rows.append(row)
+    return Subspace.span(total_dim, rows, p)
+
+
+def _translation_map(total_dim, p, block_dim, in_blocks, out_blocks, source_of):
+    domain = _blocks_subspace(total_dim, p, block_dim, sorted(in_blocks))
+    codomain = _blocks_subspace(total_dim, p, block_dim, sorted(out_blocks))
+    images = []
+    for k in sorted(in_blocks):
+        for i in range(block_dim):
+            img = [0] * total_dim
+            for h in out_blocks:
+                if source_of[h] == k:
+                    img[h * block_dim + i] = 1
+            images.append(tuple(img))
+    return LinMap.from_images(domain, codomain, images)
+
+
+def _embedding_vector(a, v, support, total_dim):
+    g0 = a.structure
+    n = a.carrier.dim
+    out = [0] * total_dim
+    for h in support:
+        cut = a.carrier.mul(v, a.unit_vector(h))
+        moved = a.map_of[g0.inv[h]].apply(cut)
+        for i, x in enumerate(moved):
+            out[h * n + i] = x
+    return tuple(out)
+
+
+def globalization_scaffolding(gl):
+    """The translations gamma and the embeddings of a globalization built
+    over a groupoid, as the library formed them by elimination: each block
+    span by `Subspace.span`, each translation by `LinMap.from_images`, and
+    the embeddings read through maps onto the spans of the embedded images.
+    Supports and pseudoproducts come from the plain scans below."""
+    a, minimal = gl.base, gl.minimal
+    g0 = a.structure
+    n, p = a.carrier.dim, a.carrier.p
+    total = n * g0.n
+    if minimal:
+        support_of = {
+            g: tuple(h for h in g0.arrows() if pseudoproduct(g0, g0.inv[g], h) is not None)
+            for g in g0.arrows()
+        }
+    else:
+        support_of = {
+            g: tuple(h for h in g0.arrows() if g0.leq[g0.ran[h]][g0.ran[g]]) for g in g0.arrows()
+        }
+    gamma = {}
+    for g in g0.arrows():
+        gi = g0.inv[g]
+        source_of = {h: pseudoproduct(g0, gi, h) for h in support_of[g]}
+        gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
+    carrier_sub = gl.global_action.inclusion.image()
+    embeddings = {}
+    for e in sorted(g0.objects):
+        dom = a.ideal_of[e]
+        support = support_of[e] if minimal else [h for h in g0.arrows() if g0.ran[h] == e]
+        images = [_embedding_vector(a, v, support, total) for v in dom.basis]
+        raw = LinMap.from_images(dom, Subspace.span(total, images, p), images)
+        coords = [carrier_sub.coordinates_of(raw.apply(w)) for w in dom.basis]
+        embeddings[e] = LinMap.from_images(dom, gl.global_action.ideal_of[e], coords)
+    return gamma, embeddings
+
+
 # -- retained scans of the combinatorial layer ---------------------------
 #
 # Free functions of `self` (an OrderedGroupoid or an InverseSemigroup), so
@@ -331,34 +408,42 @@ def validate_groupoid(self):
             rep.add("OBJ", f"range of {nm[g]} is not an object")
         if self.inv[self.inv[g]] != g:
             rep.add("INV", f"inverse of {nm[g]} is not an involution")
+    # Entries of comp with a key or value outside the arrows are reported;
+    # the rest of the scan reads the others.
+    comp = {}
+    for (g, h), gh in self.comp.items():
+        if all(0 <= x < self.n for x in (g, h, gh)):
+            comp[(g, h)] = gh
+        else:
+            rep.add("CAT", f"product ({g}, {h}) -> {gh} has an index outside the arrows")
     for g in self.arrows():
         for h in self.arrows():
-            defined = (g, h) in self.comp
+            defined = (g, h) in comp
             if defined != self.composable(g, h):
                 rep.add(
                     "CAT",
                     f"product {nm[g]}*{nm[h]} defined iff domains match fails",
                 )
-    for (g, h), gh in self.comp.items():
+    for (g, h), gh in comp.items():
         if self.composable(g, h):
             if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:
                 rep.add("CAT", f"endpoints of {nm[g]}*{nm[h]} are wrong")
     for g in self.arrows():
-        if self.comp.get((g, self.dom[g])) != g:
+        if comp.get((g, self.dom[g])) != g:
             rep.add("CAT", f"{nm[g]} * its domain is not {nm[g]}")
-        if self.comp.get((self.ran[g], g)) != g:
+        if comp.get((self.ran[g], g)) != g:
             rep.add("CAT", f"range * {nm[g]} is not {nm[g]}")
-        if self.comp.get((self.inv[g], g)) != self.dom[g]:
+        if comp.get((self.inv[g], g)) != self.dom[g]:
             rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
-        if self.comp.get((g, self.inv[g])) != self.ran[g]:
+        if comp.get((g, self.inv[g])) != self.ran[g]:
             rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
-    for (g, h), gh in self.comp.items():
+    for (g, h), gh in comp.items():
         for k in self.arrows():
-            if (h, k) not in self.comp:
+            if (h, k) not in comp:
                 continue
-            hk = self.comp[(h, k)]
-            left = self.comp.get((gh, k))
-            right = self.comp.get((g, hk))
+            hk = comp[(h, k)]
+            left = comp.get((gh, k))
+            right = comp.get((g, hk))
             if left is None or right is None or left != right:
                 rep.add("CAT", f"associativity fails on ({nm[g]},{nm[h]},{nm[k]})")
     return rep

@@ -425,6 +425,39 @@ def test_cat_issues_and_exceptions_match_the_oracle(label, g):
     assert there[:3] == here[:3] if here[0] == "report" else there[:2] == here[:2]
 
 
+@pytest.mark.parametrize("label", ["key -1", "key n", "value n", "value -1", "value n, extra key"])
+def test_comp_entries_outside_the_arrows_fail_cat(label):
+    """The pointed arrow with comp entries not inside the arrows: a negative
+    key (read as the last arrow by indexing), a key past the end, a
+    composite past the end, a negative composite, and a composite past the
+    end beside an extra in-range key, so that comp has one entry per
+    composable pair.  Each such entry is a CAT issue of its own, the first
+    of the report, and the whole report (no exception) equals the oracle's."""
+    g = fx.pointed_arrow_groupoid()
+    n, s, r_s = g.n, g.names.index("s"), g.names.index("r_s")
+    extra = {
+        "key -1": {(-1, -1): n - 1},
+        "key n": {(n, n): 0},
+        "value n": {(r_s, s): n},
+        "value -1": {(r_s, s): -1},
+        "value n, extra key": {(r_s, s): n, (s, s): r_s},
+    }[label]
+    bad = _groupoid_copy(g, comp={**g.comp, **extra})
+    got = outcome(bad.validate_groupoid)
+    assert got == outcome(oracles.validate_groupoid, bad)
+    assert got[0] == "report" and not got[2]["CAT"]
+    outside = [m for c, m in got[3] if "outside the arrows" in m]
+    assert outside == [
+        f"product ({k[0]}, {k[1]}) -> {v} has an index outside the arrows"
+        for k, v in extra.items()
+        if not all(0 <= x < n for x in (*k, v))
+    ]
+    assert got[3][0] == ("CAT", outside[0])
+    if label == "value n, extra key":
+        assert ("CAT", "product s*s defined iff domains match fails") in got[3]
+    assert not bad.is_valid()
+
+
 def test_cat_certificate_checks_the_one_bad_middle_arrow():
     """On each case the adjoined loop, which lies outside the closure of
     the other arrows, is the only bad middle factor; the certificate is
@@ -462,9 +495,9 @@ def test_cat_scan_runs_only_when_the_certificate_fails(monkeypatch):
     entered = []
     scan = OrderedGroupoid._scan_cat_associativity
 
-    def counted(self, rep):
+    def counted(self, rep, comp):
         entered.append(self.n)
-        return scan(self, rep)
+        return scan(self, rep, comp)
 
     monkeypatch.setattr(OrderedGroupoid, "_scan_cat_associativity", counted)
     g = esn_to_groupoid(symmetric_inverse_monoid(4))

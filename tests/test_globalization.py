@@ -1,9 +1,11 @@
+import inspect
 import random
 
 import pytest
 
 from ogaction import fixtures as fx
 from ogaction.actions import (
+    Action,
     POAction,
     is_global,
     is_strong,
@@ -16,7 +18,7 @@ from ogaction.actions import (
     validate_po_action,
 )
 from ogaction.algebras import local_units_witness
-from ogaction.errors import NotPreunital, NotStrong, NotUnital
+from ogaction.errors import NotPreunital, NotStrong, NotUnital, WorkbenchError
 from ogaction.globalize import (
     Globalization,
     as_globalization,
@@ -27,8 +29,9 @@ from ogaction.globalize import (
     verify_globalization,
 )
 from ogaction.linalg import LinMap, Subspace
+from ogaction.semigroups import InverseSemigroup
 
-from oracles import glob_restr_report, verify_semigroup_globalization
+from oracles import globalization_scaffolding, glob_restr_report, verify_semigroup_globalization
 
 
 def idx(g):
@@ -357,3 +360,48 @@ def test_merged_checklist_clauses_match_the_retained_checks():
             assert _issues(merged, "SGLOB(iii)") == _issues(oracle, "SGLOB(iii)")
             failing_sglob += not oracle.ok
     assert failing_restr > 0 and failing_sglob > 0
+
+
+def _maps(family):
+    return {k: (m.domain, m.codomain, m.matrix) for k, m in family.items()}
+
+
+def _groupoid_actions():
+    """Every fixture action over a groupoid, each semigroup fixture action
+    over its derived groupoid, and restrictions of seeded random global
+    actions to seeded random ideals."""
+    from generators import random_global_action, random_ideal
+
+    out = []
+    for name in sorted(dir(fx)):
+        fn = getattr(fx, name)
+        if not inspect.isfunction(fn) or fn.__module__ != fx.__name__ or inspect.signature(fn).parameters:
+            continue
+        made = fn()
+        if isinstance(made, Action):
+            if isinstance(made.structure, InverseSemigroup):
+                made = semigroup_action_to_groupoid_action(made)
+            out.append((f"fx.{name}", made))
+    rng = random.Random(31)
+    for i in range(8):
+        beta, _ = random_global_action(rng, max_dim=4)
+        out.append((f"restricted{i}", standard_restriction(beta, random_ideal(rng, beta))))
+    return out
+
+
+def test_block_scaffolding_matches_the_elimination_oracle():
+    """gamma and the embeddings, written down from block indices, equal the
+    elimination form (domain, codomain and matrix) on both builds of every
+    groupoid action above that globalizes."""
+    built = set()
+    for label, a in _groupoid_actions():
+        for build in (build_globalization, build_minimal_globalization):
+            try:
+                gl = build(a)
+            except WorkbenchError:
+                continue
+            gamma, embeddings = globalization_scaffolding(gl)
+            assert _maps(gl.gamma) == _maps(gamma), (label, build.__name__)
+            assert _maps(gl.embeddings) == _maps(embeddings), (label, build.__name__)
+            built.add((label, gl.minimal))
+    assert len(built) >= 20 and {m for _, m in built} == {False, True}

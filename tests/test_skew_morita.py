@@ -262,7 +262,6 @@ def test_morita_context_for_both_built_globalizations():
         for key, value in expect.items():
             assert rep.dims[key] == value, (minimal, key, rep.dims)
         assert rep.dims["one_r_idempotent"] == 1
-        assert rep.objects_finite
 
 
 def test_morita_context_with_inclusion_embeddings_is_faithful():
