@@ -443,20 +443,36 @@ def is_ring_iso(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
 
 def is_ring_hom(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
     """m(u_i u_j) = m(u_i) m(u_j) on the domain's basis pairs, where
-    m(u_i u_j) = sum_k c_ijk m(u_k) is read from the domain's product table."""
+    m(u_i u_j) = sum_k c_ijk m(u_k) is read from the domain's product table.
+    A closed codomain holds both sides, so they are compared in its unique
+    coordinates: sum_k c_ijk M_k against sum_{a,b} M_ia M_jb d_ab, with M m's
+    matrix and d the codomain's table (`_products_on`, kept on cod_alg).
+    Otherwise the same sums run on the ambient images and cod_alg's constants."""
     prod = _products_on(dom_alg, m.domain)
     if prod is None:
         return False
-    p, n = m.p, m.codomain.dim
-    images = m.images
-    entries = [[(col, x) for col, x in enumerate(img) if x] for img in images]
-    for mu, row in zip(images, prod):
-        for j, mv in enumerate(images):
+    if prod and m.codomain.dim != cod_alg.dim:
+        raise AmbientMismatch("element length differs from algebra dimension")
+    table = _products_on(cod_alg, m.codomain) if prod else ()
+    table, vectors = (cod_alg.products, m.images) if table is None else (table, m.matrix)
+    p, n = m.p, len(table)
+    entries = [[(col, x) for col, x in enumerate(v) if x] for v in vectors]
+    for row, mi in zip(prod, entries):
+        for j, mj in enumerate(entries):
+            # Left side minus right side, reduced once.
             out = [0] * n
             for k, c in row.get(j, {}).items():
                 for col, x in entries[k]:
                     out[col] += c * x
-            if tuple([x % p for x in out]) != cod_alg.mul(mu, mv):
+            for a, x in mi:
+                products = table[a]
+                for b, y in mj:
+                    kc = products.get(b)
+                    if kc is not None:
+                        xy = x * y
+                        for col, c in kc.items():
+                            out[col] -= xy * c
+            if any([x % p for x in out]):
                 return False
     return True
 

@@ -393,15 +393,20 @@ class OrderedGroupoid:
                     rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
         # OG2 over g <= h, k composable with g, l >= k composable with h, with
         # gk and hl read from the composite rows; without the table, from comp,
-        # so a missing composite raises KeyError where the scan would.
+        # so a missing composite raises KeyError where the scan would.  A
+        # composite outside the arrows fails CAT, and OG2 skips its quadruples.
         dom, ran, rows, pos, comp = self.dom, self.ran, self._rows, self._pos, self.comp
         up_by_ran = [_group(ls, ran) for ls in up]
+        arrows = self.arrows()
+        if rows is not None and not all(gh in arrows for row in rows for gh in row):
+            rows = None
         if rows is None:
             for g, ks in enumerate(self._partners):
                 for h in up[g]:
                     for k in ks:
                         for l in up_by_ran[k].get(dom[h], ()):
-                            if not leq[comp[(g, k)]][comp[(h, l)]]:
+                            gk, hl = comp[(g, k)], comp[(h, l)]
+                            if gk in arrows and hl in arrows and not leq[gk][hl]:
                                 rep.add("OG2", _og2_message(nm, g, h, k, l))
         else:
             for g, ks in enumerate(self._partners):

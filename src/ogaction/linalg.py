@@ -150,6 +150,14 @@ class Subspace:
         like `pivots`; elimination walks only these."""
         return tuple(_entries(row) for row in self.basis)
 
+    @functools.cached_property
+    def _free(self) -> Optional[tuple[int, ...]]:
+        """The non-pivot columns of a coordinate subspace (every basis row a
+        unit vector: the vectors that vanish on these columns), else None."""
+        if all(len(row) == 1 and row[0][1] == 1 for row in self.entries):
+            return self.complement_coordinates()
+        return None
+
     def _check_ambient(self, other: "Subspace") -> None:
         if self.dim != other.dim or self.p != other.p:
             raise AmbientMismatch(
@@ -162,6 +170,11 @@ class Subspace:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
         p = self.p
         w = [int(x) % p for x in v]
+        if self._free is not None:
+            # Eliminating against a unit row e_piv clears entry piv only.
+            for piv in self.pivots:
+                w[piv] = 0
+            return tuple(w)
         for piv, row in zip(self.pivots, self.entries):
             c = w[piv]
             if c:
@@ -170,8 +183,9 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if self.rank == self.dim and len(v) == self.dim:
-            return True
+        free = self._free
+        if free is not None and len(v) == self.dim:  # the residual is v off the pivots
+            return not any(int(v[j]) % self.p for j in free)
         return is_zero_vec(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -184,6 +198,12 @@ class Subspace:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
         p = self.p
         w = [int(x) % p for x in v]
+        free = self._free
+        if free is not None:
+            # v = sum of v[piv] e_piv exactly when v vanishes off the pivots.
+            if any([w[j] for j in free]):
+                raise ValueError("vector not in subspace")
+            return tuple([w[piv] for piv in self.pivots]) if free else tuple(w)
         coords = []
         for piv, row in zip(self.pivots, self.entries):
             c = w[piv]
@@ -371,10 +391,15 @@ class LinMap:
         return Subspace.span(self.codomain.dim, [self.apply(v) for v in sub.basis], self.p)
 
     def preimage_of(self, sub: Subspace) -> Subspace:
-        """{v in domain : f(v) in sub}, as a subspace of the domain's ambient."""
+        """{v in domain : f(v) in sub}, as a subspace of the domain's ambient.
+
+        When sub ∩ codomain is the codomain, f(domain) ⊆ codomain ⊆ sub, so
+        the answer is the domain (the kernel route would span it again)."""
         if sub.dim != self.codomain.dim or sub.p != self.p:
             raise AmbientMismatch("preimage target lives in the wrong ambient")
         target = sub.intersect(self.codomain)
+        if target == self.codomain:
+            return self.domain
         coords = Subspace.span(
             self.codomain.rank,
             [self.codomain.coordinates_of(v) for v in target.basis],

@@ -157,6 +157,17 @@ def _matrices(doc: dict, key: str, where: str) -> dict[str, tuple[tuple[int, ...
     return out
 
 
+def _combination(coeffs, vectors, dim: int, p: int) -> tuple[int, ...]:
+    """The sum of c * w over coeffs and vectors, mod p; zero c and zero entries add nothing."""
+    out = [0] * dim
+    for c, w in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(w):
+                if x:
+                    out[j] = (out[j] + c * x) % p
+    return tuple(out)
+
+
 def _parse_family(
     doc: dict, names, inv, carrier: Algebra, where: str
 ) -> tuple[tuple[Subspace, ...], tuple[LinMap, ...]]:
@@ -192,21 +203,13 @@ def _parse_family(
         for row in matrix:
             if len(row) != len(dst_rows):
                 raise WorkspaceError(f"{where}: map at {n!r} has a row of wrong width")
-            img = [0] * carrier.dim
-            for c, dst in zip(row, dst_rows):
-                for j, x in enumerate(dst):
-                    img[j] = (img[j] + c * x) % p
-            listed_images.append(tuple(img))
+            listed_images.append(_combination(row, dst_rows, carrier.dim, p))
         images = []
         src_mod = [tuple(x % p for x in r) for r in src_rows]
         for combo in express_all(src_mod, ideals[src].basis, p):
             if combo is None:
                 raise WorkspaceError(f"{where}: listed ideal rows at {names[src]!r} do not span")
-            img = [0] * carrier.dim
-            for c, w in zip(combo, listed_images):
-                for j, x in enumerate(w):
-                    img[j] = (img[j] + c * x) % p
-            images.append(tuple(img))
+            images.append(_combination(combo, listed_images, carrier.dim, p))
         try:
             m = LinMap.from_images(ideals[src], ideals[i], images)
         except ValueError:

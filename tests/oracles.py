@@ -19,7 +19,8 @@ walks over composites and over the strict order, as plain scans over all
 arrows or elements, as the library wrote them before it read them from
 index tables or closed the order in one Warshall pass.
 The kernel section keeps the dense F_p routines as the library wrote them
-before it eliminated along vector supports.
+before it eliminated along vector supports or read a coordinate subspace's
+pivot entries, and `preimage_of` as the kernel route, taken on every target.
 """
 
 from itertools import product
@@ -775,6 +776,20 @@ def intersect(self, other):
     reduced = rref(rows, self.p)
     inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
     return Subspace(n, self.p, rref(inter, self.p))
+
+
+def preimage_of(self, sub):
+    """{v in domain : f(v) in sub} by the kernel route on every target: the
+    left kernel of f's matrix reduced against sub's part of the codomain."""
+    if sub.dim != self.codomain.dim or sub.p != self.p:
+        raise AmbientMismatch("preimage target lives in the wrong ambient")
+    p, r, k = self.p, self.codomain.rank, self.domain.rank
+    target = intersect(sub, self.codomain)
+    coords = Subspace(r, p, rref([coordinates_of(self.codomain, v) for v in target.basis], p))
+    aug = [list(reduce(coords, row)) + [int(i == j) for j in range(k)] for i, row in enumerate(self.matrix)]
+    ker = [row[r:] for row in rref(aug, p) if is_zero_vec(row[:r])]
+    vecs = [from_coordinates(self.domain, row) for row in ker]
+    return Subspace(self.domain.dim, p, rref(vecs, p))
 
 
 def from_images(domain, codomain, images):

@@ -458,6 +458,22 @@ def test_comp_entries_outside_the_arrows_fail_cat(label):
     assert not bad.is_valid()
 
 
+@pytest.mark.parametrize("value", ["n", "-1"])
+def test_order_check_skips_composites_outside_the_arrows(value):
+    """`validate_order` called without `validate_groupoid` on the pointed
+    arrow whose composite r_s*s is not an arrow returns a report, not an
+    IndexError (n) or a read of the last arrow's order row (-1): OG2 skips
+    the quadruples that read that composite, every other one passes as on
+    the valid groupoid, and the groupoid stays invalid through CAT."""
+    g = fx.pointed_arrow_groupoid()
+    n, s, r_s = g.n, g.names.index("s"), g.names.index("r_s")
+    bad = _groupoid_copy(g, comp={**g.comp, (r_s, s): {"n": n, "-1": -1}[value]})
+    got = outcome(bad.validate_order)
+    assert got[0] == "report"
+    assert got == outcome(_groupoid_copy(g).validate_order)
+    assert not bad.is_valid() and not bad.validate_groupoid().clause_ok("CAT")
+
+
 def test_cat_certificate_checks_the_one_bad_middle_arrow():
     """On each case the adjoined loop, which lies outside the closure of
     the other arrows, is the only bad middle factor; the certificate is

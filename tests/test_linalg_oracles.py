@@ -3,7 +3,10 @@
 `Subspace` eliminates along the kept non-zero entries of its basis rows,
 `LinMap` combines kept ambient images, `intersect` returns a nested
 operand unchanged, and `inverse`, `partial_inverse` and `express_all` run
-one elimination per linear system.  `tests/oracles.py` keeps the dense
+one elimination per linear system.  On a coordinate subspace (every basis
+row a unit vector) `reduce`, `contains` and `coordinates_of` read the
+pivot entries and check the free columns, and `preimage_of` returns the
+domain on a target that contains the codomain.  `tests/oracles.py` keeps the dense
 routines as they were.  Both sides must give the same tuples, the same
 values and the same exceptions on every subspace and map the fixtures and
 `tests/generators.py` build, on skewed copies with dense supports, on
@@ -130,9 +133,25 @@ def check_map(f):
     assert outcome(partial_inverse, f) == outcome(oracles.partial_inverse, f)
 
 
+def check_preimages(f, targets):
+    """`preimage_of` against the kernel route on every target of f's
+    codomain ambient; returns how many targets contained the codomain."""
+    nested = 0
+    for t in targets:
+        if (t.dim, t.p) == (f.codomain.dim, f.p):
+            assert outcome(f.preimage_of, t) == outcome(oracles.preimage_of, f, t)
+            nested += f.codomain <= t
+    return nested
+
+
+def _is_coordinate(s):
+    return all(sum(1 for x in row if x) == 1 for row in s.basis)
+
+
 def test_the_collection_covers_the_cases_it_names():
     assert any(s.rank == 0 for s in SUBSPACES) and any(s.rank == s.dim for s in SUBSPACES)
     assert any(0 < s.rank < s.dim and any(len(row) > 1 for row in s.entries) for s in SUBSPACES)
+    assert any(0 < s.rank < s.dim and _is_coordinate(s) for s in SUBSPACES)
     pairs = [(u, v) for u in SUBSPACES for v in SUBSPACES if (u.dim, u.p) == (v.dim, v.p)]
     assert any(u <= v for u, v in pairs if u != v)
     assert any(not u <= v and not v <= u for u, v in pairs)
@@ -155,6 +174,54 @@ def test_maps_match_the_dense_kernel():
     for f in MAPS:
         for g in [f, *_non_invertible(f)]:
             check_map(g)
+
+
+def test_preimages_match_the_kernel_route():
+    """Targets that contain the codomain (the short cut), the codomain
+    itself among them, and targets that do not, nested inside it or not."""
+    nested = outside = 0
+    for f in MAPS:
+        for g in [f, *_non_invertible(f)]:
+            n = check_preimages(g, SUBSPACES + [g.codomain])
+            nested += n
+            outside += sum((t.dim, t.p) == (g.codomain.dim, g.p) for t in SUBSPACES) + 1 - n
+    assert nested > 100 and outside > 100
+
+
+@st.composite
+def coordinate_spaces(draw):
+    """A coordinate subspace (the span of some unit vectors, possibly none
+    or all) and probe vectors: drawn ones, members with unreduced and
+    negative entries, and members plus a multiple of one free unit vector,
+    which lie outside unless the multiple is a multiple of p."""
+    p = draw(st.sampled_from(PRIMES))
+    dim = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, dim - 1))))
+    u = Subspace.span(dim, [tuple(int(i == j) for j in range(dim)) for i in pivots], p)
+    entry = st.integers(-3 * p, 3 * p)
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        member = [draw(entry) if j in pivots else 0 for j in range(dim)]
+        vectors.append(member)
+        free = [j for j in range(dim) if j not in pivots]
+        if free:
+            j, c = draw(st.sampled_from(free)), draw(st.sampled_from((1, -1, p, 2 * p + 1)))
+            vectors.append([x + c * (i == j) for i, x in enumerate(member)])
+    return u, [tuple(v) for v in vectors]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(coordinate_spaces())
+def test_coordinate_subspaces_match_the_dense_kernel(case):
+    """The pivot-entry reads give the oracle's values, and raise its
+    ValueError on every vector with a free entry that is not 0 mod p."""
+    u, vectors = case
+    assert _is_coordinate(u)
+    for v in vectors + [(1,) * (u.dim + 1)]:
+        assert outcome(u.reduce, v) == outcome(oracles.reduce, u, v)
+        assert outcome(u.contains, v) == outcome(oracles.contains, u, v)
+        assert outcome(u.coordinates_of, v) == outcome(oracles.coordinates_of, u, v)
+    check_subspace(u)
 
 
 PRIMES = (2, 3, 5, 7, 2**31 - 1)
@@ -187,3 +254,4 @@ def test_drawn_spaces_match_the_dense_kernel(case):
     check_pair(u, v)
     check_pair(v, u)
     check_map(f)
+    check_preimages(f, [u, v, Subspace.zero(v.dim, v.p), Subspace.full(v.dim, v.p)])

@@ -5,7 +5,9 @@ product table per subspace, kept on the algebra with the identity and
 ideal answers.  `tests/oracles.py` keeps the scans that formed every basis
 product on each call.  Both sides must give the same values and the same
 exceptions, on a cold algebra and again on the warm one, and a question
-asked again must form no product.
+asked again must form no product.  `is_ring_hom` compares the two sides in
+the codomain's coordinates through the codomain's own table when the
+codomain is closed, and in the ambient algebra when it is not.
 """
 
 import functools
@@ -214,6 +216,54 @@ def test_fixture_maps_and_ideals_match_the_pair_scans(a):
             assert outcome(is_ideal, alg, ideal, outer) == outcome(
                 oracles.is_ideal, alg, ideal, outer
             )
+
+
+def first_row_multiplicative(m, alg):
+    """m(u_0 v) = m(u_0) m(v) for the domain's basis vectors v only."""
+    u0 = m.domain.basis[0]
+    return all(
+        oracles.apply(m, alg.mul(u0, v)) == alg.mul(oracles.apply(m, u0), oracles.apply(m, v))
+        for v in m.domain.basis
+    )
+
+
+def test_single_entry_perturbations_match_the_pair_scan():
+    """Every fixture map, and each copy with one matrix entry moved by one,
+    gives the pair scan's answer.  Every codomain is closed, so each answer
+    is read in the codomain's coordinates, and some moves break
+    multiplicativity only on pairs outside the first basis vector's."""
+    broken = only_later = 0
+    for a in FIXTURE_ACTIONS:
+        alg = fresh(a.carrier)
+        for m in a.map_of:
+            assert is_multiplicatively_closed(alg, m.codomain)
+            assert is_ring_hom(m, alg, alg) == oracles.is_ring_hom(m, alg, alg)
+            for i, row in enumerate(m.matrix):
+                for j in range(len(row)):
+                    moved = [list(r) for r in m.matrix]
+                    moved[i][j] = (moved[i][j] + 1) % m.p
+                    f = LinMap(m.domain, m.codomain, tuple(map(tuple, moved)))
+                    expected = oracles.is_ring_hom(f, alg, alg)
+                    assert is_ring_hom(f, alg, alg) == expected
+                    broken += not expected
+                    only_later += not expected and first_row_multiplicative(f, alg)
+    assert broken > 50 and only_later > 5
+
+
+def test_ring_maps_into_a_codomain_that_is_not_closed():
+    """In M_2(F_5), span(E12, E11 + 2 E22) is not closed under the product,
+    so the two sides are formed in the ambient algebra: E12 -> E12 is
+    multiplicative there, and E11 -> E11 + 2 E22 is not."""
+    alg = fresh(matrix_algebra(2, 5))
+    e11, e12, e22 = (alg.basis_vector(i) for i in (0, 1, 3))
+    mixed = tuple((a + 2 * b) % 5 for a, b in zip(e11, e22))
+    cod = Subspace.span(4, [e12, mixed], 5)
+    for source, image, expected in ((e12, e12, True), (e11, mixed, False)):
+        dom = Subspace.span(4, [source], 5)
+        m = LinMap.from_images(dom, cod, [image])
+        assert oracles.is_ring_hom(m, alg, alg) is expected
+        assert is_ring_hom(m, alg, alg) is expected
+    assert not is_multiplicatively_closed(alg, cod)
 
 
 @pytest.fixture
