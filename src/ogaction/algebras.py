@@ -443,20 +443,16 @@ def is_ring_iso(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
 
 def is_ring_hom(m: LinMap, dom_alg: Algebra, cod_alg: Algebra) -> bool:
     """m(u_i u_j) = m(u_i) m(u_j) on the domain's basis pairs, where
-    m(u_i u_j) = sum_k c_ijk m(u_k) is read from the domain's product table.
-    A closed codomain holds both sides, so they are compared in its unique
-    coordinates: sum_k c_ijk M_k against sum_{a,b} M_ia M_jb d_ab, with M m's
-    matrix and d the codomain's table (`_products_on`, kept on cod_alg).
-    Otherwise the same sums run on the ambient images and cod_alg's constants."""
+    m(u_i u_j) = sum_k c_ijk m(u_k) is read from the domain's product table
+    and m(u_i) m(u_j) = sum_{a,b} x_a y_b d_ab from cod_alg's constants d,
+    over the non-zero entries x of m(u_i) and y of m(u_j)."""
     prod = _products_on(dom_alg, m.domain)
     if prod is None:
         return False
     if prod and m.codomain.dim != cod_alg.dim:
         raise AmbientMismatch("element length differs from algebra dimension")
-    table = _products_on(cod_alg, m.codomain) if prod else ()
-    table, vectors = (cod_alg.products, m.images) if table is None else (table, m.matrix)
-    p, n = m.p, len(table)
-    entries = [[(col, x) for col, x in enumerate(v) if x] for v in vectors]
+    p, n, table = m.p, cod_alg.dim, cod_alg.products
+    entries = [[(col, x) for col, x in enumerate(v) if x] for v in m.images]
     for row, mi in zip(prod, entries):
         for j, mj in enumerate(entries):
             # Left side minus right side, reduced once.

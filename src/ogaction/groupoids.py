@@ -285,12 +285,14 @@ class OrderedGroupoid:
     @cached_property
     def _rows(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """rows[g]: the composites g*h over partners[g]; None when a
-        composable pair has no composite, so a valid groupoid has its rows."""
-        comp = self.comp
+        composable pair has no composite or a composite is not an arrow, so
+        a valid groupoid has its rows."""
+        comp, arrows = self.comp, self.arrows()
         try:
-            return tuple(tuple(comp[(g, h)] for h in hs) for g, hs in enumerate(self._partners))
+            rows = tuple(tuple(comp[(g, h)] for h in hs) for g, hs in enumerate(self._partners))
         except KeyError:
             return None
+        return rows if all(gh in arrows for row in rows for gh in row) else None
 
     # -- validation ----------------------------------------------------
 
@@ -397,10 +399,8 @@ class OrderedGroupoid:
         # composite outside the arrows fails CAT, and OG2 skips its quadruples.
         dom, ran, rows, pos, comp = self.dom, self.ran, self._rows, self._pos, self.comp
         up_by_ran = [_group(ls, ran) for ls in up]
-        arrows = self.arrows()
-        if rows is not None and not all(gh in arrows for row in rows for gh in row):
-            rows = None
         if rows is None:
+            arrows = self.arrows()
             for g, ks in enumerate(self._partners):
                 for h in up[g]:
                     for k in ks:

@@ -153,7 +153,8 @@ class Subspace:
     @functools.cached_property
     def _free(self) -> Optional[tuple[int, ...]]:
         """The non-pivot columns of a coordinate subspace (every basis row a
-        unit vector: the vectors that vanish on these columns), else None."""
+        unit vector: the vectors that vanish on these columns), else None;
+        `contains` and `coordinates_of` read it."""
         if all(len(row) == 1 and row[0][1] == 1 for row in self.entries):
             return self.complement_coordinates()
         return None
@@ -170,11 +171,6 @@ class Subspace:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
         p = self.p
         w = [int(x) % p for x in v]
-        if self._free is not None:
-            # Eliminating against a unit row e_piv clears entry piv only.
-            for piv in self.pivots:
-                w[piv] = 0
-            return tuple(w)
         for piv, row in zip(self.pivots, self.entries):
             c = w[piv]
             if c:
@@ -183,8 +179,10 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence[int]) -> bool:
+        """v's residual on a coordinate subspace is v off the pivots, so v is
+        inside exactly when its free entries are 0 mod p."""
         free = self._free
-        if free is not None and len(v) == self.dim:  # the residual is v off the pivots
+        if free is not None and len(v) == self.dim:
             return not any(int(v[j]) % self.p for j in free)
         return is_zero_vec(self.reduce(v))
 
@@ -193,14 +191,17 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def coordinates_of(self, v: Sequence[int]) -> Vector:
-        """Coefficients of v over the canonical basis; raises if v is outside."""
+        """Coefficients of v over the canonical basis; raises if v is outside.
+        On a coordinate subspace they are v's pivot entries (v itself on the
+        full space), once its free entries are checked to be zero."""
         if len(v) != self.dim:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
         p = self.p
         w = [int(x) % p for x in v]
         free = self._free
         if free is not None:
-            # v = sum of v[piv] e_piv exactly when v vanishes off the pivots.
+            # v = sum of v[piv] e_piv exactly when v vanishes off the pivots,
+            # and elimination against e_piv reads off v[piv] and clears it.
             if any([w[j] for j in free]):
                 raise ValueError("vector not in subspace")
             return tuple([w[piv] for piv in self.pivots]) if free else tuple(w)

@@ -476,7 +476,9 @@ def validate_order(self):
                     if not self.leq[k][l]:
                         continue
                     if self.composable(g, k) and self.composable(h, l):
-                        if not self.leq[self.comp[(g, k)]][self.comp[(h, l)]]:
+                        gk, hl = self.comp[(g, k)], self.comp[(h, l)]
+                        # A composite outside the arrows is a CAT issue, not an order one.
+                        if gk in self.arrows() and hl in self.arrows() and not self.leq[gk][hl]:
                             rep.add(
                                 "OG2",
                                 f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered",

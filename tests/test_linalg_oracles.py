@@ -4,9 +4,9 @@
 `LinMap` combines kept ambient images, `intersect` returns a nested
 operand unchanged, and `inverse`, `partial_inverse` and `express_all` run
 one elimination per linear system.  On a coordinate subspace (every basis
-row a unit vector) `reduce`, `contains` and `coordinates_of` read the
-pivot entries and check the free columns, and `preimage_of` returns the
-domain on a target that contains the codomain.  `tests/oracles.py` keeps the dense
+row a unit vector) `coordinates_of` reads the pivot entries and checks the
+free columns, and `preimage_of` returns the domain on a target that
+contains the codomain.  `tests/oracles.py` keeps the dense
 routines as they were.  Both sides must give the same tuples, the same
 values and the same exceptions on every subspace and map the fixtures and
 `tests/generators.py` build, on skewed copies with dense supports, on
@@ -213,8 +213,10 @@ def coordinate_spaces(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(coordinate_spaces())
 def test_coordinate_subspaces_match_the_dense_kernel(case):
-    """The pivot-entry reads give the oracle's values, and raise its
-    ValueError on every vector with a free entry that is not 0 mod p."""
+    """`coordinates_of`'s pivot-entry read gives the oracle's values and
+    raises its ValueError on every vector with a free entry that is not
+    0 mod p; `reduce` and `contains` agree with the oracle on the same
+    vectors."""
     u, vectors = case
     assert _is_coordinate(u)
     for v in vectors + [(1,) * (u.dim + 1)]:

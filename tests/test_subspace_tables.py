@@ -5,9 +5,9 @@ product table per subspace, kept on the algebra with the identity and
 ideal answers.  `tests/oracles.py` keeps the scans that formed every basis
 product on each call.  Both sides must give the same values and the same
 exceptions, on a cold algebra and again on the warm one, and a question
-asked again must form no product.  `is_ring_hom` compares the two sides in
-the codomain's coordinates through the codomain's own table when the
-codomain is closed, and in the ambient algebra when it is not.
+asked again must form no product.  `is_ring_hom` forms both sides from
+the two product tables with no `Algebra.mul` call, whether or not the
+codomain is closed.
 """
 
 import functools
@@ -229,9 +229,8 @@ def first_row_multiplicative(m, alg):
 
 def test_single_entry_perturbations_match_the_pair_scan():
     """Every fixture map, and each copy with one matrix entry moved by one,
-    gives the pair scan's answer.  Every codomain is closed, so each answer
-    is read in the codomain's coordinates, and some moves break
-    multiplicativity only on pairs outside the first basis vector's."""
+    gives the pair scan's answer.  Some moves break multiplicativity only
+    on pairs outside the first basis vector's."""
     broken = only_later = 0
     for a in FIXTURE_ACTIONS:
         alg = fresh(a.carrier)
@@ -252,8 +251,8 @@ def test_single_entry_perturbations_match_the_pair_scan():
 
 def test_ring_maps_into_a_codomain_that_is_not_closed():
     """In M_2(F_5), span(E12, E11 + 2 E22) is not closed under the product,
-    so the two sides are formed in the ambient algebra: E12 -> E12 is
-    multiplicative there, and E11 -> E11 + 2 E22 is not."""
+    so m(u) m(v) can leave it: E12 -> E12 is multiplicative, and
+    E11 -> E11 + 2 E22 is not."""
     alg = fresh(matrix_algebra(2, 5))
     e11, e12, e22 = (alg.basis_vector(i) for i in (0, 1, 3))
     mixed = tuple((a + 2 * b) % 5 for a, b in zip(e11, e22))
@@ -297,3 +296,24 @@ def test_a_question_asked_again_forms_no_product(products_formed):
     assert products_formed.get(id(alg), 0) == 0
     assert small.products == oracles.subalgebra_products(alg, sub)
 
+
+
+def test_ring_map_check_forms_no_product_once_the_domain_table_is_kept(products_formed):
+    """After the domain's table is formed, `is_ring_hom` reads both sides
+    from the product tables: a second check of the same map calls no
+    `Algebra.mul`, and a map into a codomain that is not closed calls it
+    once, for its one-vector domain's table."""
+    alg = fresh(matrix_algebra(2, 5))
+    e11, e12, e22 = (alg.basis_vector(i) for i in (0, 1, 3))
+    dom = Subspace.span(4, [e11, e12, e22], 5)
+    m = LinMap.from_images(dom, dom, list(dom.basis))
+    assert is_ring_hom(m, alg, alg) is oracles.is_ring_hom(m, alg, alg) is True
+    products_formed.clear()
+    assert is_ring_hom(m, alg, alg)
+    mixed = tuple((a + 2 * b) % 5 for a, b in zip(e11, e22))
+    cod = Subspace.span(4, [e12, mixed], 5)
+    f = LinMap.from_images(Subspace.span(4, [e11], 5), cod, [mixed])
+    assert not is_multiplicatively_closed(alg, cod)
+    products_formed.clear()
+    assert not is_ring_hom(f, alg, alg)
+    assert products_formed.get(id(alg), 0) == 1
