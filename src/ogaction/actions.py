@@ -29,7 +29,7 @@ from .errors import (
     NotUnital,
 )
 from .groupoids import OrderedGroupoid
-from .linalg import LinMap, Subspace, Vector, express_all
+from .linalg import LinMap, Subspace, Vector, split_rows
 from .semigroups import GradedIndex, InverseSemigroup, esn_to_groupoid, graded_index
 from .validation import ValidationReport
 
@@ -538,18 +538,12 @@ def _primitive_idempotents(alg: Algebra, sub: Subspace, cap: int) -> Optional[li
 def _linear_extension(
     dom: Subspace, cod: Subspace, prims_a: list[Vector], prims_c: list[Vector]
 ) -> Optional[LinMap]:
-    """The linear map sending each primitive idempotent to its partner."""
-    images = []
-    for combo in express_all(prims_a, dom.basis, dom.p):
-        if combo is None:
-            return None
-        img = [0] * cod.dim
-        for coef, w in zip(combo, prims_c):
-            for j, x in enumerate(w):
-                img[j] = (img[j] + coef * x) % dom.p
-        if not cod.contains(img):
-            return None
-        images.append(tuple(img))
+    """The linear map sending each primitive idempotent to its partner, or
+    None when an image leaves cod.  The primitive idempotents are a basis
+    of dom, so their split has dom's basis and no trailing half."""
+    _, images, _ = split_rows(dom.dim, prims_a, prims_c, dom.p)
+    if not all(cod.contains(img) for img in images):
+        return None
     return LinMap.from_images(dom, cod, images)
 
 

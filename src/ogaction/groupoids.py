@@ -394,9 +394,9 @@ class OrderedGroupoid:
                 if not leq[self.inv[g]][self.inv[h]]:
                     rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
         # OG2 over g <= h, k composable with g, l >= k composable with h, with
-        # gk and hl read from the composite rows; without the table, from comp,
-        # so a missing composite raises KeyError where the scan would.  A
-        # composite outside the arrows fails CAT, and OG2 skips its quadruples.
+        # gk and hl read from the composite rows; without the table, from comp.
+        # A composite that is missing or outside the arrows fails CAT, and OG2
+        # skips its quadruples.
         dom, ran, rows, pos, comp = self.dom, self.ran, self._rows, self._pos, self.comp
         up_by_ran = [_group(ls, ran) for ls in up]
         if rows is None:
@@ -405,7 +405,7 @@ class OrderedGroupoid:
                 for h in up[g]:
                     for k in ks:
                         for l in up_by_ran[k].get(dom[h], ()):
-                            gk, hl = comp[(g, k)], comp[(h, l)]
+                            gk, hl = comp.get((g, k)), comp.get((h, l))
                             if gk in arrows and hl in arrows and not leq[gk][hl]:
                                 rep.add("OG2", _og2_message(nm, g, h, k, l))
         else:

@@ -65,10 +65,6 @@ def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
     return tuple((a - b) % p for a, b in zip(u, v))
 
 
-def is_zero_vec(v: Sequence[int]) -> bool:
-    return not any(v)
-
-
 def rref(rows: Iterable[Sequence[int]], p: int) -> Matrix:
     """Reduced row echelon form; zero rows dropped, pivots by column."""
     work = [[int(x) % p for x in row] for row in rows]
@@ -130,9 +126,7 @@ class Subspace:
 
     @staticmethod
     def full(dim: int, p: "PrimeModulus | int") -> "Subspace":
-        p = as_modulus(p).p
-        eye = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        return Subspace(dim, p, eye)
+        return Subspace(dim, as_modulus(p).p, _unit_rows(dim))
 
     @property
     def rank(self) -> int:
@@ -184,7 +178,7 @@ class Subspace:
         free = self._free
         if free is not None and len(v) == self.dim:
             return not any(int(v[j]) % self.p for j in free)
-        return is_zero_vec(self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -212,7 +206,7 @@ class Subspace:
             if c:
                 for j, x in row:
                     w[j] = (w[j] - c * x) % p
-        if not is_zero_vec(w):
+        if any(w):
             raise ValueError("vector not in subspace")
         return tuple(coords)
 
@@ -240,13 +234,10 @@ class Subspace:
             return self
         if self.contains_subspace(other):
             return other
-        # Zassenhaus: eliminate [U|U] over [V|0]; zero-left rows carry U∩V.
+        # Zassenhaus: split [U|U] over [V|0]; the trailing halves are U∩V in RREF.
         n = self.dim
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [0] * n for r in other.basis]
-        reduced = rref(rows, self.p)
-        inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
-        return Subspace(n, self.p, rref(inter, self.p))
+        images = self.basis + (zero_vec(n),) * other.rank
+        return Subspace(n, self.p, split_rows(n, self.basis + other.basis, images, self.p)[2])
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots (a complement's support)."""
@@ -274,55 +265,68 @@ def intersect_subspaces(u: Subspace, v: Subspace) -> Subspace:
     return u.intersect(v)
 
 
-def express(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> Optional[Vector]:
-    """Coefficients c with sum(c_i * rows_i) = target, or None."""
-    return express_all(rows, [target], p)[0]
+def _unit_rows(k: int) -> Matrix:
+    """The k unit vectors of length k: the rows of the k x k identity."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
-def express_all(
-    rows: Sequence[Sequence[int]], targets: Iterable[Sequence[int]], p: int
-) -> list[Optional[Vector]]:
-    """`express(rows, t, p)` for each target t, from one elimination.
+def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], dim: int, p: int) -> Vector:
+    """The sum of c * w over coeffs and vectors, mod p; zero c and zero entries add nothing."""
+    out = [0] * dim
+    for c, w in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(w):
+                if x:
+                    out[j] = (out[j] + c * x) % p
+    return tuple(out)
 
-    The reduced rows of [rows | I] with a pivot on the left are kept as
-    sparse entries; each target is reduced along them, and the identity
-    half of the rows it used sums to its combination.
+
+def split_rows(
+    n: int, rows: Sequence[Sequence[int]], images: Sequence[Sequence[int]], p: int
+) -> tuple[Matrix, Matrix, Matrix]:
+    """One `rref` of [row | image], split at column n into three parts:
+
+    - the RREF basis of the rows' span (right-column steps add only rows
+      whose left half is zero, so the left halves are the rows' own RREF);
+    - the image of each basis row: its right half, the images combined as
+      the rows were to give that basis row;
+    - the right halves of the trailing rows whose left half is zero, in
+      RREF already: each is the image of a dependency among the rows.
+
+    With unit images the right halves are combinations of the rows, and the
+    trailing halves are the rows' left kernel.  With a map's values as the
+    images, the map is well defined on the rows' span exactly when there
+    is no trailing half.
     """
+    if len(rows) != len(images):
+        raise AmbientMismatch("one image per row required")
+    reduced = rref([[*r, *w] for r, w in zip(rows, images)], p)
+    cut = next((i for i, row in enumerate(reduced) if not any(row[:n])), len(reduced))
+    left = reduced[:cut]
+    return tuple(r[:n] for r in left), tuple(r[n:] for r in left), tuple(r[n:] for r in reduced[cut:])
+
+
+def express(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> Optional[Vector]:
+    """Coefficients c with sum(c_i * rows_i) = target, or None: the target's
+    coordinates over the split's basis, carried along the combinations that
+    give the basis rows."""
     if not rows:
-        return [() if all(int(x) % p == 0 for x in t) else None for t in targets]
-    n = len(rows[0])
-    k = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(rows)]
-    steps = []
-    for row in rref(aug, p):
-        piv = next(i for i, x in enumerate(row) if x)
-        if piv >= n:
-            break  # pivots increase, so every later row is zero on the left
-        steps.append((piv, _entries(row[:n]), _entries(row[n:])))
-    out: list[Optional[Vector]] = []
-    for target in targets:
-        w = [int(x) % p for x in target]
-        combo = [0] * k
-        for piv, left, right in steps:
-            c = w[piv]
-            if c:
-                for j, x in left:
-                    w[j] = (w[j] - c * x) % p
-                for j, x in right:
-                    combo[j] = (combo[j] + c * x) % p
-        out.append(None if any(w) else tuple(combo))
-    return out
+        return () if all(int(x) % p == 0 for x in target) else None
+    n, k = len(rows[0]), len(rows)
+    if len(target) != n:
+        raise AmbientMismatch(f"target of length {len(target)} for rows of length {n}")
+    basis, combos, _ = split_rows(n, rows, _unit_rows(k), p)
+    try:
+        coords = Subspace(n, p, basis).coordinates_of(target)
+    except ValueError:
+        return None
+    return combine(coords, combos, k, p)
 
 
 def kernel(matrix: Sequence[Sequence[int]], nrows: int, p: int) -> Matrix:
-    """Basis of the left kernel {x : x @ matrix = 0} of an nrows-row matrix."""
-    if nrows == 0:
-        return ()
-    ncols = len(matrix[0]) if matrix else 0
-    aug = [list(matrix[i]) + [1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    reduced = rref(aug, p)
-    out = [row[ncols:] for row in reduced if all(x == 0 for x in row[:ncols])]
-    return rref(out, p)
+    """Basis of the left kernel {x : x @ matrix = 0} of an nrows-row matrix:
+    the trailing halves of the split beside the unit rows."""
+    return split_rows(len(matrix[0]), matrix[:nrows], _unit_rows(nrows), p)[2] if nrows else ()
 
 
 @dataclass(frozen=True)
@@ -371,8 +375,7 @@ class LinMap:
 
     @staticmethod
     def identity(sub: Subspace) -> "LinMap":
-        eye = tuple(tuple(1 if i == j else 0 for j in range(sub.rank)) for i in range(sub.rank))
-        return LinMap(sub, sub, eye)
+        return LinMap(sub, sub, _unit_rows(sub.rank))
 
     def apply(self, v: Sequence[int]) -> Vector:
         p = self.p
@@ -427,13 +430,14 @@ class LinMap:
         return self.rank_of_map == self.domain.rank
 
     def inverse(self) -> "LinMap":
-        if not self.is_iso:
-            raise ValueError("map is not invertible")
-        # The codomain's basis vectors have the unit coordinate vectors, so
-        # the combinations are the rows of the inverse matrix.
+        """The split of [matrix | unit rows] is [I | inverse matrix] exactly
+        when the rows are independent (no trailing half) and span the
+        codomain's coordinates (a full basis)."""
         k = self.codomain.rank
-        eye = [[int(i == j) for j in range(k)] for i in range(k)]
-        return LinMap(self.codomain, self.domain, tuple(express_all(self.matrix, eye, self.p)))
+        basis, inv, trailing = split_rows(k, self.matrix, _unit_rows(self.domain.rank), self.p)
+        if trailing or len(basis) < k:
+            raise ValueError("map is not invertible")
+        return LinMap(self.codomain, self.domain, inv)
 
     def then(self, after: "LinMap") -> "LinMap":
         """Composite v -> after(self(v)); the image must fit after's domain."""
@@ -475,11 +479,11 @@ def compose_partial(f: LinMap, g: LinMap) -> LinMap:
 
 
 def partial_inverse(f: LinMap) -> LinMap:
-    """Inverse of a partial linear bijection, image becoming the domain."""
-    img = f.image()
-    if img.rank != f.domain.rank:
+    """Inverse of a partial linear bijection, image becoming the domain: the
+    split of f's images beside the unit rows gives the image's RREF basis
+    and each basis vector's coordinates in f.domain."""
+    n = f.codomain.dim
+    basis, back, trailing = split_rows(n, f.images, _unit_rows(f.domain.rank), f.p)
+    if trailing:
         raise ValueError("partial map is not injective")
-    # f is injective, so each image vector has one combination of the rows
-    # of f's matrix, and that combination is its coordinate row in f.domain.
-    targets = [f.codomain.coordinates_of(v) for v in img.basis]
-    return LinMap(img, f.domain, tuple(express_all(f.matrix, targets, f.p)))
+    return LinMap(Subspace(n, f.p, basis), f.domain, back)

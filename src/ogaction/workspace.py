@@ -17,7 +17,7 @@ from .algebras import Algebra
 from .errors import WorkspaceError
 from .globalize import Globalization
 from .groupoids import OrderedGroupoid
-from .linalg import LinMap, Subspace, express_all
+from .linalg import LinMap, Subspace, combine, split_rows
 from .semigroups import InverseSemigroup
 
 
@@ -157,17 +157,6 @@ def _matrices(doc: dict, key: str, where: str) -> dict[str, tuple[tuple[int, ...
     return out
 
 
-def _combination(coeffs, vectors, dim: int, p: int) -> tuple[int, ...]:
-    """The sum of c * w over coeffs and vectors, mod p; zero c and zero entries add nothing."""
-    out = [0] * dim
-    for c, w in zip(coeffs, vectors):
-        if c:
-            for j, x in enumerate(w):
-                if x:
-                    out[j] = (out[j] + c * x) % p
-    return tuple(out)
-
-
 def _parse_family(
     doc: dict, names, inv, carrier: Algebra, where: str
 ) -> tuple[tuple[Subspace, ...], tuple[LinMap, ...]]:
@@ -198,29 +187,20 @@ def _parse_family(
                 f"of the ideal at {names[src]!r}"
             )
         dst_rows = listed[i]
-        p = carrier.p
         listed_images = []
         for row in matrix:
             if len(row) != len(dst_rows):
                 raise WorkspaceError(f"{where}: map at {n!r} has a row of wrong width")
-            listed_images.append(_combination(row, dst_rows, carrier.dim, p))
-        images = []
-        src_mod = [tuple(x % p for x in r) for r in src_rows]
-        for combo in express_all(src_mod, ideals[src].basis, p):
-            if combo is None:
-                raise WorkspaceError(f"{where}: listed ideal rows at {names[src]!r} do not span")
-            images.append(_combination(combo, listed_images, carrier.dim, p))
-        try:
-            m = LinMap.from_images(ideals[src], ideals[i], images)
-        except ValueError:
-            raise WorkspaceError(f"{where}: map at {n!r} does not land in its ideal")
-        # On dependent listed rows every listed image must agree with the map.
-        if len(src_rows) > ideals[src].rank and any(m.apply(r) != w for r, w in zip(src_mod, listed_images)):
+            listed_images.append(combine(row, dst_rows, carrier.dim, carrier.p))
+        # Each listed image lies in the span of dst_rows, the ideal at n; the map
+        # is well defined unless a dependency among src_rows has a non-zero image.
+        _, images, trailing = split_rows(carrier.dim, src_rows, listed_images, carrier.p)
+        if trailing:
             raise WorkspaceError(
                 f"{where}: map at {n!r} gives contradicting images on the dependent "
                 f"listed rows of the ideal at {names[src]!r}"
             )
-        maps.append(m)
+        maps.append(LinMap.from_images(ideals[src], ideals[i], images))
     return tuple(ideals), tuple(maps)
 
 

@@ -476,8 +476,8 @@ def validate_order(self):
                     if not self.leq[k][l]:
                         continue
                     if self.composable(g, k) and self.composable(h, l):
-                        gk, hl = self.comp[(g, k)], self.comp[(h, l)]
-                        # A composite outside the arrows is a CAT issue, not an order one.
+                        gk, hl = self.comp.get((g, k)), self.comp.get((h, l))
+                        # A composite missing or outside the arrows is a CAT issue, not an order one.
                         if gk in self.arrows() and hl in self.arrows() and not self.leq[gk][hl]:
                             rep.add(
                                 "OG2",
@@ -721,6 +721,37 @@ def express(rows, target, p):
     if any(w):
         return None
     return tuple(combo)
+
+
+def kernel(matrix, nrows, p):
+    """Basis of the left kernel {x : x @ matrix = 0}: the zero-left rows of
+    the reduced [matrix | I], reduced once more."""
+    if nrows == 0:
+        return ()
+    ncols = len(matrix[0]) if matrix else 0
+    aug = [list(matrix[i]) + [1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    out = [row[ncols:] for row in rref(aug, p) if is_zero_vec(row[:ncols])]
+    return rref(out, p)
+
+
+def split_rows(n, rows, images, p):
+    """The split of rows beside images by what its parts are, not by the
+    one elimination: the rows' RREF; the images of the rows' left kernel
+    vectors, reduced; and each basis row's image through the combination
+    `express` finds, reduced against the span of those kernel images (any
+    combination gives the same residual)."""
+    if not rows:
+        return (), (), ()
+    m, k = len(images[0]), len(rows)
+
+    def combine(coeffs):
+        return [sum(c * w[j] for c, w in zip(coeffs, images)) % p for j in range(m)]
+
+    trailing = rref([combine(x) for x in kernel(rows, k, p)], p)
+    kernel_images = Subspace(m, p, trailing)
+    basis = rref(rows, p)
+    basis_images = tuple(reduce(kernel_images, combine(express(rows, b, p))) for b in basis)
+    return basis, basis_images, trailing
 
 
 def reduce(self, v):

@@ -30,6 +30,7 @@ from ogaction.actions import (
 )
 from ogaction.corpus import emit_fixture_corpus
 from ogaction.errors import (
+    BudgetExceeded,
     GroupoidMismatch,
     InvalidAction,
     NotAnIdeal,
@@ -203,6 +204,33 @@ def test_search_disproves_on_dimension_mismatch():
     # same groupoid, carrier dims differ at every arrow ideal
     res = search_equivalence(beta, alpha)
     assert res.definitive_no and not res.found
+
+
+def test_search_enumerates_matrices_on_a_ring_without_primitive_idempotents():
+    """The dual numbers F_5[x]/x^2 have one idempotent, so their two basis
+    vectors have no primitive idempotent partners and the search enumerates
+    all 5^4 matrices at the one object; a budget below that refuses."""
+    a = fx.nilpotent_edge_po_action()
+    res = search_equivalence(a, a)
+    assert res.found and res.disproof is None
+    assert verify_equivalence(a, a, res.witness)
+    with pytest.raises(BudgetExceeded, match="matrix enumeration at object one needs 625 nodes"):
+        search_equivalence(a, a, budget=10)
+
+
+def test_search_exhausts_when_no_automorphism_commutes():
+    """With t acting by -1 on the square-zero ideal instead of by 1, an
+    automorphism x -> c x of the dual numbers would need c x = -c x, so
+    each of the four enumerated candidates fails and the search ends
+    without a witness or a disproof."""
+    a = fx.nilpotent_edge_po_action()
+    full, nil = a.ideal_of
+    neg = LinMap(nil, nil, ((a.carrier.p - 1,),))
+    c = POAction(a.structure, a.carrier, (full, nil), (a.map_of[0], neg), name="negated edge")
+    assert validate_po_action(c).ok
+    res = search_equivalence(a, c)
+    assert not res.found and not res.definitive_no
+    assert res.tested == 4
 
 
 @pytest.mark.parametrize("make", [fx.brandt_action, fx.chain_semilattice_action])

@@ -2,8 +2,9 @@
 
 `Subspace` eliminates along the kept non-zero entries of its basis rows,
 `LinMap` combines kept ambient images, `intersect` returns a nested
-operand unchanged, and `inverse`, `partial_inverse` and `express_all` run
-one elimination per linear system.  On a coordinate subspace (every basis
+operand unchanged, and `inverse`, `partial_inverse`, `express`, `kernel`
+and Zassenhaus read one `split_rows` elimination each, where the oracle
+eliminates twice.  On a coordinate subspace (every basis
 row a unit vector) `coordinates_of` reads the pivot entries and checks the
 free columns, and `preimage_of` returns the domain on a target that
 contains the codomain.  `tests/oracles.py` keeps the dense
@@ -16,6 +17,7 @@ non-invertible maps, and on drawn matrices.
 import inspect
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,8 @@ import oracles
 from ogaction import fixtures as fx
 from ogaction.actions import Action
 from ogaction.algebras import Algebra
-from ogaction.linalg import LinMap, Subspace, express_all, partial_inverse, rref
+from ogaction.errors import AmbientMismatch
+from ogaction.linalg import LinMap, Subspace, express, kernel, partial_inverse, rref, split_rows
 
 from generators import random_global_action, random_ideal, random_monotone_family
 
@@ -111,9 +114,11 @@ def check_subspace(u):
         assert outcome(u.from_coordinates, coords) == outcome(oracles.from_coordinates, u, coords)
     rows = list(u.basis) + [v for v in vectors if len(v) == u.dim][-3:]
     assert rref(rows, u.p) == oracles.rref(rows, u.p)
-    targets = [v for v in vectors if len(v) == u.dim]
-    assert express_all(u.basis, targets, u.p) == [oracles.express(u.basis, t, u.p) for t in targets]
-    assert express_all(rows, targets, u.p) == [oracles.express(rows, t, u.p) for t in targets]
+    for t in [v for v in vectors if len(v) == u.dim]:
+        assert express(u.basis, t, u.p) == oracles.express(u.basis, t, u.p)
+        assert express(rows, t, u.p) == oracles.express(rows, t, u.p)
+    assert kernel(rows, len(rows), u.p) == oracles.kernel(rows, len(rows), u.p)
+    assert split_rows(u.dim, rows, rows, u.p) == oracles.split_rows(u.dim, rows, rows, u.p)
 
 
 def check_pair(u, v):
@@ -257,3 +262,81 @@ def test_drawn_spaces_match_the_dense_kernel(case):
     check_pair(v, u)
     check_map(f)
     check_preimages(f, [u, v, Subspace.zero(v.dim, v.p), Subspace.full(v.dim, v.p)])
+
+
+@st.composite
+def splits(draw):
+    """(n, rows, images, p): rows of length n, some of them combinations of
+    earlier ones (zero rows included), each beside an image of length m.
+    The images are the values of a drawn linear map on the rows (a well
+    defined map, no trailing half), or that with one image moved (a
+    contradiction when its row is dependent), or drawn freely."""
+    p = draw(st.sampled_from(PRIMES))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    entry = st.integers(-2 * p, 2 * p) if p < 100 else st.integers(-(2**40), 2**40)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            cs = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("map", "moved", "free")))
+    if kind == "free":
+        images = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in rows]
+    else:
+        f = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+        images = [[sum(x * f[i][j] for i, x in enumerate(r)) for j in range(m)] for r in rows]
+        if kind == "moved" and rows and m:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, m - 1))
+            images[i][j] += 1
+    return n, [tuple(r) for r in rows], [tuple(w) for w in images], p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(splits())
+def test_drawn_splits_match_the_defining_parts(case):
+    """`split_rows` against `oracles.split_rows`, which forms the basis, the
+    images and the trailing halves from `oracles.rref`, `oracles.kernel` and
+    `oracles.express`; `kernel` and `express` against their oracles on the
+    same rows."""
+    n, rows, images, p = case
+    got = split_rows(n, rows, images, p)
+    assert got == oracles.split_rows(n, rows, images, p)
+    assert got[0] == rref(rows, p)
+    if rows:
+        assert kernel(rows, len(rows), p) == oracles.kernel(rows, len(rows), p)
+        units = [tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows))]
+        assert split_rows(n, rows, units, p)[2] == kernel(rows, len(rows), p)
+    for t in [tuple(r) for r in rows] + [tuple(range(1, n + 1)), (0,) * n]:
+        assert express(rows, t, p) == oracles.express(rows, t, p)
+
+
+def test_drawn_splits_cover_the_cases_they_name():
+    """Some drawn rows are dependent; some maps on them are well defined and
+    some are not; some splits have no rows."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(splits())
+    def collect(case):
+        n, rows, images, p = case
+        basis, _, trailing = split_rows(n, rows, images, p)
+        dependent = len(basis) < len(rows)
+        seen.add((bool(rows), dependent, bool(trailing)))
+
+    collect()
+    assert {(False, False, False), (True, False, False), (True, True, False), (True, True, True)} <= seen
+
+
+def test_express_refuses_a_target_of_the_wrong_length():
+    rows = [(1, 0, 2), (0, 1, 1)]
+    assert express(rows, (2, 3, 1), 5) == oracles.express(rows, (2, 3, 1), 5)
+    for target in [(1, 0), (1, 0, 2, 0)]:
+        with pytest.raises(AmbientMismatch):
+            express(rows, target, 5)
+
+
+def test_split_needs_one_image_per_row():
+    with pytest.raises(AmbientMismatch):
+        split_rows(2, [(1, 0), (0, 1)], [(1,)], 5)
