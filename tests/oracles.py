@@ -20,7 +20,9 @@ arrows or elements, as the library wrote them before it read them from
 index tables or closed the order in one Warshall pass.
 The kernel section keeps the dense F_p routines as the library wrote them
 before it eliminated along vector supports or read a coordinate subspace's
-pivot entries, and `preimage_of` as the kernel route, taken on every target.
+pivot entries or split one elimination of [rows | images], `preimage_of` as
+the kernel route, taken on every target, and `split_rows` from what its
+three parts are.
 """
 
 from itertools import product
