@@ -577,7 +577,7 @@ def _object_candidates(
     for flat in itertools.product(range(a.carrier.p), repeat=r * r):
         matrix = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r))
         m = LinMap(dom, cod, matrix)
-        if m.is_iso and is_ring_iso(m, a.carrier, c.carrier):
+        if is_ring_iso(m, a.carrier, c.carrier):
             out.append(m)
     return out
 

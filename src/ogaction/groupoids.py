@@ -5,7 +5,7 @@ globalization constructions."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -218,7 +218,7 @@ class OrderedGroupoid:
         return cls(names, obj, inv_t, comp, dom, ran, leq)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, OrderedGroupoid)
             and self.names == other.names
             and self.objects == other.objects
@@ -517,20 +517,25 @@ class OrderedGroupoid:
         In a valid groupoid the restriction and corestriction at an object
         m are the single arrows below g with domain m and below h with
         range m, so the entry is the composite row of g | m read at the
-        position of m | h.
+        position of m | h.  The h of one range r share m, so a row is one
+        pick per r from the row of g | m (at positions fixed by r and m), laid
+        end to end in the order of `_by_ran`, and one pick to arrow order.
         """
         self.require_valid()
         res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]
-        cores = [{m: self._pos[found[0]] for m, found in by_ran.items()} for by_ran in self._below_by_ran]
-        rows, ran = self._rows, self.ran
-        table = []
+        by_ran, pos = self._by_ran, self._pos
+        cores = {(r, m): _picker([pos[self._below_by_ran[h][m][0]] for h in hs])
+                 for r, hs in by_ran.items() for m in self._objects_below[r]}
+        start = dict(zip(by_ran, accumulate(map(len, by_ran.values()), initial=0)))
+        back = _picker([start[r] + pos[h] for h, r in enumerate(self.ran)])
+        rows, table = self._rows, []
         for g in self.arrows():
             left, meet_g = res[g], self._meets[self.dom[g]]
-            row = []
-            for h in self.arrows():
-                m = meet_g[ran[h]]
-                row.append(None if m is None else rows[left[m]][cores[h][m]])
-            table.append(tuple(row))
+            picks = []
+            for r, hs in by_ran.items():
+                m = meet_g[r]
+                picks.extend((None,) * len(hs) if m is None else cores[r, m](rows[left[m]]))
+            table.append(back(picks))
         return tuple(table)
 
     def is_inductive(self) -> bool:

@@ -17,6 +17,7 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -4,6 +4,7 @@ symmetric inverse structure on subspaces of an algebra)."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -207,31 +208,52 @@ def graded_index(structure: "OrderedGroupoid | InverseSemigroup") -> GradedIndex
 
 def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     """Elements become arrows; composition is defined on matching idempotents;
-    the order is the natural partial order.  The result is inductive."""
+    the order is the natural partial order.  The result is inductive.
+
+    The result is kept on s and holds s weakly.  If s came from
+    `esn_to_semigroup(g)`, g is returned when its names, objects, inv, comp,
+    dom, ran and leq equal those formed here: validation reads only these, so
+    g has a rebuilt copy's report, exceptions and `==`.  Otherwise the copy
+    is built and validated in full.
+    """
+    if "_esn_groupoid" in s.__dict__:
+        return s._esn_groupoid
     ix = graded_index(s)
-    mult = s.mult
     # The pairs with dom a = ran b, from the elements grouped by range, in
     # the order a scan over all pairs (a, b) would insert them.
     by_ran = _group(ix.grades, ix.ran)
-    comp = {(a, b): mult[a][b] for a, d in enumerate(ix.dom) for b in by_ran.get(d, ())}
+    comp = {(a, b): s.mult[a][b] for a, d in enumerate(ix.dom) for b in by_ran.get(d, ())}
     leq = [[False] * s.n for _ in ix.grades]
     for b, below in enumerate(s._down_sets()):
         for a in below:
             leq[a][b] = True
-    g = OrderedGroupoid(s.names, set(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, leq)
-    g.require_valid()
-    if not g.is_inductive():
-        raise NotInductive("derived groupoid is not inductive")
+    fields = (s.names, frozenset(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, tuple(map(tuple, leq)))
+    g = s.__dict__.get("_esn_source")
+    if g is None or fields != (g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq):
+        g = OrderedGroupoid(*fields)
+        g.require_valid()
+        if not g.is_inductive():
+            raise NotInductive("derived groupoid is not inductive")
+    g._esn_source, s._esn_groupoid = weakref.ref(s), g
     return g
 
 
 def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
-    """Total multiplication by pseudoproduct; requires an inductive groupoid."""
+    """Total multiplication by pseudoproduct; requires an inductive groupoid.
+
+    The result records g.  If g came from `esn_to_groupoid(s)` and s is
+    alive, s is returned when its names and table equal g's names and
+    pseudoproducts: validation reads only these, so s has a rebuilt copy's
+    report, exceptions and `==`.  Otherwise the copy is built and validated.
+    """
     g.require_valid()
     if not g.is_inductive():
         raise NotInductive("pseudoproduct is not total without object meets")
-    s = InverseSemigroup(g.names, g._pseudoproducts)
-    s.require_valid()
+    s = g.__dict__.get("_esn_source", lambda: None)()
+    if s is None or (s.names, s.mult) != (g.names, g._pseudoproducts):
+        s = InverseSemigroup(g.names, g._pseudoproducts)
+        s.require_valid()
+        s._esn_source = g
     return s
 
 

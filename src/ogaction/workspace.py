@@ -167,13 +167,15 @@ def _parse_family(
         if key not in index:
             raise WorkspaceError(f"{where}: unknown arrow {key!r}")
     listed: list[tuple[tuple[int, ...], ...]] = []
-    ideals: list[Subspace] = []
+    spans: dict[tuple[tuple[int, ...], ...], Subspace] = {}  # one per distinct listed rows
     for n in names:
         rows = ideals_doc.get(n)
         if rows is None:
             raise WorkspaceError(f"{where}: missing ideal for {n!r}")
         listed.append(rows)
-        ideals.append(Subspace.span(carrier.dim, rows, carrier.p))
+        if rows not in spans:
+            spans[rows] = Subspace.span(carrier.dim, rows, carrier.p)
+    ideals = [spans[rows] for rows in listed]
     maps: list[LinMap] = []
     for i, n in enumerate(names):
         matrix = maps_doc.get(n)

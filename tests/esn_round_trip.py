@@ -4,8 +4,9 @@
 
 Builds I_N (default 5, which has 1,546 elements), validates it, converts
 it to its inductive groupoid (validated on construction) and back (the
-rebuilt semigroup is validated again), checks that the result equals the
-input, and prints the raw wall time of each step.  A guard on how the
+rebuilt pseudoproduct table is compared with the input, which was
+validated once), checks that the result equals the input, and prints the
+raw wall time of each step.  A guard on how the
 conversions scale, kept outside the test suite; it exits non-zero if the
 round trip does not give back the input.
 """

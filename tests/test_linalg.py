@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ogaction import linalg
 from ogaction.errors import AmbientMismatch
 from ogaction.linalg import (
     LinMap,
@@ -27,6 +28,20 @@ def test_prime_modulus_accepts_primes():
 def test_prime_modulus_rejects(bad):
     with pytest.raises(ValueError):
         PrimeModulus(bad)
+
+
+def test_the_trial_division_runs_once_per_modulus():
+    """`is_prime` is memoized, so repeated constructions at the largest
+    prime divide once; a bad modulus still raises on every call."""
+    linalg.is_prime.cache_clear()
+    for _ in range(5):
+        assert Subspace.full(4, 2**31 - 1).rank == 4
+    info = linalg.is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    for bad, message in [(2**31 - 3, "is not prime"), (2**31 + 11, "out of range")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Subspace.full(4, bad)
 
 
 def test_span_canonicalizes():

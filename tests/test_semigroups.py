@@ -1,8 +1,11 @@
+import weakref
+
 import pytest
 
 from ogaction import fixtures as fx
 from ogaction.actions import POAction
 from ogaction.errors import InvalidGroupoid, InvalidSemigroup, NotInductive
+from ogaction.globalize import globalize_inverse_semigroup_action
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap
 from ogaction.semigroups import (
@@ -15,6 +18,8 @@ from ogaction.semigroups import (
     validate_inverse_semigroup,
     verify_premorphism,
 )
+
+from generators import symmetric_inverse_monoid
 
 
 def idx(s):
@@ -220,3 +225,103 @@ def test_scaled_map_fails_order_preservation():
     p = Premorphism(s, PartialBijections(alpha.carrier), broken)
     rep = verify_premorphism(p)
     assert not rep.ok
+
+
+# -- the round trip returns the structure it came from ----------------------
+
+
+def _round_trip_semigroups():
+    """The fixture and corpus semigroups and I_2..I_4, each fresh."""
+    made = [fx.chain_semilattice(), fx.symmetric_monoid_i1(), fx.brandt_b2()]
+    made += [fx.nilpotent_edge_semigroup()]
+    return made + [symmetric_inverse_monoid(n) for n in (2, 3, 4)]
+
+
+def _round_trip_groupoids():
+    """The fixture and corpus groupoids and the ESN groupoids of I_2..I_4,
+    whose source semigroups are gone."""
+    made = [fx.pointed_arrow_groupoid(), fx.stacked_involutions_groupoid()]
+    made += [fx.nilpotent_edge_po_action().structure]
+    return made + [esn_to_groupoid(symmetric_inverse_monoid(n)) for n in (2, 3, 4)]
+
+
+def _validated(monkeypatch, cls, method):
+    """The structures whose `method` runs from here on, in call order."""
+    seen = []
+    check = getattr(cls, method)
+
+    def counted(self):
+        seen.append(self)
+        return check(self)
+
+    monkeypatch.setattr(cls, method, counted)
+    return seen
+
+
+def test_the_esn_round_trip_returns_the_input():
+    for s in _round_trip_semigroups():
+        assert esn_to_semigroup(esn_to_groupoid(s)) is s, s
+    for g in _round_trip_groupoids():
+        assert esn_to_groupoid(esn_to_semigroup(g)) is g, g
+
+
+def test_the_esn_groupoid_is_kept_on_its_semigroup():
+    for s in _round_trip_semigroups():
+        g = esn_to_groupoid(s)
+        assert esn_to_groupoid(s) is g
+        assert g == esn_to_groupoid(InverseSemigroup(s.names, s.mult))
+
+
+def _renumbered(n):
+    """A permutation of range(n) that is no automorphism of I_3 (it moves
+    the identity, the first element)."""
+    return [(i + 1) % n for i in range(n)]
+
+
+def test_a_recorded_semigroup_with_another_table_is_rebuilt_and_validated(monkeypatch):
+    """The ESN groupoid of I_3 records I_3 renumbered under I_3's names: a
+    valid table that differs from the pseudoproducts.  `esn_to_semigroup`
+    returns a new semigroup equal to I_3 and validates it."""
+    s = symmetric_inverse_monoid(3)
+    g = esn_to_groupoid(s)
+    other = InverseSemigroup(s.names, s.relabeled(_renumbered(s.n)).mult)
+    assert other.is_valid() and other.mult != s.mult
+    g._esn_source = weakref.ref(other)
+    seen = _validated(monkeypatch, InverseSemigroup, "validate")
+    back = esn_to_semigroup(g)
+    assert back is not other and back is not s and back == s
+    assert any(x is back for x in seen) and back.is_valid()
+
+
+def test_a_recorded_groupoid_with_other_fields_is_rebuilt_and_validated(monkeypatch):
+    """A semigroup from `esn_to_semigroup` that records the ESN groupoid of
+    I_3 renumbered under its names (a valid groupoid with other fields)
+    converts to a new groupoid equal to the ESN groupoid, validated."""
+    s = symmetric_inverse_monoid(3)
+    g = esn_to_groupoid(s)
+    r = g.relabeled(_renumbered(g.n))
+    other = OrderedGroupoid(g.names, r.objects, r.inv, r.comp, r.dom, r.ran, r.leq)
+    assert other.is_valid() and other != g
+    t = esn_to_semigroup(OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq))
+    t._esn_source = other
+    seen = _validated(monkeypatch, OrderedGroupoid, "validate_groupoid")
+    back = esn_to_groupoid(t)
+    assert back is not other and back is not g and back == g
+    assert any(x is back for x in seen) and back.is_valid()
+
+
+def test_the_inverse_pipeline_builds_one_esn_groupoid(monkeypatch):
+    """Transporting the global action back compares with the ESN groupoid
+    kept on the semigroup, not with a second one built for it."""
+    built = []
+    init = OrderedGroupoid.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    a = fx.brandt_action()
+    monkeypatch.setattr(OrderedGroupoid, "__init__", counted)
+    result = globalize_inverse_semigroup_action(a)
+    assert result.checklist.ok
+    assert built == [esn_to_groupoid(a.structure)] and built[0] is esn_to_groupoid(a.structure)

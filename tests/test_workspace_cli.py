@@ -9,6 +9,7 @@ from ogaction import fixtures as fx
 from ogaction.cli import main
 from ogaction.corpus import CORPUS, emit_fixture_corpus
 from ogaction.errors import WorkspaceError
+from ogaction.linalg import Subspace
 from ogaction.tasks import TASK_CATALOG, run_task, run_tasks
 from ogaction.workspace import (
     Workspace,
@@ -504,3 +505,21 @@ def test_corpus_reports_match_the_benchmark_reference_digests(tmp_path, capsys):
     capsys.readouterr()
     assert len(digests) == 32
     assert digests == expected
+
+
+def test_equal_listed_ideals_are_spanned_once(tmp_path):
+    """Every ideal of the corpus actions equals the span of its listed rows
+    taken alone, and equal listed rows give one shared subspace (9 grades
+    repeat an earlier grade's rows)."""
+    repeats = 0
+    for path in emit_fixture_corpus(tmp_path):
+        doc, ws = json.loads(path.read_text()), load_workspace(path)
+        for section, table in (("actions", ws.actions), ("inv_actions", ws.inv_actions)):
+            for name, a in table.items():
+                listed, first = doc[section][name]["ideals"], {}
+                for grade, ideal in zip(a.structure.names, a.ideal_of):
+                    rows = listed[grade]
+                    assert ideal == Subspace.span(a.carrier.dim, rows, a.carrier.p)
+                    repeats += json.dumps(rows) in first
+                    assert first.setdefault(json.dumps(rows), ideal) is ideal
+    assert repeats == 9
