@@ -517,9 +517,8 @@ class OrderedGroupoid:
         In a valid groupoid the restriction and corestriction at an object
         m are the single arrows below g with domain m and below h with
         range m, so the entry is the composite row of g | m read at the
-        position of m | h.  The h of one range r share m, so a row is one
-        pick per r from the row of g | m (at positions fixed by r and m), laid
-        end to end in the order of `_by_ran`, and one pick to arrow order.
+        position of m | h.  The h of one range r share m: a row is one pick
+        per r from the row of g | m, then one pick back to arrow order.
         """
         self.require_valid()
         res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]

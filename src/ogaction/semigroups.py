@@ -227,7 +227,8 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     for b, below in enumerate(s._down_sets()):
         for a in below:
             leq[a][b] = True
-    fields = (s.names, frozenset(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, tuple(map(tuple, leq)))
+    leq = tuple(map(tuple, leq))  # frees the lists before the groupoid copies the rows
+    fields = (s.names, frozenset(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, leq)
     g = s.__dict__.get("_esn_source")
     if g is None or fields != (g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq):
         g = OrderedGroupoid(*fields)
