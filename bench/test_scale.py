@@ -10,9 +10,14 @@ the call gave:
   groupoid and back;
 - the glob rung m = 5 of `perfbench/gen.py` (the pair groupoid on five
   objects), every task of its workspace through `cli.main`;
-- three failing inputs that price the fallbacks: a non-associative table
-  (the scan over all triples), an action that breaks P2, and a groupoid
-  that fails OG2.
+- the associativity check of the M_5 skew ring under a 5-cycle (dim 125),
+  which Light's middle-slot certificate decides, and of the same ring on
+  the basis b_0 + b_1, b_1, b_2, ...: an isomorphic copy that is not
+  monomial, so the chain scan runs over every triple;
+- four failing inputs that price the fallbacks: a non-associative table
+  (the scan over all triples), the skew ring with one product given a
+  second term (not monomial; the chain scan stops at its 32nd failing
+  triple), an action that breaks P2, and a groupoid that fails OG2.
 
 Not part of the tier-1 suite, whose `testpaths` is `tests/`.
 """
@@ -32,9 +37,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 from generators import symmetric_inverse_monoid  # noqa: E402
 from ogaction.actions import validate_po_action  # noqa: E402
+from ogaction.algebras import Algebra, _associator_failures, _nonzero_products  # noqa: E402
 from ogaction.cli import main  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup  # noqa: E402
+from ogaction.skew import build_skew  # noqa: E402
 from ogaction.workspace import dump_workspace_doc, load_workspace  # noqa: E402
 
 
@@ -58,6 +65,19 @@ def _glob_rung_m5(directory: Path, broken: bool = False) -> Path:
     path = directory / ("glob_m5_broken.json" if broken else "glob_m5.json")
     dump_workspace_doc(doc, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def m5_skew(tmp_path_factory):
+    """The skew ring of the matrix_carrier rung n = 5 (M_5 under conjugation
+    by a 5-cycle, seed 1), built the way `_glob_rung_m5` builds its input."""
+    path = tmp_path_factory.mktemp("m5") / "matrix_m5.json"
+    dump_workspace_doc(gen.matrix_rung(random.Random(1), 5, 5), path)
+    return build_skew(load_workspace(path).actions["conj"]).algebra
+
+
+def _copy(alg, products):
+    return ((Algebra.from_products(alg.p, alg.dim, products, check=False),), {})
 
 
 def test_esn_round_trip_i5(benchmark, i5):
@@ -90,6 +110,35 @@ def test_non_associative_table(benchmark):
     fresh = lambda: ((InverseSemigroup(s.names, mult),), {})  # noqa: E731
     rep = benchmark.pedantic(InverseSemigroup.validate, setup=fresh, rounds=10)
     assert not rep.clause_ok("ASSOC")
+
+
+def test_skew_ring_m5_certificate(benchmark, m5_skew):
+    bad = benchmark.pedantic(
+        _associator_failures, setup=lambda: _copy(m5_skew, m5_skew.products), rounds=10
+    )
+    assert m5_skew.dim == 125 and bad == []
+
+
+def test_skew_ring_m5_rebased(benchmark, m5_skew):
+    n, p = m5_skew.dim, m5_skew.p
+    basis = [tuple(int(k == i or (i, k) == (0, 1)) for k in range(n)) for i in range(n)]
+    products = tuple(
+        _nonzero_products((v[0], (v[1] - v[0]) % p, *v[2:]) for v in (m5_skew.mul(u, w) for w in basis))
+        for u in basis
+    )
+    assert any(len(kc) > 1 for row in products for kc in row.values())
+    bad = benchmark.pedantic(_associator_failures, setup=lambda: _copy(m5_skew, products), rounds=3)
+    assert bad == []
+
+
+def test_skew_ring_m5_one_product_with_two_terms(benchmark, m5_skew):
+    """b_0 b_j gains a second term at the next index."""
+    rows = [dict(row) for row in m5_skew.products]
+    j, kc = next(iter(rows[0].items()))
+    (k, c), = kc.items()
+    rows[0][j] = {k: c, (k + 1) % m5_skew.dim: 1}
+    bad = benchmark.pedantic(_associator_failures, setup=lambda: _copy(m5_skew, tuple(rows)), rounds=3)
+    assert bad
 
 
 def test_action_breaking_p2(benchmark, tmp_path):

@@ -3,9 +3,9 @@
 An algebra of dimension n has basis products b_i * b_j = sum_k c[i][j][k] * b_k
 and stores only the non-zero constants: products[i] maps j to {k: c[i][j][k]}.
 A dense n x n x n table is accepted at construction and offered back as the
-`table` view.  Associativity (and the unit law when a unit is declared) is
-checked at construction unless check=False is passed; downstream operations
-assume it.
+`table` view.  Associativity (Light's middle-slot certificate on a monomial
+table, else the chain scan) and any declared unit are checked at
+construction unless check=False is passed; downstream operations assume it.
 
 Each algebra keeps, per subspace it has been asked about, the products of
 the subspace's basis pairs in the subspace's own coordinates (or None when
@@ -215,21 +215,51 @@ def _reduced(coeffs: Optional[dict[int, int]], p: int) -> dict[int, int]:
     return {k: c % p for k, c in coeffs.items() if c % p} if coeffs else {}
 
 
+def _middle_slot_certificate(rows: Products, p: int, cols: list[list[tuple[int, int, int]]]) -> bool:
+    """True when Light's test (Clifford and Preston, I, section 1.2) proves
+    the algebra associative; cols[k] lists each (j, m, c) with b_j b_k = c b_m.
+    N = {a : (x, a, y) = 0 for all x, y} is a subspace (the associator is
+    trilinear) closed under products, as x((ab)y) = x(a(by)) = (xa)(by) =
+    ((xa)b)y = (x(ab))y for a, b in N.  So if basis vectors S generate, the
+    algebra is associative iff (b_i, s, b_k) = 0 for all s in S, i and k.  On
+    a monomial table (each b_i b_j is c b_k with c != 0, or 0) S generates the
+    span of its closure under the support table, and each bracketing of
+    (i, s, k) is one term or none.  S is greedy as in `light_certificate`;
+    False (not monomial, or S is every index) proves nothing."""
+    if any(len(kc) != 1 for row in rows for kc in row.values()):
+        return False
+    inside, gens = set(), []
+    for x in sorted(range(len(rows)), key=lambda x: -len(rows[x])):
+        new = set() if x in inside else {x}
+        gens += new
+        while new:
+            inside |= new
+            new = {k for y in new for j, kc in rows[y].items() if j in inside for k in kc}.union(
+                m for y in new for i, m, _ in cols[y] if i in inside
+            ) - inside
+    return len(gens) < len(rows) and all(
+        {(i, k): (l, a * c % p) for i, m, a in cols[s] for k, lc in rows[m].items() for l, c in lc.items()}
+        == {(i, k): (r, d * e % p) for k, qd in rows[s].items() for q, d in qd.items() for i, r, e in cols[q]}
+        for s in gens
+    )
+
+
 def _associator_failures(alg: Algebra, limit: int = 32) -> list[tuple[int, int, int]]:
     """The first `limit` basis triples (i, j, k), in lexicographic order, with
-    (b_i b_j) b_k != b_i (b_j b_k).
-
-    For each i both bracketings are expanded only along chains of non-zero
-    constants, so a pair (j, k) that no such chain reaches is zero on both
-    sides.  Sums are exact Python integers, reduced mod p once per pair.
-    """
+    (b_i b_j) b_k != b_i (b_j b_k): none when `_middle_slot_certificate` proves
+    it, else from a scan of both bracketings per i along chains of non-zero
+    constants only, with exact sums reduced mod p once per pair."""
     rows, p = alg.products, alg.p
-    # makers[m]: every (j, k, c) with b_j b_k having coefficient c != 0 at b_m.
+    # b_j b_k has c != 0 at b_m for every (j, k, c) in makers[m] and (j, m, c) in cols[k].
     makers: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
+    cols: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
     for j, row in enumerate(rows):
         for k, jk in row.items():
             for m, c in jk.items():
                 makers[m].append((j, k, c))
+                cols[k].append((j, m, c))
+    if _middle_slot_certificate(rows, p, cols):
+        return []
     bad: list[tuple[int, int, int]] = []
     for i, row_i in enumerate(rows):
         left: dict[tuple[int, int], dict[int, int]] = {}

@@ -221,10 +221,10 @@ def _module_compat(q: Algebra, left: Sequence[Vector], right: Sequence[Vector]) 
     """(x x') y == x (x' y) for every x, y in one module basis and x' in the
     other: L x R x L, and R x L x R with the roles exchanged.
 
-    The associator is trilinear, so when no basis triple of q fails it
-    (one associator scan that forms no product) no triple of module
-    vectors can.  Only a failing scan leads to the triple loop, whose
-    value is the clause's either way."""
+    The associator is trilinear, so when `_associator_failures` finds no
+    basis triple of q failing (on a monomial q, by its certificate, with no
+    product formed) no triple of module vectors can.  Only a failure leads
+    to the triple loop, whose value is the clause's either way."""
     if not _associator_failures(q, limit=1):
         return True
     compat = True
@@ -245,10 +245,10 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     action's skew ring, with R the ordered quotient of a's skew ring and
     1_R the image of a's anchor units along the embeddings.
 
-    MOR(compat) is associativity of T read on module triples.  T was built
-    by `quotient` with its full associator scan, so the clause holds by
-    trilinearity; `_module_compat` repeats that scan as a certificate and
-    compares the module triples only when it fails."""
+    MOR(compat) is associativity of T read on module triples.  T was
+    checked associative when `quotient` built it, so the clause holds by
+    trilinearity; `_module_compat` repeats that check (a certificate call
+    on a monomial T) and compares the module triples only when it fails."""
     r_ring = build_ordered_skew(build_skew(a))
     b, phi = gl.global_action, gl.embeddings
     t_ring = build_ordered_skew(build_skew(b))
@@ -290,7 +290,7 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     )
     idempotent_rings = (
         _span_products(q, corner.basis, corner.basis) == corner
-        and _span_products(q, basis, basis) == full
+        and Subspace.span(q.dim, [v for row in q.table for v in row if any(v)], p) == full
     )
 
     clauses = {

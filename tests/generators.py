@@ -7,6 +7,7 @@ or double a component along the order.  The resulting actions are global
 and ordered by construction; tests still validate every instance.
 """
 
+from array import array
 from itertools import combinations, permutations
 
 from ogaction.actions import POAction
@@ -218,7 +219,11 @@ def random_monotone_family(rng, beta, coords_by_object):
 
 def symmetric_inverse_monoid(n):
     """I_n: all partial injections of range(n) under composition (apply the
-    right factor first), named by their image tuples, "_" where undefined."""
+    right factor first), named by their image tuples, "_" where undefined.
+
+    Each map is a word of its n images as bytes, n where undefined, padded
+    with 255 to 8 bytes (so n <= 8).  The row of s is every word at once
+    translated through s's images, read back as 64-bit codes."""
     elems = []
     for size in range(n + 1):
         for dom in combinations(range(n), size):
@@ -227,9 +232,12 @@ def symmetric_inverse_monoid(n):
                 for x, y in zip(dom, img):
                     f[x] = y
                 elems.append(tuple(f))
-    index = {f: i for i, f in enumerate(elems)}
+    words = [bytes(n if y is None else y for y in f).ljust(8, b"\xff") for f in elems]
+    every = b"".join(words)
+    index = {code: i for i, code in enumerate(array("Q", every))}
     mult = [
-        [index[tuple(None if y is None else s[y] for y in t)] for t in elems] for s in elems
+        list(map(index.__getitem__, array("Q", every.translate(bytes((*w[:n], *range(n, 256)))))))
+        for w in words
     ]
     names = ["s" + "".join("_" if y is None else str(y) for y in f) for f in elems]
     return InverseSemigroup(names, mult)

@@ -22,10 +22,11 @@ The kernel section keeps the dense F_p routines as the library wrote them
 before it eliminated along vector supports or read a coordinate subspace's
 pivot entries or split one elimination of [rows | images], `preimage_of` as
 the kernel route, taken on every target, and `split_rows` from what its
-three parts are.
+three parts are.  The last section keeps the symmetric inverse monoid
+generator as it was before it translated byte words.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 
 from ogaction.actions import InvSgpAction
 from ogaction.algebras import SubringIdentity
@@ -874,3 +875,25 @@ def partial_inverse(f):
             raise ValueError("image vector not reachable")
         back.append(from_coordinates(f.domain, combo))
     return from_images(img, f.domain, back)
+
+
+# -- retained generator -----------------------------------------------------
+
+
+def symmetric_inverse_monoid(n):
+    """I_n as `generators.symmetric_inverse_monoid` built it before it
+    translated byte words: one image tuple formed and looked up per product."""
+    elems = []
+    for size in range(n + 1):
+        for dom in combinations(range(n), size):
+            for img in permutations(range(n), size):
+                f = [None] * n
+                for x, y in zip(dom, img):
+                    f[x] = y
+                elems.append(tuple(f))
+    index = {f: i for i, f in enumerate(elems)}
+    mult = [
+        [index[tuple(None if y is None else s[y] for y in t)] for t in elems] for s in elems
+    ]
+    names = ["s" + "".join("_" if y is None else str(y) for y in f) for f in elems]
+    return InverseSemigroup(names, mult)

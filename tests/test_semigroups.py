@@ -20,10 +20,19 @@ from ogaction.semigroups import (
 )
 
 from generators import symmetric_inverse_monoid
+import oracles
 
 
 def idx(s):
     return {nm: i for i, nm in enumerate(s.names)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_symmetric_inverse_monoid_matches_the_composed_tuples(n):
+    """The generator's byte-translated rows equal the table built by forming
+    and looking up each composite's image tuple."""
+    fast, slow = symmetric_inverse_monoid(n), oracles.symmetric_inverse_monoid(n)
+    assert fast.names == slow.names and fast.mult == slow.mult
 
 
 def test_semilattice_is_valid():
