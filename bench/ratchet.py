@@ -8,8 +8,11 @@ dimension metric of the run (values per pass, exact) with
 ``bench/counters.json``.  It exits 1 when a workload's reports are not
 correct, when a counter rose above the file's value, or when a counter of
 the file is missing from the run; each counter that fell is named, and the
-file should then be rewritten with the lower value.  Diagnostics go to
-stderr; the measured counters go to stdout in the file's format, so
+file should then be rewritten with the lower value.  The file's
+``src_lines`` pins the line count of ``src/ogaction/*.py`` (as ``wc -l``
+counts it) in the same way, so the library's line budget can only fall.
+Diagnostics go to stderr; the measured counters go to stdout in the file's
+format, so
 
     python3 bench/ratchet.py > counters.new && mv counters.new bench/counters.json
 
@@ -25,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTERS = ROOT / "bench" / "counters.json"
+SRC = ROOT / "src" / "ogaction"
 WORKLOADS = ("corpus", "glob_ladder", "inv_monoid", "matrix_carrier")
 
 
@@ -46,6 +50,11 @@ def counters_of(result: dict) -> dict:
     return out
 
 
+def src_lines() -> int:
+    """Newlines in the library's modules, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+
+
 def main() -> int:
     pinned = json.loads(COUNTERS.read_text())
     measured, failures = {}, []
@@ -63,6 +72,14 @@ def main() -> int:
                 print(f"{workload}: {name} fell from {bound} to {got[name]}", file=sys.stderr)
         for name in sorted(set(got) - set(pinned.get(workload, {}))):
             print(f"{workload}: {name} = {got[name]} is not in {COUNTERS.name}", file=sys.stderr)
+    lines = measured["src_lines"] = src_lines()
+    bound = pinned.get("src_lines")
+    if bound is None:
+        failures.append(f"src_lines is missing from {COUNTERS.name}")
+    elif lines > bound:
+        failures.append(f"src/ogaction/*.py grew from {bound} to {lines} lines")
+    elif lines < bound:
+        print(f"src/ogaction/*.py fell from {bound} to {lines} lines", file=sys.stderr)
     print(json.dumps(measured, indent=2))
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

@@ -176,7 +176,7 @@ class OrderedGroupoid:
         self.comp = dict(comp)
         self.dom = tuple(dom)
         self.ran = tuple(ran)
-        self.leq = tuple(tuple(map(bool, row)) for row in leq)
+        self.leq = tuple(map(tuple, leq))
         self._groupoid_report: Optional[ValidationReport] = None
         self._order_report: Optional[ValidationReport] = None
 

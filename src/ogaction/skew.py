@@ -5,6 +5,7 @@ quotient of a unital action and the quotient of its globalization."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .actions import Action, _translated, is_preunital, require_unital
@@ -38,30 +39,14 @@ class SkewRing:
         return tuple(out)
 
 
-def _anchor_unit(s: SkewRing) -> Vector:
-    """Sum over the anchors e of 1_e placed at delta_e."""
-    a = s.source
-    total = (0,) * s.algebra.dim
-    for e in a.index.anchors:
-        total = vec_add(total, s.lift(e, a.unit_vector(e)), s.algebra.p)
-    return total
-
-
 def build_skew(a: Action) -> SkewRing:
     """Skew ring of a validated action; grading recorded per basis vector."""
     a.require_valid("skew ring needs a valid action")
     ix = a.index
-    offsets = []
-    grading: list[int] = []
-    dim = 0
-    for g in ix.grades:
-        offsets.append(dim)
-        r = a.ideal_of[g].rank
-        grading.extend([g] * r)
-        dim += r
+    ranks = [a.ideal_of[g].rank for g in ix.grades]
+    *offsets, dim = accumulate(ranks, initial=0)
+    grading = tuple(g for g, r in zip(ix.grades, ranks) for _ in range(r))
     carrier = a.carrier
-    p = carrier.p
-    basis_members = [(g, v) for g in ix.grades for v in a.ideal_of[g].basis]
 
     # Per grade g, each basis column of each grade h that g composes with,
     # in column order, so the first failure raised is the first in
@@ -71,41 +56,34 @@ def build_skew(a: Action) -> SkewRing:
         columns[g].extend((h, gh, offsets[h] + k, vh) for k, vh in enumerate(a.ideal_of[h].basis))
 
     products = []
-    for g, vg in basis_members:
-        row = {}
-        twisted = a.map_of[ix.inv[g]].apply(vg)
-        for h, gh, col, vh in columns[g]:
-            y = carrier.mul(twisted, vh)
-            # One elimination per step: a vector outside the subspace makes
-            # the coordinate read raise ValueError.
-            try:
-                z = a.map_of[g].apply(y)
-            except ValueError:
-                raise InvalidAction(
-                    f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain"
-                ) from None
-            try:
-                coords = a.ideal_of[gh].coordinates_of(z)
-            except ValueError:
-                raise InvalidAction(
-                    f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
-                    f"{ix.names[gh]}"
-                ) from None
-            kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
-            if kc:
-                row[col] = kc
-        products.append(row)
-    alg = Algebra.from_products(p, dim, tuple(products), unit=None, check=False, name="skew ring")
-    s = SkewRing(a, alg, tuple(grading), tuple(offsets))
-    if is_preunital(a):
-        unit = _anchor_unit(s)
-        if all(
-            alg.mul(unit, alg.basis_vector(i)) == alg.basis_vector(i)
-            and alg.mul(alg.basis_vector(i), unit) == alg.basis_vector(i)
-            for i in range(dim)
-        ):
-            alg.unit = unit
-    return s
+    for g in ix.grades:
+        # alpha_{g^-1} has the grade's ideal as its domain: its images are
+        # the twisted basis vectors, in basis order.
+        for twisted in a.map_of[ix.inv[g]].images:
+            row = {}
+            for h, gh, col, vh in columns[g]:
+                y = carrier.mul(twisted, vh)
+                # One elimination per step: a vector outside the subspace
+                # makes the coordinate read raise ValueError.
+                try:
+                    z = a.map_of[g].apply(y)
+                except ValueError:
+                    raise InvalidAction(
+                        f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain"
+                    ) from None
+                try:
+                    coords = a.ideal_of[gh].coordinates_of(z)
+                except ValueError:
+                    raise InvalidAction(
+                        f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
+                        f"{ix.names[gh]}"
+                    ) from None
+                kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
+                if kc:
+                    row[col] = kc
+            products.append(row)
+    alg = Algebra.from_products(carrier.p, dim, tuple(products), check=False, name="skew ring")
+    return SkewRing(a, alg, grading, tuple(offsets))
 
 
 def check_skew_associative(s: SkewRing) -> ValidationReport:
@@ -157,9 +135,14 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
 
 def skew_unit(o: OrderedSkewRing) -> Vector:
     """Image of the sum of the anchor units; verified two-sided in the quotient."""
-    if not is_preunital(o.skew.source):
+    s = o.skew
+    a = s.source
+    if not is_preunital(a):
         raise NotPreunital("some anchor ideal has no central idempotent identity")
-    img = o.projection.apply(_anchor_unit(o.skew))
+    total = (0,) * s.algebra.dim
+    for e in a.index.anchors:
+        total = vec_add(total, s.lift(e, a.unit_vector(e)), s.algebra.p)
+    img = o.projection.apply(total)
     q = o.quotient
     for i in range(q.dim):
         b = q.basis_vector(i)
@@ -208,36 +191,8 @@ def morita_context(a: Action, gl: Globalization) -> MoritaReport:
 
 
 def inv_sgp_morita(a: Action, gl: Globalization) -> MoritaReport:
-    """Same corner identities for an inverse-semigroup action and the
-    globalization produced by the pipeline."""
-    if gl.global_action.structure != a.structure:
-        raise NotAGlobalization("globalization belongs to a different semigroup")
-    require_unital(a)
-    a.require_valid("skew ring needs a valid action")
-    return _morita_core(a, gl)
-
-
-def _module_compat(q: Algebra, left: Sequence[Vector], right: Sequence[Vector]) -> bool:
-    """(x x') y == x (x' y) for every x, y in one module basis and x' in the
-    other: L x R x L, and R x L x R with the roles exchanged.
-
-    The associator is trilinear, so when `_associator_failures` finds no
-    basis triple of q failing (on a monomial q, by its certificate, with no
-    product formed) no triple of module vectors can.  Only a failure leads
-    to the triple loop, whose value is the clause's either way."""
-    if not _associator_failures(q, limit=1):
-        return True
-    compat = True
-    # Every triple is compared; each pair product is formed once.
-    for firsts, mids, lasts in ((left, right, left), (right, left, right)):
-        mid_last = [[q.mul(xp, y) for y in lasts] for xp in mids]
-        for x in firsts:
-            for xp, xp_ys in zip(mids, mid_last):
-                x_xp = q.mul(x, xp)
-                for y, xp_y in zip(lasts, xp_ys):
-                    if q.mul(x_xp, y) != q.mul(x, xp_y):
-                        compat = False
-    return compat
+    """`morita_context` under the name the semigroup pipeline once used."""
+    return morita_context(a, gl)
 
 
 def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
@@ -245,10 +200,12 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     action's skew ring, with R the ordered quotient of a's skew ring and
     1_R the image of a's anchor units along the embeddings.
 
-    MOR(compat) is associativity of T read on module triples.  T was
-    checked associative when `quotient` built it, so the clause holds by
-    trilinearity; `_module_compat` repeats that check (a certificate call
-    on a monomial T) and compares the module triples only when it fails."""
+    MOR(compat) is associativity of T read on module triples: (x x') y ==
+    x (x' y) for x, y in one of T 1_R, 1_R T and x' in the other.  The
+    associator is trilinear, so module triples can fail only if basis
+    triples of T fail, and the clause is that basis check.  `quotient`
+    builds T with the check on and raises `InvalidAlgebra` when it fails,
+    so the clause holds on every T reaching it."""
     r_ring = build_ordered_skew(build_skew(a))
     b, phi = gl.global_action, gl.embeddings
     t_ring = build_ordered_skew(build_skew(b))
@@ -277,8 +234,6 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     sum_range = graded_sum([(g, images[r]) for g, r, _ in ix.triples])
     embedded_copy = graded_sum([(g, phi[r].image_of(a.ideal_of[g])) for g, r, _ in ix.triples])
 
-    compat = _module_compat(q, left_module.basis, right_module.basis)
-
     pair_to_r = _span_products(q, left_module.basis, right_module.basis)
     pair_to_t = _span_products(q, right_module.basis, left_module.basis)
 
@@ -298,7 +253,7 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
         "MOR(ii)": left_module == sum_range,
         "MOR(iii)": corner == embedded_copy,
         "MOR(iv)": double == full,
-        "MOR(compat)": compat,
+        "MOR(compat)": not _associator_failures(q, limit=1),
         "MOR(surj)": pair_to_r == embedded_copy and pair_to_t == full,
         "MOR(unital)": unital_modules,
         "MOR(idem)": idempotent_rings,

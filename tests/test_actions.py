@@ -163,6 +163,22 @@ def test_general_restriction_with_object_intersections_is_standard():
     assert via_family.map_of == via_ideal.map_of
 
 
+def test_general_restriction_refuses_a_partial_action_a_missing_object_and_a_non_ideal():
+    alpha = fx.pointed_arrow_partial_action()
+    with pytest.raises(NotGlobal, match="^restriction needs a global ordered action$"):
+        general_restriction(alpha, {e: alpha.ideal_of[e] for e in alpha.structure.objects})
+    beta = fx.pointed_arrow_global_action()
+    i = idx(beta.structure)
+    family = {e: beta.ideal_of[e] for e in beta.structure.objects if e != i["e_min"]}
+    with pytest.raises(NotAnIdeal, match="^family must assign one ideal per object$"):
+        general_restriction(beta, family)
+    family[i["e_min"]] = beta.ideal_of[i["e_min"]]
+    # (0, 1, 1) times the idempotent (0, 1, 0) leaves its span
+    family[i["r_s"]] = Subspace.span(3, [[0, 1, 1]], 5)
+    with pytest.raises(NotAnIdeal, match="^family entry at r_s is not a two-sided ideal$"):
+        general_restriction(beta, family)
+
+
 def test_general_restriction_rejects_non_monotone_families():
     beta = fx.pointed_arrow_global_action()
     g = beta.structure

@@ -156,6 +156,38 @@ def test_corrupting_the_global_map_fails_the_intertwining_clause():
     assert not rep.clause_ok("GLOB(iii)")
 
 
+def test_an_embedding_on_the_wrong_domain_stops_the_checklist():
+    """The `verify-globalization` task builds each embedding on its object
+    ideal, so a wrong domain is supplied here directly."""
+    alpha, gl = inclusion_globalization()
+    b = gl.global_action
+    e = idx(b.structure)["e_min"]
+    emb = dict(gl.embeddings)
+    emb[e] = LinMap(Subspace.zero(alpha.carrier.dim, alpha.carrier.p), b.ideal_of[e], ())
+    rep = verify_globalization(as_globalization(alpha, b, emb))
+    assert [str(issue) for issue in rep.issues] == [
+        "[GLOB(mono)] embedding at e_min missing or with wrong domain"
+    ]
+
+
+def test_an_embedding_escaping_its_object_ideal_fails_mono_and_clause_i():
+    """An image outside the object ideal is named by GLOB(mono), and the
+    absorption test of GLOB(i) reports it as not contained."""
+    alpha, gl = inclusion_globalization()
+    b = gl.global_action
+    e = idx(b.structure)["e_min"]
+    emb = dict(gl.embeddings)
+    m = gl.embeddings[e]
+    emb[e] = LinMap.from_images(m.domain, b.carrier.space(), [[1, 0, 0]] * m.domain.rank)
+    rep = verify_globalization(as_globalization(alpha, b, emb))
+    issues = [str(issue) for issue in rep.issues]
+    assert issues[:2] == [
+        "[GLOB(mono)] embedding at e_min escapes the object ideal",
+        "[GLOB(i)] embedded ideal at e_min is not inside its object ideal",
+    ]
+    assert rep.clause_ok("GLOB(valid)") and rep.clause_ok("GLOB(global)")
+
+
 def test_translation_maps_compose_and_restrict():
     alpha = fx.pointed_arrow_partial_action()
     g0 = alpha.structure

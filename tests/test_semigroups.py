@@ -169,6 +169,22 @@ def test_constant_non_idempotent_map_fails_inverse_condition():
     assert not rep.clause_ok("PM(ii)")
 
 
+def test_a_premorphism_into_a_semigroup_fails_products_and_order_by_name():
+    """Sending the zero of B_2 to the lower idempotent of the chain and the
+    rest to the top puts a product's image above the image of the product;
+    swapping the chain's two idempotents reverses its order."""
+    chain, b = fx.chain_semilattice(), fx.brandt_b2()
+    mapping = [0] * b.n
+    mapping[idx(b)["z"]] = idx(chain)["e"]
+    rep = verify_premorphism(Premorphism(b, chain, mapping))
+    assert [k for k, ok in rep.clauses().items() if not ok] == ["PM(i)"]
+    assert str(rep.issues[0]) == "[PM(i)] image product of (a,a) not below image of product"
+    rep = verify_premorphism(Premorphism(chain, chain, [1, 0]))
+    assert [str(issue) for issue in rep.issues] == [
+        "[PM(iii)] e below one but images one, e are unordered"
+    ]
+
+
 @pytest.mark.parametrize("mapping", [[-1, -1], [2, 2]])
 def test_premorphism_refuses_mapping_values_outside_the_target(mapping):
     """A value that does not index the target is refused, like a mapping

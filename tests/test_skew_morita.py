@@ -1,5 +1,4 @@
 import json
-from itertools import product
 
 import pytest
 
@@ -12,9 +11,15 @@ from ogaction.actions import (
     standard_restriction,
     validate_po_action,
 )
-from ogaction.algebras import Algebra, _associator_failures, diagonal_algebra
+from ogaction.algebras import diagonal_algebra
 from ogaction.corpus import CORPUS
-from ogaction.errors import InvalidAction, InvalidAlgebra, NotAssociative, NotPreunital, NotUnital
+from ogaction.errors import (
+    InvalidAction,
+    NotAGlobalization,
+    NotAssociative,
+    NotPreunital,
+    NotUnital,
+)
 from ogaction.globalize import (
     as_globalization,
     build_globalization,
@@ -39,7 +44,7 @@ from ogaction.tasks import run_task
 from ogaction.validation import ValidationReport
 from ogaction.workspace import load_workspace
 
-from oracles import morita_compat, naive_ideal_closure, naive_rank
+from oracles import naive_ideal_closure, naive_rank
 from test_globalization import inclusion_globalization
 
 
@@ -225,9 +230,11 @@ def test_quotient_dimension_is_stable_under_relabeling():
 
 
 def test_skew_unit_of_the_restricted_swap():
+    """`skew_unit` computes the unit on request; neither ring carries one."""
     o = build_ordered_skew(build_skew(fx.pointed_arrow_partial_action()))
     unit = skew_unit(o)
     assert unit == (1,)
+    assert o.skew.algebra.unit is None and o.quotient.unit is None
 
 
 def test_skew_unit_of_a_preunital_non_unital_action():
@@ -300,7 +307,6 @@ def test_morita_requires_a_unital_base():
 def test_morita_rejects_a_broken_globalization():
     alpha = fx.pointed_arrow_partial_action()
     gl = build_minimal_globalization(alpha)
-    from ogaction.errors import NotAGlobalization
     from ogaction.globalize import Globalization
 
     bad_embeddings = {
@@ -310,6 +316,19 @@ def test_morita_rejects_a_broken_globalization():
     broken = Globalization(alpha, gl.global_action, bad_embeddings, minimal=True)
     with pytest.raises(NotAGlobalization):
         morita_context(alpha, broken)
+
+
+def test_both_morita_entry_points_refuse_a_globalization_of_another_action():
+    """A globalization is refused by an action it was not built from: one
+    over another groupoid, and the pipeline's own global action, which
+    lives over the same semigroup as the base."""
+    gl = build_globalization(fx.pointed_arrow_partial_action())
+    result = globalize_inverse_semigroup_action(fx.brandt_action())
+    for entry in (morita_context, inv_sgp_morita):
+        with pytest.raises(NotAGlobalization, match="does not belong to this action"):
+            entry(fx.stacked_involutions_action(), gl)
+        with pytest.raises(NotAGlobalization, match="does not belong to this action"):
+            entry(result.global_action, result)
 
 
 def test_a_morita_task_runs_the_globalization_checklist_once(monkeypatch, tmp_path):
@@ -330,24 +349,6 @@ def test_a_morita_task_runs_the_globalization_checklist_once(monkeypatch, tmp_pa
     [task] = [t for t in ws.tasks if t.get("id") == "morita"]
     assert run_task(ws, task).status == "pass"
     assert len(calls) == 1
-
-
-def test_module_compat_falls_back_to_the_triple_loop_when_the_certificate_fails():
-    """On an algebra built without the associativity gate the scan
-    certificate fails, and the clause is the triple loop's value: False on
-    the full bases, True on module bases that miss the failing triple."""
-    # b0 b0 = b1 and b1 b0 = b0: (b0 b0) b0 = b0 but b0 (b0 b0) = 0.
-    structure = [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]
-    q = Algebra(3, 2, structure, check=False)
-    with pytest.raises(InvalidAlgebra):
-        Algebra(3, 2, structure)
-    assert _associator_failures(q, limit=1)
-    b0, b1 = q.basis_vector(0), q.basis_vector(1)
-    assert skew._module_compat(q, [b0, b1], [b0, b1]) is False
-    assert skew._module_compat(q, [b1], [b1]) is True
-    bases = ([], [b0], [b1], [b0, b1])
-    for left, right in product(bases, bases):
-        assert skew._module_compat(q, left, right) == morita_compat(q, left, right), (left, right)
 
 
 def test_semilattice_skew_collapses_comparable_grades():

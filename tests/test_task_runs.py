@@ -8,6 +8,7 @@ nothing.  MOR(compat) is read from the quotient's associator scan and
 compared here with the triple loop kept in `tests/oracles.py`.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -15,10 +16,12 @@ from pathlib import Path
 import pytest
 
 from ogaction import fixtures as fx
-from ogaction import globalize, skew
+from ogaction import globalize
 from ogaction.cli import main
 from ogaction.corpus import CORPUS
-from ogaction.tasks import TASK_CATALOG, run_task, run_tasks
+from ogaction.linalg import Subspace, vec_add
+from ogaction.skew import build_ordered_skew, build_skew
+from ogaction.tasks import TASK_CATALOG, morita_context, run_task, run_tasks
 from ogaction.workspace import Workspace, load_workspace
 
 from oracles import morita_compat
@@ -61,30 +64,47 @@ def _morita_ids(doc: dict) -> list[str]:
     ]
 
 
+def _loop_compat(a, gl) -> bool:
+    """MOR(compat) by the triple loop over T 1_R and 1_R T, with T, 1_R and
+    both modules formed afresh."""
+    t = build_ordered_skew(build_skew(gl.global_action))
+    q = t.quotient
+    one_r = (0,) * q.dim
+    for e in a.index.anchors:
+        one_r = vec_add(one_r, t.project_lift(e, gl.embeddings[e].apply(a.unit_vector(e))), q.p)
+    basis = [q.basis_vector(i) for i in range(q.dim)]
+    right = Subspace.span(q.dim, [q.mul(x, one_r) for x in basis], q.p)
+    left = Subspace.span(q.dim, [q.mul(one_r, x) for x in basis], q.p)
+    return morita_compat(q, left.basis, right.basis)
+
+
 def test_mor_compat_and_dims_match_the_triple_loop_on_every_run_morita_check(
     monkeypatch, tmp_path
 ):
     """Every Morita check of the corpus and of the glob rungs m = 2, 3: the
-    certificate's value equals the loop's, and each report of a full run
-    equals the report of the task run alone with the loop for the clause
-    and a globalization built afresh."""
+    clause equals the loop's value, and each report of a full run equals
+    the report of the task run alone with the loop for the clause and a
+    globalization built afresh."""
     docs = {name: make() for name, make in CORPUS.items()}
     docs.update(_glob_rungs())
-    real = skew._module_compat
     compared = []
 
-    def both(q, left, right):
-        got = real(q, left, right)
-        assert got == morita_compat(q, left, right)
-        compared.append(got)
-        return got
+    def both(a, gl):
+        rep = morita_context(a, gl)
+        assert rep.clauses["MOR(compat)"] == _loop_compat(a, gl)
+        compared.append(rep.clauses["MOR(compat)"])
+        return rep
+
+    def loop(a, gl):
+        rep = morita_context(a, gl)
+        return dataclasses.replace(rep, clauses={**rep.clauses, "MOR(compat)": _loop_compat(a, gl)})
 
     checked = 0
     for name, doc in docs.items():
         path = _write(tmp_path, name, doc)
-        monkeypatch.setattr(skew, "_module_compat", both)
+        monkeypatch.setattr("ogaction.tasks.morita_context", both)
         full = {r.task_id: r.to_dict() for r in run_tasks(load_workspace(path))}
-        monkeypatch.setattr(skew, "_module_compat", morita_compat)
+        monkeypatch.setattr("ogaction.tasks.morita_context", loop)
         for tid in _morita_ids(doc):
             ws = load_workspace(path)
             [task] = [t for t in ws.tasks if t["id"] == tid]

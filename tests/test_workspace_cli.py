@@ -197,8 +197,9 @@ def test_catalog_covers_the_documented_tasks():
     assert set(TASK_CATALOG) == expected
 
 
-def test_verify_globalization_task_with_supplied_embeddings(tmp_path):
-    # the original global action plus inclusion embeddings, via the file path
+def _supplied_globalization_doc() -> dict:
+    """The original block swap as a supplied globalization of its
+    restriction, with inclusion embeddings."""
     beta = fx.pointed_arrow_global_action()
     alpha = fx.pointed_arrow_partial_action()
     ideal = fx.pointed_arrow_restriction_ideal()
@@ -209,7 +210,7 @@ def test_verify_globalization_task_with_supplied_embeddings(tmp_path):
             big = ideal.from_coordinates(v)
             rows.append(list(beta.ideal_of[e].coordinates_of(big)))
         embeddings[beta.structure.names[e]] = rows
-    doc = {
+    return {
         "algebras": {
             "B": algebra_to_json(beta.carrier),
             "A": algebra_to_json(alpha.carrier),
@@ -229,11 +230,43 @@ def test_verify_globalization_task_with_supplied_embeddings(tmp_path):
             }
         ],
     }
+
+
+def test_verify_globalization_task_with_supplied_embeddings(tmp_path):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_supplied_globalization_doc()))
     ws = load_workspace(path)
     (rep,) = run_tasks(ws, None)
     assert rep.status == "pass", rep.summary()
+
+
+def _over_another_groupoid(doc):
+    """The global action replaced by the stacked involutions, which live
+    over another groupoid; no embedding is listed."""
+    other = fx.stacked_involutions_action()
+    doc["algebras"]["C"] = algebra_to_json(other.carrier)
+    doc["groupoids"]["H"] = groupoid_to_json(other.structure)
+    doc["actions"]["other"] = action_to_json(other, "H", "C")
+    doc["tasks"][0].update({"global": "other", "embeddings": {}})
+
+
+@pytest.mark.parametrize(
+    "corrupt, clause",
+    [
+        (_over_another_groupoid, "GLOB(valid)"),
+        (lambda doc: doc["tasks"][0]["embeddings"].pop("e_min"), "GLOB(mono)"),
+    ],
+)
+def test_verify_globalization_task_stops_at_a_structural_failure(tmp_path, corrupt, clause):
+    """A global action over another groupoid, or an object without an
+    embedding, fails its clause alone: the checklist stops there."""
+    doc = _supplied_globalization_doc()
+    corrupt(doc)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    (rep,) = run_tasks(load_workspace(path), None)
+    assert rep.status == "fail"
+    assert [k for k, ok in rep.clauses.items() if not ok] == [clause]
 
 
 def test_cli_end_to_end(tmp_path, capsys):
