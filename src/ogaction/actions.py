@@ -75,12 +75,12 @@ class Action:
         return self.map_of[g].apply(v)
 
     def unit_vector(self, g: int) -> Optional[Vector]:
-        """Central idempotent identity of ideal_of[g]; None if absent."""
+        """Central identity of ideal_of[g] (idempotent: see `identity_of`); None if absent."""
         try:
             ident = identity_of(self.carrier, self.ideal_of[g])
         except NotMultiplicativelyClosed:
             return None
-        if ident is None or not (ident.central and ident.idempotent):
+        if ident is None or not ident.central:
             return None
         return ident.element
 
@@ -369,15 +369,14 @@ def _restrict_global(
 
 
 def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
-    """Restrict a global ordered action to a two-sided ideal of its carrier."""
+    """Restrict a global ordered action to a two-sided ideal of its carrier.
+    `is_ideal` against the full space cannot raise NotContained: a subspace
+    of this ambient lies in it, and one of another raises AmbientMismatch."""
     beta.require_valid("cannot restrict an invalid action")
     if not is_global(beta):
         raise NotGlobal("standard restriction needs a global ordered action")
-    try:
-        if not is_ideal(beta.carrier, a_ideal, beta.carrier.space()):
-            raise NotAnIdeal("restriction target is not a two-sided ideal")
-    except NotContained as exc:
-        raise NotAnIdeal(str(exc))
+    if not is_ideal(beta.carrier, a_ideal, beta.carrier.space()):
+        raise NotAnIdeal("restriction target is not a two-sided ideal")
     family = {e: a_ideal.intersect(beta.ideal_of[e]) for e in beta.structure.objects}
     restricted = _restrict_global(
         beta, a_ideal, family, name=f"{beta.name or 'action'}|ideal"
@@ -389,7 +388,8 @@ def standard_restriction(beta: Action, a_ideal: Subspace) -> Action:
 
 
 def general_restriction(beta: Action, family: dict[int, Subspace]) -> Action:
-    """Restrict a global ordered action along a monotone family of ideals."""
+    """Restrict a global ordered action along a monotone family of ideals;
+    no entry's ideal test raises NotContained (see `standard_restriction`)."""
     beta.require_valid("cannot restrict an invalid action")
     g0 = beta.structure
     if not is_global(beta):
@@ -397,11 +397,8 @@ def general_restriction(beta: Action, family: dict[int, Subspace]) -> Action:
     if set(family) != set(g0.objects):
         raise NotAnIdeal("family must assign one ideal per object")
     for e, sub in family.items():
-        try:
-            if not is_ideal(beta.carrier, sub, beta.carrier.space()):
-                raise NotAnIdeal(f"family entry at {g0.names[e]} is not a two-sided ideal")
-        except NotContained as exc:
-            raise NotAnIdeal(str(exc))
+        if not is_ideal(beta.carrier, sub, beta.carrier.space()):
+            raise NotAnIdeal(f"family entry at {g0.names[e]} is not a two-sided ideal")
         if not beta.ideal_of[e].contains_subspace(sub):
             raise NotAnIdeal(f"family entry at {g0.names[e]} escapes the object ideal")
     for e in g0.objects:
@@ -425,14 +422,6 @@ class EquivalenceWitness:
     """Ring isomorphisms per object, mapping one action's ideals to another's."""
 
     maps: dict[int, LinMap]
-
-    def inverse(self) -> "EquivalenceWitness":
-        return EquivalenceWitness({e: m.inverse() for e, m in self.maps.items()})
-
-    def compose(self, then: "EquivalenceWitness") -> "EquivalenceWitness":
-        return EquivalenceWitness(
-            {e: m.then(then.maps[e]) for e, m in self.maps.items()}
-        )
 
 
 def identity_witness(a: Action) -> EquivalenceWitness:
@@ -501,13 +490,10 @@ def _commutative_on(alg: Algebra, sub: Subspace) -> bool:
 
 
 def _primitive_idempotents(alg: Algebra, sub: Subspace, cap: int) -> Optional[list[Vector]]:
-    """Primitive idempotents of a commutative subring, by exhaustive scan.
-
-    Returns None unless they are pairwise orthogonal and span the subspace
-    (the split-semisimple shape the witness strategy relies on).
-    """
-    if sub.rank == 0:
-        return []
+    """Primitive idempotents of a non-zero commutative subring, by exhaustive
+    scan; None unless there are rank(sub) of them.  Those form an orthogonal
+    basis: for distinct minimal idempotents e and f, ef is an idempotent
+    below both, so 0; and orthogonal non-zero idempotents are independent."""
     count = alg.p ** sub.rank
     if count > cap:
         return None
@@ -521,50 +507,32 @@ def _primitive_idempotents(alg: Algebra, sub: Subspace, cap: int) -> Optional[li
         ]
         if not strictly_below:
             prims.append(u)
-    if len(prims) != sub.rank:
-        return None
-    if Subspace.span(sub.dim, prims, sub.p).rank != sub.rank:
-        return None
-    for i, u in enumerate(prims):
-        for v in prims[i + 1 :]:
-            if any(alg.mul(u, v)) or any(alg.mul(v, u)):
-                return None
-    return sorted(prims)
-
-
-def _linear_extension(
-    dom: Subspace, cod: Subspace, prims_a: list[Vector], prims_c: list[Vector]
-) -> Optional[LinMap]:
-    """The linear map sending each primitive idempotent to its partner, or
-    None when an image leaves cod.  The primitive idempotents are a basis
-    of dom, so their split has dom's basis and no trailing half."""
-    _, images, _ = split_rows(dom.dim, prims_a, prims_c, dom.p)
-    if not all(cod.contains(img) for img in images):
-        return None
-    return LinMap.from_images(dom, cod, images)
+    return sorted(prims) if len(prims) == sub.rank else None
 
 
 def _object_candidates(
     a: Action, c: Action, e: int, budget: int
 ) -> list[LinMap]:
+    """Candidate ring isomorphisms from a's ideal at e onto c's, of the same
+    rank (`search_equivalence` refuses a mismatch first).  When both have an
+    orthogonal idempotent basis, a linear bijection taking one basis onto
+    the other is multiplicative, as (sum x_i e_i)(sum y_j e_j) =
+    sum x_i y_i e_i, so each permutation is a candidate untested; otherwise
+    every matrix is tested with `is_ring_iso`."""
     dom = a.ideal_of[e]
     cod = c.ideal_of[e]
     if dom.rank == 0:
-        return [LinMap(dom, cod, ())] if cod.rank == 0 else []
+        return [LinMap(dom, cod, ())]
     if _commutative_on(a.carrier, dom) and _commutative_on(c.carrier, cod):
         prims_a = _primitive_idempotents(a.carrier, dom, budget)
         prims_c = _primitive_idempotents(c.carrier, cod, budget)
-        if prims_a is not None and prims_c is not None and len(prims_a) == len(prims_c):
-            out = []
-            for perm in itertools.permutations(prims_c):
-                m = _linear_extension(dom, cod, prims_a, list(perm))
-                if m is not None and is_ring_iso(m, a.carrier, c.carrier):
-                    out.append(m)
-            return out
+        if prims_a is not None and prims_c is not None:
+            return [
+                LinMap.from_images(dom, cod, split_rows(dom.dim, prims_a, perm, dom.p)[1])
+                for perm in itertools.permutations(prims_c)
+            ]
     # exhaustive fallback over all matrices, only viable for tiny ideals
     r = dom.rank
-    if cod.rank != r:
-        return []
     total = a.carrier.p ** (r * r)
     if total > budget:
         raise BudgetExceeded(

@@ -368,14 +368,14 @@ def subring_closure(alg: Algebra, parts: Iterable[Subspace]) -> Subspace:
 class SubringIdentity(NamedTuple):
     element: Vector
     central: bool
-    idempotent: bool
 
 
 def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     """Two-sided identity of a multiplicatively closed subspace, if any.
 
     The zero subspace counts as the zero ring with identity 0.  Also reports
-    whether the identity is central and idempotent in the ambient algebra.
+    whether the identity is central in the ambient algebra.  It is always
+    idempotent: u lies in the subspace and fixes each x there, so u u = u.
     """
     if sub.dim != alg.dim or sub.p != alg.p:
         raise AmbientMismatch("subspace lives in a different ambient space")
@@ -392,7 +392,7 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
 def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringIdentity]:
     r = sub.rank
     if r == 0:
-        return SubringIdentity(alg.zero(), True, True)
+        return SubringIdentity(alg.zero(), True)
 
     def coords(i: int, k: int) -> list[int]:
         out = [0] * r
@@ -410,7 +410,7 @@ def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringId
     if combo is None:
         return None
     u = sub.from_coordinates(combo)
-    return SubringIdentity(u, alg.is_central_vec(u), alg.is_idempotent_vec(u))
+    return SubringIdentity(u, alg.is_central_vec(u))
 
 
 def is_ideal(alg: Algebra, inner: Subspace, outer: Subspace) -> bool:

@@ -81,10 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WorkbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -335,8 +335,9 @@ class LinMap:
     """A linear map between two canonical subspaces.
 
     Row i of `matrix` holds the codomain coordinates of the image of the
-    i-th canonical basis vector of the domain.  The two subspaces may live
-    in different ambient spaces (same modulus).
+    i-th canonical basis vector of the domain, as residues mod p: a matrix
+    with an entry outside [0, p) is reduced on construction.  The two
+    subspaces may live in different ambient spaces (same modulus).
     """
 
     domain: Subspace
@@ -351,6 +352,9 @@ class LinMap:
         for row in self.matrix:
             if len(row) != self.codomain.rank:
                 raise AmbientMismatch("matrix column count != codomain rank")
+        rows, p = [row for row in self.matrix if row], self.p
+        if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
+            object.__setattr__(self, "matrix", tuple(tuple(x % p for x in row) for row in self.matrix))
 
     @property
     def p(self) -> int:

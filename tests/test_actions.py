@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 
@@ -29,7 +30,7 @@ from ogaction.actions import (
     validate_po_action,
     verify_equivalence,
 )
-from ogaction.corpus import emit_fixture_corpus
+from ogaction.corpus import CORPUS, emit_fixture_corpus
 from ogaction.errors import (
     BudgetExceeded,
     GroupoidMismatch,
@@ -304,11 +305,12 @@ def test_witnesses_form_an_equivalence_relation():
 
     res = search_equivalence(alpha, mirrored)
     assert res.found
-    w = res.witness
-    assert verify_equivalence(mirrored, alpha, w.inverse())
+    maps = res.witness.maps
+    inverse = EquivalenceWitness({e: m.inverse() for e, m in maps.items()})
+    assert verify_equivalence(mirrored, alpha, inverse)
     res_back = search_equivalence(mirrored, alpha)
     assert res_back.found
-    composed = w.compose(res_back.witness)
+    composed = EquivalenceWitness({e: m.then(res_back.witness.maps[e]) for e, m in maps.items()})
     assert verify_equivalence(alpha, alpha, composed)
 
 
@@ -584,3 +586,61 @@ def test_a_corpus_pass_validates_each_action_once(tmp_path, monkeypatch):
     assert seen
     repeats = [a.name for i, a in enumerate(seen) if any(a is b for b in seen[:i])]
     assert repeats == []
+
+
+def test_unreduced_map_entries_are_stored_as_residues():
+    """A map written with 6 for 1 over F_5 is the same map: P1 and INV
+    compare maps by equality, and the action still validates."""
+    alpha = fx.pointed_arrow_partial_action()
+    e = idx(alpha.structure)["e_min"]
+    m = alpha.map_of[e]
+    shifted = LinMap(m.domain, m.codomain, tuple(tuple(x + 5 for x in row) for row in m.matrix))
+    assert shifted.matrix == m.matrix and shifted == m
+    maps = tuple(shifted if g == e else alpha.map_of[g] for g in alpha.index.grades)
+    assert validate_po_action(dataclasses.replace(alpha, map_of=maps)).ok
+
+
+def test_a_map_on_the_wrong_ideals_fails_iso_by_its_endpoints():
+    alpha = fx.pointed_arrow_partial_action()
+    s = idx(alpha.structure)["s"]
+    maps = list(alpha.map_of)
+    maps[s] = LinMap.identity(alpha.carrier.space())
+    rep = validate_po_action(dataclasses.replace(alpha, map_of=tuple(maps)))
+    assert "[ISO] map at s has wrong endpoints" in [str(issue) for issue in rep.issues]
+
+
+def _pointed_arrow_run(tmp_path, tasks: list[dict]):
+    doc = CORPUS["pointed_arrow.json"]()
+    doc["tasks"] = tasks
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    return run_tasks(load_workspace(path))
+
+
+def test_restrict_task_along_a_family_reports_the_general_restriction(tmp_path):
+    """block_swap restricted along its own object ideals: the task reports
+    the dims `general_restriction` gives on the same family."""
+    beta = fx.pointed_arrow_global_action()
+    g0 = beta.structure
+    family = {g0.names[e]: [list(v) for v in beta.ideal_of[e].basis] for e in g0.objects}
+    (rep,) = _pointed_arrow_run(
+        tmp_path, [{"task": "restrict", "action": "block_swap", "family": family}]
+    )
+    assert rep.status == "pass", rep.summary()
+    out = general_restriction(beta, {e: beta.ideal_of[e] for e in g0.objects})
+    assert rep.data["dims"] == {g0.names[g]: out.ideal_of[g].rank for g in g0.arrows()}
+    assert rep.data["carrier_dim"] == out.carrier.dim
+
+
+def test_equivalence_task_reports_a_disproof(tmp_path):
+    (rep,) = _pointed_arrow_run(
+        tmp_path,
+        [{"task": "equivalence", "left": "block_swap", "right": "restricted_swap",
+          "expect": "disproved"}],
+    )
+    assert rep.status == "pass", rep.summary()
+    assert rep.data == {
+        "outcome": "disproved",
+        "tested": 0,
+        "disproof": "ideal at s has dimension 2 on one side, 1 on the other",
+    }

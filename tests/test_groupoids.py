@@ -4,6 +4,8 @@ from ogaction import fixtures as fx
 from ogaction.errors import InvalidGroupoid, NotBelowDomain, NotBelowRange
 from ogaction.groupoids import OrderedGroupoid, validate_groupoid, validate_order
 
+import oracles
+
 
 def one_arrow():
     return OrderedGroupoid.from_parts(
@@ -229,3 +231,21 @@ def test_unknown_arrow_name_raises():
         OrderedGroupoid.from_parts(
             ["e"], ["e"], {"e": "e"}, [("e", "e", "e")], [("e", "ghost")]
         )
+
+
+def test_og2_is_read_from_comp_when_a_composable_pair_has_no_composite():
+    """Without r_s * r_s there are no composite rows, so OG2 reads `comp`:
+    e_min * e_min sent to s is not below the products of the arrows above
+    e_min.  The report equals the retained scan's."""
+    g = fx.pointed_arrow_groupoid()
+    i = {nm: k for k, nm in enumerate(g.names)}
+    comp = dict(g.comp)
+    comp[(i["e_min"], i["e_min"])] = i["s"]
+    del comp[(i["r_s"], i["r_s"])]
+    bad = OrderedGroupoid(g.names, g.objects, g.inv, comp, g.dom, g.ran, g.leq)
+    assert bad._rows is None
+    rep = bad.validate_order()
+    assert "[OG2] products of e_min<=s with e_min<=s_inv are unordered" in [
+        str(issue) for issue in rep.issues
+    ]
+    assert [str(x) for x in rep.issues] == [str(x) for x in oracles.validate_order(bad).issues]

@@ -7,7 +7,7 @@ from ogaction.actions import POAction
 from ogaction.errors import InvalidGroupoid, InvalidSemigroup, NotInductive
 from ogaction.globalize import globalize_inverse_semigroup_action
 from ogaction.groupoids import OrderedGroupoid
-from ogaction.linalg import LinMap
+from ogaction.linalg import LinMap, Subspace
 from ogaction.semigroups import (
     InverseSemigroup,
     PartialBijections,
@@ -351,3 +351,15 @@ def test_the_inverse_pipeline_builds_one_esn_groupoid(monkeypatch):
     result = globalize_inverse_semigroup_action(a)
     assert result.checklist.ok
     assert len(built) == 1 and built[0] is esn_to_groupoid(a.structure)
+
+
+def test_an_image_domain_outside_its_domain_object_image_fails_pm_dom():
+    """With the zero map at d_s, the image of s has a domain that escapes
+    the image of its domain object."""
+    alpha = fx.pointed_arrow_partial_action()
+    maps = _partial_bijection_family(alpha)
+    i = idx(alpha.structure)
+    maps[i["d_s"]] = LinMap.identity(Subspace.zero(alpha.carrier.dim, alpha.carrier.p))
+    p = Premorphism(alpha.structure, PartialBijections(alpha.carrier), maps)
+    issues = [str(issue) for issue in verify_premorphism(p).issues]
+    assert "[PM(dom)] domain of image of s escapes the domain object image" in issues

@@ -6,10 +6,13 @@ from pathlib import Path
 import pytest
 
 from ogaction import fixtures as fx
+from ogaction.actions import InvSgpAction
+from ogaction.algebras import Algebra
 from ogaction.cli import main
 from ogaction.corpus import CORPUS, emit_fixture_corpus
 from ogaction.errors import WorkspaceError
-from ogaction.linalg import Subspace
+from ogaction.linalg import LinMap, Subspace
+from ogaction.semigroups import InverseSemigroup
 from ogaction.tasks import TASK_CATALOG, run_task, run_tasks
 from ogaction.workspace import (
     Workspace,
@@ -556,3 +559,71 @@ def test_equal_listed_ideals_are_spanned_once(tmp_path):
                     repeats += json.dumps(rows) in first
                     assert first.setdefault(json.dumps(rows), ideal) is ideal
     assert repeats == 9
+
+
+def _run_doc(tmp_path, doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    return run_tasks(load_workspace(path), None)
+
+
+def test_verify_globalization_reads_embedding_entries_mod_p(tmp_path):
+    """Over F_5 an embedding that lists 6 for 1 is the same embedding."""
+    doc = _supplied_globalization_doc()
+    (reduced,) = _run_doc(tmp_path, doc)
+    listed = doc["tasks"][0]["embeddings"]
+    for key, rows in listed.items():
+        listed[key] = [[6 if x == 1 else x for x in row] for row in rows]
+    assert 6 in listed["e_min"][0]
+    (unreduced,) = _run_doc(tmp_path, doc)
+    assert unreduced.to_dict() == reduced.to_dict()
+    assert reduced.status == "pass"
+
+
+def test_verify_globalization_of_a_partial_action_by_itself_fails_glob_global(tmp_path):
+    """restricted_swap is not global, so as its own globalization (identity
+    embeddings) it fails GLOB(global)."""
+    alpha = fx.pointed_arrow_partial_action()
+    g0 = alpha.structure
+    doc = _supplied_globalization_doc()
+    doc["tasks"][0].update(
+        {
+            "global": "alpha",
+            "embeddings": {
+                g0.names[e]: [[int(i == j) for j in range(alpha.ideal_of[e].rank)]
+                              for i in range(alpha.ideal_of[e].rank)]
+                for e in g0.objects
+            },
+        }
+    )
+    (rep,) = _run_doc(tmp_path, doc)
+    assert rep.status == "fail"
+    assert rep.clauses["GLOB(global)"] is False and rep.clauses["GLOB(valid)"] is True
+
+
+def test_inv_pipeline_refuses_an_action_that_is_not_preunital(tmp_path):
+    """The one-element semigroup acting trivially on the line with zero
+    product: a valid action whose idempotent's ideal has no identity."""
+    line = Algebra.from_products(5, 1, ({},), name="zero line")
+    one = InverseSemigroup(["e"], [[0]])
+    a = InvSgpAction(one, line, (line.space(),), (LinMap.identity(line.space()),))
+    assert a.validate().ok
+    doc = {
+        "algebras": {"zero_line": algebra_to_json(line)},
+        "semigroups": {"one": semigroup_to_json(one)},
+        "inv_actions": {"trivial": inv_action_to_json(a, "one", "zero_line")},
+        "tasks": [{"id": "pipeline", "task": "inv-pipeline", "inv_action": "trivial"}],
+    }
+    (rep,) = _run_doc(tmp_path, doc)
+    assert rep.status == "error"
+    assert rep.error == "NotPreunital: pipeline needs unital idempotent ideals"
+
+
+def test_a_load_error_and_an_unreadable_file_both_exit_2_with_the_message(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 1, column 2: ")
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
