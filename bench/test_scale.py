@@ -14,6 +14,9 @@ the call gave:
   which Light's middle-slot certificate decides, and of the same ring on
   the basis b_0 + b_1, b_1, b_2, ...: an isomorphic copy that is not
   monomial, so the chain scan runs over every triple;
+- `build_skew` on the M_5 rung and on its action moved to the carrier basis
+  b_0 + b_1, b_1, b_2, ... (the maps gain entries), and the quotient of the
+  dim-125 skew ring by N = 0;
 - four failing inputs that price the fallbacks: a non-associative table
   (the scan over all triples), the skew ring with one product given a
   second term (not monomial; the chain scan stops at its 32nd failing
@@ -35,11 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from generators import symmetric_inverse_monoid  # noqa: E402
+from generators import rebased_action, symmetric_inverse_monoid  # noqa: E402
+from oracles import skew_products  # noqa: E402
 from ogaction.actions import validate_po_action  # noqa: E402
-from ogaction.algebras import Algebra, _associator_failures, _nonzero_products  # noqa: E402
+from ogaction.algebras import Algebra, _associator_failures, _nonzero_products, quotient  # noqa: E402
 from ogaction.cli import main  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
+from ogaction.linalg import Subspace  # noqa: E402
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup  # noqa: E402
 from ogaction.skew import build_skew  # noqa: E402
 from ogaction.workspace import dump_workspace_doc, load_workspace  # noqa: E402
@@ -68,12 +73,30 @@ def _glob_rung_m5(directory: Path, broken: bool = False) -> Path:
 
 
 @pytest.fixture(scope="module")
-def m5_skew(tmp_path_factory):
-    """The skew ring of the matrix_carrier rung n = 5 (M_5 under conjugation
-    by a 5-cycle, seed 1), built the way `_glob_rung_m5` builds its input."""
+def m5_path(tmp_path_factory):
+    """The matrix_carrier rung n = 5 (M_5 under conjugation by a 5-cycle,
+    seed 1), written the way `_glob_rung_m5` writes its input."""
     path = tmp_path_factory.mktemp("m5") / "matrix_m5.json"
     dump_workspace_doc(gen.matrix_rung(random.Random(1), 5, 5), path)
-    return build_skew(load_workspace(path).actions["conj"]).algebra
+    return path
+
+
+@pytest.fixture(scope="module")
+def m5_skew(m5_path):
+    """The skew ring of the M_5 rung (dim 125)."""
+    return build_skew(load_workspace(m5_path).actions["conj"]).algebra
+
+
+# M_5 on the basis b_0 + b_1, b_1, b_2, ...: the carrier is not monomial, and
+# every conjugation map gains entries.
+SHIFT = [tuple(int(k == i or (i, k) == (0, 1)) for k in range(25)) for i in range(25)]
+
+
+def _validated_m5(path, rebase=False):
+    a = load_workspace(path).actions["conj"]
+    a = rebased_action(a, SHIFT) if rebase else a
+    assert a.validate().ok
+    return (a,), {}
 
 
 def _copy(alg, products):
@@ -129,6 +152,30 @@ def test_skew_ring_m5_rebased(benchmark, m5_skew):
     assert any(len(kc) > 1 for row in products for kc in row.values())
     bad = benchmark.pedantic(_associator_failures, setup=lambda: _copy(m5_skew, products), rounds=3)
     assert bad == []
+
+
+def test_build_skew_m5(benchmark, m5_path, m5_skew):
+    """Every twisted product is one matrix unit: 5 x 5 grade pairs times the
+    125 non-zero products of matrix units."""
+    s = benchmark.pedantic(build_skew, setup=lambda: _validated_m5(m5_path), rounds=5)
+    assert s.algebra.products == m5_skew.products
+    assert sum(len(row) for row in m5_skew.products) == 3125
+
+
+def test_build_skew_m5_rebased(benchmark, m5_path):
+    s = benchmark.pedantic(build_skew, setup=lambda: _validated_m5(m5_path, rebase=True), rounds=3)
+    assert s.algebra.dim == 125 and s.algebra.products == skew_products(s.source)
+
+
+def test_quotient_m5_by_zero(benchmark, m5_skew):
+    """The quotient of the dim-125 skew ring by N = 0, as the ordered skew
+    ring of the M_5 rung takes it: the ring itself and the identity map."""
+    zero = Subspace.zero(m5_skew.dim, m5_skew.p)
+    q, proj = benchmark.pedantic(
+        quotient, setup=lambda: ((_copy(m5_skew, m5_skew.products)[0][0], zero), {}), rounds=5
+    )
+    assert q.products == m5_skew.products
+    assert proj.matrix == Subspace.full(m5_skew.dim, m5_skew.p).basis
 
 
 def test_skew_ring_m5_one_product_with_two_terms(benchmark, m5_skew):

@@ -443,20 +443,25 @@ def quotient(alg: Algebra, ideal: Subspace) -> QuotientResult:
     if not is_ideal(alg, ideal, alg.space()):
         raise NotAnIdeal("quotient requires a two-sided ideal")
     coords = ideal.complement_coordinates()
-    m = len(coords)
 
     def project(v: Sequence[int]) -> Vector:
         w = ideal.reduce(v)
         return tuple(w[c] for c in coords)
 
-    reps = [alg.basis_vector(c) for c in coords]
+    # A free column's basis vector is its own representative, and the
+    # residual of b_i b_j has only free columns: its entries are the constants.
+    at, rows = {c: i for i, c in enumerate(coords)}, alg.products
     products = tuple(
-        _nonzero_products(project(alg.mul(reps[i], reps[j])) for j in range(m))
-        for i in range(m)
+        {
+            at[j]: dict(sorted((at[k], c) for k, c in rest.items()))
+            for j, y in sorted(rows[i].items())
+            if j in at and (rest := ideal.split_entries(y)[1])
+        }
+        for i in coords
     )
     unit = project(alg.unit) if alg.unit is not None else None
     q = Algebra.from_products(
-        alg.p, m, products, unit=unit, check=True, name=f"{alg.name or 'algebra'}/ideal"
+        alg.p, len(coords), products, unit=unit, check=True, name=f"{alg.name or 'algebra'}/ideal"
     )
     proj = LinMap.from_images(
         alg.space(), q.space(), [project(alg.basis_vector(i)) for i in range(alg.dim)]

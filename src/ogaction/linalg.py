@@ -173,6 +173,25 @@ class Subspace:
                     w[j] = (w[j] - c * x) % p
         return tuple(w)
 
+    @functools.cached_property
+    def _row_of(self) -> dict[int, int]:
+        return {piv: k for k, piv in enumerate(self.pivots)}
+
+    def split_entries(self, y: dict[int, int]) -> tuple[list[tuple[int, int]], dict[int, int]]:
+        """The non-zero coordinates (row, c), in basis order, and the non-zero
+        residual entries of a sparse vector y (column -> non-zero residue).
+        In RREF each pivot column is 1 in its own row and 0 in every other,
+        so y - sum_k c_k row_k vanishes on the pivots exactly when c_k is y's
+        pivot entry: the coordinates are read off y, and y lies in the
+        subspace iff the residual is empty."""
+        row_of, p = self._row_of, self.p
+        coords = sorted((row_of[j], c) for j, c in y.items() if j in row_of)
+        rest = {j: c for j, c in y.items() if j not in row_of}
+        for k, c in coords:
+            for col, x in self.entries[k][1:]:
+                rest[col] = rest.get(col, 0) - c * x
+        return coords, {j: c % p for j, c in rest.items() if c % p}
+
     def contains(self, v: Sequence[int]) -> bool:
         """v's residual on a coordinate subspace is v off the pivots, so v is
         inside exactly when its free entries are 0 mod p."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .actions import Action, _translated, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
@@ -39,6 +39,15 @@ class SkewRing:
         return tuple(out)
 
 
+def _sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]], p: int) -> dict[int, int]:
+    """The non-zero residues of sum c * x e_m over terms (c, entries (m, x))."""
+    out: dict[int, int] = {}
+    for c, entries in terms:
+        for m, x in entries:
+            out[m] = out.get(m, 0) + c * x
+    return {m: x % p for m, x in out.items() if x % p}
+
+
 def build_skew(a: Action) -> SkewRing:
     """Skew ring of a validated action; grading recorded per basis vector."""
     a.require_valid("skew ring needs a valid action")
@@ -46,43 +55,39 @@ def build_skew(a: Action) -> SkewRing:
     ranks = [a.ideal_of[g].rank for g in ix.grades]
     *offsets, dim = accumulate(ranks, initial=0)
     grading = tuple(g for g, r in zip(ix.grades, ranks) for _ in range(r))
-    carrier = a.carrier
+    rows, p = a.carrier.products, a.carrier.p
 
     # Per grade g, each basis column of each grade h that g composes with,
     # in column order, so the first failure raised is the first in
     # row-major order.
-    columns: list[list[tuple[int, int, int, Vector]]] = [[] for _ in ix.grades]
+    columns: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in ix.grades]
     for g, h, gh in ix.products():
-        columns[g].extend((h, gh, offsets[h] + k, vh) for k, vh in enumerate(a.ideal_of[h].basis))
+        columns[g].extend((h, gh, offsets[h] + k, vh) for k, vh in enumerate(a.ideal_of[h].entries))
 
     products = []
-    for g in ix.grades:
+    for g, alpha in zip(ix.grades, a.map_of):
         # alpha_{g^-1} has the grade's ideal as its domain: its images are
         # the twisted basis vectors, in basis order.
-        for twisted in a.map_of[ix.inv[g]].images:
+        for twisted in a.map_of[ix.inv[g]]._image_entries:
             row = {}
             for h, gh, col, vh in columns[g]:
-                y = carrier.mul(twisted, vh)
-                # One elimination per step: a vector outside the subspace
-                # makes the coordinate read raise ValueError.
-                try:
-                    z = a.map_of[g].apply(y)
-                except ValueError:
+                y = _sparse_sum(
+                    ((x * w, kc.items()) for i, x in twisted for j, w in vh if (kc := rows[i].get(j))), p
+                )
+                coords, rest = alpha.domain.split_entries(y)
+                if rest:
+                    raise InvalidAction(f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain")
+                z = _sparse_sum(((c, alpha._image_entries[k]) for k, c in coords), p)
+                coords, rest = a.ideal_of[gh].split_entries(z)
+                if rest:
                     raise InvalidAction(
-                        f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain"
-                    ) from None
-                try:
-                    coords = a.ideal_of[gh].coordinates_of(z)
-                except ValueError:
-                    raise InvalidAction(
-                        f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade "
-                        f"{ix.names[gh]}"
-                    ) from None
-                kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
+                        f"twisted product at ({ix.names[g]},{ix.names[h]}) escapes grade {ix.names[gh]}"
+                    )
+                kc = {offsets[gh] + k: c for k, c in coords}
                 if kc:
                     row[col] = kc
             products.append(row)
-    alg = Algebra.from_products(carrier.p, dim, tuple(products), check=False, name="skew ring")
+    alg = Algebra.from_products(p, dim, tuple(products), check=False, name="skew ring")
     return SkewRing(a, alg, grading, tuple(offsets))
 
 

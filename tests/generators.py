@@ -10,8 +10,8 @@ and ordered by construction; tests still validate every instance.
 from array import array
 from itertools import combinations, permutations
 
-from ogaction.actions import POAction
-from ogaction.algebras import diagonal_algebra
+from ogaction.actions import Action, POAction
+from ogaction.algebras import Algebra, diagonal_algebra
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
 from ogaction.semigroups import InverseSemigroup
@@ -215,6 +215,29 @@ def random_monotone_family(rng, beta, coords_by_object):
         index[obj]: _coord_span(cols, beta.carrier.dim, beta.carrier.p)
         for obj, cols in chosen.items()
     }
+
+
+def rebased_action(a, rows):
+    """a moved along T(x) = x P, P with the given rows (invertible): the
+    carrier gets the constants T(T^-1(e_i) T^-1(e_j)), each ideal D becomes
+    T(D) and each map f becomes T f T^-1, so T is an isomorphism of actions.
+    The moved ideals are in general not coordinate subspaces."""
+    alg, n, p = a.carrier, a.carrier.dim, a.carrier.p
+    full = Subspace.full(n, p)
+    move = LinMap.from_images(full, full, rows)
+    back = move.inverse()
+    table = [[move.apply(alg.mul(back.apply(u), back.apply(v))) for v in full.basis] for u in full.basis]
+    unit = move.apply(alg.unit) if alg.unit is not None else None
+    carrier = Algebra(p, n, table, unit=unit, name=f"{alg.name}~rebased")
+
+    def moved(sub):
+        return Subspace.span(n, [move.apply(v) for v in sub.basis], p)
+
+    maps = []
+    for f in a.map_of:
+        dom = moved(f.domain)
+        maps.append(LinMap.from_images(dom, moved(f.codomain), [move.apply(f.apply(back.apply(v))) for v in dom.basis]))
+    return Action(a.structure, carrier, [moved(d) for d in a.ideal_of], maps, name=f"{a.name}~rebased")
 
 
 def symmetric_inverse_monoid(n):

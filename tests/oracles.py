@@ -11,7 +11,9 @@ semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
 reading.  The scaffolding section forms a built globalization's
 translations and embeddings by elimination, as the library did before it
-wrote the block spans and 0/1 matrices down.  The Morita section keeps the
+wrote the block spans and 0/1 matrices down.  The skew section forms the
+skew ring's and a quotient's structure constants one basis pair at a time,
+as the library did before it read them from sparse entries.  The Morita section keeps the
 MOR(compat) clause as the loop over module triples that the library ran
 before it read the clause from the quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
@@ -32,6 +34,7 @@ from ogaction.actions import InvSgpAction
 from ogaction.algebras import SubringIdentity
 from ogaction.errors import (
     AmbientMismatch,
+    InvalidAction,
     InvalidGroupoid,
     NotBelowDomain,
     NotBelowRange,
@@ -205,6 +208,67 @@ def subalgebra_products(alg, sub):
                 row[j] = kc
         out.append(row)
     return tuple(out)
+
+
+# -- retained dense skew ring and quotient constants -------------------------
+#
+# Both form every basis product with `Algebra.mul`, one pair at a time, and
+# read it with the dense kernel below.
+
+
+def skew_products(a):
+    """The skew ring's constants: for u in the ideal of g and v in the ideal
+    of each h that g composes with, alpha_g(alpha_{g^-1}(u) v) in the ideal
+    of gh's coordinates, offset by gh's block; raises `InvalidAction` at the
+    first product, in row-major order, outside alpha_g's domain or gh's ideal."""
+    ix = a.index
+    offsets = [sum(a.ideal_of[k].rank for k in ix.grades[:g]) for g in ix.grades]
+    columns = [[] for _ in ix.grades]
+    for g, h, gh in ix.products():
+        columns[g].extend((h, gh, offsets[h] + k, v) for k, v in enumerate(a.ideal_of[h].basis))
+    products = []
+    for g in ix.grades:
+        for u in a.map_of[ix.inv[g]].domain.basis:
+            twisted = apply(a.map_of[ix.inv[g]], u)
+            row = {}
+            for h, gh, col, v in columns[g]:
+                where = f"twisted product at ({ix.names[g]},{ix.names[h]})"
+                y = a.carrier.mul(twisted, v)
+                try:
+                    z = apply(a.map_of[g], y)
+                except ValueError:
+                    raise InvalidAction(f"{where} leaves its domain") from None
+                try:
+                    coords = coordinates_of(a.ideal_of[gh], z)
+                except ValueError:
+                    raise InvalidAction(f"{where} escapes grade {ix.names[gh]}") from None
+                kc = {offsets[gh] + k: c for k, c in enumerate(coords) if c}
+                if kc:
+                    row[col] = kc
+            products.append(row)
+    return tuple(products)
+
+
+def quotient_constants(alg, ideal):
+    """The constants of alg modulo an ideal on its pivot-free columns, and the
+    projection matrix: each product of free basis vectors, and each basis
+    vector, reduced against the ideal and read at the free columns."""
+    free = [c for c in range(alg.dim) if c not in ideal.pivots]
+
+    def project(v):
+        w = reduce(ideal, v)
+        return tuple(w[c] for c in free)
+
+    products = []
+    for i in free:
+        row = {}
+        for j, c in enumerate(free):
+            w = project(alg.mul(alg.basis_vector(i), alg.basis_vector(c)))
+            kc = {k: x for k, x in enumerate(w) if x}
+            if kc:
+                row[j] = kc
+        products.append(row)
+    return tuple(products), tuple(project(alg.basis_vector(i)) for i in range(alg.dim))
 
 
 # -- retained Morita compatibility loop -------------------------------------
