@@ -32,10 +32,9 @@ from .errors import (
 from .linalg import (
     LinMap,
     Matrix,
-    PrimeModulus,
     Subspace,
     Vector,
-    as_modulus,
+    check_prime,
     express,
     vec,
     zero_vec,
@@ -78,7 +77,7 @@ class Algebra:
 
     def __init__(
         self,
-        modulus: PrimeModulus | int,
+        modulus: int,
         dim: int,
         table: Sequence[Sequence[Sequence[int]]],
         unit: Optional[Sequence[int]] = None,
@@ -86,13 +85,13 @@ class Algebra:
         name: str = "",
     ):
         """From a dense table: table[i][j] is the coefficient vector of b_i * b_j."""
-        p = as_modulus(modulus).p
-        self._setup(modulus, int(dim), _products_of_table(table, int(dim), p), unit, check, name)
+        p = check_prime(modulus)
+        self._setup(p, int(dim), _products_of_table(table, int(dim), p), unit, check, name)
 
     @classmethod
     def from_products(
         cls,
-        modulus: PrimeModulus | int,
+        modulus: int,
         dim: int,
         products: Products,
         unit: Optional[Sequence[int]] = None,
@@ -105,8 +104,7 @@ class Algebra:
         return alg
 
     def _setup(self, modulus, dim: int, products: Products, unit, check: bool, name: str) -> None:
-        self.modulus = as_modulus(modulus)
-        self.p = self.modulus.p
+        self.p = check_prime(modulus)
         self.dim = dim
         self.products = products
         self.unit: Optional[Vector] = vec(unit, self.p) if unit is not None else None
@@ -572,8 +570,8 @@ def subalgebra_on(alg: Algebra, sub: Subspace, name: str = "") -> SubalgebraResu
     return SubalgebraResult(small, incl)
 
 
-def diagonal_algebra(p: PrimeModulus | int, n: int, name: str = "") -> Algebra:
+def diagonal_algebra(p: int, n: int, name: str = "") -> Algebra:
     """F_p^n with the pointwise product."""
-    mod = as_modulus(p)
+    p = check_prime(p)
     products = tuple({i: {i: 1}} for i in range(n))
-    return Algebra.from_products(mod, n, products, unit=(1,) * n, name=name or f"F{mod.p}^{n}")
+    return Algebra.from_products(p, n, products, unit=(1,) * n, name=name or f"F{p}^{n}")

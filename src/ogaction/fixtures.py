@@ -1,6 +1,6 @@
 """Golden fixtures: the small ordered groupoids, inverse semigroups, and
-actions that exercise every construction at desk scale.  All carriers are
-pointwise products of prime fields with p = 5 unless stated."""
+actions the fixture corpus (`corpus.py`) is built from.  All carriers are
+over the prime field with p = 5."""
 
 from __future__ import annotations
 
@@ -60,11 +60,6 @@ def pointed_arrow_global_action() -> Action:
     maps[idx["d_s"]] = LinMap.identity(span12)
     maps[idx["e_min"]] = LinMap.identity(span2)
     return Action(g, b, tuple(ideals), tuple(maps), name="block swap")
-
-
-def pointed_arrow_restriction_ideal() -> Subspace:
-    """The two-block ideal the swap action is restricted to."""
-    return Subspace.span(3, [[0, 1, 0], [0, 0, 1]], P)
 
 
 def pointed_arrow_partial_action() -> Action:
@@ -196,13 +191,6 @@ def chain_semilattice_action() -> Action:
     return Action(s, a, ideals, maps, name="trivial semilattice action")
 
 
-def symmetric_monoid_i1() -> InverseSemigroup:
-    """The symmetric inverse monoid on one point: an identity and a zero."""
-    names = ["one", "zero"]
-    table = [[0, 1], [1, 1]]
-    return InverseSemigroup(names, table)
-
-
 def dual_numbers() -> Algebra:
     """F5[x]/(x^2): a unit and a square-zero generator."""
     table = [
@@ -227,78 +215,3 @@ def nilpotent_edge_action() -> Action:
     ideals = (full, nil)
     maps = (LinMap.identity(full), LinMap.identity(nil))
     return Action(s, a, ideals, maps, name="square-zero edge")
-
-
-def nilpotent_edge_po_action() -> Action:
-    """The same data over the trivially ordered one-object group."""
-    g = OrderedGroupoid.from_parts(
-        ["one", "t"],
-        ["one"],
-        {"one": "one", "t": "t"},
-        [("one", "one", "one"), ("t", "t", "one"), ("one", "t", "t"), ("t", "one", "t")],
-        [],
-    )
-    a = dual_numbers()
-    full = a.space()
-    nil = Subspace.span(2, [[0, 1]], P)
-    return Action(
-        g,
-        a,
-        (full, nil),
-        (LinMap.identity(full), LinMap.identity(nil)),
-        name="square-zero edge (groupoid form)",
-    )
-
-
-def multiplier_twist_algebra() -> Algebra:
-    """Non-unital dim-3 carrier: v*w2 = w2*v = w1, every other product zero.
-    The span of w1, w2 is a zero-multiplication ideal."""
-    z = (0, 0, 0)
-    table = [[z, z, z], [z, z, (1, 0, 0)], [z, (1, 0, 0), z]]
-    return Algebra(P, 3, table, name="multiplier twist")
-
-
-def zero_ring_swap_action() -> Action:
-    """Regression fixture: a valid non-unital action whose skew ring is not
-    associative.  The order-2 group swaps the two zero-multiplying
-    coordinates, which no multiplier of the carrier can follow."""
-    g = OrderedGroupoid.from_parts(
-        ["one", "t"],
-        ["one"],
-        {"one": "one", "t": "t"},
-        [("one", "one", "one"), ("t", "t", "one"), ("one", "t", "t"), ("t", "one", "t")],
-        [],
-    )
-    a = multiplier_twist_algebra()
-    full = a.space()
-    flat = Subspace.span(3, [[1, 0, 0], [0, 1, 0]], P)
-    swap = LinMap.from_images(flat, flat, [[0, 1, 0], [1, 0, 0]])
-    return Action(
-        g, a, (full, flat), (LinMap.identity(full), swap), name="zero-ring swap"
-    )
-
-
-def zero_product_point() -> Action:
-    """A valid action that is not even preunital: the carrier is a one
-    dimensional zero-multiplication ring under the trivial group."""
-    g = OrderedGroupoid.from_parts(
-        ["one"], ["one"], {"one": "one"}, [("one", "one", "one")], []
-    )
-    a = Algebra(P, 1, [[(0,)]], name="zero line")
-    full = a.space()
-    return Action(g, a, (full,), (LinMap.identity(full),), name="zero line point")
-
-
-def matrix_units_f2() -> Algebra:
-    """2x2 matrix units over F2; simple, noncommutative."""
-    names = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    table = []
-    for (a, b) in names:
-        row = []
-        for (c, d) in names:
-            out = [0, 0, 0, 0]
-            if b == c:
-                out[names.index((a, d))] = 1
-            row.append(out)
-        table.append(row)
-    return Algebra(2, 4, table, unit=[1, 0, 0, 1], name="matrix units")

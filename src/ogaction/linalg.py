@@ -33,21 +33,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A prime p with 2 <= p <= 2**31, checked at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not (2 <= self.p <= 2**31):
-            raise ValueError(f"modulus {self.p} out of range [2, 2^31]")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-
-def as_modulus(p: "PrimeModulus | int") -> PrimeModulus:
-    return p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))
+def check_prime(p: int) -> int:
+    """p as an int, checked to be a prime with 2 <= p <= 2**31."""
+    p = int(p)
+    if not (2 <= p <= 2**31):
+        raise ValueError(f"modulus {p} out of range [2, 2^31]")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 def vec(values: Iterable[int], p: int) -> Vector:
@@ -113,8 +106,8 @@ class Subspace:
     basis: Matrix
 
     @staticmethod
-    def span(dim: int, vectors: Iterable[Sequence[int]], p: "PrimeModulus | int") -> "Subspace":
-        p = as_modulus(p).p
+    def span(dim: int, vectors: Iterable[Sequence[int]], p: int) -> "Subspace":
+        p = check_prime(p)
         rows = [list(v) for v in vectors]
         for row in rows:
             if len(row) != dim:
@@ -122,12 +115,12 @@ class Subspace:
         return Subspace(dim, p, rref(rows, p))
 
     @staticmethod
-    def zero(dim: int, p: "PrimeModulus | int") -> "Subspace":
-        return Subspace(dim, as_modulus(p).p, ())
+    def zero(dim: int, p: int) -> "Subspace":
+        return Subspace(dim, check_prime(p), ())
 
     @staticmethod
-    def full(dim: int, p: "PrimeModulus | int") -> "Subspace":
-        return Subspace(dim, as_modulus(p).p, _unit_rows(dim))
+    def full(dim: int, p: int) -> "Subspace":
+        return Subspace(dim, check_prime(p), _unit_rows(dim))
 
     @property
     def rank(self) -> int:
@@ -273,7 +266,7 @@ class Subspace:
         return other.contains_subspace(self)
 
 
-def span(dim: int, vectors: Iterable[Sequence[int]], p: "PrimeModulus | int") -> Subspace:
+def span(dim: int, vectors: Iterable[Sequence[int]], p: int) -> Subspace:
     return Subspace.span(dim, vectors, p)
 
 

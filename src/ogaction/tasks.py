@@ -203,8 +203,10 @@ def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
     for key, matrix in listed.items():
         if key not in index:
             raise WorkspaceError(f"unknown object {key!r} in embeddings")
-        e = index[key]
-        embeddings[e] = LinMap(a.ideal_of[e], b.ideal_of[e], _rows(t, "embeddings", matrix))
+        e, rows = index[key], _rows(t, "embeddings", matrix)
+        # Over another groupoid the checklist stops at GLOB(valid) and reads no embedding.
+        if b.structure == a.structure:
+            embeddings[e] = LinMap(a.ideal_of[e], b.ideal_of[e], rows)
     gl = as_globalization(a, b, embeddings, minimal=_flag(t, "minimal"))
     rep = verify_globalization(gl)
     return rep.clauses(), {"carrier_dim": b.carrier.dim}

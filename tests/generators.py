@@ -7,9 +7,12 @@ or double a component along the order.  The resulting actions are global
 and ordered by construction; tests still validate every instance.
 """
 
+import inspect
 from array import array
 from itertools import combinations, permutations
 
+import extra_fixtures as xf
+from ogaction import fixtures as fx
 from ogaction.actions import Action, POAction
 from ogaction.algebras import Algebra, diagonal_algebra
 from ogaction.groupoids import OrderedGroupoid
@@ -264,3 +267,14 @@ def symmetric_inverse_monoid(n):
     ]
     names = ["s" + "".join("_" if y is None else str(y) for y in f) for f in elems]
     return InverseSemigroup(names, mult)
+
+
+def fixture_builders():
+    """(label, builder) for every zero-argument builder of `ogaction.fixtures`
+    (label "fx.<name>") and of `extra_fixtures` ("xf.<name>"), in name order."""
+    found = []
+    for alias, module in (("fx", fx), ("xf", xf)):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not inspect.signature(fn).parameters:
+                found.append((name, f"{alias}.{name}", fn))
+    return [(label, fn) for _, label, fn in sorted(found)]

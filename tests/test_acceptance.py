@@ -37,6 +37,7 @@ from ogaction.skew import (
     morita_context,
 )
 
+import extra_fixtures as xf
 from generators import random_global_action, random_ideal, random_monotone_family
 from test_globalization import inclusion_globalization
 
@@ -55,7 +56,7 @@ def arrow_index(g):
 def test_criterion_01_standard_restriction_dimensions():
     start = time.time()
     beta = fx.pointed_arrow_global_action()
-    alpha = standard_restriction(beta, fx.pointed_arrow_restriction_ideal())
+    alpha = standard_restriction(beta, xf.pointed_arrow_restriction_ideal())
     i = arrow_index(alpha.structure)
     dims = tuple(
         alpha.ideal_of[i[nm]].rank for nm in ["r_s", "d_s", "s", "s_inv", "e_min"]
@@ -125,8 +126,8 @@ def test_criterion_04_strong_iff_composition_law():
         fx.pointed_arrow_partial_action(),
         fx.pointed_arrow_global_action(),
         fx.stacked_involutions_action(),
-        fx.nilpotent_edge_po_action(),
-        fx.zero_ring_swap_action(),
+        xf.nilpotent_edge_po_action(),
+        xf.zero_ring_swap_action(),
     ]
     agree = all(is_strong(a) == satisfies_ps(a) for a in fixtures)
     stacked = fx.stacked_involutions_action()
@@ -172,9 +173,9 @@ def test_criterion_05_restriction_and_meet_identities():
     strong_fixtures = [
         fx.pointed_arrow_partial_action(),
         fx.pointed_arrow_global_action(),
-        fx.nilpotent_edge_po_action(),
+        xf.nilpotent_edge_po_action(),
         standard_restriction(
-            fx.pointed_arrow_global_action(), fx.pointed_arrow_restriction_ideal()
+            fx.pointed_arrow_global_action(), xf.pointed_arrow_restriction_ideal()
         ),
         build_minimal_globalization(fx.pointed_arrow_partial_action()).global_action,
     ]
@@ -214,7 +215,7 @@ def test_criterion_05_restriction_and_meet_identities():
 def test_criterion_06_esn_roundtrips():
     start = time.time()
     ok = True
-    for s in [fx.chain_semilattice(), fx.symmetric_monoid_i1(), fx.brandt_b2()]:
+    for s in [fx.chain_semilattice(), xf.symmetric_monoid_i1(), fx.brandt_b2()]:
         back = esn_to_semigroup(esn_to_groupoid(s))
         ok = ok and back.mult == s.mult
     for g in [fx.pointed_arrow_groupoid(), fx.stacked_involutions_groupoid()]:

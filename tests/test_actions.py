@@ -38,12 +38,15 @@ from ogaction.errors import (
     NotAnIdeal,
     NotGlobal,
     NotMonotone,
+    NotStrong,
 )
+from ogaction.globalize import build_minimal_globalization
 from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
 from ogaction.tasks import run_tasks
 from ogaction.workspace import load_workspace
 
+import extra_fixtures as xf
 from generators import random_global_action, random_ideal, random_monotone_family
 
 
@@ -56,8 +59,8 @@ def test_fixture_actions_validate():
         fx.pointed_arrow_global_action(),
         fx.pointed_arrow_partial_action(),
         fx.stacked_involutions_action(),
-        fx.nilpotent_edge_po_action(),
-        fx.zero_ring_swap_action(),
+        xf.nilpotent_edge_po_action(),
+        xf.zero_ring_swap_action(),
     ]:
         rep = validate_po_action(action)
         assert rep.ok, f"{action.name}: {rep}"
@@ -102,9 +105,9 @@ def test_unitality_flags():
     assert alpha.unit_vector(i["r_s"]) == (1, 1)
     stacked = fx.stacked_involutions_action()
     assert is_unital(stacked)
-    nil = fx.nilpotent_edge_po_action()
+    nil = xf.nilpotent_edge_po_action()
     assert is_preunital(nil) and not is_unital(nil)
-    assert not is_preunital(fx.zero_product_point())
+    assert not is_preunital(xf.zero_product_point())
 
 
 def test_strongness_and_composition_law_on_fixtures():
@@ -112,7 +115,7 @@ def test_strongness_and_composition_law_on_fixtures():
         (fx.pointed_arrow_partial_action(), True),
         (fx.pointed_arrow_global_action(), True),
         (fx.stacked_involutions_action(), False),
-        (fx.nilpotent_edge_po_action(), True),
+        (xf.nilpotent_edge_po_action(), True),
     ]
     for action, expected in cases:
         assert is_strong(action) == expected, action.name
@@ -121,7 +124,7 @@ def test_strongness_and_composition_law_on_fixtures():
 
 def test_standard_restriction_reproduces_the_authored_action():
     beta = fx.pointed_arrow_global_action()
-    alpha = standard_restriction(beta, fx.pointed_arrow_restriction_ideal())
+    alpha = standard_restriction(beta, xf.pointed_arrow_restriction_ideal())
     authored = fx.pointed_arrow_partial_action()
     assert alpha.carrier == authored.carrier
     assert alpha.ideal_of == authored.ideal_of
@@ -156,7 +159,7 @@ def test_standard_restriction_requires_global_and_ideal():
 
 def test_general_restriction_with_object_intersections_is_standard():
     beta = fx.pointed_arrow_global_action()
-    ideal = fx.pointed_arrow_restriction_ideal()
+    ideal = xf.pointed_arrow_restriction_ideal()
     family = {e: ideal.intersect(beta.ideal_of[e]) for e in beta.structure.objects}
     via_family = general_restriction(beta, family)
     via_ideal = standard_restriction(beta, ideal)
@@ -228,7 +231,7 @@ def test_search_enumerates_matrices_on_a_ring_without_primitive_idempotents():
     """The dual numbers F_5[x]/x^2 have one idempotent, so their two basis
     vectors have no primitive idempotent partners and the search enumerates
     all 5^4 matrices at the one object; a budget below that refuses."""
-    a = fx.nilpotent_edge_po_action()
+    a = xf.nilpotent_edge_po_action()
     res = search_equivalence(a, a)
     assert res.found and res.disproof is None
     assert verify_equivalence(a, a, res.witness)
@@ -240,7 +243,7 @@ def test_matrix_enumeration_eliminates_each_candidate_once(monkeypatch):
     """`is_ring_iso` tests invertibility itself, so the fallback does not
     test it first: 629 `rref` calls, against 1,109 when each of the 480
     invertible candidates (GL_2(F_5)) was eliminated twice."""
-    a = fx.nilpotent_edge_po_action()
+    a = xf.nilpotent_edge_po_action()
     a.require_valid()
     calls = []
     rref = linalg.rref
@@ -259,7 +262,7 @@ def test_search_exhausts_when_no_automorphism_commutes():
     automorphism x -> c x of the dual numbers would need c x = -c x, so
     each of the four enumerated candidates fails and the search ends
     without a witness or a disproof."""
-    a = fx.nilpotent_edge_po_action()
+    a = xf.nilpotent_edge_po_action()
     full, nil = a.ideal_of
     neg = LinMap(nil, nil, ((a.carrier.p - 1,),))
     c = POAction(a.structure, a.carrier, (full, nil), (a.map_of[0], neg), name="negated edge")
@@ -323,7 +326,7 @@ def test_composition_law_is_strength_plus_meet_compatibility():
 
     rng = random.Random(2024)
     seen_non_strong = 0
-    seen_strong_without_law = 0
+    strong_without_law = []
     for _ in range(60):
         beta, coords = random_global_action(rng)
         assert validate_po_action(beta).ok and is_global(beta)
@@ -334,8 +337,14 @@ def test_composition_law_is_strength_plus_meet_compatibility():
         s, ps = is_strong(partial), satisfies_ps(partial)
         assert ps == (s and meets_compatible(partial))
         seen_non_strong += not s
-        seen_strong_without_law += s and not ps
+        if s and not ps:
+            strong_without_law.append(partial)
     assert seen_non_strong >= 1
+    assert len(strong_without_law) >= 1
+    # strength alone does not let the minimal globalization through
+    for partial in strong_without_law:
+        with pytest.raises(NotStrong, match="fails the composition law along pseudoproducts"):
+            build_minimal_globalization(partial)
 
 
 def test_inv_action_fixtures_validate():
@@ -450,9 +459,9 @@ FIXTURE_ACTIONS = [
     fx.pointed_arrow_global_action,
     fx.pointed_arrow_partial_action,
     fx.stacked_involutions_action,
-    fx.nilpotent_edge_po_action,
-    fx.zero_ring_swap_action,
-    fx.zero_product_point,
+    xf.nilpotent_edge_po_action,
+    xf.zero_ring_swap_action,
+    xf.zero_product_point,
     fx.brandt_action,
     fx.chain_semilattice_action,
     fx.nilpotent_edge_action,

@@ -26,6 +26,7 @@ from ogaction.errors import (
 )
 from ogaction.linalg import LinMap, Subspace
 
+import extra_fixtures as xf
 from oracles import naive_assoc_failures, naive_ideal_closure, naive_rank
 
 F5_3 = diagonal_algebra(5, 3)
@@ -36,7 +37,7 @@ def test_pointwise_algebra_is_valid():
 
 
 def test_matrix_units_valid_against_exhaustive_oracle():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     assert validate_algebra(alg).ok
     assert naive_assoc_failures(alg.table, 2) == []
 
@@ -66,7 +67,7 @@ def test_pointwise_multiplication():
 
 
 def test_matrix_unit_relations():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     e11, e12 = alg.basis_vector(0), alg.basis_vector(1)
     assert alg.mul(e11, e12) == e12
     assert alg.mul(e12, e11) == (0, 0, 0, 0)
@@ -80,7 +81,7 @@ def test_ideal_closure_pointwise():
 
 
 def test_ideal_closure_simple_algebra_is_everything():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     closed = ideal_closure(alg, [alg.basis_vector(0)])
     assert closed.rank == 4
     oracle = naive_ideal_closure(
@@ -95,7 +96,7 @@ def test_subring_closure_pointwise():
 
 
 def test_subring_closure_matrix_units_generates_everything():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     parts = [
         Subspace.span(4, [alg.basis_vector(1)], 2),
         Subspace.span(4, [alg.basis_vector(2)], 2),
@@ -161,7 +162,7 @@ def test_identity_of_subrings():
 
 
 def test_identity_of_requires_closure():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     not_closed = Subspace.span(4, [alg.basis_vector(1), alg.basis_vector(2)], 2)
     with pytest.raises(NotMultiplicativelyClosed):
         identity_of(alg, not_closed)
@@ -178,7 +179,7 @@ def test_is_ideal():
     outer = Subspace.span(3, [(1, 0, 0), (0, 1, 0)], 5)
     assert is_ideal(F5_3, inner, outer)
     assert is_ideal(F5_3, outer, outer)
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     line = Subspace.span(4, [alg.basis_vector(0)], 2)
     assert not is_ideal(alg, line, alg.space())
     with pytest.raises(NotContained):
@@ -205,7 +206,7 @@ def test_quotient_by_zero_is_isomorphic_copy():
 
 
 def test_quotient_requires_ideal():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     line = Subspace.span(4, [alg.basis_vector(0)], 2)
     with pytest.raises(NotAnIdeal):
         quotient(alg, line)
@@ -258,7 +259,7 @@ def test_subalgebra_on_refuses_a_subspace_not_closed_under_the_product():
 
 def test_random_associativity_and_distributivity():
     rng = random.Random(5)
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     for _ in range(50):
         x = tuple(rng.randrange(2) for _ in range(4))
         y = tuple(rng.randrange(2) for _ in range(4))
@@ -272,7 +273,7 @@ def test_random_associativity_and_distributivity():
 
 def test_ideal_closure_is_minimal_fixed_point():
     rng = random.Random(9)
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     for trial in range(10):
         gens = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(1 + trial % 2)]
         closed = ideal_closure(alg, gens)

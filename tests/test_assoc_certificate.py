@@ -25,6 +25,7 @@ from ogaction.linalg import Subspace, express
 from ogaction.skew import build_ordered_skew, build_skew, check_skew_associative
 from ogaction.workspace import dump_workspace_doc, load_workspace
 
+import extra_fixtures as xf
 from generators import symmetric_inverse_monoid
 from oracles import naive_assoc_failures
 
@@ -72,8 +73,8 @@ def _fixture_rings():
         fx.brandt_action,
         fx.chain_semilattice_action,
         fx.nilpotent_edge_action,
-        fx.nilpotent_edge_po_action,
-        fx.zero_product_point,
+        xf.nilpotent_edge_po_action,
+        xf.zero_product_point,
     ):
         s = build_skew(make())
         assert check_skew_associative(s).ok

@@ -16,7 +16,6 @@ inverse broken, and on groupoids and semigroups with one adjoined element
 that is their only bad middle factor.
 """
 
-import inspect
 import random
 from itertools import permutations
 
@@ -32,7 +31,7 @@ from ogaction.groupoids import OrderedGroupoid, _closure, light_certificate
 from ogaction.semigroups import GradedIndex, InverseSemigroup, esn_to_groupoid, esn_to_semigroup
 from ogaction.validation import ValidationReport
 
-from generators import random_global_action, symmetric_inverse_monoid
+from generators import fixture_builders, random_global_action, symmetric_inverse_monoid
 
 # The retained is_pseudoassociative scan costs about 3 n^3 unindexed
 # pseudoproducts; above this many arrows it is left out.
@@ -52,20 +51,15 @@ def outcome(fn, *args):
 
 
 def _fixture_structures():
-    """Every groupoid and semigroup the fixtures module builds, directly or
-    under one of its actions."""
+    """Every groupoid and semigroup the fixture builders build, directly or
+    under one of their actions."""
     found = []
-    for name in sorted(dir(fx)):
-        fn = getattr(fx, name)
-        if not inspect.isfunction(fn) or fn.__module__ != fx.__name__:
-            continue
-        if inspect.signature(fn).parameters:
-            continue
+    for label, fn in fixture_builders():
         made = fn()
         if isinstance(made, Action):
             made = made.structure
         if isinstance(made, (OrderedGroupoid, InverseSemigroup)):
-            found.append((f"fx.{name}", made))
+            found.append((label, made))
     return found
 
 

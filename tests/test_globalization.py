@@ -17,8 +17,8 @@ from ogaction.actions import (
     standard_restriction,
     validate_po_action,
 )
-from ogaction.algebras import local_units_witness
-from ogaction.errors import NotPreunital, NotStrong, NotUnital, WorkbenchError
+from ogaction.algebras import diagonal_algebra, local_units_witness
+from ogaction.errors import NotPreunital, NotPseudoassociative, NotStrong, NotUnital, WorkbenchError
 from ogaction.globalize import (
     Globalization,
     as_globalization,
@@ -28,9 +28,11 @@ from ogaction.globalize import (
     semigroup_checklist,
     verify_globalization,
 )
+from ogaction.groupoids import OrderedGroupoid
 from ogaction.linalg import LinMap, Subspace
 from ogaction.semigroups import InverseSemigroup
 
+import extra_fixtures as xf
 from oracles import globalization_scaffolding, glob_restr_report, verify_semigroup_globalization
 
 
@@ -41,7 +43,7 @@ def idx(g):
 def inclusion_globalization():
     """The original block swap as a globalization of its restriction."""
     beta = fx.pointed_arrow_global_action()
-    ideal = fx.pointed_arrow_restriction_ideal()
+    ideal = xf.pointed_arrow_restriction_ideal()
     alpha = standard_restriction(beta, ideal)
     emb = {}
     for e in sorted(beta.structure.objects):
@@ -133,10 +135,33 @@ def test_globalizing_a_global_action_restricts_back_to_itself():
 
 
 def test_non_unital_action_is_rejected():
-    nil = fx.nilpotent_edge_po_action()
+    nil = xf.nilpotent_edge_po_action()
     with pytest.raises(NotUnital) as info:
         build_globalization(nil)
     assert info.value.arrow is not None
+
+
+def unmet_pair_action():
+    """The trivial action on F_5 of the objects-only groupoid on the poset
+    e0, e1 < e2, e3: e2 and e3 have two maximal lower bounds and no meet."""
+    names = ["e0", "e1", "e2", "e3"]
+    order = [(low, high) for low in names[:2] for high in names[2:]]
+    objects_only = [(e, e, e) for e in names]
+    g = OrderedGroupoid.from_parts(names, names, {e: e for e in names}, objects_only, order)
+    line = diagonal_algebra(5, 1, name="line")
+    full = line.space()
+    return Action(g, line, (full,) * 4, (LinMap.identity(full),) * 4, name="unmet pair")
+
+
+def test_minimal_globalization_refuses_a_groupoid_that_is_not_pseudoassociative():
+    """Valid, strong and with the composition law, so only the groupoid
+    stops the minimal construction; the full one does not need it."""
+    a = unmet_pair_action()
+    assert a.validate().ok and is_strong(a) and satisfies_ps(a)
+    assert not a.structure.is_pseudoassociative()
+    with pytest.raises(NotPseudoassociative, match="needs a pseudoassociative groupoid"):
+        build_minimal_globalization(a)
+    assert verify_globalization(build_globalization(a)).ok
 
 
 def test_corrupting_the_global_map_fails_the_intertwining_clause():

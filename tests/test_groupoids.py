@@ -4,6 +4,7 @@ from ogaction import fixtures as fx
 from ogaction.errors import InvalidGroupoid, NotBelowDomain, NotBelowRange
 from ogaction.groupoids import OrderedGroupoid, validate_groupoid, validate_order
 
+import extra_fixtures as xf
 import oracles
 
 
@@ -157,7 +158,7 @@ def test_pseudoassociativity():
     assert one_arrow().is_pseudoassociative()
     assert fx.pointed_arrow_groupoid().is_pseudoassociative()
     assert fx.stacked_involutions_groupoid().is_pseudoassociative()
-    assert fx.nilpotent_edge_po_action().structure.is_pseudoassociative()
+    assert xf.nilpotent_edge_po_action().structure.is_pseudoassociative()
 
 
 def test_inductive_fixtures():
@@ -184,7 +185,7 @@ def test_down_range_sets():
     assert names(g.down_range_set(i["s_inv"])) == {"s_inv", "d_s", "e_min"}
     for a in g.arrows():
         assert g.down_range_set(a) == g.down_range_set(g.ran[a])
-    triv = fx.nilpotent_edge_po_action().structure
+    triv = xf.nilpotent_edge_po_action().structure
     for a in triv.arrows():
         assert set(triv.down_range_set(a)) == {
             h for h in triv.arrows() if triv.ran[h] == triv.ran[a]
@@ -198,7 +199,7 @@ def test_pseudo_composable_sets():
     st = fx.stacked_involutions_groupoid()
     i = idx(st)
     assert st.pseudo_composable_set(i["n1"]) == tuple(st.arrows())
-    triv = fx.nilpotent_edge_po_action().structure
+    triv = xf.nilpotent_edge_po_action().structure
     for a in triv.arrows():
         assert set(triv.pseudo_composable_set(a)) == {
             h for h in triv.arrows() if triv.ran[h] == triv.ran[a]

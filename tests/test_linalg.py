@@ -6,8 +6,8 @@ from ogaction import linalg
 from ogaction.errors import AmbientMismatch
 from ogaction.linalg import (
     LinMap,
-    PrimeModulus,
     Subspace,
+    check_prime,
     compose_partial,
     express,
     intersect_subspaces,
@@ -19,15 +19,15 @@ from ogaction.linalg import (
 from oracles import naive_rank, span_members
 
 
-def test_prime_modulus_accepts_primes():
-    assert PrimeModulus(2).p == 2
-    assert PrimeModulus(2**31 - 1).p == 2**31 - 1
+def test_check_prime_accepts_primes():
+    assert check_prime(2) == 2
+    assert check_prime(2**31 - 1) == 2**31 - 1
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 9, 2**31 + 1, 15])
-def test_prime_modulus_rejects(bad):
+def test_check_prime_rejects(bad):
     with pytest.raises(ValueError):
-        PrimeModulus(bad)
+        check_prime(bad)
 
 
 def test_the_trial_division_runs_once_per_modulus():

@@ -14,7 +14,6 @@ values and the same exceptions on every subspace and map the fixtures and
 non-invertible maps, and on drawn matrices.
 """
 
-import inspect
 import random
 
 import pytest
@@ -22,13 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ogaction import fixtures as fx
 from ogaction.actions import Action
 from ogaction.algebras import Algebra
 from ogaction.errors import AmbientMismatch
 from ogaction.linalg import LinMap, Subspace, express, kernel, partial_inverse, rref, split_rows
 
-from generators import random_global_action, random_ideal, random_monotone_family
+from generators import fixture_builders, random_global_action, random_ideal, random_monotone_family
 
 
 def outcome(fn, *args):
@@ -51,12 +49,7 @@ def _collect():
     """(subspaces, maps) built by the fixtures and the generators, with a
     skewed copy of each and the zero and full space of each ambient."""
     subs, maps = [], []
-    for name in sorted(dir(fx)):
-        fn = getattr(fx, name)
-        if not inspect.isfunction(fn) or fn.__module__ != fx.__name__:
-            continue
-        if inspect.signature(fn).parameters:
-            continue
+    for _, fn in fixture_builders():
         made = fn()
         if isinstance(made, Action):
             subs += [made.carrier.space(), *made.ideal_of]

@@ -19,6 +19,7 @@ from ogaction.semigroups import (
     verify_premorphism,
 )
 
+import extra_fixtures as xf
 from generators import symmetric_inverse_monoid
 import oracles
 
@@ -106,14 +107,14 @@ def test_esn_brandt_to_groupoid():
 
 
 def test_esn_symmetric_monoid_on_a_point():
-    s = fx.symmetric_monoid_i1()
+    s = xf.symmetric_monoid_i1()
     g = esn_to_groupoid(s)
     assert len(g.objects) == 2
     assert g.le(1, 0) and not g.le(0, 1)
 
 
 def test_esn_roundtrip_from_semigroups():
-    for s in [fx.chain_semilattice(), fx.symmetric_monoid_i1(), fx.brandt_b2()]:
+    for s in [fx.chain_semilattice(), xf.symmetric_monoid_i1(), fx.brandt_b2()]:
         back = esn_to_semigroup(esn_to_groupoid(s))
         assert back.mult == s.mult
         assert back.names == s.names
@@ -257,7 +258,7 @@ def test_scaled_map_fails_order_preservation():
 
 def _round_trip_semigroups():
     """The fixture and corpus semigroups and I_2..I_4, each fresh."""
-    made = [fx.chain_semilattice(), fx.symmetric_monoid_i1(), fx.brandt_b2()]
+    made = [fx.chain_semilattice(), xf.symmetric_monoid_i1(), fx.brandt_b2()]
     made += [fx.nilpotent_edge_semigroup()]
     return made + [symmetric_inverse_monoid(n) for n in (2, 3, 4)]
 
@@ -266,7 +267,7 @@ def _round_trip_groupoids():
     """The fixture and corpus groupoids and the ESN groupoids of I_2..I_4,
     whose source semigroups are gone."""
     made = [fx.pointed_arrow_groupoid(), fx.stacked_involutions_groupoid()]
-    made += [fx.nilpotent_edge_po_action().structure]
+    made += [xf.nilpotent_edge_po_action().structure]
     return made + [esn_to_groupoid(symmetric_inverse_monoid(n)) for n in (2, 3, 4)]
 
 

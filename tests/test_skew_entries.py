@@ -31,6 +31,7 @@ from ogaction.skew import build_ordered_skew, build_skew, check_skew_associative
 from ogaction.validation import ValidationReport
 from ogaction.workspace import dump_workspace_doc, load_workspace
 
+import extra_fixtures as xf
 import oracles
 from generators import rebased_action
 
@@ -63,9 +64,9 @@ FIXTURES = (
     fx.brandt_action,
     fx.chain_semilattice_action,
     fx.nilpotent_edge_action,
-    fx.nilpotent_edge_po_action,
-    fx.zero_product_point,
-    fx.zero_ring_swap_action,
+    xf.nilpotent_edge_po_action,
+    xf.zero_product_point,
+    xf.zero_ring_swap_action,
 )
 
 

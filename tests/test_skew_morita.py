@@ -44,6 +44,7 @@ from ogaction.tasks import run_task
 from ogaction.validation import ValidationReport
 from ogaction.workspace import load_workspace
 
+import extra_fixtures as xf
 from oracles import naive_ideal_closure, naive_rank
 from test_globalization import inclusion_globalization
 
@@ -151,7 +152,7 @@ def test_unital_fixtures_have_associative_skew_rings():
 
 
 def test_nonassociative_regression_fixture():
-    action = fx.zero_ring_swap_action()
+    action = xf.zero_ring_swap_action()
     assert validate_po_action(action).ok
     assert not is_unital(action)
     sk = build_skew(action)
@@ -182,7 +183,7 @@ def test_the_skew_ring_keeps_its_associator_report(monkeypatch):
 
 
 def test_trivially_ordered_actions_have_zero_identification_ideal():
-    o = build_ordered_skew(build_skew(fx.nilpotent_edge_po_action()))
+    o = build_ordered_skew(build_skew(xf.nilpotent_edge_po_action()))
     assert o.n_ideal.rank == 0
     assert o.quotient.dim == o.skew.algebra.dim
 
@@ -238,7 +239,7 @@ def test_skew_unit_of_the_restricted_swap():
 
 
 def test_skew_unit_of_a_preunital_non_unital_action():
-    o = build_ordered_skew(build_skew(fx.nilpotent_edge_po_action()))
+    o = build_ordered_skew(build_skew(xf.nilpotent_edge_po_action()))
     unit = skew_unit(o)
     q = o.quotient
     for i in range(q.dim):
@@ -247,7 +248,7 @@ def test_skew_unit_of_a_preunital_non_unital_action():
 
 
 def test_skew_unit_requires_preunital_anchors():
-    o = build_ordered_skew(build_skew(fx.zero_product_point()))
+    o = build_ordered_skew(build_skew(xf.zero_product_point()))
     with pytest.raises(NotPreunital):
         skew_unit(o)
 
@@ -294,7 +295,7 @@ def test_morita_context_of_a_global_action_with_itself():
 
 
 def test_morita_requires_a_unital_base():
-    nil = fx.nilpotent_edge_po_action()
+    nil = xf.nilpotent_edge_po_action()
     gl = as_globalization(
         nil,
         nil,

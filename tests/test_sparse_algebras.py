@@ -49,6 +49,7 @@ from ogaction.skew import (
 )
 from ogaction.workspace import algebra_to_json
 
+import extra_fixtures as xf
 from generators import random_global_action, random_ideal, random_monotone_family
 from oracles import naive_assoc_failures, naive_mul
 
@@ -92,9 +93,9 @@ def _algebras_built(monkeypatch):
         fx.pointed_arrow_global_action(),
         fx.pointed_arrow_partial_action(),
         fx.stacked_involutions_action(),
-        fx.nilpotent_edge_po_action(),
-        fx.zero_ring_swap_action(),
-        fx.zero_product_point(),
+        xf.nilpotent_edge_po_action(),
+        xf.zero_ring_swap_action(),
+        xf.zero_product_point(),
         fx.brandt_action(),
         fx.chain_semilattice_action(),
         fx.nilpotent_edge_action(),
@@ -109,11 +110,11 @@ def _algebras_built(monkeypatch):
         ]
     for a in actions:
         _build_everything(a)
-    for alg in (fx.dual_numbers(), fx.multiplier_twist_algebra(), fx.matrix_units_f2()):
+    for alg in (fx.dual_numbers(), xf.multiplier_twist_algebra(), xf.matrix_units_f2()):
         quotient(alg, ideal_closure(alg, [alg.basis_vector(alg.dim - 1)]))
         product_ring(alg, 3)
     # Rings derived from non-associative ones, refused at construction.
-    skew = build_skew(fx.zero_ring_swap_action()).algebra
+    skew = build_skew(xf.zero_ring_swap_action()).algebra
     bent = Algebra(5, 2, [[(0, 1), (0, 0)], [(1, 0), (0, 0)]], check=False, name="bent")
     for derive in (lambda: product_ring(bent, 3), lambda: subalgebra_on(skew, skew.space())):
         with pytest.raises(InvalidAlgebra):
@@ -185,7 +186,7 @@ def test_one_algebra_one_identity():
     """Built from a dense table or from sparse products, an algebra is the
     same value: equal, equally hashed, with the same table and JSON."""
     derived = [
-        product_ring(fx.matrix_units_f2(), 3),
+        product_ring(xf.matrix_units_f2(), 3),
         diagonal_algebra(7, 4),
         build_skew(fx.pointed_arrow_partial_action()).algebra,
     ]

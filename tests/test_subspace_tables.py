@@ -11,7 +11,6 @@ codomain is closed.
 """
 
 import functools
-import inspect
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ogaction import fixtures as fx
 from ogaction.actions import Action
 from ogaction.algebras import (
     Algebra,
@@ -32,6 +30,8 @@ from ogaction.algebras import (
     subring_closure,
 )
 from ogaction.linalg import LinMap, Subspace
+
+from generators import fixture_builders
 
 
 def outcome(fn, *args):
@@ -55,11 +55,7 @@ def matrix_algebra(n, p):
     return Algebra(p, dim, table, unit=unit, name=f"M{n}(F{p})")
 
 
-FIXTURES = [
-    make()
-    for _, make in inspect.getmembers(fx, inspect.isfunction)
-    if make.__module__ == fx.__name__ and not inspect.signature(make).parameters
-]
+FIXTURES = [make() for _, make in fixture_builders()]
 FIXTURE_ACTIONS = [x for x in FIXTURES if isinstance(x, Action)]
 ALGEBRAS = [x for x in FIXTURES if isinstance(x, Algebra)]
 for action in FIXTURE_ACTIONS:

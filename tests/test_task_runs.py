@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from ogaction import fixtures as fx
 from ogaction import globalize
 from ogaction.cli import main
 from ogaction.corpus import CORPUS
@@ -24,6 +23,7 @@ from ogaction.skew import build_ordered_skew, build_skew
 from ogaction.tasks import TASK_CATALOG, morita_context, run_task, run_tasks
 from ogaction.workspace import Workspace, load_workspace
 
+import extra_fixtures as xf
 from oracles import morita_compat
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -257,6 +257,6 @@ def test_skew_task_reports_on_inverse_semigroup_actions(
 @pytest.mark.parametrize("ordered", [None, False, True])
 def test_skew_task_on_a_non_associative_skew_ring_reports_assoc_false(ordered):
     """No quotient is attempted: the skew ring's dimension is the only data."""
-    ws = Workspace(actions={"swap": fx.zero_ring_swap_action()})
+    ws = Workspace(actions={"swap": xf.zero_ring_swap_action()})
     got = _skew_report(ws, {"action": "swap"}, ordered)
     assert got == _skew_outcome("fail", {"ASSOC": False}, {"skew_dim": 5})

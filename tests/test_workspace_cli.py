@@ -29,9 +29,12 @@ from ogaction.workspace import (
     semigroup_to_json,
 )
 
+import extra_fixtures as xf
+from test_globalization import unmet_pair_action
+
 
 def test_algebra_roundtrip():
-    alg = fx.matrix_units_f2()
+    alg = xf.matrix_units_f2()
     doc = algebra_to_json(alg)
     back = algebra_from_json(doc, "m")
     assert back == alg
@@ -205,7 +208,7 @@ def _supplied_globalization_doc() -> dict:
     restriction, with inclusion embeddings."""
     beta = fx.pointed_arrow_global_action()
     alpha = fx.pointed_arrow_partial_action()
-    ideal = fx.pointed_arrow_restriction_ideal()
+    ideal = xf.pointed_arrow_restriction_ideal()
     embeddings = {}
     for e in sorted(beta.structure.objects):
         rows = []
@@ -365,7 +368,7 @@ def _task_entry(doc, tid):
          2, None, "'algebra' must be a string"),
         (lambda doc: doc.update(inv_actions={"bad": {"semigroup": {"x": 1}, "algebra": "two_block"}}),
          2, None, "'semigroup' must be a string"),
-        (lambda doc: doc.update(semigroups={"S": semigroup_to_json(fx.symmetric_monoid_i1())},
+        (lambda doc: doc.update(semigroups={"S": semigroup_to_json(xf.symmetric_monoid_i1())},
                                 inv_actions={"bad": {"semigroup": "S", "algebra": 5}}),
          2, None, "'algebra' must be a string"),
     ],
@@ -627,3 +630,117 @@ def test_a_load_error_and_an_unreadable_file_both_exit_2_with_the_message(tmp_pa
     missing = tmp_path / "missing.json"
     assert main(["run", str(missing)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_verify_globalization_over_another_groupoid_reads_no_embedding(tmp_path):
+    """An embedding listed against a global action over another groupoid was
+    built on that action's ideals at this groupoid's indices, which ran past
+    its arrows (IndexError).  The checklist stops at GLOB(valid) before it
+    reads an embedding, so the listed one changes nothing."""
+    doc = _supplied_globalization_doc()
+    _over_another_groupoid(doc)
+    (bare,) = _run_doc(tmp_path, doc)
+    doc["tasks"][0]["embeddings"] = {"e_min": [[1]]}
+    (listed,) = _run_doc(tmp_path, doc)
+    assert listed.to_dict() == bare.to_dict()
+    assert bare.status == "fail" and bare.clauses["GLOB(valid)"] is False
+
+
+def test_a_minimal_globalize_task_refuses_a_groupoid_that_is_not_pseudoassociative(tmp_path):
+    a = unmet_pair_action()
+    doc = {
+        "algebras": {"line": algebra_to_json(a.carrier)},
+        "groupoids": {"G": groupoid_to_json(a.structure)},
+        "actions": {"unmet": action_to_json(a, "G", "line")},
+        "tasks": [
+            {"id": "full", "task": "globalize", "action": "unmet"},
+            {"id": "minimal", "task": "globalize", "action": "unmet", "minimal": True,
+             "expect_error": "NotPseudoassociative"},
+        ],
+    }
+    full, minimal = _run_doc(tmp_path, doc)
+    assert full.status == "pass", full.summary()
+    assert (minimal.status, minimal.data) == ("pass", {"raised": "NotPseudoassociative"})
+
+
+def _drop(container, key):
+    del container[key]
+
+
+def _swap_part(doc, part):
+    return doc["actions"]["block_swap"][part]
+
+
+PA, B2 = "pointed_arrow.json", "brandt_b2.json"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, args, task, message",
+    [
+        # refused at load time, or by the task selector: exit 2 with the message
+        (PA, lambda doc: [doc], [], None, "{path}: top level must be an object"),
+        (PA, lambda doc: doc.update(tasks={}), [], None, "{path}: tasks must be a list"),
+        (PA, lambda doc: _drop(doc["algebras"]["two_block"], "dim"), [], None,
+         "algebra 'two_block': missing field 'dim'"),
+        (PA, lambda doc: _drop(doc["groupoids"]["pointed_arrow"], "order"), [], None,
+         "groupoid 'pointed_arrow': missing field 'order'"),
+        (B2, lambda doc: doc["semigroups"]["brandt_b2"].update(mult=5), [], None,
+         "semigroup 'brandt_b2': 'int' object is not iterable"),
+        (PA, lambda doc: _swap_part(doc, "ideals").update(x=[[1, 0, 0]]), [], None,
+         "action 'block_swap': unknown arrow 'x'"),
+        (PA, lambda doc: _drop(_swap_part(doc, "ideals"), "s"), [], None,
+         "action 'block_swap': missing ideal for 's'"),
+        (PA, lambda doc: _drop(_swap_part(doc, "maps"), "s"), [], None,
+         "action 'block_swap': missing map for 's'"),
+        (PA, lambda doc: _drop(_swap_part(doc, "maps")["s"], -1), [], None,
+         "action 'block_swap': map at 's' must have one row per listed basis vector "
+         "of the ideal at 's_inv'"),
+        (PA, lambda doc: _swap_part(doc, "maps")["s"][0].append(0), [], None,
+         "action 'block_swap': map at 's' has a row of wrong width"),
+        (PA, lambda doc: None, ["--task", "nope"], None,
+         "task selector 'nope' matches nothing in this workspace"),
+        # refused by one task: exit 1, and that task's report names the cause
+        (PA, lambda doc: _task_entry(doc, "validate-global").update(action="nope"),
+         [], "validate-global", "unknown action 'nope'"),
+        (B2, lambda doc: _task_entry(doc, "validate-action").update(inv_action="nope"),
+         [], "validate-action", "unknown inverse-semigroup action 'nope'"),
+        (PA, lambda doc: _task_entry(doc, "validate-groupoid").update(groupoid="nope"),
+         [], "validate-groupoid", "unknown groupoid 'nope'"),
+        (PA, lambda doc: _task_entry(doc, "restrict").update(family={"nope": []}),
+         [], "restrict", "unknown object 'nope' in family"),
+        (PA, lambda doc: _task_entry(doc, "strong-check").update(
+            {"task": "verify-globalization", "global": "block_swap", "embeddings": {"nope": []}}),
+         [], "strong-check", "unknown object 'nope' in embeddings"),
+        (B2, lambda doc: _task_entry(doc, "esn").update(semigroup="nope"),
+         [], "esn", "unknown semigroup 'nope'"),
+        (PA, lambda doc: _task_entry(doc, "esn").update(groupoid="nope"),
+         [], "esn", "unknown groupoid 'nope'"),
+    ],
+    ids=[
+        "top-level-not-an-object", "tasks-not-a-list", "algebra-without-dim",
+        "groupoid-without-order", "semigroup-table-not-a-list", "ideal-at-unknown-arrow",
+        "missing-ideal", "missing-map", "map-row-count", "map-row-width",
+        "selector-matches-nothing", "unknown-action", "unknown-inverse-action",
+        "unknown-groupoid", "unknown-family-object", "unknown-embedding-object",
+        "unknown-esn-semigroup", "unknown-esn-groupoid",
+    ],
+)
+def test_each_loader_and_task_refusal_names_its_cause(
+    tmp_path, capsys, name, corrupt, args, task, message
+):
+    (path,) = [p for p in emit_fixture_corpus(tmp_path / "fx") if p.name == name]
+    doc = json.loads(path.read_text())
+    edited = corrupt(doc)
+    path.write_text(json.dumps(doc if edited is None else edited))
+    out = tmp_path / "reports"
+    code = main(["run", str(path), "--out", str(out), *args])
+    err = capsys.readouterr().err
+    if task is None:
+        assert (code, err) == (2, f"error: {message.format(path=path)}\n")
+        assert not out.exists()
+        return
+    assert (code, err) == (1, "")
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert {t for t, status in results.items() if status != "pass"} == {task}
+    report = json.loads((out / f"{task}.json").read_text())
+    assert (report["status"], report["error"]) == ("error", f"WorkspaceError: {message}")
