@@ -36,10 +36,11 @@ from .linalg import (
     Vector,
     check_prime,
     express,
+    sparse_sum,
     vec,
     zero_vec,
 )
-from .validation import Issue, ValidationReport
+from .validation import Issue, ValidationReport, short_cut
 
 
 # products[i][j] = {k: c[i][j][k]} over the non-zero constants only, each a
@@ -118,6 +119,7 @@ class Algebra:
             report = validate_algebra(self)
             if not report.ok:
                 raise InvalidAlgebra(str(report))
+        self._checked_unit = SubringIdentity(self.unit, True) if check and unit is not None else None
 
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
@@ -301,10 +303,12 @@ def validate_algebra(alg: Algebra) -> ValidationReport:
 def _products_on(alg: Algebra, sub: Subspace) -> Optional[Products]:
     """The products of sub's basis pairs in sub's coordinates, in the
     `Products` format, or None when one of them leaves sub.  Formed on the
-    first call for sub and kept on alg."""
+    first call for sub and kept on alg.  The full space's RREF basis is the
+    unit vectors, so its table is `alg.products`."""
     table = alg._subspace_products
     if sub not in table:
-        table[sub] = _form_products(alg, sub)
+        full = alg.products if sub.dim == sub.rank == alg.dim else None
+        table[sub] = short_cut("full-space table", full, lambda: _form_products(alg, sub))
     return table[sub]
 
 
@@ -374,17 +378,18 @@ def identity_of(alg: Algebra, sub: Subspace) -> Optional[SubringIdentity]:
     The zero subspace counts as the zero ring with identity 0.  Also reports
     whether the identity is central in the ambient algebra.  It is always
     idempotent: u lies in the subspace and fixes each x there, so u u = u.
-    """
+    On the full space a declared unit that UNIT checked is the answer, with
+    no system solved: a two-sided identity is unique, and it is central."""
     if sub.dim != alg.dim or sub.p != alg.p:
         raise AmbientMismatch("subspace lives in a different ambient space")
     memo = alg._identities
-    if sub in memo:
-        return memo[sub]
-    prod = _products_on(alg, sub)
-    if prod is None:
-        raise NotMultiplicativelyClosed("subspace is not closed under the product")
-    memo[sub] = ident = _identity(alg, sub, prod)
-    return ident
+    if sub not in memo:
+        prod = _products_on(alg, sub)
+        if prod is None:
+            raise NotMultiplicativelyClosed("subspace is not closed under the product")
+        unit = alg._checked_unit if sub.rank == alg.dim else None
+        memo[sub] = short_cut("declared unit", unit, lambda: _identity(alg, sub, prod))
+    return memo[sub]
 
 
 def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringIdentity]:
@@ -412,23 +417,33 @@ def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringId
 
 
 def is_ideal(alg: Algebra, inner: Subspace, outer: Subspace) -> bool:
-    """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer)."""
+    """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer):
+    read from a closed outer's kept table (`_absorbs`), else scanned by pair."""
     memo = alg._ideals
     key = (inner, outer)
     if key in memo:
         return memo[key]
     if not outer.contains_subspace(inner):
         raise NotContained("inner subspace is not contained in the outer one")
-    if inner == outer:
-        ok = _products_on(alg, inner) is not None
-    else:
-        ok = all(
-            inner.contains(alg.mul(b, x)) and inner.contains(alg.mul(x, b))
-            for b in outer.basis
-            for x in inner.basis
-        )
+    prod = _products_on(alg, outer)
+    fast = None if prod is None else inner == outer or _absorbs(alg, inner, outer, prod)
+    ok = short_cut("ideal from the kept table", fast, lambda: all(
+        inner.contains(alg.mul(b, x)) and inner.contains(alg.mul(x, b))
+        for b in outer.basis
+        for x in inner.basis
+    ))
     memo[key] = ok
     return ok
+
+
+def _absorbs(alg: Algebra, inner: Subspace, outer: Subspace, prod: Products) -> bool:
+    """Whether inner absorbs outer's basis u, read in u's coordinates from
+    prod, outer's table: there inner's basis rows are in RREF already (each
+    leading 1 at a pivot of outer), u_i x = sum_k x_k u_i u_k, x u_i likewise."""
+    sub = Subspace(outer.rank, alg.p, tuple(outer.coordinates_of(x) for x in inner.basis))
+    sides = [[(x, prod[i].get(k, {}).items()) for k, x in row] for i in range(outer.rank) for row in sub.entries]
+    sides += [[(x, prod[k].get(i, {}).items()) for k, x in row] for i in range(outer.rank) for row in sub.entries]
+    return not any(sub.split_entries(sparse_sum(terms, alg.p))[1] for terms in sides)
 
 
 class QuotientResult(NamedTuple):

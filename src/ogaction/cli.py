@@ -8,6 +8,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import validation
 from .corpus import emit_fixture_corpus
 from .errors import WorkbenchError
 from .tasks import TASK_CATALOG, run_tasks
@@ -29,6 +30,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    validation.CHECKED |= args.checked
     ws = load_workspace(args.workspace)
     reports = run_tasks(ws, args.task or None)
     reports.sort(key=lambda r: r.task_id)
@@ -69,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument("--out", metavar="DIR", help="write one JSON report per task")
     p_run.add_argument("--json", action="store_true", help="print reports as JSON")
+    p_run.add_argument("--checked", action="store_true", help="run every short cut's full check too")
     p_run.set_defaults(func=_cmd_run)
 
     p_fix = sub.add_parser("fixtures", help="write the fixture corpus")

@@ -294,6 +294,15 @@ def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], dim: int, p
     return tuple(out)
 
 
+def sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]], p: int) -> dict[int, int]:
+    """The non-zero residues of sum c * x e_m over terms (c, entries (m, x))."""
+    out: dict[int, int] = {}
+    for c, entries in terms:
+        for m, x in entries:
+            out[m] = out.get(m, 0) + c * x
+    return {m: x % p for m, x in out.items() if x % p}
+
+
 def split_rows(
     n: int, rows: Sequence[Sequence[int]], images: Sequence[Sequence[int]], p: int
 ) -> tuple[Matrix, Matrix, Matrix]:

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .actions import Action, _translated, is_preunital, require_unital
 from .algebras import Algebra, _associator_failures, ideal_closure, quotient
 from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
 from .globalize import Globalization, verify_globalization
-from .linalg import LinMap, Subspace, Vector, vec_add, vec_sub
+from .linalg import LinMap, Subspace, Vector, sparse_sum, vec_add, vec_sub
 from .validation import ValidationReport
 
 
@@ -39,15 +39,6 @@ class SkewRing:
         return tuple(out)
 
 
-def _sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]], p: int) -> dict[int, int]:
-    """The non-zero residues of sum c * x e_m over terms (c, entries (m, x))."""
-    out: dict[int, int] = {}
-    for c, entries in terms:
-        for m, x in entries:
-            out[m] = out.get(m, 0) + c * x
-    return {m: x % p for m, x in out.items() if x % p}
-
-
 def build_skew(a: Action) -> SkewRing:
     """Skew ring of a validated action; grading recorded per basis vector."""
     a.require_valid("skew ring needs a valid action")
@@ -71,13 +62,13 @@ def build_skew(a: Action) -> SkewRing:
         for twisted in a.map_of[ix.inv[g]]._image_entries:
             row = {}
             for h, gh, col, vh in columns[g]:
-                y = _sparse_sum(
+                y = sparse_sum(
                     ((x * w, kc.items()) for i, x in twisted for j, w in vh if (kc := rows[i].get(j))), p
                 )
                 coords, rest = alpha.domain.split_entries(y)
                 if rest:
                     raise InvalidAction(f"twisted product at ({ix.names[g]},{ix.names[h]}) leaves its domain")
-                z = _sparse_sum(((c, alpha._image_entries[k]) for k, c in coords), p)
+                z = sparse_sum(((c, alpha._image_entries[k]) for k, c in coords), p)
                 coords, rest = a.ideal_of[gh].split_entries(z)
                 if rest:
                     raise InvalidAction(

@@ -141,7 +141,7 @@ def _task_restrict(ws: Workspace, t: dict) -> tuple[dict, dict]:
     alg = beta.carrier
     if "family" in t:
         family = {}
-        index = {nm: i for i, nm in enumerate(beta.structure.names)}
+        index = {beta.structure.names[e]: e for e in beta.structure.objects}
         for key, rows in _required(t, "family", dict).items():
             if key not in index:
                 raise WorkspaceError(f"unknown object {key!r} in family")
@@ -197,7 +197,7 @@ def _task_globalize(ws: Workspace, t: dict) -> tuple[dict, dict]:
 def _task_verify_globalization(ws: Workspace, t: dict) -> tuple[dict, dict]:
     a = ws.action(_required(t, "action"))
     b = ws.action(_required(t, "global"))
-    index = {nm: i for i, nm in enumerate(a.structure.names)}
+    index = {a.structure.names[e]: e for e in a.structure.objects}
     embeddings = {}
     listed = _required(t, "embeddings", dict) if "embeddings" in t else {}
     for key, matrix in listed.items():

@@ -1,8 +1,21 @@
-"""Report-style validation results keyed by clause labels."""
+"""Report-style validation results keyed by clause labels, and checked mode."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+
+# Checked mode, read once: OGACTION_CHECKED=1, or `workbench run --checked`.
+CHECKED = os.environ.get("OGACTION_CHECKED") == "1"
+
+
+def short_cut(name: str, fast, full):
+    """A check's answer: `fast`, its short cut's, or full() when fast is None.
+    Checked mode runs and returns full(), and raises if a fast answer differs."""
+    answer = full() if fast is None or CHECKED else fast
+    if fast is not None and answer != fast:
+        raise AssertionError(f"short cut {name!r} disagrees with its full check")
+    return answer
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_from_json(doc: dict, name: str) -> Algebra:
+    if not isinstance(doc.get("structure", []), list):
+        raise WorkspaceError(f"algebra {name!r}: 'structure' must be a list")
     try:
         return Algebra(
             doc["p"], doc["dim"], doc["structure"], unit=doc.get("unit"), name=name
@@ -113,6 +115,8 @@ def semigroup_to_json(s: InverseSemigroup) -> dict:
 
 
 def semigroup_from_json(doc: dict, name: str) -> InverseSemigroup:
+    if not isinstance(doc.get("mult", []), list):
+        raise WorkspaceError(f"semigroup {name!r}: 'mult' must be a list")
     try:
         names = doc["elements"]
         index = {n: i for i, n in enumerate(names)}

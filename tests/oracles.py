@@ -13,7 +13,9 @@ reading.  The scaffolding section forms a built globalization's
 translations and embeddings by elimination, as the library did before it
 wrote the block spans and 0/1 matrices down.  The skew section forms the
 skew ring's and a quotient's structure constants one basis pair at a time,
-as the library did before it read them from sparse entries.  The Morita section keeps the
+as the library did before it read them from sparse entries.  The P3 section
+keeps the composite law as a loop over the overlap's basis vectors, as the
+library checked it before it compared matrices.  The Morita section keeps the
 MOR(compat) clause as the loop over module triples that the library ran
 before it read the clause from the quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
@@ -208,6 +210,36 @@ def subalgebra_products(alg, sub):
                 row[j] = kc
         out.append(row)
     return tuple(out)
+
+
+# -- retained P3 loop ---------------------------------------------------------
+#
+# The composite law as the library checked it before it compared matrices on
+# a full overlap: one application of each map per basis vector, on the
+# dense kernel below.
+
+
+def composite_failures(a, s, t, st, overlap):
+    """One message per basis vector of the overlap where alpha_t leaves
+    alpha_s's domain, where alpha_st is undefined, or where the two sides
+    differ."""
+    nm = a.index.names
+    ms, mt, mst = a.map_of[s], a.map_of[t], a.map_of[st]
+    out = []
+    for v in overlap.basis:
+        try:
+            lhs = apply(ms, apply(mt, v))
+        except ValueError:
+            out.append(f"composite at ({nm[s]},{nm[t]}) leaves the domain")
+            continue
+        try:
+            rhs = apply(mst, v)
+        except ValueError:
+            out.append(f"product map at ({nm[s]},{nm[t]}) undefined on the overlap")
+            continue
+        if lhs != rhs:
+            out.append(f"composite and product map differ at ({nm[s]},{nm[t]})")
+    return out
 
 
 # -- retained dense skew ring and quotient constants -------------------------

@@ -570,6 +570,15 @@ def _run_doc(tmp_path, doc):
     return run_tasks(load_workspace(path), None)
 
 
+def test_verify_globalization_refuses_an_embedding_at_an_arrow_that_is_not_an_object(tmp_path):
+    """`s` is an arrow of the groupoid but not an object, so it names no
+    embedding; listing one refuses the task instead of passing unread."""
+    doc = _supplied_globalization_doc()
+    doc["tasks"][0]["embeddings"]["s"] = [[1, 0]]
+    (rep,) = _run_doc(tmp_path, doc)
+    assert (rep.status, rep.error) == ("error", "WorkspaceError: unknown object 's' in embeddings")
+
+
 def test_verify_globalization_reads_embedding_entries_mod_p(tmp_path):
     """Over F_5 an embedding that lists 6 for 1 is the same embedding."""
     doc = _supplied_globalization_doc()
@@ -685,7 +694,9 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
         (PA, lambda doc: _drop(doc["groupoids"]["pointed_arrow"], "order"), [], None,
          "groupoid 'pointed_arrow': missing field 'order'"),
         (B2, lambda doc: doc["semigroups"]["brandt_b2"].update(mult=5), [], None,
-         "semigroup 'brandt_b2': 'int' object is not iterable"),
+         "semigroup 'brandt_b2': 'mult' must be a list"),
+        (PA, lambda doc: doc["algebras"]["two_block"].update(structure=5), [], None,
+         "algebra 'two_block': 'structure' must be a list"),
         (PA, lambda doc: _swap_part(doc, "ideals").update(x=[[1, 0, 0]]), [], None,
          "action 'block_swap': unknown arrow 'x'"),
         (PA, lambda doc: _drop(_swap_part(doc, "ideals"), "s"), [], None,
@@ -708,6 +719,8 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
          [], "validate-groupoid", "unknown groupoid 'nope'"),
         (PA, lambda doc: _task_entry(doc, "restrict").update(family={"nope": []}),
          [], "restrict", "unknown object 'nope' in family"),
+        (PA, lambda doc: _task_entry(doc, "restrict").update(family={"s": [[1, 0, 0]]}),
+         [], "restrict", "unknown object 's' in family"),
         (PA, lambda doc: _task_entry(doc, "strong-check").update(
             {"task": "verify-globalization", "global": "block_swap", "embeddings": {"nope": []}}),
          [], "strong-check", "unknown object 'nope' in embeddings"),
@@ -718,10 +731,12 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
     ],
     ids=[
         "top-level-not-an-object", "tasks-not-a-list", "algebra-without-dim",
-        "groupoid-without-order", "semigroup-table-not-a-list", "ideal-at-unknown-arrow",
+        "groupoid-without-order", "semigroup-table-not-a-list", "algebra-table-not-a-list",
+        "ideal-at-unknown-arrow",
         "missing-ideal", "missing-map", "map-row-count", "map-row-width",
         "selector-matches-nothing", "unknown-action", "unknown-inverse-action",
-        "unknown-groupoid", "unknown-family-object", "unknown-embedding-object",
+        "unknown-groupoid", "unknown-family-object", "family-key-not-an-object",
+        "unknown-embedding-object",
         "unknown-esn-semigroup", "unknown-esn-groupoid",
     ],
 )
