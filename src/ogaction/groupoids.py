@@ -537,8 +537,12 @@ class OrderedGroupoid:
             table.append(back(picks))
         return tuple(table)
 
-    def is_inductive(self) -> bool:
+    @cached_property
+    def _inductive(self) -> bool:
         return all(None not in row.values() for row in self._meets.values())
+
+    def is_inductive(self) -> bool:
+        return self._inductive
 
     def is_pseudoassociative(self) -> bool:
         """Existence of (g*h)*k and g*(h*k) agree on all triples.

@@ -243,7 +243,7 @@ class Subspace:
         self._check_ambient(other)
         # RREF is canonical, so a nested pair returns the smaller operand
         # itself: the very tuple the elimination below would give.
-        if other.contains_subspace(self):
+        if self == other or other.contains_subspace(self):
             return self
         if self.contains_subspace(other):
             return other

@@ -19,6 +19,7 @@ from .globalize import Globalization
 from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace, combine, split_rows
 from .semigroups import InverseSemigroup
+from .validation import short_cut
 
 
 @dataclass
@@ -193,20 +194,29 @@ def _parse_family(
                 f"of the ideal at {names[src]!r}"
             )
         dst_rows = listed[i]
-        listed_images = []
-        for row in matrix:
-            if len(row) != len(dst_rows):
-                raise WorkspaceError(f"{where}: map at {n!r} has a row of wrong width")
-            listed_images.append(combine(row, dst_rows, carrier.dim, carrier.p))
-        # Each listed image lies in the span of dst_rows, the ideal at n; the map
-        # is well defined unless a dependency among src_rows has a non-zero image.
-        _, images, trailing = split_rows(carrier.dim, src_rows, listed_images, carrier.p)
-        if trailing:
-            raise WorkspaceError(
-                f"{where}: map at {n!r} gives contradicting images on the dependent "
-                f"listed rows of the ideal at {names[src]!r}"
-            )
-        maps.append(LinMap.from_images(ideals[src], ideals[i], images))
+
+        def by_images() -> LinMap:
+            listed_images = []
+            for row in matrix:
+                if len(row) != len(dst_rows):
+                    raise WorkspaceError(f"{where}: map at {n!r} has a row of wrong width")
+                listed_images.append(combine(row, dst_rows, carrier.dim, carrier.p))
+            # Each listed image lies in the span of dst_rows, the ideal at n; the map
+            # is well defined unless a dependency among src_rows has a non-zero image.
+            _, images, trailing = split_rows(carrier.dim, src_rows, listed_images, carrier.p)
+            if trailing:
+                raise WorkspaceError(
+                    f"{where}: map at {n!r} gives contradicting images on the dependent "
+                    f"listed rows of the ideal at {names[src]!r}"
+                )
+            return LinMap.from_images(ideals[src], ideals[i], images)
+
+        # Rows listed as the RREF bases are independent, so no dependency has
+        # an image, and the listed coefficients are the map's coordinates.
+        canonical = src_rows == ideals[src].basis and dst_rows == ideals[i].basis
+        fits = canonical and all(len(row) == len(dst_rows) for row in matrix)
+        fast = LinMap(ideals[src], ideals[i], matrix) if fits else None
+        maps.append(short_cut("listed RREF bases", fast, by_images))
     return tuple(ideals), tuple(maps)
 
 

@@ -3,12 +3,14 @@
     PYTHONPATH=src python tests/esn_round_trip.py [N]
 
 Builds I_N (default 5, which has 1,546 elements), validates it, converts
-it to its inductive groupoid (validated on construction) and back (the
-rebuilt pseudoproduct table is compared with the input, which was
-validated once), checks that the result equals the input, and prints the
-raw wall time of each step.  A guard on how the
+it to its inductive groupoid (recorded as valid by the ESN theorem, not
+validated again) and back (the rebuilt pseudoproduct table is compared
+with the input, which was validated once), checks that the result equals
+the input, and prints the raw wall time of each step.  A guard on how the
 conversions scale, kept outside the test suite; it exits non-zero if the
-round trip does not give back the input.
+round trip does not give back the input.  With OGACTION_CHECKED=1 each
+conversion also validates a rebuilt copy in full and raises if its
+reports differ.
 """
 
 import sys

@@ -1,8 +1,10 @@
+import itertools
 import weakref
 
 import pytest
 
 from ogaction import fixtures as fx
+from ogaction import validation
 from ogaction.actions import POAction
 from ogaction.errors import InvalidGroupoid, InvalidSemigroup, NotInductive
 from ogaction.globalize import globalize_inverse_semigroup_action
@@ -66,6 +68,29 @@ def test_left_zero_band_is_invalid():
     assert not rep.ok
     assert not rep.clause_ok("IDEMPOTENTS")
     assert not rep.clause_ok("INVERSES")
+
+
+def test_three_element_tables_get_the_oracles_report(monkeypatch):
+    """INVERSES stops at the first partner only once ASSOC and IDEMPOTENTS
+    pass: on every fifth magma of three elements, plain, and checked where
+    the short cut is taken, the report is the full scan's, including the
+    tables where one of them fails and an element has two or three
+    partners."""
+    names = ("a", "b", "c")
+    reached = set()
+    monkeypatch.setattr(validation, "CHECKED", False)
+    for flat in itertools.islice(itertools.product(range(3), repeat=9), 0, None, 5):
+        mult = [flat[:3], flat[3:6], flat[6:]]
+        want = oracles.validate_semigroup(InverseSemigroup(names, mult))
+        assert InverseSemigroup(names, mult).validate() == want, mult
+        others = {i.clause for i in want.issues} - {"INVERSES"}
+        if not others:  # the short cut is taken: checked mode runs the scan too
+            monkeypatch.setattr(validation, "CHECKED", True)
+            assert InverseSemigroup(names, mult).validate() == want, mult
+            monkeypatch.setattr(validation, "CHECKED", False)
+        elif any(i.clause == "INVERSES" and "has 0" not in i.message for i in want.issues):
+            reached |= others
+    assert reached == {"ASSOC", "IDEMPOTENTS"}
 
 
 @pytest.mark.parametrize("mult", [[[0, 2], [1, 1]], [[0, -1], [1, 1]], [[5]]])
@@ -308,33 +333,49 @@ def _renumbered(n):
 def test_a_recorded_semigroup_with_another_table_is_rebuilt_and_validated(monkeypatch):
     """The ESN groupoid of I_3 records I_3 renumbered under I_3's names: a
     valid table that differs from the pseudoproducts.  `esn_to_semigroup`
-    returns a new semigroup equal to I_3 and validates it."""
-    s = symmetric_inverse_monoid(3)
-    g = esn_to_groupoid(s)
-    other = InverseSemigroup(s.names, s.relabeled(_renumbered(s.n)).mult)
-    assert other.is_valid() and other.mult != s.mult
-    g._esn_source = weakref.ref(other)
-    seen = _validated(monkeypatch, InverseSemigroup, "validate")
-    back = esn_to_semigroup(g)
-    assert back is not other and back is not s and back == s
-    assert any(x is back for x in seen) and back.is_valid()
+    returns a new semigroup equal to I_3.  In plain mode no validation runs
+    on it: by the ESN theorem it carries a passed report, equal to the
+    oracle's, and I_3's inverses.  Checked mode validates a rebuilt copy."""
+    for checked in (False, True):
+        monkeypatch.setattr(validation, "CHECKED", checked)
+        s = symmetric_inverse_monoid(3)
+        g = esn_to_groupoid(s)
+        other = InverseSemigroup(s.names, s.relabeled(_renumbered(s.n)).mult)
+        assert other.is_valid() and other.mult != s.mult
+        g._esn_source = weakref.ref(other)
+        seen = _validated(monkeypatch, InverseSemigroup, "validate")
+        back = esn_to_semigroup(g)
+        assert bool(seen) == checked and all(x is not back for x in seen)
+        assert back is not other and back is not s and back == s
+        assert back._report == oracles.validate_semigroup(back) and back._report.ok
+        assert back._inverse == s._inverse
+        monkeypatch.undo()
 
 
 def test_a_recorded_groupoid_with_other_fields_is_rebuilt_and_validated(monkeypatch):
     """A semigroup from `esn_to_semigroup` that records the ESN groupoid of
     I_3 renumbered under its names (a valid groupoid with other fields)
-    converts to a new groupoid equal to the ESN groupoid, validated."""
-    s = symmetric_inverse_monoid(3)
-    g = esn_to_groupoid(s)
-    r = g.relabeled(_renumbered(g.n))
-    other = OrderedGroupoid(g.names, r.objects, r.inv, r.comp, r.dom, r.ran, r.leq)
-    assert other.is_valid() and other != g
-    t = esn_to_semigroup(OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq))
-    t._esn_source = other
-    seen = _validated(monkeypatch, OrderedGroupoid, "validate_groupoid")
-    back = esn_to_groupoid(t)
-    assert back is not other and back is not g and back == g
-    assert any(x is back for x in seen) and back.is_valid()
+    converts to a new groupoid equal to the ESN groupoid.  In plain mode no
+    validation runs on it: by the ESN theorem it carries passed reports,
+    equal to the oracle's, and is inductive.  Checked mode validates a
+    rebuilt copy."""
+    for checked in (False, True):
+        monkeypatch.setattr(validation, "CHECKED", checked)
+        s = symmetric_inverse_monoid(3)
+        g = esn_to_groupoid(s)
+        r = g.relabeled(_renumbered(g.n))
+        other = OrderedGroupoid(g.names, r.objects, r.inv, r.comp, r.dom, r.ran, r.leq)
+        assert other.is_valid() and other != g
+        t = esn_to_semigroup(OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq))
+        t._esn_source = other
+        seen = _validated(monkeypatch, OrderedGroupoid, "validate_groupoid")
+        back = esn_to_groupoid(t)
+        assert bool(seen) == checked and all(x is not back for x in seen)
+        assert back is not other and back is not g and back == g
+        assert back._groupoid_report == oracles.validate_groupoid(back)
+        assert back._order_report == oracles.validate_order(back)
+        assert back.is_valid() and back.is_inductive()
+        monkeypatch.undo()
 
 
 def test_the_inverse_pipeline_builds_one_esn_groupoid(monkeypatch):
