@@ -17,6 +17,9 @@ the call gave:
 - `build_skew` on the M_5 rung and on its action moved to the carrier basis
   b_0 + b_1, b_1, b_2, ... (the maps gain entries), and the quotient of the
   dim-125 skew ring by N = 0;
+- `validate_groupoid` on the ESN groupoid of I_4 (209 arrows), the largest
+  groupoid a CI step validates: CAT associativity is the loop over its
+  composable triples;
 - four failing inputs that price the fallbacks: a non-associative table
   (the scan over all triples), the skew ring with one product given a
   second term (not monomial; the chain scan stops at its 32nd failing
@@ -122,6 +125,13 @@ def test_glob_rung_m5(benchmark, tmp_path):
         rounds=5,
     )
     assert rc == 0
+
+
+def test_validate_groupoid_i4(benchmark, i4_groupoid):
+    g = i4_groupoid
+    fresh = lambda: ((OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq),), {})  # noqa: E731
+    rep = benchmark.pedantic(OrderedGroupoid.validate_groupoid, setup=fresh, rounds=10)
+    assert g.n == 209 and rep.ok
 
 
 def test_non_associative_table(benchmark):

@@ -50,68 +50,30 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
     return lambda row: tuple(row[i] for i in positions)
 
 
-def light_certificate(
-    table: Sequence[Sequence[int]], partners: Optional[Sequence[Sequence[int]]] = None
-) -> bool:
-    """True when the table over range(n) is associative, by Light's test
-    (Clifford and Preston, *The Algebraic Theory of Semigroups* I, section
-    1.2): in any magma the middle factors b with (ab)c = a(bc) for all a, c
-    form a sub-magma, so it is enough that every member of a generating set
-    is one.  False proves nothing: it is also the answer when the table has
-    fewer than two rows or an entry outside range(n).
-
-    Without `partners` the table is square and total; a partial product
-    may be passed with an absorbing sentinel for "undefined".  With
-    `partners`, table[x][i] is x * partners[x][i], every other product is
-    an absorbing "undefined", and no sentinel is passed.  This is meant for
-    the composites of a category, where x * c is defined exactly when the
-    domain of x is the range of c: partners[x] lists the arrows with range
-    dom x, one list per domain, and x * c has the domain of c and the range
-    of x.  The certificate checks the part of that shape it relies on and
-    returns False where it fails: each element lies in at most one of the
-    distinct lists, and for a generator b, every ab has b's list and every
-    bc lies where b does.  Then a product that is undefined on one side of
-    (ab)c = a(bc) is undefined on the other, so only a with b in partners[a]
-    and c in partners[b] are compared.  The total case is the one where
-    every list is range(n).
+def light_certificate(table: Sequence[Sequence[int]]) -> bool:
+    """True when the square table over range(n) is associative, by Light's
+    test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2): in any magma the middle factors b with (ab)c = a(bc) for
+    all a, c form a sub-magma, so it is enough that every member of a
+    generating set is one.  A partial product is passed with an absorbing
+    sentinel for "undefined".  False proves nothing: it is also the answer
+    when the table has fewer than two rows, is not square, or has an entry
+    outside range(n).
 
     Generators are taken greedily.  Elements are visited by the number of
     distinct entries in their row, largest first (in I_n the permutations,
     then the maps of rank n-1, and so on), and one joins when it lies
     outside the closure of those before it; each new member of the closure
-    is multiplied on both sides with the members it composes with, found
-    from the members kept per list they own and per list they lie in.  For
-    a generator b and each a, row (ab)c over the c in partners[b] is
-    table[ab], and row a(bc) is table[a] read at the positions of the bc;
-    whole rows are compared.
+    is multiplied on both sides with every member so far, O(n^2) lookups
+    in all.  For a generator b, row (ab)c over all c is table[ab] and row
+    a(bc) is table[a] read at table[b]; whole rows are compared.
     """
     n = len(table)
     rows = [tuple(row) for row in table]
-    if partners is None:
-        lists, key = [tuple(range(n))], [0] * n
-    else:
-        labels: dict[tuple[int, ...], int] = {}
-        key = [labels.setdefault(tuple(p), len(labels)) for p in partners]
-        lists = list(labels)
-    if (
-        n < 2
-        or any(len(row) != len(lists[k]) for row, k in zip(rows, key))
-        or min(map(min, filter(None, rows + lists)), default=0) < 0
-        or max(map(max, filter(None, rows + lists)), default=0) >= n
-    ):
+    if n < 2 or any(len(row) != n for row in rows) or min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         return False
-    # home[y]: the list y lies in, at position pos[y]; -1 (an extra, empty
-    # slot below) when y lies in none.
-    home, pos = [-1] * n, [0] * n
-    for k, ys in enumerate(lists):
-        for i, y in enumerate(ys):
-            if home[y] != -1:
-                return False
-            home[y], pos[y] = k, i
     inside = [False] * n
-    lying_in = [[] for _ in range(len(lists) + 1)]  # per list: positions of the members in it
-    owning = [[] for _ in range(len(lists) + 1)]  # per list: rows of the members whose list it is
-    gens = []
+    members, member_rows, gens = [], [], []  # the closure so far, its rows, its generators
     for x in sorted(range(n), key=lambda x: -len(set(rows[x]))):
         if inside[x]:
             continue
@@ -120,23 +82,17 @@ def light_certificate(
         queue = [x]
         while queue:
             y = queue.pop()
-            row, k, h = rows[y], key[y], home[y]
-            owning[k].append(row)
-            lying_in[h].append(pos[y])
-            for w in chain(map(row.__getitem__, lying_in[k]), map(itemgetter(pos[y]), owning[h])):
+            row = rows[y]
+            member_rows.append(row)
+            members.append(y)
+            for w in chain(map(row.__getitem__, members), map(itemgetter(y), member_rows)):
                 if not inside[w]:
                     inside[w] = True
                     queue.append(w)
-    # Every element is a member now, so owning[h] holds the row of every a
-    # with b in partners[a].
     for b in gens:
-        k, h, pb = key[b], home[b], pos[b]
-        if any(home[c] != h for c in rows[b]):
+        through = itemgetter(*rows[b])
+        if any(rows[row[b]] != through(row) for row in rows):
             return False
-        through = _picker([pos[c] for c in rows[b]])
-        for row in owning[h]:
-            if key[row[pb]] != k or rows[row[pb]] != through(row):
-                return False
     return True
 
 
@@ -153,10 +109,9 @@ class OrderedGroupoid:
     and the index view read, while `comp` stays the input and the form for
     equality, hashing and JSON; and, once the groupoid is valid, the
     pseudoproduct table.  The checks skip only pairs a scan over all arrows
-    would have passed over, in the same order; CAT associativity is decided
-    by Light's test over composable pairs, and the loop over composable
-    triples runs only when that fails.  So reports, issue lists and
-    exceptions are those of the plain scans.
+    would have passed over, in the same order, and CAT associativity is the
+    loop over composable triples.  So reports, issue lists and exceptions
+    are those of the plain scans.
     """
 
     def __init__(
@@ -345,31 +300,17 @@ class OrderedGroupoid:
                 rep.add("INV", f"inv({nm[g]}) * {nm[g]} is not the domain object")
             if comp.get((g, self.inv[g])) != self.ran[g]:
                 rep.add("INV", f"{nm[g]} * inv({nm[g]}) is not the range object")
-        # With no CAT issue so far and an exact comp, comp is defined exactly on
-        # the composable pairs with the right endpoints (so every composite is
-        # an arrow), and a triple can only fail by (gh)k != g(hk).  Light's test
-        # over composable pairs decides that; when it fails the scan runs.
-        if not (rep.clause_ok("CAT") and exact and light_certificate(rows, partners)):
-            self._scan_cat_associativity(rep, comp)
-        self._groupoid_report = rep
-        return rep
-
-    def _scan_cat_associativity(
-        self, rep: ValidationReport, comp: dict[tuple[int, int], int]
-    ) -> None:
-        """Associativity over every composable triple of comp (the entries
-        inside the arrows), as a plain scan."""
-        nm = self.names
+        # Associativity over every composable triple of comp, as a plain scan.
         after: dict[int, list[int]] = {}  # h -> the arrows k with (h, k) composed
         for h, k in sorted(comp):
             after.setdefault(h, []).append(k)
         for (g, h), gh in comp.items():
             for k in after.get(h, ()):
-                hk = comp[(h, k)]
-                left = comp.get((gh, k))
-                right = comp.get((g, hk))
-                if left is None or right is None or left != right:
+                left, right = comp.get((gh, k)), comp.get((g, comp[(h, k)]))
+                if left is None or left != right:
                     rep.add("CAT", f"associativity fails on ({nm[g]},{nm[h]},{nm[k]})")
+        self._groupoid_report = rep
+        return rep
 
     def validate_order(self) -> ValidationReport:
         if self._order_report is not None:

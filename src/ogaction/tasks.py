@@ -35,7 +35,7 @@ from .skew import (
     morita_context,
     skew_unit,
 )
-from .workspace import Workspace
+from .workspace import Workspace, _integers
 
 
 @dataclass
@@ -93,8 +93,8 @@ def _flag(t: dict, key: str, default: bool = False) -> bool:
 def _rows(t: dict, key: str, rows: Any) -> tuple[tuple[int, ...], ...]:
     """An integer matrix read from field `key`; a malformed one fails this task only."""
     try:
-        return tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError) as exc:
+        return tuple(map(tuple, _integers(rows)))
+    except TypeError as exc:
         raise _task_error(t, f"field {key!r}: {exc}")
 
 

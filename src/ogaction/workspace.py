@@ -1,14 +1,15 @@
 """Workspace files: named algebras, groupoids, semigroups, and actions in
 one JSON document, with the tasks to run against them.
 
-All integers are residues in [0, p).  Ideal bases are row matrices over
-the carrier; action maps are matrices acting on the listed ideal bases.
+All integers are JSON integers, read mod p.  Ideal bases are row matrices
+over the carrier; action maps are matrices acting on the listed ideal bases.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -59,9 +60,27 @@ def algebra_to_json(alg: Algebra) -> dict:
     }
 
 
+def _integers(value: Any) -> Any:
+    """value (None, a number or nested lists) once every number in it is a
+    JSON integer; a float, string, bool or null, which int() would truncate,
+    parse or refuse, raises TypeError.  Shapes are the callers' to check."""
+    level = [] if value is None else [value]
+    while kinds := set(map(type, level)):
+        if not kinds <= {int, list}:
+            bad = next(x for x in level if type(x) not in (int, list))
+            raise TypeError(f"{bad!r} is not an integer")
+        level = list(chain.from_iterable(x for x in level if type(x) is list)) if list in kinds else []
+    return value
+
+
 def algebra_from_json(doc: dict, name: str) -> Algebra:
     if not isinstance(doc.get("structure", []), list):
         raise WorkspaceError(f"algebra {name!r}: 'structure' must be a list")
+    for key in ("p", "dim", "structure", "unit"):
+        try:
+            _integers(doc.get(key))
+        except TypeError as exc:
+            raise WorkspaceError(f"algebra {name!r}: field {key!r}: {exc}")
     try:
         return Algebra(
             doc["p"], doc["dim"], doc["structure"], unit=doc.get("unit"), name=name
@@ -156,8 +175,8 @@ def _matrices(doc: dict, key: str, where: str) -> dict[str, tuple[tuple[int, ...
     out = {}
     for n, rows in section.items():
         try:
-            out[n] = tuple(tuple(int(x) for x in row) for row in rows)
-        except (TypeError, ValueError) as exc:
+            out[n] = tuple(map(tuple, _integers(rows)))
+        except TypeError as exc:
             raise WorkspaceError(f"{where}: {key!r} at {n!r}: {exc}")
     return out
 

@@ -381,6 +381,9 @@ def test_a_recorded_groupoid_with_other_fields_is_rebuilt_and_validated(monkeypa
 def test_the_inverse_pipeline_builds_one_esn_groupoid(monkeypatch):
     """Transporting the global action back compares with the ESN groupoid
     kept on the semigroup, not with a second one built for it."""
+    # Checked mode builds a second groupoid on purpose, to compare it with
+    # the kept one; the count is plain mode's.
+    monkeypatch.setattr(validation, "CHECKED", False)
     built = []
     init = OrderedGroupoid.__init__
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ogaction import validation
 from ogaction.actions import Action
 from ogaction.algebras import (
     Algebra,
@@ -275,7 +276,9 @@ def products_formed(monkeypatch):
     return counts
 
 
-def test_a_question_asked_again_forms_no_product(products_formed):
+def test_a_question_asked_again_forms_no_product(products_formed, monkeypatch):
+    # Checked mode forms the products again on purpose; the count is plain mode's.
+    monkeypatch.setattr(validation, "CHECKED", False)
     alg = fresh(matrix_algebra(3, 5))
     e11, e12, e22 = alg.basis_vector(0), alg.basis_vector(1), alg.basis_vector(4)
     # Upper triangular 2 x 2 block, spanned two ways.

@@ -676,6 +676,10 @@ def _drop(container, key):
     del container[key]
 
 
+def _put(container, key, value):
+    container[key] = value
+
+
 def _swap_part(doc, part):
     return doc["actions"]["block_swap"][part]
 
@@ -708,6 +712,23 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
          "of the ideal at 's_inv'"),
         (PA, lambda doc: _swap_part(doc, "maps")["s"][0].append(0), [], None,
          "action 'block_swap': map at 's' has a row of wrong width"),
+        # a JSON float, string or bool where the format says integer
+        (PA, lambda doc: doc["algebras"]["two_block"].update(p=5.9), [], None,
+         "algebra 'two_block': field 'p': 5.9 is not an integer"),
+        (PA, lambda doc: doc["algebras"]["two_block"].update(p="5"), [], None,
+         "algebra 'two_block': field 'p': '5' is not an integer"),
+        (PA, lambda doc: doc["algebras"]["two_block"].update(dim="2"), [], None,
+         "algebra 'two_block': field 'dim': '2' is not an integer"),
+        (PA, lambda doc: _put(doc["algebras"]["two_block"]["structure"][1][1], 1, 1.2), [], None,
+         "algebra 'two_block': field 'structure': 1.2 is not an integer"),
+        (PA, lambda doc: _put(doc["algebras"]["two_block"]["unit"], 0, True), [], None,
+         "algebra 'two_block': field 'unit': True is not an integer"),
+        (PA, lambda doc: _put(_swap_part(doc, "ideals")["s"][0], 1, 1.7), [], None,
+         "action 'block_swap': 'ideals' at 's': 1.7 is not an integer"),
+        (PA, lambda doc: _put(_swap_part(doc, "maps")["s"][0], 1, "1"), [], None,
+         "action 'block_swap': 'maps' at 's': '1' is not an integer"),
+        (PA, lambda doc: _put(_swap_part(doc, "maps")["s"][0], 1, True), [], None,
+         "action 'block_swap': 'maps' at 's': True is not an integer"),
         (PA, lambda doc: None, ["--task", "nope"], None,
          "task selector 'nope' matches nothing in this workspace"),
         # refused by one task: exit 1, and that task's report names the cause
@@ -724,6 +745,8 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
         (PA, lambda doc: _task_entry(doc, "strong-check").update(
             {"task": "verify-globalization", "global": "block_swap", "embeddings": {"nope": []}}),
          [], "strong-check", "unknown object 'nope' in embeddings"),
+        (PA, lambda doc: _put(_task_entry(doc, "restrict")["ideal"][0], 1, 1.9),
+         [], "restrict", "task 'restrict': field 'ideal': 1.9 is not an integer"),
         (B2, lambda doc: _task_entry(doc, "esn").update(semigroup="nope"),
          [], "esn", "unknown semigroup 'nope'"),
         (PA, lambda doc: _task_entry(doc, "esn").update(groupoid="nope"),
@@ -734,9 +757,11 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
         "groupoid-without-order", "semigroup-table-not-a-list", "algebra-table-not-a-list",
         "ideal-at-unknown-arrow",
         "missing-ideal", "missing-map", "map-row-count", "map-row-width",
+        "float-modulus", "string-modulus", "string-dim", "float-structure-entry",
+        "bool-unit-entry", "float-ideal-entry", "string-map-entry", "bool-map-entry",
         "selector-matches-nothing", "unknown-action", "unknown-inverse-action",
         "unknown-groupoid", "unknown-family-object", "family-key-not-an-object",
-        "unknown-embedding-object",
+        "unknown-embedding-object", "float-restrict-ideal-entry",
         "unknown-esn-semigroup", "unknown-esn-groupoid",
     ],
 )
