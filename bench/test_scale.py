@@ -20,6 +20,9 @@ the call gave:
 - `validate_groupoid` on the ESN groupoid of I_4 (209 arrows), the largest
   groupoid a CI step validates: CAT associativity is the loop over its
   composable triples;
+- `validate_inv_sgp_action` on the natural action of I_4 on F_p^4 (the
+  seed-1 `inv_i4` workspace of `perfbench/gen.py`, 43,681 products): P2'
+  and P3' read one memo entry per distinct meet, image and map value;
 - four failing inputs that price the fallbacks: a non-associative table
   (the scan over all triples), the skew ring with one product given a
   second term (not monomial; the chain scan stops at its 32nd failing
@@ -43,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 from generators import rebased_action, symmetric_inverse_monoid  # noqa: E402
 from oracles import skew_products  # noqa: E402
-from ogaction.actions import validate_po_action  # noqa: E402
+from ogaction.actions import validate_inv_sgp_action, validate_po_action  # noqa: E402
 from ogaction.algebras import Algebra, _associator_failures, _nonzero_products, quotient  # noqa: E402
 from ogaction.cli import main  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
@@ -132,6 +135,24 @@ def test_validate_groupoid_i4(benchmark, i4_groupoid):
     fresh = lambda: ((OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq),), {})  # noqa: E731
     rep = benchmark.pedantic(OrderedGroupoid.validate_groupoid, setup=fresh, rounds=10)
     assert g.n == 209 and rep.ok
+
+
+@pytest.fixture(scope="module")
+def i4_inv_path(tmp_path_factory):
+    """The inv_monoid rung n = 4 (I_4 acting on F_p^4, seed 1)."""
+    path = tmp_path_factory.mktemp("i4") / "inv_i4.json"
+    dump_workspace_doc(gen.workload_docs("inv_monoid", 1)["inv_i4.json"], path)
+    return path
+
+
+def test_validate_inv_action_i4(benchmark, i4_inv_path):
+    def fresh():
+        a = load_workspace(i4_inv_path).inv_actions["natural"]
+        a.index  # validates I_4 outside the timing
+        return (a,), {}
+
+    rep = benchmark.pedantic(validate_inv_sgp_action, setup=fresh, rounds=5)
+    assert rep.ok and rep.checked == ("IDEAL'", "ISO'", "P1'", "P2'", "P3'")
 
 
 def test_non_associative_table(benchmark):

@@ -5,6 +5,7 @@ the transfers along the inverse-semigroup/groupoid correspondence."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
@@ -145,34 +146,40 @@ def _check_ideals_and_isos(a: Action, rep: ValidationReport, prime: str = "") ->
     return iso_ok
 
 
-def _composite_failures(a: Action, s: int, t: int, st: int, overlap: Subspace) -> list[str]:
+def _partial(a: Action):
+    """(g, v) -> alpha_g(v), or None where v lies outside alpha_g's domain."""
+    def apply(g: int, v: Vector) -> Optional[Vector]:
+        try:
+            return a.map_of[g].apply(v)
+        except ValueError:
+            return None
+    return apply
+
+
+def _composite_failures(a: Action, s: int, t: int, st: int, overlap: Subspace, apply=None) -> list[str]:
     """The composite law alpha_s alpha_t = alpha_st on the overlap: one
     message per basis vector where alpha_t leaves alpha_s's domain, where
     alpha_st is undefined, or where the two sides differ.  When the overlap
     is dom alpha_t = dom alpha_st, cod alpha_t = dom alpha_s and cod alpha_s =
     cod alpha_st, the maps share bases: the law is M_t M_s = M_st (each row a
-    combination of M_s's rows), and only a mismatch runs the loop."""
+    combination of M_s's rows), and only a mismatch runs the loop.  `apply`
+    is `_partial(a)` or a memo of it; the overlap lies in alpha_t's domain."""
     nm = a.index.names
+    apply = apply or _partial(a)
     ms, mt, mst = a.map_of[s], a.map_of[t], a.map_of[st]
     same = overlap == mt.domain == mst.domain and mt.codomain == ms.domain and ms.codomain == mst.codomain
     same = same and mst.matrix == tuple(combine(r, ms.matrix, ms.codomain.rank, ms.p) for r in mt.matrix)
 
     def loop():
         for v in overlap.basis:
-            mid = mt.apply(v)
-            # One elimination per step: a vector outside a map's domain makes
-            # the coordinate read raise ValueError.
-            try:
-                lhs = ms.apply(mid)
-            except ValueError:
+            lhs = apply(s, apply(t, v))
+            if lhs is None:
                 yield f"composite at ({nm[s]},{nm[t]}) leaves the domain"
                 continue
-            try:
-                rhs = mst.apply(v)
-            except ValueError:
+            rhs = apply(st, v)
+            if rhs is None:
                 yield f"product map at ({nm[s]},{nm[t]}) undefined on the overlap"
-                continue
-            if lhs != rhs:
+            elif lhs != rhs:
                 yield f"composite and product map differ at ({nm[s]},{nm[t]})"
     return short_cut("P3 on a full overlap", [] if same else None, lambda: list(loop()))
 
@@ -184,6 +191,7 @@ def validate_po_action(a: Action) -> ValidationReport:
     nm = ix.names
     rep = ValidationReport(a.name or "action", ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep)
+    meet = functools.cache(Subspace.intersect)  # read by P2 and again by IMG
     # A map with checked endpoints is decided by its canonical matrix, so
     # P1 and INV compare maps by equality.
     for e in a.structure.objects:
@@ -192,7 +200,7 @@ def validate_po_action(a: Action) -> ValidationReport:
     for g, h, gh in ix.products():
         if not (iso_ok[g] and iso_ok[h]):
             continue
-        inter = a.ideal_of[ix.inv[g]].intersect(a.ideal_of[h])
+        inter = meet(a.ideal_of[ix.inv[g]], a.ideal_of[h])
         pulled = a.map_of[h].preimage_of(inter)
         if not a.ideal_of[ix.inv[gh]].contains_subspace(pulled):
             rep.add("P2", f"pulled-back overlap of ({nm[g]},{nm[h]}) escapes its target")
@@ -217,7 +225,7 @@ def validate_po_action(a: Action) -> ValidationReport:
     for g, h, gh in ix.products():
         if not iso_ok[g]:
             continue
-        inter = a.ideal_of[ix.inv[g]].intersect(a.ideal_of[h])
+        inter = meet(a.ideal_of[ix.inv[g]], a.ideal_of[h])
         m, src = a.map_of[g], inter.intersect(a.map_of[g].domain)
         whole = m.codomain if src == m.domain else None
         image = short_cut("IMG: an isomorphism maps onto its codomain", whole, lambda: m.image_of(src))
@@ -595,22 +603,29 @@ def search_equivalence(a: Action, c: Action, budget: int = 200_000) -> Equivalen
 
 
 def validate_inv_sgp_action(a: Action) -> ValidationReport:
+    """IDEAL', ISO' and P1', then P2' and P3' on every product in order.  These
+    read only meets of ideals, images of meets and map values, and k distinct
+    ideals have at most k^2 meets however many products there are: each value
+    is computed once, in memos keyed by value (RREF is canonical) that die with
+    the call.  No pair is skipped, so the issues are the per-pair loop's."""
     ix = a.index  # validates the structure
     nm = ix.names
     rep = ValidationReport(a.name or "semigroup action", INV_ACTION_CLAUSES)
     iso_ok = _check_ideals_and_isos(a, rep, prime="'")
+    meet = functools.cache(Subspace.intersect)
+    image = functools.cache(lambda s, sub: a.map_of[s].image_of(sub))
+    apply = functools.cache(_partial(a))
     for s, t, st in ix.products():
         if not (iso_ok[s] and iso_ok[t]):
             continue
-        inter = a.ideal_of[ix.inv[s]].intersect(a.ideal_of[t])
-        image = a.map_of[s].image_of(inter)
-        if image != a.ideal_of[s].intersect(a.ideal_of[st]):
+        moved = image(s, meet(a.ideal_of[ix.inv[s]], a.ideal_of[t]))
+        if moved != meet(a.ideal_of[s], a.ideal_of[st]):
             rep.add("P2'", f"moved overlap of ({nm[s]},{nm[t]}) misses its target")
     for s, t, st in ix.products():
         if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
             continue
-        dom = a.ideal_of[ix.inv[t]].intersect(a.ideal_of[ix.inv[st]])
-        for message in _composite_failures(a, s, t, st, dom):
+        dom = meet(a.ideal_of[ix.inv[t]], a.ideal_of[ix.inv[st]])
+        for message in _composite_failures(a, s, t, st, dom, apply):
             rep.add("P3'", message)
     return rep
 

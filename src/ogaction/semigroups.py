@@ -256,7 +256,10 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     The result records g.  If g came from `esn_to_groupoid(s)` and s is
     alive, s is returned when its names and table equal g's names and
     pseudoproducts: validation reads only these, so s has a rebuilt copy's
-    report, exceptions and `==`.  Otherwise the copy is built, and it is not
+    report, exceptions and `==`.  When s still keeps g as its ESN groupoid,
+    g is G(s) and the ESN correspondence gives S(G(s)) = s, so the
+    pseudoproducts are not formed; checked mode compares them with s's
+    table all the same.  Otherwise the copy is built, and it is not
     validated: by the ESN theorem the pseudoproduct semigroup of an
     inductive groupoid is inverse, the inverse of an arrow being its
     groupoid inverse, so its report is recorded as passed with g's
@@ -267,7 +270,10 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     if not g.is_inductive():
         raise NotInductive("pseudoproduct is not total without object meets")
     s = g.__dict__.get("_esn_source", lambda: None)()
-    if s is None or (s.names, s.mult) != (g.names, g._pseudoproducts):
+    kept = True if s is not None and s.__dict__.get("_esn_groupoid") is g else None
+    if s is None or not short_cut(
+        "ESN: S(G(S)) = S", kept, lambda: (s.names, s.mult) == (g.names, g._pseudoproducts)
+    ):
         s = InverseSemigroup(g.names, g._pseudoproducts)
         s._report, s._inverse = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES), g.inv
         s._esn_source = g

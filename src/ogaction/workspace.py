@@ -78,7 +78,8 @@ def algebra_from_json(doc: dict, name: str) -> Algebra:
         raise WorkspaceError(f"algebra {name!r}: 'structure' must be a list")
     for key in ("p", "dim", "structure", "unit"):
         try:
-            _integers(doc.get(key))
+            # A listed p or dim is read in a list, so a null one is refused too.
+            _integers([doc[key]] if key in ("p", "dim") and key in doc else doc.get(key))
         except TypeError as exc:
             raise WorkspaceError(f"algebra {name!r}: field {key!r}: {exc}")
     try:

@@ -15,8 +15,10 @@ wrote the block spans and 0/1 matrices down.  The skew section forms the
 skew ring's and a quotient's structure constants one basis pair at a time,
 as the library did before it read them from sparse entries.  The P3 section
 keeps the composite law as a loop over the overlap's basis vectors, as the
-library checked it before it compared matrices.  The Morita section keeps the
-MOR(compat) clause as the loop over module triples that the library ran
+library checked it before it compared matrices, and the P2' and P3' clauses
+of an inverse-semigroup action as one meet, image and loop per product, as
+the library checked them before it kept one per distinct value.  The
+Morita section keeps the MOR(compat) clause as the loop over module triples that the library ran
 before it read the clause from the quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
 walks over composites and over the strict order, as plain scans over all
@@ -32,7 +34,7 @@ generator as it was before it translated byte words.
 
 from itertools import combinations, permutations, product
 
-from ogaction.actions import InvSgpAction
+from ogaction.actions import INV_ACTION_CLAUSES, InvSgpAction, _check_ideals_and_isos
 from ogaction.algebras import SubringIdentity
 from ogaction.errors import (
     AmbientMismatch,
@@ -216,7 +218,9 @@ def subalgebra_products(alg, sub):
 #
 # The composite law as the library checked it before it compared matrices on
 # a full overlap: one application of each map per basis vector, on the
-# dense kernel below.
+# dense kernel below.  The inverse-semigroup action report after it checks
+# P2' and P3' per product, as the library did before it kept one meet, image
+# and map value per distinct argument.
 
 
 def composite_failures(a, s, t, st, overlap):
@@ -240,6 +244,30 @@ def composite_failures(a, s, t, st, overlap):
         if lhs != rhs:
             out.append(f"composite and product map differ at ({nm[s]},{nm[t]})")
     return out
+
+
+def validate_inv_sgp_action(a):
+    """The inverse-semigroup action report with P2' and P3' checked afresh
+    on every product: one meet and one image per pair, and the composite
+    law by the loop above."""
+    ix = a.index
+    nm = ix.names
+    rep = ValidationReport(a.name or "semigroup action", INV_ACTION_CLAUSES)
+    iso_ok = _check_ideals_and_isos(a, rep, prime="'")
+    for s, t, st in ix.products():
+        if not (iso_ok[s] and iso_ok[t]):
+            continue
+        inter = a.ideal_of[ix.inv[s]].intersect(a.ideal_of[t])
+        image = a.map_of[s].image_of(inter)
+        if image != a.ideal_of[s].intersect(a.ideal_of[st]):
+            rep.add("P2'", f"moved overlap of ({nm[s]},{nm[t]}) misses its target")
+    for s, t, st in ix.products():
+        if not (iso_ok[s] and iso_ok[t] and iso_ok[st]):
+            continue
+        dom = a.ideal_of[ix.inv[t]].intersect(a.ideal_of[ix.inv[st]])
+        for message in composite_failures(a, s, t, st, dom):
+            rep.add("P3'", message)
+    return rep
 
 
 # -- retained dense skew ring and quotient constants -------------------------

@@ -378,6 +378,30 @@ def test_a_recorded_groupoid_with_other_fields_is_rebuilt_and_validated(monkeypa
         monkeypatch.undo()
 
 
+def test_the_kept_esn_groupoid_converts_back_without_its_pseudoproducts(monkeypatch):
+    """S(G(S)) = S: the groupoid that s keeps converts back to s with no
+    pseudoproduct table formed.  A kept groupoid with one pseudoproduct
+    changed is trusted in plain mode and refused in checked mode, which
+    compares the pseudoproducts with s's table."""
+    for checked in (False, True):
+        monkeypatch.setattr(validation, "CHECKED", checked)
+        s = symmetric_inverse_monoid(3)
+        g = esn_to_groupoid(s)
+        assert esn_to_semigroup(g) is s
+        assert ("_pseudoproducts" in g.__dict__) == checked
+        h = OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq)
+        table = [list(row) for row in g._pseudoproducts]
+        table[0][0] = 1
+        h.__dict__["_pseudoproducts"] = tuple(map(tuple, table))
+        h._esn_source, s._esn_groupoid = weakref.ref(s), h
+        if checked:
+            with pytest.raises(AssertionError, match=r"'ESN: S\(G\(S\)\) = S' disagrees"):
+                esn_to_semigroup(h)
+        else:
+            assert esn_to_semigroup(h) is s
+        monkeypatch.undo()
+
+
 def test_the_inverse_pipeline_builds_one_esn_groupoid(monkeypatch):
     """Transporting the global action back compares with the ESN groupoid
     kept on the semigroup, not with a second one built for it."""

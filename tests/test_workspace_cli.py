@@ -719,6 +719,10 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
          "algebra 'two_block': field 'p': '5' is not an integer"),
         (PA, lambda doc: doc["algebras"]["two_block"].update(dim="2"), [], None,
          "algebra 'two_block': field 'dim': '2' is not an integer"),
+        (PA, lambda doc: doc["algebras"]["two_block"].update(p=None), [], None,
+         "algebra 'two_block': field 'p': None is not an integer"),
+        (PA, lambda doc: doc["algebras"]["two_block"].update(dim=None), [], None,
+         "algebra 'two_block': field 'dim': None is not an integer"),
         (PA, lambda doc: _put(doc["algebras"]["two_block"]["structure"][1][1], 1, 1.2), [], None,
          "algebra 'two_block': field 'structure': 1.2 is not an integer"),
         (PA, lambda doc: _put(doc["algebras"]["two_block"]["unit"], 0, True), [], None,
@@ -757,7 +761,8 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
         "groupoid-without-order", "semigroup-table-not-a-list", "algebra-table-not-a-list",
         "ideal-at-unknown-arrow",
         "missing-ideal", "missing-map", "map-row-count", "map-row-width",
-        "float-modulus", "string-modulus", "string-dim", "float-structure-entry",
+        "float-modulus", "string-modulus", "string-dim", "null-modulus", "null-dim",
+        "float-structure-entry",
         "bool-unit-entry", "float-ideal-entry", "string-map-entry", "bool-map-entry",
         "selector-matches-nothing", "unknown-action", "unknown-inverse-action",
         "unknown-groupoid", "unknown-family-object", "family-key-not-an-object",
