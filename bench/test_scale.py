@@ -23,6 +23,10 @@ the call gave:
 - `validate_inv_sgp_action` on the natural action of I_4 on F_p^4 (the
   seed-1 `inv_i4` workspace of `perfbench/gen.py`, 43,681 products): P2'
   and P3' read one memo entry per distinct meet, image and map value;
+- `build_ordered_skew` on the skew ring of I_3's natural action on F_p^3
+  (the seed-1 `inv_i3` workspace, dim 63, built in the setup): the
+  associator scan and the ideal closure of the order generators, which
+  reads one `basis_products` call per basis row, and the quotient;
 - four failing inputs that price the fallbacks: a non-associative table
   (the scan over all triples), the skew ring with one product given a
   second term (not monomial; the chain scan stops at its 32nd failing
@@ -52,7 +56,7 @@ from ogaction.cli import main  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
 from ogaction.linalg import Subspace  # noqa: E402
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup  # noqa: E402
-from ogaction.skew import build_skew  # noqa: E402
+from ogaction.skew import build_ordered_skew, build_skew  # noqa: E402
 from ogaction.workspace import dump_workspace_doc, load_workspace  # noqa: E402
 
 
@@ -153,6 +157,17 @@ def test_validate_inv_action_i4(benchmark, i4_inv_path):
 
     rep = benchmark.pedantic(validate_inv_sgp_action, setup=fresh, rounds=5)
     assert rep.ok and rep.checked == ("IDEAL'", "ISO'", "P1'", "P2'", "P3'")
+
+
+def test_ordered_skew_i3(benchmark, tmp_path):
+    """N is spanned by the differences of each lifted ideal vector along the
+    natural order: rank 54, so the quotient has dim 9."""
+    path = tmp_path / "inv_i3.json"
+    dump_workspace_doc(gen.workload_docs("inv_monoid", 1)["inv_i3.json"], path)
+    a = load_workspace(path).inv_actions["natural"]
+    o = benchmark.pedantic(build_ordered_skew, setup=lambda: ((build_skew(a),), {}), rounds=5)
+    assert o.skew.algebra.dim == 63 and (o.n_ideal.rank, o.quotient.dim) == (54, 9)
+    assert set(range(63)) - set(o.n_ideal.pivots) == {45, 52, 53, 54, 56, 59, 60, 61, 62}
 
 
 def test_non_associative_table(benchmark):

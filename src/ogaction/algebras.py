@@ -6,6 +6,9 @@ A dense n x n x n table is accepted at construction and offered back as the
 `table` view.  Associativity (Light's middle-slot certificate on a monomial
 table, else the chain scan) and any declared unit are checked at
 construction unless check=False is passed; downstream operations assume it.
+`mul` is the dense product; `basis_products(x)` reads every x b_j and b_i x
+off `products` in one pass, for UNIT, `is_central_vec`, `ideal_closure` and
+`skew.skew_unit`.
 
 Each algebra keeps, per subspace it has been asked about, the products of
 the subspace's basis pairs in the subspace's own coordinates (or None when
@@ -124,19 +127,7 @@ class Algebra:
     @property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense view: table[i][j] is the coefficient vector of b_i * b_j."""
-        n = self.dim
-        zero = zero_vec(n)
-
-        def entry(kc: dict[int, int]) -> Vector:
-            out = [0] * n
-            for k, c in kc.items():
-                out[k] = c
-            return tuple(out)
-
-        return tuple(
-            tuple(entry(row[j]) if j in row else zero for j in range(n))
-            for row in self.products
-        )
+        return tuple(tuple(_dense(row.get(j, {}), self.dim) for j in range(self.dim)) for row in self.products)
 
     def __eq__(self, other) -> bool:
         # Dict equality ignores insertion order, and `Products` holds no
@@ -193,6 +184,22 @@ class Algebra:
         p = self.p
         return tuple([v % p for v in out])
 
+    def basis_products(self, x: Sequence[int]) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """(left, right) with left[j] = x b_j and right[i] = b_i x as sparse
+        entries, from one pass over `products`: right[i] sums row i over x's
+        support, and a row i on x's support adds its entry j to left[j]."""
+        if len(x) != self.dim:
+            raise AmbientMismatch("element length differs from algebra dimension")
+        xs, p = {i: a for i, a in enumerate(x) if a}, self.p
+        by_col: list[list] = [[] for _ in x]
+        right = []
+        for i, row in enumerate(self.products):
+            if i in xs:
+                for j, kc in row.items():
+                    by_col[j].append((xs[i], kc.items()))
+            right.append(sparse_sum(((xs[j], kc.items()) for j, kc in row.items() if j in xs), p))
+        return [sparse_sum(terms, p) for terms in by_col], right
+
     def is_commutative(self) -> bool:
         if self._commutative is None:
             rows = self.products
@@ -205,10 +212,15 @@ class Algebra:
         return self.mul(v, v) == vec(v, self.p)
 
     def is_central_vec(self, v: Vector) -> bool:
-        return all(
-            self.mul(v, self.basis_vector(i)) == self.mul(self.basis_vector(i), v)
-            for i in range(self.dim)
-        )
+        left, right = self.basis_products(v)
+        return left == right
+
+
+def _dense(kc: dict[int, int], n: int) -> Vector:
+    out = [0] * n
+    for k, c in kc.items():
+        out[k] = c
+    return tuple(out)
 
 
 def _reduced(coeffs: Optional[dict[int, int]], p: int) -> dict[int, int]:
@@ -291,12 +303,10 @@ def validate_algebra(alg: Algebra) -> ValidationReport:
     for i, j, k in _associator_failures(alg):
         issues.append(Issue("ASSOC", f"(b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"))
     if alg.unit is not None:
-        for i in range(alg.dim):
-            b = alg.basis_vector(i)
-            if alg.mul(alg.unit, b) != b:
-                issues.append(Issue("UNIT", f"unit fails on the left of b{i}"))
-            if alg.mul(b, alg.unit) != b:
-                issues.append(Issue("UNIT", f"unit fails on the right of b{i}"))
+        for i, sides in enumerate(zip(*alg.basis_products(alg.unit))):
+            for side, bu in zip(("left", "right"), sides):
+                if bu != {i: 1}:
+                    issues.append(Issue("UNIT", f"unit fails on the {side} of b{i}"))
     return ValidationReport(alg.name or "algebra", ("ASSOC", "UNIT"), issues)
 
 
@@ -344,12 +354,12 @@ def _rank_fixpoint(
 
 def ideal_closure(alg: Algebra, gens: Iterable[Sequence[int]]) -> Subspace:
     """Smallest subspace containing gens and absorbing basis multiplication:
-    breadth-first over (basis x generator) products."""
-    units = [alg.basis_vector(i) for i in range(alg.dim)]
+    breadth-first over the 2 dim products of each basis row with the unit
+    vectors, read by one `basis_products` call per row."""
     return _rank_fixpoint(
         alg,
         Subspace.span(alg.dim, [vec(g, alg.p) for g in gens], alg.p),
-        lambda basis: (w for v in basis for b in units for w in (alg.mul(b, v), alg.mul(v, b))),
+        lambda basis: (_dense(w, alg.dim) for v in basis for side in alg.basis_products(v) for w in side),
     )
 
 

@@ -129,8 +129,15 @@ class Subspace:
     @functools.cached_property
     def pivots(self) -> tuple[int, ...]:
         # Kept in the instance __dict__, outside the dataclass fields, so
-        # equality, hashing and the frozen fields are unaffected.
+        # equality and the frozen fields are unaffected.
         return tuple(row[0][0] for row in self.entries)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.p, self.basis))
+
+    def __hash__(self) -> int:  # the fields' hash, kept like `pivots`
+        return self._hash
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -139,11 +139,9 @@ def skew_unit(o: OrderedSkewRing) -> Vector:
     for e in a.index.anchors:
         total = vec_add(total, s.lift(e, a.unit_vector(e)), s.algebra.p)
     img = o.projection.apply(total)
-    q = o.quotient
-    for i in range(q.dim):
-        b = q.basis_vector(i)
-        if q.mul(img, b) != b or q.mul(b, img) != b:
-            raise InvalidAction("anchor unit image is not an identity of the quotient")
+    left, right = o.quotient.basis_products(img)
+    if not left == right == [{i: 1} for i in range(len(left))]:
+        raise InvalidAction("anchor unit image is not an identity of the quotient")
     return img
 
 

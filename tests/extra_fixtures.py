@@ -58,3 +58,14 @@ def matrix_units_f2() -> Algebra:
     units = [(0, 0), (0, 1), (1, 0), (1, 1)]
     table = [[[int(b == c and u == (a, d)) for u in units] for c, d in units] for a, b in units]
     return Algebra(2, 4, table, unit=[1, 0, 0, 1], name="matrix units")
+
+
+def first_row_algebra(p: int, n: int, opposite: bool = False) -> Algebra:
+    """The matrices of M_n supported on the first row, b_j = E_0j:
+    b_0 b_j = b_j and every other product is 0, so b_0 is a left unit and a
+    right unit only when n = 1.  The opposite ring swaps the sides."""
+    if opposite:
+        products = tuple({0: {j: 1}} for j in range(n))
+    else:
+        products = ({j: {j: 1} for j in range(n)}, *({} for _ in range(1, n)))
+    return Algebra.from_products(p, n, products, name="first row")

@@ -220,18 +220,28 @@ def random_monotone_family(rng, beta, coords_by_object):
     }
 
 
+def rebased_algebra(alg, rows):
+    """alg moved along T(x) = x P, P with the given rows (invertible): the
+    constants are T(T^-1(e_i) T^-1(e_j)) and the unit is T(u), so T is an
+    isomorphism of algebras; the moved table is in general not monomial."""
+    full = Subspace.full(alg.dim, alg.p)
+    move = LinMap.from_images(full, full, rows)
+    back = move.inverse()
+    table = [[move.apply(alg.mul(back.apply(u), back.apply(v))) for v in full.basis] for u in full.basis]
+    unit = move.apply(alg.unit) if alg.unit is not None else None
+    return Algebra(alg.p, alg.dim, table, unit=unit, name=f"{alg.name}~rebased")
+
+
 def rebased_action(a, rows):
     """a moved along T(x) = x P, P with the given rows (invertible): the
     carrier gets the constants T(T^-1(e_i) T^-1(e_j)), each ideal D becomes
     T(D) and each map f becomes T f T^-1, so T is an isomorphism of actions.
     The moved ideals are in general not coordinate subspaces."""
-    alg, n, p = a.carrier, a.carrier.dim, a.carrier.p
+    n, p = a.carrier.dim, a.carrier.p
+    carrier = rebased_algebra(a.carrier, rows)
     full = Subspace.full(n, p)
     move = LinMap.from_images(full, full, rows)
     back = move.inverse()
-    table = [[move.apply(alg.mul(back.apply(u), back.apply(v))) for v in full.basis] for u in full.basis]
-    unit = move.apply(alg.unit) if alg.unit is not None else None
-    carrier = Algebra(p, n, table, unit=unit, name=f"{alg.name}~rebased")
 
     def moved(sub):
         return Subspace.span(n, [move.apply(v) for v in sub.basis], p)

@@ -5,8 +5,10 @@ enumeration, and fixpoint loops that only rely on a multiplication
 callback, sharing no code with the package under test.  The algebra
 section keeps the identity, ideal, ring-map and subalgebra checks as pair
 scans that form every basis product afresh on each call, as the library
-wrote them before it kept one product table per subspace.  One section
-keeps two globalization checks as the library wrote them before the
+wrote them before it kept one product table per subspace, and the UNIT
+clause and the centrality test as one pair of dense products per basis
+vector, as the library wrote them before it read a product with a basis
+vector from the table.  One section keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
 reading.  The scaffolding section forms a built globalization's
@@ -50,7 +52,7 @@ from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES, OrderedGroupoid
 from ogaction.semigroups import SEMIGROUP_CLAUSES, InverseSemigroup
 from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES
 from ogaction.linalg import LinMap, Subspace
-from ogaction.validation import ValidationReport
+from ogaction.validation import Issue, ValidationReport
 
 
 def naive_rank(rows, p):
@@ -149,6 +151,27 @@ def naive_assoc_failures(table, p):
 # and keeps nothing; subspace and map calls go to the dense kernel below.
 
 
+def unit_issues(alg):
+    """The UNIT issues of alg's declared unit u: per basis vector b_i,
+    u b_i then b_i u."""
+    issues = []
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        if alg.mul(alg.unit, b) != b:
+            issues.append(Issue("UNIT", f"unit fails on the left of b{i}"))
+        if alg.mul(b, alg.unit) != b:
+            issues.append(Issue("UNIT", f"unit fails on the right of b{i}"))
+    return issues
+
+
+def is_central(alg, v):
+    """v b_i == b_i v for every basis vector b_i."""
+    return all(
+        alg.mul(v, alg.basis_vector(i)) == alg.mul(alg.basis_vector(i), v)
+        for i in range(alg.dim)
+    )
+
+
 def identity_of(alg, sub):
     """Two-sided identity of a multiplicatively closed subspace, if any."""
     if sub.dim != alg.dim or sub.p != alg.p:
@@ -171,7 +194,7 @@ def identity_of(alg, sub):
     # The library leaves this to a lemma (u lies in sub and fixes it, so
     # u u = u); the scan checks it on every identity it finds.
     assert alg.mul(u, u) == u, f"identity {u} of a subring is not idempotent"
-    return SubringIdentity(u, alg.is_central_vec(u))
+    return SubringIdentity(u, is_central(alg, u))
 
 
 def is_ideal(alg, inner, outer):

@@ -166,3 +166,26 @@ def test_partial_inverse_swaps_endpoints():
     back = partial_inverse(m)
     assert back.domain == span(2, [(0, 1)], 5)
     assert back.apply((0, 2)) == (1, 0)
+
+
+def test_equal_subspaces_hash_equal_and_the_kept_hash_stays_out_of_equality():
+    """A subspace keeps its hash, the hash of (dim, p, basis), in its
+    instance dict like `pivots`: equal subspaces built by different routes
+    hash equal, and a kept value, even a wrong one, does not decide ==."""
+    p = 5
+    a = Subspace.span(3, [(1, 2, 0), (0, 1, 1)], p)
+    routes = [
+        Subspace.span(3, [(1, 3, 1), (2, 4, 0), (0, 0, 0)], p),
+        Subspace.full(3, p).intersect(a),
+        a.add(Subspace.zero(3, p)),
+        LinMap.identity(Subspace.full(3, p)).image_of(a),
+    ]
+    assert "_hash" not in vars(a)
+    assert hash(a) == hash((3, p, a.basis)) and "_hash" in vars(a)
+    for b in routes:
+        assert b == a and hash(b) == hash(a)
+    other = Subspace.span(3, [(1, 0, 0)], p)
+    vars(other)["_hash"] = hash(a)
+    vars(routes[0])["_hash"] = hash(a) + 1
+    assert other != a and hash(other) == hash(a)
+    assert routes[0] == a and a == routes[0]

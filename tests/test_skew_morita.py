@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from ogaction.actions import (
     standard_restriction,
     validate_po_action,
 )
-from ogaction.algebras import diagonal_algebra
+from ogaction.algebras import Algebra, diagonal_algebra
 from ogaction.corpus import CORPUS
 from ogaction.errors import (
     InvalidAction,
@@ -245,6 +246,19 @@ def test_skew_unit_of_a_preunital_non_unital_action():
     for i in range(q.dim):
         b = q.basis_vector(i)
         assert q.mul(unit, b) == b and q.mul(b, unit) == b
+
+
+def test_skew_unit_is_checked_on_both_sides():
+    """The image of the anchor units, here b_0 of a dim-3 quotient, must be
+    an identity on both sides: in a quotient replaced by a ring where b_0 is
+    a unit on one side only, or on neither, `skew_unit` raises."""
+    o = build_ordered_skew(build_skew(xf.nilpotent_edge_po_action()))
+    assert skew_unit(o) == (1, 0, 0)
+    zero = Algebra.from_products(o.quotient.p, 3, ({}, {}, {}))
+    one_sided = [xf.first_row_algebra(o.quotient.p, 3, opposite) for opposite in (False, True)]
+    for bent in (*one_sided, zero):
+        with pytest.raises(InvalidAction, match="^anchor unit image is not an identity of the quotient$"):
+            skew_unit(replace(o, quotient=bent))
 
 
 def test_skew_unit_requires_preunital_anchors():

@@ -727,6 +727,11 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
          "algebra 'two_block': field 'structure': 1.2 is not an integer"),
         (PA, lambda doc: _put(doc["algebras"]["two_block"]["unit"], 0, True), [], None,
          "algebra 'two_block': field 'unit': True is not an integer"),
+        # a unit of the wrong length, refused by the UNIT check's product
+        (PA, lambda doc: _drop(doc["algebras"]["two_block"]["unit"], -1), [], None,
+         "element length differs from algebra dimension"),
+        (PA, lambda doc: doc["algebras"]["two_block"]["unit"].append(0), [], None,
+         "element length differs from algebra dimension"),
         (PA, lambda doc: _put(_swap_part(doc, "ideals")["s"][0], 1, 1.7), [], None,
          "action 'block_swap': 'ideals' at 's': 1.7 is not an integer"),
         (PA, lambda doc: _put(_swap_part(doc, "maps")["s"][0], 1, "1"), [], None,
@@ -763,7 +768,7 @@ PA, B2 = "pointed_arrow.json", "brandt_b2.json"
         "missing-ideal", "missing-map", "map-row-count", "map-row-width",
         "float-modulus", "string-modulus", "string-dim", "null-modulus", "null-dim",
         "float-structure-entry",
-        "bool-unit-entry", "float-ideal-entry", "string-map-entry", "bool-map-entry",
+        "bool-unit-entry", "unit-one-entry-short", "unit-one-entry-long", "float-ideal-entry", "string-map-entry", "bool-map-entry",
         "selector-matches-nothing", "unknown-action", "unknown-inverse-action",
         "unknown-groupoid", "unknown-family-object", "family-key-not-an-object",
         "unknown-embedding-object", "float-restrict-ideal-entry",
