@@ -17,9 +17,10 @@ the call gave:
 - `build_skew` on the M_5 rung and on its action moved to the carrier basis
   b_0 + b_1, b_1, b_2, ... (the maps gain entries), and the quotient of the
   dim-125 skew ring by N = 0;
-- `validate_groupoid` on the ESN groupoid of I_4 (209 arrows), the largest
-  groupoid a CI step validates: CAT associativity is the loop over its
-  composable triples;
+- `validate_groupoid` and `validate_order` on the ESN groupoid of I_4 (209
+  arrows), the largest groupoid a CI step validates: each clause is one
+  pass, CAT associativity the loop over its composable triples and OG2 a
+  read of `comp` per quadruple;
 - `validate_inv_sgp_action` on the natural action of I_4 on F_p^4 (the
   seed-1 `inv_i4` workspace of `perfbench/gen.py`, 43,681 products): P2'
   and P3' read one memo entry per distinct meet, image and map value;
@@ -134,11 +135,19 @@ def test_glob_rung_m5(benchmark, tmp_path):
     assert rc == 0
 
 
+def _fresh_copy(g):
+    """Setup for one round: a copy of g with no kept table or report."""
+    return lambda: ((OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq),), {})
+
+
 def test_validate_groupoid_i4(benchmark, i4_groupoid):
-    g = i4_groupoid
-    fresh = lambda: ((OrderedGroupoid(g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq),), {})  # noqa: E731
-    rep = benchmark.pedantic(OrderedGroupoid.validate_groupoid, setup=fresh, rounds=10)
-    assert g.n == 209 and rep.ok
+    rep = benchmark.pedantic(OrderedGroupoid.validate_groupoid, setup=_fresh_copy(i4_groupoid), rounds=10)
+    assert i4_groupoid.n == 209 and rep.ok
+
+
+def test_validate_order_i4(benchmark, i4_groupoid):
+    rep = benchmark.pedantic(OrderedGroupoid.validate_order, setup=_fresh_copy(i4_groupoid), rounds=10)
+    assert i4_groupoid.n == 209 and rep.ok
 
 
 @pytest.fixture(scope="module")

@@ -38,10 +38,6 @@ def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
-def _og2_message(nm: Sequence[str], g: int, h: int, k: int, l: int) -> str:
-    return f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered"
-
-
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The entries of a row at these positions, always as a tuple
     (`itemgetter` returns a scalar for one position and refuses none)."""
@@ -105,13 +101,14 @@ class OrderedGroupoid:
     A groupoid is not changed after construction, so its tables are built
     on first use and kept: the arrows below each arrow grouped by domain
     and by range; the meets of all pairs of objects; one composite table
-    (`_partners`, `_pos`, `_rows`), which CAT, OG2, the pseudoproduct table
-    and the index view read, while `comp` stays the input and the form for
-    equality, hashing and JSON; and, once the groupoid is valid, the
-    pseudoproduct table.  The checks skip only pairs a scan over all arrows
-    would have passed over, in the same order, and CAT associativity is the
-    loop over composable triples.  So reports, issue lists and exceptions
-    are those of the plain scans.
+    (`_partners`, `_pos`, `_rows`), which the pseudoproduct table and the
+    index view read; and, once the groupoid is valid, the pseudoproduct
+    table.  `comp` stays the input, the form for equality, hashing and
+    JSON, and what validation reads.  Each clause is one pass: CAT and OG2
+    read `comp` along the partners, CAT associativity is the loop over
+    composable triples, and the passes skip only pairs a scan over all
+    arrows would have passed over, in the same order.  So reports, issue
+    lists and exceptions are those of the plain scans.
     """
 
     def __init__(
@@ -277,16 +274,12 @@ class OrderedGroupoid:
             else:
                 rep.add("CAT", f"product ({g}, {h}) -> {gh} has an index outside the arrows")
         # "Defined iff composable" fails on the keys of comp that are not
-        # composable and on the composable pairs missing from comp; there are
-        # none when comp is exact: every entry inside, rows, and no other key.
-        rows, partners = self._rows, self._partners
-        exact = rows is not None and len(comp) == len(self.comp) == sum(map(len, partners))
-        if not exact:
-            dom, ran = self.dom, self.ran
-            bad = {(g, h) for g, h in comp if dom[g] != ran[h]}
-            bad.update((g, h) for g, hs in enumerate(partners) for h in hs if (g, h) not in comp)
-            for g, h in sorted(bad):
-                rep.add("CAT", f"product {nm[g]}*{nm[h]} defined iff domains match fails")
+        # composable and on the composable pairs missing from comp.
+        dom, ran = self.dom, self.ran
+        bad = {(g, h) for g, h in comp if dom[g] != ran[h]}
+        bad.update((g, h) for g, hs in enumerate(self._partners) for h in hs if (g, h) not in comp)
+        for g, h in sorted(bad):
+            rep.add("CAT", f"product {nm[g]}*{nm[h]} defined iff domains match fails")
         for (g, h), gh in comp.items():
             if self.composable(g, h):
                 if self.dom[gh] != self.dom[h] or self.ran[gh] != self.ran[g]:
@@ -319,48 +312,34 @@ class OrderedGroupoid:
         nm = self.names
         leq = self.leq
         up = [tuple(b for b, x in enumerate(row) if x) for row in leq]
-        up_sets = [frozenset(u) for u in up]
         for a in self.arrows():
             if not leq[a][a]:
                 rep.add("ORD", f"order is not reflexive at {nm[a]}")
             for b in up[a]:
                 if a != b and leq[b][a]:
                     rep.add("ORD", f"order is not antisymmetric on {nm[a]}, {nm[b]}")
-                if not up_sets[b] <= up_sets[a]:
-                    for c in up[b]:
-                        if c not in up_sets[a]:
-                            rep.add("ORD", f"order is not transitive via {nm[a]}<={nm[b]}<={nm[c]}")
+                for c in up[b]:
+                    if not leq[a][c]:
+                        rep.add("ORD", f"order is not transitive via {nm[a]}<={nm[b]}<={nm[c]}")
         for g in self.arrows():
             for h in up[g]:
                 if not leq[self.inv[g]][self.inv[h]]:
                     rep.add("OG1", f"{nm[g]} <= {nm[h]} but inverses are unordered")
-        # OG2 over g <= h, k composable with g, l >= k composable with h, with
-        # gk and hl read from the composite rows; without the table, from comp.
-        # A composite that is missing or outside the arrows fails CAT, and OG2
+        # OG2 over g <= h, k composable with g, l >= k composable with h.  A
+        # composite that is missing or outside the arrows fails CAT, and OG2
         # skips its quadruples.
-        dom, ran, rows, pos, comp = self.dom, self.ran, self._rows, self._pos, self.comp
+        dom, ran, comp, arrows = self.dom, self.ran, self.comp, self.arrows()
         up_by_ran = [_group(ls, ran) for ls in up]
-        if rows is None:
-            arrows = self.arrows()
-            for g, ks in enumerate(self._partners):
-                for h in up[g]:
-                    for k in ks:
-                        for l in up_by_ran[k].get(dom[h], ()):
-                            gk, hl = comp.get((g, k)), comp.get((h, l))
-                            if gk in arrows and hl in arrows and not leq[gk][hl]:
-                                rep.add("OG2", _og2_message(nm, g, h, k, l))
-        else:
-            for g, ks in enumerate(self._partners):
-                for h in up[g]:
-                    d, row_h = dom[h], rows[h]
-                    for k, gk in zip(ks, rows[g]):
-                        ls = up_by_ran[k].get(d)
-                        if ls is None:
-                            continue
-                        le_gk = leq[gk]
-                        for l in ls:
-                            if not le_gk[row_h[pos[l]]]:
-                                rep.add("OG2", _og2_message(nm, g, h, k, l))
+        for g, ks in enumerate(self._partners):
+            for h in up[g]:
+                for k in ks:
+                    gk = comp.get((g, k))
+                    if gk not in arrows:
+                        continue
+                    for l in up_by_ran[k].get(dom[h], ()):
+                        hl = comp.get((h, l))
+                        if hl in arrows and not leq[gk][hl]:
+                            rep.add("OG2", f"products of {nm[g]}<={nm[h]} with {nm[k]}<={nm[l]} are unordered")
         sides = (
             ("OG3", "restriction", dom, self._below_by_dom),
             ("OG3*", "corestriction", ran, self._below_by_ran),
@@ -492,16 +471,14 @@ class OrderedGroupoid:
         the ordered-groupoid axioms and raises instead of returning False.
         """
         # With n for "undefined", an absorbing sentinel, pseudoassociativity
-        # is associativity of the kept table.  Any exception (an invalid
-        # groupoid has no table) or a failed certificate runs the scan, so
-        # the value returned and the exception raised are the scan's.
-        n = self.n
-        try:
+        # is associativity of the kept table.  An invalid groupoid (it has
+        # no table) or a failed certificate runs the scan, so the value
+        # returned and the exception raised are the scan's.
+        if self.is_valid():
+            n = self.n
             rows = [tuple(n if x is None else x for x in row) + (n,) for row in self._pseudoproducts]
             if light_certificate(rows + [(n,) * (n + 1)]):
                 return True
-        except Exception:
-            pass
         return self._scan_pseudoassociative()
 
     def _scan_pseudoassociative(self) -> bool:

@@ -211,15 +211,12 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
     """Elements become arrows; composition is defined on matching idempotents;
     the order is the natural partial order.  The result is inductive.
 
-    The result is kept on s and holds s weakly.  If s came from
-    `esn_to_semigroup(g)`, g is returned when its names, objects, inv, comp,
-    dom, ran and leq equal those formed here: validation reads only these, so
-    g has a rebuilt copy's report, exceptions and `==`.  Otherwise the copy
-    is built, and it is not validated: by the Ehresmann-Schein-Nambooripad
-    theorem (Lawson, *Inverse Semigroups*, 1998, ch. 4) the groupoid of a
-    valid inverse semigroup is an inductive groupoid, so its reports are
-    recorded as passed.  Checked mode validates a rebuilt copy in full and
-    compares it with the groupoid returned.
+    The result is kept on s and holds s weakly.  It is built and not
+    validated: by the Ehresmann-Schein-Nambooripad theorem (Lawson, *Inverse
+    Semigroups*, 1998, ch. 4) the groupoid of a valid inverse semigroup is
+    an inductive groupoid, so its reports are recorded as passed.  Checked
+    mode validates a rebuilt copy in full and compares it with the groupoid
+    returned.
     """
     if "_esn_groupoid" in s.__dict__:
         return s._esn_groupoid
@@ -234,12 +231,10 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
             leq[a][b] = True
     leq = tuple(map(tuple, leq))  # frees the lists before the groupoid copies the rows
     fields = (s.names, frozenset(s.idempotents()), ix.inv, comp, ix.dom, ix.ran, leq)
-    g = s.__dict__.get("_esn_source")
-    if g is None or fields != (g.names, g.objects, g.inv, g.comp, g.dom, g.ran, g.leq):
-        g = OrderedGroupoid(*fields)
-        g._groupoid_report = ValidationReport("groupoid", GROUPOID_CLAUSES)
-        g._order_report = ValidationReport("groupoid order", ORDER_CLAUSES)
-        g._inductive = True
+    g = OrderedGroupoid(*fields)
+    g._groupoid_report = ValidationReport("groupoid", GROUPOID_CLAUSES)
+    g._order_report = ValidationReport("groupoid order", ORDER_CLAUSES)
+    g._inductive = True
 
     def rebuilt() -> tuple:
         h = OrderedGroupoid(*fields)
@@ -253,18 +248,17 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
 def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     """Total multiplication by pseudoproduct; requires an inductive groupoid.
 
-    The result records g.  If g came from `esn_to_groupoid(s)` and s is
-    alive, s is returned when its names and table equal g's names and
-    pseudoproducts: validation reads only these, so s has a rebuilt copy's
-    report, exceptions and `==`.  When s still keeps g as its ESN groupoid,
-    g is G(s) and the ESN correspondence gives S(G(s)) = s, so the
-    pseudoproducts are not formed; checked mode compares them with s's
-    table all the same.  Otherwise the copy is built, and it is not
-    validated: by the ESN theorem the pseudoproduct semigroup of an
-    inductive groupoid is inverse, the inverse of an arrow being its
-    groupoid inverse, so its report is recorded as passed with g's
-    inverses.  Checked mode validates a rebuilt copy in full and compares
-    it with the semigroup returned.
+    If g came from `esn_to_groupoid(s)` and s is alive, s is returned when
+    its names and table equal g's names and pseudoproducts: validation
+    reads only these, so s has a rebuilt copy's report, exceptions and
+    `==`.  When s still keeps g as its ESN groupoid, g is G(s) and the ESN
+    correspondence gives S(G(s)) = s, so the pseudoproducts are not formed;
+    checked mode compares them with s's table all the same.  Otherwise the
+    copy is built, and it is not validated: by the ESN theorem the
+    pseudoproduct semigroup of an inductive groupoid is inverse, the
+    inverse of an arrow being its groupoid inverse, so its report is
+    recorded as passed with g's inverses.  Checked mode validates a rebuilt
+    copy in full and compares it with the semigroup returned.
     """
     g.require_valid()
     if not g.is_inductive():
@@ -276,7 +270,6 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     ):
         s = InverseSemigroup(g.names, g._pseudoproducts)
         s._report, s._inverse = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES), g.inv
-        s._esn_source = g
 
     def rebuilt() -> tuple:
         t = InverseSemigroup(g.names, g._pseudoproducts)

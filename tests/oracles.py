@@ -96,15 +96,18 @@ def span_members(rows, dim, p):
 
 
 def naive_ideal_closure(mul, dim, p, gens, basis_vectors):
-    """Fixpoint closure under left/right multiplication, tracked by rank."""
-    current = [tuple(int(x) % p for x in g) for g in gens]
+    """Fixpoint closure under left/right multiplication by every basis
+    vector, the rows reduced by `rref` once per round; returns the RREF
+    basis of the closure."""
+    current = rref(gens, p)
     while True:
         new = list(current)
         for v in current:
             for b in basis_vectors:
                 new.append(mul(b, v))
                 new.append(mul(v, b))
-        if naive_rank(new, p) == naive_rank(current, p):
+        new = rref(new, p)
+        if len(new) == len(current):
             return current
         current = new
 

@@ -184,7 +184,7 @@ def test_ideal_closure_bases_match_the_naive_closure():
     ranks = set()
 
     @SETTINGS
-    @given(**{**CASE, "n": st.integers(1, 4)})
+    @given(**{**CASE, "n": st.integers(1, 7)})
     def check(kind, n, p, seed):
         rng = random.Random(seed)
         alg = _random_algebra(rng, kind, n, p)

@@ -602,10 +602,12 @@ def test_composite_table_matches_comp(label, g):
 
 
 def test_some_cases_with_rows_fail_og2_or_have_a_key_that_does_not_compose():
-    """Some case with composite rows fails OG2, so the comparisons with the
-    oracle cover the issue list of the row loop, not only that of the loop
-    over comp; and some cases have rows and a key that does not compose, so
-    the "defined iff composable" pass runs beside the rows."""
+    """Some case whose composable pairs all compose to arrows (it has
+    composite rows) fails OG2, so the comparisons with the oracle cover
+    OG2's issue list where no quadruple is skipped, not only where a
+    composite is missing; and some cases have rows and a key that does not
+    compose, so the "defined iff composable" pass meets a stray key beside
+    a complete composite table."""
     failing = []
     for label, g in GROUPOIDS:
         fresh = _groupoid_copy(g)

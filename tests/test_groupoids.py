@@ -161,6 +161,21 @@ def test_pseudoassociativity():
     assert xf.nilpotent_edge_po_action().structure.is_pseudoassociative()
 
 
+def test_a_fault_in_the_pseudoproduct_table_of_a_valid_groupoid_raises(monkeypatch):
+    """On a valid groupoid `is_pseudoassociative` reads the kept table with
+    no fallback around it: a fault there raises instead of quietly running
+    the scan."""
+
+    def broken(self):
+        raise RuntimeError("pseudoproduct table fault")
+
+    monkeypatch.setattr(OrderedGroupoid, "_pseudoproducts", property(broken))
+    g = fx.pointed_arrow_groupoid()
+    assert g.is_valid()
+    with pytest.raises(RuntimeError, match="pseudoproduct table fault"):
+        g.is_pseudoassociative()
+
+
 def test_inductive_fixtures():
     assert fx.pointed_arrow_groupoid().is_inductive()
     assert fx.stacked_involutions_groupoid().is_inductive()
@@ -235,7 +250,8 @@ def test_unknown_arrow_name_raises():
 
 
 def test_og2_is_read_from_comp_when_a_composable_pair_has_no_composite():
-    """Without r_s * r_s there are no composite rows, so OG2 reads `comp`:
+    """Without r_s * r_s there are no composite rows, and OG2 reads the
+    composites that `comp` has, skipping the quadruples that need r_s * r_s:
     e_min * e_min sent to s is not below the products of the arrows above
     e_min.  The report equals the retained scan's."""
     g = fx.pointed_arrow_groupoid()
