@@ -21,6 +21,9 @@ the call gave:
   arrows), the largest groupoid a CI step validates: each clause is one
   pass, CAT associativity the loop over its composable triples and OG2 a
   read of `comp` per quadruple;
+- the pseudoproduct table of the same groupoid, which only checked mode
+  forms at this size: each entry one read of the meets, the arrows below
+  each arrow and `comp`;
 - `validate_inv_sgp_action` on the natural action of I_4 on F_p^4 (the
   seed-1 `inv_i4` workspace of `perfbench/gen.py`, 43,681 products): P2'
   and P3' read one memo entry per distinct meet, image and map value;
@@ -67,8 +70,13 @@ def i5():
 
 
 @pytest.fixture(scope="module")
-def i4_groupoid():
-    return esn_to_groupoid(symmetric_inverse_monoid(4))
+def i4():
+    return symmetric_inverse_monoid(4)
+
+
+@pytest.fixture(scope="module")
+def i4_groupoid(i4):
+    return esn_to_groupoid(i4)
 
 
 def _glob_rung_m5(directory: Path, broken: bool = False) -> Path:
@@ -148,6 +156,21 @@ def test_validate_groupoid_i4(benchmark, i4_groupoid):
 def test_validate_order_i4(benchmark, i4_groupoid):
     rep = benchmark.pedantic(OrderedGroupoid.validate_order, setup=_fresh_copy(i4_groupoid), rounds=10)
     assert i4_groupoid.n == 209 and rep.ok
+
+
+def test_pseudoproducts_i4(benchmark, i4, i4_groupoid):
+    """The pseudoproduct table of a fresh ESN groupoid of I_4, whose reports
+    the ESN theorem records, so the timing holds the meets, the arrows below
+    each arrow and the 43,681 entries, and no validation."""
+
+    def fresh():
+        s = InverseSemigroup(i4.names, i4.mult)
+        s.require_valid()
+        return (esn_to_groupoid(s),), {}
+
+    table = benchmark.pedantic(lambda g: g._pseudoproducts, setup=fresh, rounds=10)
+    arrows = i4_groupoid.arrows()
+    assert table == tuple(tuple(i4_groupoid.pseudoproduct(a, b) for b in arrows) for a in arrows)
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@ globalization constructions."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidGroupoid, NotBelowDomain, NotBelowRange
 from .validation import ValidationReport
@@ -36,14 +36,6 @@ def _group(arrows: Iterable[int], key: Sequence[int]) -> dict[int, tuple[int, ..
     for x in arrows:
         out.setdefault(key[x], []).append(x)
     return {k: tuple(v) for k, v in out.items()}
-
-
-def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The entries of a row at these positions, always as a tuple
-    (`itemgetter` returns a scalar for one position and refuses none)."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda row: tuple(row[i] for i in positions)
 
 
 def light_certificate(table: Sequence[Sequence[int]]) -> bool:
@@ -100,12 +92,13 @@ class OrderedGroupoid:
 
     A groupoid is not changed after construction, so its tables are built
     on first use and kept: the arrows below each arrow grouped by domain
-    and by range; the meets of all pairs of objects; one composite table
-    (`_partners`, `_pos`, `_rows`), which the pseudoproduct table and the
-    index view read; and, once the groupoid is valid, the pseudoproduct
-    table.  `comp` stays the input, the form for equality, hashing and
-    JSON, and what validation reads.  Each clause is one pass: CAT and OG2
-    read `comp` along the partners, CAT associativity is the loop over
+    and by range; the meets of all pairs of objects; the partners of each
+    arrow (`_partners`, the arrows it composes with), which validation and
+    the index view read; and, once the groupoid is valid, the pseudoproduct
+    table, read from the meets, the arrows below each arrow and `comp`.
+    `comp` stays the input, the form for equality, hashing and JSON, and
+    what validation reads.  Each clause is one pass: CAT and OG2 read
+    `comp` along the partners, CAT associativity is the loop over
     composable triples, and the passes skip only pairs a scan over all
     arrows would have passed over, in the same order.  So reports, issue
     lists and exceptions are those of the plain scans.
@@ -226,25 +219,6 @@ class OrderedGroupoid:
     def _partners(self) -> tuple[tuple[int, ...], ...]:
         """partners[g]: the arrows with range dom g, ascending."""
         return tuple(self._by_ran.get(d, ()) for d in self.dom)
-
-    @cached_property
-    def _pos(self) -> tuple[int, ...]:
-        """pos[h]: the position of h among the arrows with its range, so
-        in partners[g] for every g with dom g = ran h."""
-        where = {h: i for hs in self._by_ran.values() for i, h in enumerate(hs)}
-        return tuple(map(where.__getitem__, self.arrows()))
-
-    @cached_property
-    def _rows(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        """rows[g]: the composites g*h over partners[g]; None when a
-        composable pair has no composite or a composite is not an arrow, so
-        a valid groupoid has its rows."""
-        comp, arrows = self.comp, self.arrows()
-        try:
-            rows = tuple(tuple(comp[(g, h)] for h in hs) for g, hs in enumerate(self._partners))
-        except KeyError:
-            return None
-        return rows if all(gh in arrows for row in rows for gh in row) else None
 
     # -- validation ----------------------------------------------------
 
@@ -433,29 +407,17 @@ class OrderedGroupoid:
         """The pseudoproduct table of a valid groupoid, None where dom g and
         ran h have no meet.
 
-        The pseudoproduct g*h is (g | m) * (m | h) with m = dom g ^ ran h.
-        In a valid groupoid the restriction and corestriction at an object
-        m are the single arrows below g with domain m and below h with
-        range m, so the entry is the composite row of g | m read at the
-        position of m | h.  The h of one range r share m: a row is one pick
-        per r from the row of g | m, then one pick back to arrow order.
+        The pseudoproduct g*h is (g | m) * (m | h) with m = dom g ^ ran h.  In
+        a valid groupoid g | m and m | h are the single arrows below g with
+        domain m and below h with range m, so each entry is read from the
+        meets, the arrows below g and h, and `comp`.
         """
         self.require_valid()
-        res = [{m: found[0] for m, found in by_dom.items()} for by_dom in self._below_by_dom]
-        by_ran, pos = self._by_ran, self._pos
-        cores = {(r, m): _picker([pos[self._below_by_ran[h][m][0]] for h in hs])
-                 for r, hs in by_ran.items() for m in self._objects_below[r]}
-        start = dict(zip(by_ran, accumulate(map(len, by_ran.values()), initial=0)))
-        back = _picker([start[r] + pos[h] for h, r in enumerate(self.ran)])
-        rows, table = self._rows, []
-        for g in self.arrows():
-            left, meet_g = res[g], self._meets[self.dom[g]]
-            picks = []
-            for r, hs in by_ran.items():
-                m = meet_g[r]
-                picks.extend((None,) * len(hs) if m is None else cores[r, m](rows[left[m]]))
-            table.append(back(picks))
-        return tuple(table)
+        comp, res, cor, ran = self.comp, self._below_by_dom, self._below_by_ran, self.ran
+        return tuple(
+            tuple(None if (m := row[r]) is None else comp[res[g][m][0], cor[h][m][0]] for h, r in enumerate(ran))
+            for g, row in enumerate(map(self._meets.__getitem__, self.dom))
+        )
 
     @cached_property
     def _inductive(self) -> bool:

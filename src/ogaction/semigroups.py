@@ -156,12 +156,12 @@ class GradedIndex:
     grade.  Read through the Ehresmann-Schein-Nambooripad correspondence
     (Lawson, *Inverse Semigroups*, 1998), a semigroup's view is its derived
     inductive groupoid's view with the composite widened to the total
-    product.  The structure is validated first, so a groupoid has its
-    composite table, and `products()` walks each grade's partners beside
-    its row of products: the groupoid's `_partners` and `_rows`, or every
-    element and the semigroup's table row.  The view holds the structure's
-    tables, not the structure, so keeping it on the structure makes no
-    reference cycle: both are freed as soon as the structure is dropped.
+    product.  `products()` walks each grade's partners beside its row of
+    products: a groupoid's `_partners` and the composites `comp` gives
+    along them (it is validated first, so each exists), or every element
+    and the semigroup's table row.  The view holds the structure's tables,
+    not the structure, so keeping it on the structure makes no reference
+    cycle: both are freed as soon as the structure is dropped.
     """
 
     def __init__(self, structure: "OrderedGroupoid | InverseSemigroup"):
@@ -174,7 +174,8 @@ class GradedIndex:
             self._down = structure._down
             leq = structure.leq
             self.le: Callable[[int, int], bool] = lambda g, h: leq[g][h]
-            self._partners, self._rows = structure._partners, structure._rows
+            comp, self._partners = structure.comp, structure._partners
+            self._composites = tuple(tuple(comp[g, h] for h in hs) for g, hs in enumerate(self._partners))
         else:
             mult = structure.mult
             self.inv = structure._inverse
@@ -183,14 +184,14 @@ class GradedIndex:
             self.anchors = tuple(sorted(structure.idempotents()))
             below = self._down = structure._down_sets()
             self.le = lambda s, t: s in below[t]
-            self._partners, self._rows = (self.grades,) * len(self.grades), mult
+            self._partners, self._composites = (self.grades,) * len(self.grades), mult
         self.triples = tuple(zip(self.grades, self.ran, self.dom))
 
     def products(self) -> Iterator[tuple[int, int, int]]:
         """(g, h, gh) for every defined composite, g-major with h
         ascending: the composable pairs of a groupoid, every pair of a
         semigroup."""
-        for g, hs, row in zip(self.grades, self._partners, self._rows):
+        for g, hs, row in zip(self.grades, self._partners, self._composites):
             for h, gh in zip(hs, row):
                 yield g, h, gh
 
@@ -248,11 +249,9 @@ def esn_to_groupoid(s: InverseSemigroup) -> OrderedGroupoid:
 def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     """Total multiplication by pseudoproduct; requires an inductive groupoid.
 
-    If g came from `esn_to_groupoid(s)` and s is alive, s is returned when
-    its names and table equal g's names and pseudoproducts: validation
-    reads only these, so s has a rebuilt copy's report, exceptions and
-    `==`.  When s still keeps g as its ESN groupoid, g is G(s) and the ESN
-    correspondence gives S(G(s)) = s, so the pseudoproducts are not formed;
+    If g came from `esn_to_groupoid(s)`, s is alive and s still keeps g as
+    its ESN groupoid, g is G(s) and the ESN correspondence gives
+    S(G(s)) = s, so s is returned and the pseudoproducts are not formed;
     checked mode compares them with s's table all the same.  Otherwise the
     copy is built, and it is not validated: by the ESN theorem the
     pseudoproduct semigroup of an inductive groupoid is inverse, the
@@ -264,12 +263,11 @@ def esn_to_semigroup(g: OrderedGroupoid) -> InverseSemigroup:
     if not g.is_inductive():
         raise NotInductive("pseudoproduct is not total without object meets")
     s = g.__dict__.get("_esn_source", lambda: None)()
-    kept = True if s is not None and s.__dict__.get("_esn_groupoid") is g else None
-    if s is None or not short_cut(
-        "ESN: S(G(S)) = S", kept, lambda: (s.names, s.mult) == (g.names, g._pseudoproducts)
-    ):
+    if s is None or s.__dict__.get("_esn_groupoid") is not g:
         s = InverseSemigroup(g.names, g._pseudoproducts)
         s._report, s._inverse = ValidationReport("inverse semigroup", SEMIGROUP_CLAUSES), g.inv
+    else:
+        short_cut("ESN: S(G(S)) = S", True, lambda: (s.names, s.mult) == (g.names, g._pseudoproducts))
 
     def rebuilt() -> tuple:
         t = InverseSemigroup(g.names, g._pseudoproducts)

@@ -1,13 +1,14 @@
 """The indexed combinatorial layer against the plain scans it replaced.
 
 `OrderedGroupoid` reads its groupoid and order checks, restrictions,
-meets and pseudoproducts from its composite table (each arrow's partners
-and composite row) and up-/down-set tables, and keeps its pseudoproduct
-table once valid; `InverseSemigroup` keeps its natural order as
-down-sets.  One Light certificate (`light_certificate`) on square tables
-decides ASSOC on the multiplication table and pseudoassociativity on the
-sentinel-extended pseudoproduct table; CAT associativity is the loop
-over composable triples; and the ESN conversions read the same tables.
+meets and pseudoproducts from each arrow's partners, `comp` and its
+up-/down-set tables, and keeps its pseudoproduct table once valid, each
+entry read from the meets, the arrows below each arrow and `comp`;
+`InverseSemigroup` keeps its natural order as down-sets.  One Light
+certificate (`light_certificate`) on square tables decides ASSOC on the
+multiplication table and pseudoassociativity on the sentinel-extended
+pseudoproduct table; CAT associativity is the loop over composable
+triples; and the ESN conversions read the same tables.
 `tests/oracles.py` keeps the scans over all arrows and elements as they
 were.  Both sides must give the same clauses, the same issues in the
 same order, the same values and the same exceptions, on valid structures
@@ -100,6 +101,12 @@ def _groupoid_copy(g, inv=None, comp=None, leq=None):
     )
 
 
+def _composes_to_arrows(g):
+    """Every composable pair has a composite in `comp`, and it is an arrow."""
+    arrows = range(g.n)
+    return all(g.comp.get((a, b)) in arrows for a in arrows for b in arrows if g.dom[a] == g.ran[b])
+
+
 def _groupoid_perturbations(label, g, rng):
     out = []
     cells = [(a, a) for a in rng.sample(range(g.n), min(2, g.n))]
@@ -132,7 +139,7 @@ def _groupoid_perturbations(label, g, rng):
         comp[loose[0]] = comp.pop(keys[-1])
         out.append((f"{label}: product {keys[-1]} moved to {loose[0]}", _groupoid_copy(g, comp=comp)))
         # Every composable pair kept, and one more product on a pair that
-        # does not compose: no composite table.
+        # does not compose: a stray key beside every composite.
         comp = {**g.comp, loose[0]: g.comp[keys[-1]]}
         out.append((f"{label}: product {keys[-1]} copied to {loose[0]}", _groupoid_copy(g, comp=comp)))
     return out
@@ -578,43 +585,34 @@ def test_index_walks_match_the_pair_scans():
 @pytest.mark.parametrize("label,g", GROUPOIDS, ids=[label for label, _ in GROUPOIDS])
 def test_composite_table_matches_comp(label, g):
     """On every case and on a relabeled copy: partners are the arrows with
-    range dom g, ascending, and pos places each arrow in its range group;
-    the rows are None exactly when a composable pair has no composite, and
-    otherwise hold comp read along the partners.  On a valid copy
-    `products()` is the pair scan, and on the copy the order report is the
-    oracle's."""
+    range dom g, ascending.  On a valid copy `products()`, which reads
+    comp along the partners, is the pair scan, and on the copy the order
+    report is the oracle's."""
     perm = list(range(g.n))
     random.Random(label).shuffle(perm)
     moved = g.relabeled(perm)
     for x in (_groupoid_copy(g), moved):
         arrows = range(x.n)
         assert x._partners == tuple(tuple(b for b in arrows if x.ran[b] == x.dom[a]) for a in arrows)
-        for a in arrows:
-            group = [b for b in arrows if x.ran[b] == x.ran[a]]
-            assert group[x._pos[a]] == a, label
-        if any(x.dom[a] == x.ran[b] and (a, b) not in x.comp for a in arrows for b in arrows):
-            assert x._rows is None, label
-        else:
-            assert x._rows == tuple(tuple(x.comp[(a, b)] for b in hs) for a, hs in enumerate(x._partners))
         if x.is_valid():
             assert list(GradedIndex(x).products()) == oracles.index_products(x), label
     assert outcome(moved.validate_order) == outcome(oracles.validate_order, moved), label
 
 
 def test_some_cases_with_rows_fail_og2_or_have_a_key_that_does_not_compose():
-    """Some case whose composable pairs all compose to arrows (it has
-    composite rows) fails OG2, so the comparisons with the oracle cover
-    OG2's issue list where no quadruple is skipped, not only where a
-    composite is missing; and some cases have rows and a key that does not
-    compose, so the "defined iff composable" pass meets a stray key beside
-    a complete composite table."""
+    """Some case whose composable pairs all compose to arrows fails OG2, so
+    the comparisons with the oracle cover OG2's issue list where no
+    quadruple is skipped, not only where a composite is missing; and some
+    cases have every composite and a key that does not compose, so the
+    "defined iff composable" pass meets a stray key beside a complete
+    composite table."""
     failing = []
     for label, g in GROUPOIDS:
         fresh = _groupoid_copy(g)
-        if fresh._rows is not None and not fresh.validate_order().clause_ok("OG2"):
+        if _composes_to_arrows(fresh) and not fresh.validate_order().clause_ok("OG2"):
             failing.append(label)
     assert len(failing) >= 3
-    extra = [label for label, g in GROUPOIDS if "copied to" in label and _groupoid_copy(g)._rows is not None]
+    extra = [label for label, g in GROUPOIDS if "copied to" in label and _composes_to_arrows(g)]
     assert len(extra) >= 10
 
 
