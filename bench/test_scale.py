@@ -9,7 +9,9 @@ the call gave:
 - the ESN round trip on I_5 (1,546 elements): validation, the inductive
   groupoid and back;
 - the glob rung m = 5 of `perfbench/gen.py` (the pair groupoid on five
-  objects), every task of its workspace through `cli.main`;
+  objects), every task of its workspace through `cli.main`, and
+  `build_minimal_globalization` alone on its action (ambient dim 125,
+  carrier dim 10), each translation a block copy applied by reindexing;
 - the associativity check of the M_5 skew ring under a 5-cycle (dim 125),
   which Light's middle-slot certificate decides, and of the same ring on
   the basis b_0 + b_1, b_1, b_2, ...: an isomorphic copy that is not
@@ -57,6 +59,7 @@ from oracles import skew_products  # noqa: E402
 from ogaction.actions import validate_inv_sgp_action, validate_po_action  # noqa: E402
 from ogaction.algebras import Algebra, _associator_failures, _nonzero_products, quotient  # noqa: E402
 from ogaction.cli import main  # noqa: E402
+from ogaction.globalize import build_minimal_globalization  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
 from ogaction.linalg import Subspace  # noqa: E402
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup  # noqa: E402
@@ -141,6 +144,24 @@ def test_glob_rung_m5(benchmark, tmp_path):
         rounds=5,
     )
     assert rc == 0
+
+
+def test_build_minimal_globalization_m5(benchmark, tmp_path):
+    """The minimal globalization alone, on the m = 5 rung's action (25
+    arrows, carrier dim 5): each round loads the action afresh and
+    validates it in the setup, so the timing holds the strength and
+    composition-law gates, the 25 block-copy translations, the piece
+    closures, the cut-out and the checklist, with no report kept from an
+    earlier round."""
+    path = _glob_rung_m5(tmp_path)
+
+    def fresh():
+        a = load_workspace(path).actions["restricted"]
+        a.require_valid()
+        return (a,), {}
+
+    gl = benchmark.pedantic(build_minimal_globalization, setup=fresh, rounds=10)
+    assert (gl.ambient.dim, gl.global_action.carrier.dim) == (125, 10) and gl.checklist.ok
 
 
 def _fresh_copy(g):

@@ -12,8 +12,8 @@ and it only sums over arrows with equal range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Optional, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Optional, Sequence
 
 from .actions import (
     Action,
@@ -31,19 +31,21 @@ from .actions import (
 )
 from .algebras import (
     Algebra,
+    _dense,
     is_ideal,
     is_ring_hom,
     product_ring,
     subring_closure,
 )
 from .errors import (
+    AmbientMismatch,
     InvalidAction,
     NotContained,
     NotPreunital,
     NotPseudoassociative,
     NotStrong,
 )
-from .linalg import LinMap, Subspace, Vector
+from .linalg import LinMap, Subspace, Vector, _unit_rows, sparse_sum
 from .validation import ValidationReport
 
 GLOBALIZATION_CLAUSES = (
@@ -73,10 +75,11 @@ class Globalization:
 
     `ambient` and `gamma` carry the product-ring scaffolding when the
     globalization was built here (the global action's `inclusion` embeds
-    its carrier into `ambient`); externally supplied globalizations leave
-    them unset and are still checkable by verify_globalization.  `checklist`
-    is the report of that check on a globalization built here; the
-    semigroup pipeline's carries the SGLOB clauses.
+    its carrier into `ambient`, and each gamma_g is a `BlockCopy`);
+    externally supplied globalizations leave them unset and are still
+    checkable by verify_globalization.  `checklist` is the report of that
+    check on a globalization built here; the semigroup pipeline's carries
+    the SGLOB clauses.
     """
 
     base: Action
@@ -84,7 +87,7 @@ class Globalization:
     embeddings: dict[int, LinMap]
     minimal: bool = False
     ambient: Optional[Algebra] = None
-    gamma: Optional[dict[int, LinMap]] = None
+    gamma: Optional[dict[int, BlockCopy]] = None
     checklist: Optional[ValidationReport] = field(default=None, compare=False)
 
 
@@ -98,41 +101,70 @@ def as_globalization(
     return Globalization(base, global_action, dict(embeddings), minimal=minimal)
 
 
-def _translation_map(
-    eye: Sequence[Vector],
-    p: int,
-    n: int,
-    ins: Sequence[int],
-    outs: Sequence[int],
-    source_of: Sequence[Optional[int]],
-) -> LinMap:
-    """Map F-vectors supported on the blocks `ins` (n coordinates each) to
-    the blocks `outs`; output block h copies input block source_of[h].
+@dataclass(frozen=True)
+class BlockCopy:
+    """The translation gamma_g of the product ring F^dim, in blocks of n
+    coordinates: output block h is a copy of input block s for each move
+    (h, s), sorted by h, on the vectors that vanish off the sorted input
+    blocks `ins`.  `apply` and `image_of` reindex; the unit-row `domain`
+    and the 0/1 `LinMap` of `as_linmap` are formed only on demand."""
 
-    Both ends are spans of the ambient's unit rows `eye` in sorted block
-    order, written down as they are: sorted distinct unit rows are already
-    in reduced row echelon form.  In those bases the matrix is 0/1, with a
-    1 from input block k, position i to output block h, position i for
-    each h with source_of[h] == k."""
-    ins, outs = sorted(ins), sorted(outs)
-    sources = [source_of[h] for h in outs]
-    matrix = tuple(
-        tuple(int(s == k and c == i) for s in sources for c in range(n)) for k in ins for i in range(n)
-    )
+    dim: int
+    p: int
+    n: int
+    ins: tuple[int, ...]
+    moves: tuple[tuple[int, int], ...]
 
-    def blocks(bs: Sequence[int]) -> Subspace:
-        return Subspace(len(eye), p, tuple(eye[b * n + i] for b in bs for i in range(n)))
+    @cached_property
+    def _off(self) -> tuple[int, ...]:
+        ins = set(self.ins)
+        return tuple(j for j in range(self.dim) if j // self.n not in ins)
 
-    return LinMap(blocks(ins), blocks(outs), matrix)
+    def apply(self, v: Sequence[int]) -> Vector:
+        """`LinMap.apply` of `as_linmap()`, with its errors: AmbientMismatch
+        on a wrong length, ValueError on a vector off the input blocks."""
+        if len(v) != self.dim:
+            raise AmbientMismatch(f"vector of length {len(v)} in ambient of dim {self.dim}")
+        w, n, out = [int(x) % self.p for x in v], self.n, [0] * self.dim
+        if any([w[j] for j in self._off]):
+            raise ValueError("vector not in subspace")
+        for h, s in self.moves:
+            out[h * n : (h + 1) * n] = w[s * n : (s + 1) * n]
+        return tuple(out)
+
+    def image_of(self, sub: Subspace) -> Subspace:
+        """The image of sub ∩ domain: sub's basis rows with blocks copied,
+        then one rref.  sub is met with the domain only when a row leaves
+        the input blocks."""
+        if any(v[j] for v in sub.basis for j in self._off):
+            sub = sub.intersect(self.domain)
+        return Subspace.span(self.dim, [self.apply(v) for v in sub.basis], self.p)
+
+    def _blocks(self, blocks: Iterable[int]) -> Subspace:  # sorted unit rows: RREF as they stand
+        eye = _unit_rows(self.dim)
+        return Subspace(self.dim, self.p, tuple(eye[b * self.n + i] for b in blocks for i in range(self.n)))
+
+    @cached_property
+    def domain(self) -> Subspace:
+        return self._blocks(self.ins)
+
+    def as_linmap(self) -> LinMap:
+        """The dense form: a 1 from input block k, position i to output
+        block h, position i for each move (h, k)."""
+        n, moves = self.n, self.moves
+        rows = (tuple(int(s == k and c == i) for _, s in moves for c in range(n)) for k in self.ins for i in range(n))
+        return LinMap(self.domain, self._blocks(h for h, _ in moves), tuple(rows))
 
 
-def _embedding_vector(a: Action, v: Vector, support: Sequence[int], total_dim: int) -> Vector:
-    """The product-ring vector with block h holding alpha_{h^{-1}}(v * 1_h)."""
-    n = a.carrier.dim
+def _embedding_vector(a: Action, v: Vector, support: Sequence[int], right: dict, total_dim: int) -> Vector:
+    """The product-ring vector with block h holding alpha_{h^{-1}}(v * 1_h),
+    where v * 1_h = sum_i v_i (b_i 1_h) is read from right[h][i] = b_i 1_h,
+    the right half of `basis_products(1_h)`."""
+    n, p = a.carrier.dim, a.carrier.p
     out = [0] * total_dim
     for h in support:
-        cut = a.carrier.mul(v, a.unit_vector(h))
-        out[h * n : (h + 1) * n] = a.map_of[a.structure.inv[h]].apply(cut)
+        cut = sparse_sum(((c, right[h][i].items()) for i, c in enumerate(v) if c), p)
+        out[h * n : (h + 1) * n] = a.map_of[a.structure.inv[h]].apply(_dense(cut, n))
     return tuple(out)
 
 
@@ -151,11 +183,9 @@ def _build(a: Action, minimal: bool) -> Globalization:
             )
         if not g0.is_pseudoassociative():
             raise NotPseudoassociative("minimal globalization needs a pseudoassociative groupoid")
-    n = a.carrier.dim
+    n, p = a.carrier.dim, a.carrier.p
     ambient = product_ring(a.carrier, g0.n)
     total = ambient.dim
-    p = a.carrier.p
-    eye = ambient.space().basis
 
     support = g0.pseudo_composable_set if minimal else g0.down_range_set
     support_of = {g: support(g) for g in g0.arrows()}
@@ -163,17 +193,16 @@ def _build(a: Action, minimal: bool) -> Globalization:
     # gamma_g moves block h from the block of inv(g) * h, the pseudoproduct.
     # On a down-range set the object meet is ran h and the corestriction
     # there is h, so the pseudoproduct is restriction-then-compose.
-    gamma_maps = [
-        _translation_map(eye, p, n, support_of[gi], support_of[g], g0._pseudoproducts[gi])
+    gamma = [
+        BlockCopy(total, p, n, support_of[gi], tuple((h, g0._pseudoproducts[gi][h]) for h in support_of[g]))
         for g, gi in enumerate(g0.inv)
     ]
 
-    # Per object, the embedded images of its ideal's basis.
+    # Per object, the embedded images of its ideal's basis: one `basis_products` call per arrow read.
+    reads = {e: support_of[e] if minimal else g0._by_ran[e] for e in g0.objects if a.ideal_of[e].rank}
+    right = {h: a.carrier.basis_products(a.unit_vector(h))[1] for h in set().union(*reads.values())}
     embedded = {
-        e: [
-            _embedding_vector(a, v, support_of[e] if minimal else g0._by_ran[e], total)
-            for v in a.ideal_of[e].basis
-        ]
+        e: [_embedding_vector(a, v, reads[e], right, total) for v in a.ideal_of[e].basis]
         for e in sorted(g0.objects)
     }
 
@@ -183,7 +212,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
     # that GLOB(iv') and GLOB(iv) sum.
     ix = a.index
     family = {e: Subspace.span(total, embedded[e], p) for e in ix.anchors}
-    moved = _translated(gamma_maps, ix.triples, family)
+    moved = [gamma[g].image_of(family[d]) for g, _, d in ix.triples]
     piece_at = {
         e: subring_closure(
             ambient,
@@ -200,7 +229,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         ambient,
         carrier_sub,
         piece,
-        gamma_maps,
+        gamma,
         f"{name}::globalized" + ("-minimal" if minimal else ""),
         f"{name}::globalized-carrier",
     )
@@ -217,7 +246,7 @@ def _build(a: Action, minimal: bool) -> Globalization:
         embeddings=embeddings,
         minimal=minimal,
         ambient=ambient,
-        gamma=dict(enumerate(gamma_maps)),
+        gamma=dict(enumerate(gamma)),
     )
     built.checklist = verify_globalization(built)
     if not built.checklist.ok:

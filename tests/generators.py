@@ -220,6 +220,15 @@ def random_monotone_family(rng, beta, coords_by_object):
     }
 
 
+def random_invertible(rng, n, p):
+    """Rows of a random invertible n x n matrix over F_p, drawn until the
+    rank is full."""
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if Subspace.span(n, rows, p).rank == n:
+            return rows
+
+
 def rebased_algebra(alg, rows):
     """alg moved along T(x) = x P, P with the given rows (invertible): the
     constants are T(T^-1(e_i) T^-1(e_j)) and the unit is T(u), so T is an

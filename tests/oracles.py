@@ -13,7 +13,9 @@ semigroup and restriction clauses were read off the groupoid checklist;
 they use the library's linear algebra, and serve as oracles for that
 reading.  The scaffolding section forms a built globalization's
 translations and embeddings by elimination, as the library did before it
-wrote the block spans and 0/1 matrices down.  The skew section forms the
+wrote the block spans and 0/1 matrices down, and keeps the whole dense
+build: each translation a 0/1 `LinMap` applied row by row, as the library
+built it before a translation was a block copy.  The skew section forms the
 skew ring's and a quotient's structure constants one basis pair at a time,
 as the library did before it read them from sparse entries.  The P3 section
 keeps the composite law as a loop over the overlap's basis vectors, as the
@@ -36,8 +38,17 @@ generator as it was before it translated byte words.
 
 from itertools import combinations, permutations, product
 
-from ogaction.actions import INV_ACTION_CLAUSES, InvSgpAction, _check_ideals_and_isos
-from ogaction.algebras import SubringIdentity
+from ogaction.actions import (
+    INV_ACTION_CLAUSES,
+    InvSgpAction,
+    _check_ideals_and_isos,
+    _cut_out,
+    _translated,
+    is_strong,
+    require_unital,
+    satisfies_ps,
+)
+from ogaction.algebras import SubringIdentity, product_ring, subring_closure
 from ogaction.errors import (
     AmbientMismatch,
     InvalidAction,
@@ -47,10 +58,12 @@ from ogaction.errors import (
     NotContained,
     NotInductive,
     NotMultiplicativelyClosed,
+    NotPseudoassociative,
+    NotStrong,
 )
 from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES, OrderedGroupoid
 from ogaction.semigroups import SEMIGROUP_CLAUSES, InverseSemigroup
-from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES
+from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES, Globalization, verify_globalization
 from ogaction.linalg import LinMap, Subspace
 from ogaction.validation import Issue, ValidationReport
 
@@ -489,6 +502,32 @@ def _embedding_vector(a, v, support, total_dim):
     return tuple(out)
 
 
+def _supports(g0, minimal):
+    """Per arrow g, the blocks gamma_g writes: the arrows h with inv(g) * h
+    defined (minimal), or with ran h below ran g (full)."""
+    if minimal:
+        return {
+            g: tuple(h for h in g0.arrows() if pseudoproduct(g0, g0.inv[g], h) is not None)
+            for g in g0.arrows()
+        }
+    return {g: tuple(h for h in g0.arrows() if g0.leq[g0.ran[h]][g0.ran[g]]) for g in g0.arrows()}
+
+
+def _translations(g0, support_of, p, n):
+    """gamma_g for every arrow g: output block h copies input block
+    inv(g) * h, as a dense 0/1 map between block spans."""
+    gamma = {}
+    for g in g0.arrows():
+        gi = g0.inv[g]
+        source_of = {h: pseudoproduct(g0, gi, h) for h in support_of[g]}
+        gamma[g] = _translation_map(n * g0.n, p, n, support_of[gi], support_of[g], source_of)
+    return gamma
+
+
+def _embedding_support(g0, support_of, minimal, e):
+    return support_of[e] if minimal else [h for h in g0.arrows() if g0.ran[h] == e]
+
+
 def globalization_scaffolding(gl):
     """The translations gamma and the embeddings of a globalization built
     over a groupoid, as the library formed them by elimination: each block
@@ -499,30 +538,74 @@ def globalization_scaffolding(gl):
     g0 = a.structure
     n, p = a.carrier.dim, a.carrier.p
     total = n * g0.n
-    if minimal:
-        support_of = {
-            g: tuple(h for h in g0.arrows() if pseudoproduct(g0, g0.inv[g], h) is not None)
-            for g in g0.arrows()
-        }
-    else:
-        support_of = {
-            g: tuple(h for h in g0.arrows() if g0.leq[g0.ran[h]][g0.ran[g]]) for g in g0.arrows()
-        }
-    gamma = {}
-    for g in g0.arrows():
-        gi = g0.inv[g]
-        source_of = {h: pseudoproduct(g0, gi, h) for h in support_of[g]}
-        gamma[g] = _translation_map(total, p, n, support_of[gi], support_of[g], source_of)
+    support_of = _supports(g0, minimal)
+    gamma = _translations(g0, support_of, p, n)
     carrier_sub = gl.global_action.inclusion.image()
     embeddings = {}
     for e in sorted(g0.objects):
         dom = a.ideal_of[e]
-        support = support_of[e] if minimal else [h for h in g0.arrows() if g0.ran[h] == e]
+        support = _embedding_support(g0, support_of, minimal, e)
         images = [_embedding_vector(a, v, support, total) for v in dom.basis]
         raw = LinMap.from_images(dom, Subspace.span(total, images, p), images)
         coords = [carrier_sub.coordinates_of(raw.apply(w)) for w in dom.basis]
         embeddings[e] = LinMap.from_images(dom, gl.global_action.ideal_of[e], coords)
     return gamma, embeddings
+
+
+def dense_globalization(a, minimal):
+    """Either globalization of a groupoid action as the library built it
+    with dense translations: the same gates and errors, each gamma_g the
+    0/1 `LinMap` above, the translated family by `_translated` over those
+    maps, v * 1_h by `mul`, and the built action cut out, embedded and
+    checklisted as the library does.  Supports and pseudoproducts come from
+    the plain scans below."""
+    a.require_valid("cannot globalize an invalid action")
+    require_unital(a)
+    g0 = a.structure
+    if minimal:
+        if not is_strong(a):
+            raise NotStrong("minimal globalization needs a strong action")
+        if not satisfies_ps(a):
+            raise NotStrong("action is strong but fails the composition law along pseudoproducts")
+        if not is_pseudoassociative(g0):
+            raise NotPseudoassociative("minimal globalization needs a pseudoassociative groupoid")
+    n, p = a.carrier.dim, a.carrier.p
+    ambient = product_ring(a.carrier, g0.n)
+    total = ambient.dim
+    support_of = _supports(g0, minimal)
+    gamma = _translations(g0, support_of, p, n)
+    maps = [gamma[g] for g in g0.arrows()]
+    embedded = {
+        e: [_embedding_vector(a, v, _embedding_support(g0, support_of, minimal, e), total) for v in a.ideal_of[e].basis]
+        for e in sorted(g0.objects)
+    }
+    ix = a.index
+    family = {e: Subspace.span(total, embedded[e], p) for e in ix.anchors}
+    moved = _translated(maps, ix.triples, family)
+    piece_at = {
+        e: subring_closure(ambient, [moved[h] for h, r, _ in ix.triples if (r == e if minimal else ix.le(r, e))])
+        for e in ix.anchors
+    }
+    piece = [piece_at[r] for _, r, _ in ix.triples]
+    carrier_sub = Subspace.zero(total, p)
+    for sub in piece_at.values():
+        carrier_sub = carrier_sub.add(sub)
+    name = a.name or "action"
+    beta = _cut_out(
+        g0, ambient, carrier_sub, piece, maps,
+        f"{name}::globalized" + ("-minimal" if minimal else ""), f"{name}::globalized-carrier",
+    )
+    embeddings = {
+        e: LinMap.from_images(a.ideal_of[e], beta.ideal_of[e], [carrier_sub.coordinates_of(v) for v in images])
+        for e, images in embedded.items()
+    }
+    built = Globalization(a, beta, embeddings, minimal=minimal, ambient=ambient, gamma=gamma)
+    built.checklist = verify_globalization(built)
+    if not built.checklist.ok:
+        raise InvalidAction(f"construction failed its own checklist (finding):\n{built.checklist}")
+    if minimal and not satisfies_ps(beta):
+        raise InvalidAction("minimal construction violates the composition law (finding)")
+    return built
 
 
 # -- retained scans of the combinatorial layer ---------------------------

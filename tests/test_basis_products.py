@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from extra_fixtures import first_row_algebra
-from generators import random_global_action, rebased_algebra
+from generators import random_global_action, random_invertible, rebased_algebra
 from ogaction.algebras import Algebra, ideal_closure, product_ring, validate_algebra
 from ogaction.errors import AmbientMismatch
 
@@ -37,13 +37,6 @@ def _matrix_ring(p, n):
     return Algebra.from_products(p, n * n, products, unit=unit, name=f"M{n}")
 
 
-def _invertible(rng, n, p):
-    while True:
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if oracles.naive_rank(rows, p) == n:
-            return rows
-
-
 def _random_algebra(rng, kind, n, p):
     """A table of the given kind; a rebased one has a unit when its source
     has one (the first-row ring has none)."""
@@ -53,7 +46,7 @@ def _random_algebra(rng, kind, n, p):
             lambda: random_global_action(rng, p=p, max_dim=n)[0].carrier,
             lambda: first_row_algebra(p, n, opposite=rng.random() < 0.5),
         ])()
-        return rebased_algebra(source, _invertible(rng, source.dim, p))
+        return rebased_algebra(source, random_invertible(rng, source.dim, p))
     density = rng.random()
 
     def entry():
@@ -123,7 +116,7 @@ def _unital(rng, p):
         lambda: product_ring(_matrix_ring(p, 2), 2),
         lambda: random_global_action(rng, p=p, max_dim=5)[0].carrier,
     ])()
-    return alg if rng.random() < 0.5 else rebased_algebra(alg, _invertible(rng, alg.dim, p))
+    return alg if rng.random() < 0.5 else rebased_algebra(alg, random_invertible(rng, alg.dim, p))
 
 
 def test_unit_issues_match_the_dense_loop():
@@ -139,7 +132,7 @@ def test_unit_issues_match_the_dense_loop():
             alg = first_row_algebra(p, n, opposite=rng.random() < 0.5)
             unit = (1,) + (0,) * (n - 1)
             if rng.random() < 0.5:
-                move = _invertible(rng, n, p)
+                move = random_invertible(rng, n, p)
                 alg, unit = rebased_algebra(alg, move), move[0]  # T(b_0) = b_0 P
         else:
             alg = _unital(rng, p)

@@ -7,7 +7,9 @@ from ogaction import fixtures as fx
 from ogaction.actions import (
     Action,
     POAction,
+    groupoid_action_to_semigroup_action,
     is_global,
+    is_preunital,
     is_strong,
     is_unital,
     relabel_action,
@@ -18,7 +20,14 @@ from ogaction.actions import (
     validate_po_action,
 )
 from ogaction.algebras import diagonal_algebra, local_units_witness
-from ogaction.errors import NotPreunital, NotPseudoassociative, NotStrong, NotUnital, WorkbenchError
+from ogaction.errors import (
+    AmbientMismatch,
+    NotPreunital,
+    NotPseudoassociative,
+    NotStrong,
+    NotUnital,
+    WorkbenchError,
+)
 from ogaction.globalize import (
     Globalization,
     as_globalization,
@@ -33,7 +42,12 @@ from ogaction.linalg import LinMap, Subspace
 from ogaction.semigroups import InverseSemigroup
 
 import extra_fixtures as xf
-from oracles import globalization_scaffolding, glob_restr_report, verify_semigroup_globalization
+from oracles import (
+    dense_globalization,
+    globalization_scaffolding,
+    glob_restr_report,
+    verify_semigroup_globalization,
+)
 
 
 def idx(g):
@@ -222,7 +236,7 @@ def test_translation_maps_compose_and_restrict():
             if minimal
             else build_globalization(alpha)
         )
-        gamma = gl.gamma
+        gamma = {g: m.as_linmap() for g, m in gl.gamma.items()}
         for a in g0.arrows():
             for b in g0.arrows():
                 if not g0.composable(a, b):
@@ -447,9 +461,10 @@ def _groupoid_actions():
 
 
 def test_block_scaffolding_matches_the_elimination_oracle():
-    """gamma and the embeddings, written down from block indices, equal the
-    elimination form (domain, codomain and matrix) on both builds of every
-    groupoid action above that globalizes."""
+    """gamma, read through each block copy's on-demand `LinMap`, and the
+    embeddings, written down from block indices, equal the elimination form
+    (domain, codomain and matrix) on both builds of every groupoid action
+    above that globalizes."""
     built = set()
     for label, a in _groupoid_actions():
         for build in (build_globalization, build_minimal_globalization):
@@ -458,7 +473,134 @@ def test_block_scaffolding_matches_the_elimination_oracle():
             except WorkbenchError:
                 continue
             gamma, embeddings = globalization_scaffolding(gl)
-            assert _maps(gl.gamma) == _maps(gamma), (label, build.__name__)
+            linmaps = {g: m.as_linmap() for g, m in gl.gamma.items()}
+            assert _maps(linmaps) == _maps(gamma), (label, build.__name__)
             assert _maps(gl.embeddings) == _maps(embeddings), (label, build.__name__)
             built.add((label, gl.minimal))
     assert len(built) >= 20 and {m for _, m in built} == {False, True}
+
+
+def _oracle_cases():
+    """Every fixture action (a semigroup one also over its derived
+    groupoid), seeded random global actions with a standard restriction of
+    each, and a rebased copy of each of those, whose ideals are in general
+    not coordinate subspaces."""
+    from generators import fixture_builders, random_global_action, random_ideal, random_invertible, rebased_action
+
+    cases = []
+    for label, fn in fixture_builders():
+        made = fn()
+        if isinstance(made, Action):
+            cases.append((label, made))
+            if isinstance(made.structure, InverseSemigroup):
+                cases.append((f"{label}@groupoid", semigroup_action_to_groupoid_action(made)))
+    rng = random.Random(34)
+    for i in range(6):
+        beta, _ = random_global_action(rng, max_dim=4)
+        cases += [(f"global{i}", beta), (f"global{i}|ideal", standard_restriction(beta, random_ideal(rng, beta)))]
+    return cases + [
+        (f"{label}~rebased", rebased_action(a, random_invertible(rng, a.carrier.dim, a.carrier.p)))
+        for label, a in list(cases)
+    ]
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def _same_build(gl, oracle):
+    b, o = gl.global_action, oracle.global_action
+    assert b.carrier.products == o.carrier.products
+    assert (b.ideal_of, b.map_of, b.inclusion) == (o.ideal_of, o.map_of, o.inclusion)
+    assert gl.embeddings == oracle.embeddings
+    assert gl.checklist.issues == oracle.checklist.issues
+
+
+def test_each_build_equals_the_dense_oracle_build():
+    """Both constructions and the semigroup pipeline give the dense build's
+    global action (carrier table, ideals, maps, inclusion), embeddings and
+    checklist issues, or raise its error."""
+    built = set()
+    for label, a in _oracle_cases():
+        if isinstance(a.structure, InverseSemigroup):
+            result = _outcome(globalize_inverse_semigroup_action, a)
+            if not is_preunital(a):
+                assert result[0] is NotPreunital, label
+                continue
+            inner = _outcome(dense_globalization, semigroup_action_to_groupoid_action(a), True)
+            if isinstance(inner, tuple):
+                assert result == inner, label
+                continue
+            assert not isinstance(result, tuple), (label, result)
+            oracle = Globalization(
+                a,
+                groupoid_action_to_semigroup_action(inner.global_action, a.structure),
+                inner.embeddings,
+                minimal=True,
+                checklist=semigroup_checklist(inner.checklist),
+            )
+            _same_build(result, oracle)
+            built.add((label, "semigroup"))
+            continue
+        for minimal, build in ((False, build_globalization), (True, build_minimal_globalization)):
+            gl, oracle = _outcome(build, a), _outcome(dense_globalization, a, minimal)
+            if isinstance(oracle, tuple):
+                assert gl == oracle, (label, minimal)
+                continue
+            assert not isinstance(gl, tuple), (label, minimal, gl)
+            _same_build(gl, oracle)
+            built.add((label, minimal))
+    kinds = {kind for _, kind in built}
+    assert kinds == {False, True, "semigroup"} and len(built) >= 40, sorted(built)
+    assert any(label.endswith("~rebased") for label, _ in built)
+
+
+def test_block_copies_match_their_linmaps():
+    """On random vectors and subspaces, a translation's `apply` and image
+    equal its on-demand `LinMap`'s `apply` and `image_of(sub ∩ domain)`; a
+    vector off the input blocks raises the same ValueError, one of the
+    wrong length the same AmbientMismatch."""
+    rng = random.Random(10)
+    branches = set()
+    for label, a in _groupoid_actions():
+        for build in (build_globalization, build_minimal_globalization):
+            try:
+                gl = build(a)
+            except WorkbenchError:
+                continue
+            for g, copy in gl.gamma.items():
+                m = copy.as_linmap()
+                dim, p, dom = copy.dim, copy.p, m.domain
+
+                def inside():
+                    return dom.from_coordinates([rng.randrange(p) for _ in range(dom.rank)])
+
+                def anywhere():
+                    return tuple(rng.randrange(p) for _ in range(dim))
+
+                for _ in range(4):
+                    v = inside()
+                    assert copy.apply(v) == m.apply(v), (label, g)
+                    lifted = tuple(x + p * rng.randrange(-2, 3) for x in v)
+                    assert copy.apply(lifted) == m.apply(lifted), (label, g)
+                    w = anywhere()
+                    if dom.contains(w):
+                        assert copy.apply(w) == m.apply(w)
+                    else:
+                        with pytest.raises(ValueError) as ours:
+                            copy.apply(w)
+                        with pytest.raises(ValueError) as theirs:
+                            m.apply(w)
+                        assert str(ours.value) == str(theirs.value)
+                    rows = [rng.choice((inside, anywhere))() for _ in range(rng.randrange(4))]
+                    sub = Subspace.span(dim, rows, p)
+                    branches.add(dom.contains_subspace(sub))
+                    assert copy.image_of(sub) == m.image_of(sub.intersect(dom)), (label, g)
+                with pytest.raises(AmbientMismatch):
+                    copy.apply((0,) * (dim + 1))
+                with pytest.raises(AmbientMismatch):
+                    m.apply((0,) * (dim + 1))
+    assert branches == {False, True}
