@@ -11,7 +11,10 @@ the call gave:
 - the glob rung m = 5 of `perfbench/gen.py` (the pair groupoid on five
   objects), every task of its workspace through `cli.main`, and
   `build_minimal_globalization` alone on its action (ambient dim 125,
-  carrier dim 10), each translation a block copy applied by reindexing;
+  carrier dim 10), each translation a block copy applied by reindexing,
+  and `morita_context` alone on that globalization (T of dim 50): R and T
+  built, every span read from `basis_products`, and three clauses taken
+  from the unit lemmas;
 - the associativity check of the M_5 skew ring under a 5-cycle (dim 125),
   which Light's middle-slot certificate decides, and of the same ring on
   the basis b_0 + b_1, b_1, b_2, ...: an isomorphic copy that is not
@@ -63,7 +66,7 @@ from ogaction.globalize import build_minimal_globalization  # noqa: E402
 from ogaction.groupoids import OrderedGroupoid  # noqa: E402
 from ogaction.linalg import Subspace  # noqa: E402
 from ogaction.semigroups import InverseSemigroup, esn_to_groupoid, esn_to_semigroup  # noqa: E402
-from ogaction.skew import build_ordered_skew, build_skew  # noqa: E402
+from ogaction.skew import build_ordered_skew, build_skew, morita_context  # noqa: E402
 from ogaction.workspace import dump_workspace_doc, load_workspace  # noqa: E402
 
 
@@ -162,6 +165,24 @@ def test_build_minimal_globalization_m5(benchmark, tmp_path):
 
     gl = benchmark.pedantic(build_minimal_globalization, setup=fresh, rounds=10)
     assert (gl.ambient.dim, gl.global_action.carrier.dim) == (125, 10) and gl.checklist.ok
+
+
+def test_morita_context_m5(benchmark, tmp_path):
+    """The Morita check alone on the m = 5 rung's minimal globalization:
+    each round loads the action and builds the globalization in the setup,
+    so the timing holds R, T, the spans and the unit check, with nothing
+    kept from an earlier round."""
+    path = _glob_rung_m5(tmp_path)
+
+    def fresh():
+        a = load_workspace(path).actions["restricted"]
+        return (a, build_minimal_globalization(a)), {}
+
+    rep = benchmark.pedantic(morita_context, setup=fresh, rounds=10)
+    assert rep.ok and rep.dims == {
+        "T": 50, "R": 13, "embedded_copy": 13, "corner": 13, "T1R": 25, "1RT": 25, "T1RT": 50,
+        "one_r_idempotent": 1, "copy_faithful": 1,
+    }
 
 
 def _fresh_copy(g):

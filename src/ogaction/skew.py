@@ -9,7 +9,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .actions import Action, _translated, is_preunital, require_unital
-from .algebras import Algebra, _associator_failures, ideal_closure, quotient
+from .algebras import Algebra, _associator_failures, _dense, ideal_closure, quotient
 from .errors import InvalidAction, NotAGlobalization, NotAssociative, NotPreunital
 from .globalize import Globalization, verify_globalization
 from .linalg import LinMap, Subspace, Vector, sparse_sum, vec_add, vec_sub
@@ -129,18 +129,25 @@ def build_ordered_skew(s: SkewRing) -> OrderedSkewRing:
     return OrderedSkewRing(s, n_ideal, q, proj)
 
 
-def skew_unit(o: OrderedSkewRing) -> Vector:
-    """Image of the sum of the anchor units; verified two-sided in the quotient."""
-    s = o.skew
-    a = s.source
+def _unit_of(o: OrderedSkewRing) -> Optional[Vector]:
+    """Image of the anchor units' sum if one `basis_products` call shows it
+    a two-sided identity of the quotient, else None."""
+    s, a = o.skew, o.skew.source
     if not is_preunital(a):
-        raise NotPreunital("some anchor ideal has no central idempotent identity")
+        return None
     total = (0,) * s.algebra.dim
     for e in a.index.anchors:
         total = vec_add(total, s.lift(e, a.unit_vector(e)), s.algebra.p)
     img = o.projection.apply(total)
     left, right = o.quotient.basis_products(img)
-    if not left == right == [{i: 1} for i in range(len(left))]:
+    return img if left == right == [{i: 1} for i in range(len(left))] else None
+
+
+def skew_unit(o: OrderedSkewRing) -> Vector:
+    """Image of the sum of the anchor units; verified two-sided in the quotient."""
+    if not is_preunital(o.skew.source):
+        raise NotPreunital("some anchor ideal has no central idempotent identity")
+    if (img := _unit_of(o)) is None:
         raise InvalidAction("anchor unit image is not an identity of the quotient")
     return img
 
@@ -153,9 +160,14 @@ def build_inv_sgp_skew(a: Action) -> OrderedSkewRing:
     return build_ordered_skew(build_skew(a))
 
 
+def _times(xb: Sequence[dict[int, int]], y: Sequence[int], p: int) -> Vector:
+    """x y = sum_j y_j (x b_j), with xb[j] = x b_j as `basis_products` lists it."""
+    return _dense(sparse_sum(((c, xb[j].items()) for j, c in enumerate(y) if c), p), len(y))
+
+
 def _span_products(alg: Algebra, left: Sequence[Vector], right: Sequence[Vector]) -> Subspace:
-    rows = [alg.mul(x, y) for x in left for y in right]
-    return Subspace.span(alg.dim, rows, alg.p)
+    tables = [alg.basis_products(x)[0] for x in left]
+    return Subspace.span(alg.dim, [_times(xb, y, alg.p) for xb in tables for y in right], alg.p)
 
 
 @dataclass
@@ -171,9 +183,10 @@ class MoritaReport:
         return all(self.clauses.values())
 
 
-def morita_context(a: Action, gl: Globalization) -> MoritaReport:
+def morita_context(a: Action, gl: Globalization, r_ring: Optional[OrderedSkewRing] = None) -> MoritaReport:
     """Verify the corner identities and context axioms for an action and a
-    globalization of it, identifying the carrier with its embedded image."""
+    globalization of it, identifying the carrier with its embedded image;
+    R, a's ordered skew ring, is built here unless the caller keeps one."""
     if gl.base is not a and gl.base != a:
         raise NotAGlobalization("globalization does not belong to this action")
     require_unital(a)
@@ -181,7 +194,7 @@ def morita_context(a: Action, gl: Globalization) -> MoritaReport:
     checklist = gl.checklist if gl.checklist is not None else verify_globalization(gl)
     if not checklist.ok:
         raise NotAGlobalization(str(checklist))
-    return _morita_core(a, gl)
+    return _morita_core(a, gl, r_ring)
 
 
 def inv_sgp_morita(a: Action, gl: Globalization) -> MoritaReport:
@@ -189,19 +202,27 @@ def inv_sgp_morita(a: Action, gl: Globalization) -> MoritaReport:
     return morita_context(a, gl)
 
 
-def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
+def _morita_core(a: Action, gl: Globalization, r_ring: Optional[OrderedSkewRing]) -> MoritaReport:
     """Corner identities inside the ordered quotient T of the global
     action's skew ring, with R the ordered quotient of a's skew ring and
-    1_R the image of a's anchor units along the embeddings.
+    e = 1_R the image of a's anchor units along the embeddings; every span
+    is read from `basis_products`.
 
     MOR(compat) is associativity of T read on module triples: (x x') y ==
-    x (x' y) for x, y in one of T 1_R, 1_R T and x' in the other.  The
+    x (x' y) for x, y in one of T e, e T and x' in the other.  The
     associator is trilinear, so module triples can fail only if basis
     triples of T fail, and the clause is that basis check.  `quotient`
     builds T with the check on and raises `InvalidAlgebra` when it fails,
     so the clause holds on every T reaching it, and only checked mode
-    repeats the check."""
-    r_ring = build_ordered_skew(build_skew(a))
+    repeats the check.
+
+    If e e = e and the global action's anchor units, lifted and projected,
+    are a two-sided unit 1_T of T, then e = e e e lies in eTe, x = e x on
+    eT, x = x e on Te and T T = T, so three clauses hold, and only checked
+    mode runs their spans: MOR(idem), as e is a unit of eTe; MOR(unital), as
+    each module product contains the module times e or 1_T; and MOR(surj),
+    as (eT)(Te) = eTe and (Te)(eT) = TeT make it MOR(iii) and MOR(iv)."""
+    r_ring = r_ring or build_ordered_skew(build_skew(a))
     b, phi = gl.global_action, gl.embeddings
     t_ring = build_ordered_skew(build_skew(b))
     ix = a.index
@@ -213,11 +234,14 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     one_r = (0,) * q.dim
     for e in ix.anchors:
         one_r = vec_add(one_r, t_ring.project_lift(e, phi[e].apply(a.unit_vector(e))), p)
+    one_left, one_right = q.basis_products(one_r)
 
-    right_module = _span_products(q, basis, [one_r])  # T 1_R
-    left_module = _span_products(q, [one_r], basis)  # 1_R T
-    corner = _span_products(q, [one_r], right_module.basis)  # 1_R T 1_R
+    right_module = Subspace.span(q.dim, [_dense(w, q.dim) for w in one_right], p)  # T 1_R
+    left_module = Subspace.span(q.dim, [_dense(w, q.dim) for w in one_left], p)  # 1_R T
+    corner = Subspace.span(q.dim, [_times(one_left, y, p) for y in right_module.basis], p)  # 1_R T 1_R
     double = _span_products(q, right_module.basis, basis)  # T 1_R T
+    idempotent = _times(one_left, one_r, p) == one_r
+    lemmas = idempotent and _unit_of(t_ring) is not None
 
     def graded_sum(pieces: Sequence[tuple[int, Subspace]]) -> Subspace:
         rows = [t_ring.project_lift(grade, v) for grade, sub in pieces for v in sub.basis]
@@ -229,29 +253,23 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
     sum_range = graded_sum([(g, images[r]) for g, r, _ in ix.triples])
     embedded_copy = graded_sum([(g, phi[r].image_of(a.ideal_of[g])) for g, r, _ in ix.triples])
 
-    pair_to_r = _span_products(q, left_module.basis, right_module.basis)
-    pair_to_t = _span_products(q, right_module.basis, left_module.basis)
+    def spans_equal(*cases: tuple[Sequence[Vector], Sequence[Vector], Subspace]) -> bool:
+        return all(_span_products(q, x, y) == want for x, y, want in cases)
 
-    unital_modules = (
-        _span_products(q, corner.basis, left_module.basis) == left_module
-        and _span_products(q, left_module.basis, basis) == left_module
-        and _span_products(q, basis, right_module.basis) == right_module
-        and _span_products(q, right_module.basis, corner.basis) == right_module
-    )
-    idempotent_rings = (
-        _span_products(q, corner.basis, corner.basis) == corner
-        and Subspace.span(q.dim, [v for row in q.table for v in row if any(v)], p) == full
-    )
-
+    lm, rm, cn = left_module.basis, right_module.basis, corner.basis
+    iii, iv = corner == embedded_copy, double == full
     clauses = {
         "MOR(i)": right_module == sum_moved,
         "MOR(ii)": left_module == sum_range,
-        "MOR(iii)": corner == embedded_copy,
-        "MOR(iv)": double == full,
+        "MOR(iii)": iii,
+        "MOR(iv)": iv,
         "MOR(compat)": not short_cut("MOR(compat): T is associative", [], lambda: _associator_failures(q, limit=1)),
-        "MOR(surj)": pair_to_r == embedded_copy and pair_to_t == full,
-        "MOR(unital)": unital_modules,
-        "MOR(idem)": idempotent_rings,
+        "MOR(surj)": short_cut("MOR(surj)", (iii and iv) if lemmas else None,
+                               lambda: spans_equal((lm, rm, embedded_copy), (rm, lm, full))),
+        "MOR(unital)": short_cut("MOR(unital)", lemmas or None, lambda: spans_equal(
+            (cn, lm, left_module), (lm, basis, left_module), (basis, rm, right_module), (rm, cn, right_module))),
+        "MOR(idem)": short_cut("MOR(idem)", lemmas or None, lambda: spans_equal((cn, cn, corner)) and Subspace.span(
+            q.dim, [v for row in q.table for v in row if any(v)], p) == full),
     }
     dims = {
         "T": q.dim,
@@ -261,7 +279,7 @@ def _morita_core(a: Action, gl: Globalization) -> MoritaReport:
         "T1R": right_module.rank,
         "1RT": left_module.rank,
         "T1RT": double.rank,
-        "one_r_idempotent": int(q.mul(one_r, one_r) == one_r),
+        "one_r_idempotent": int(idempotent),
         "copy_faithful": int(embedded_copy.rank == r_ring.quotient.dim),
     }
     return MoritaReport(clauses, dims)

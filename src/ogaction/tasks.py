@@ -243,7 +243,7 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
     rep = check_skew_associative(s)
     data: dict[str, Any] = {"skew_dim": s.algebra.dim}
     if _flag(t, "ordered") and rep.ok:
-        o = build_ordered_skew(s)
+        o = ws.ordered_skews[t["action"]] = build_ordered_skew(s)
         data["n_dim"] = o.n_ideal.rank
         data["quotient_dim"] = o.quotient.dim
         if is_preunital(a):
@@ -253,7 +253,7 @@ def _task_skew(ws: Workspace, t: dict) -> tuple[dict, dict]:
 
 def _task_morita(ws: Workspace, t: dict) -> tuple[dict, dict]:
     a, gl = _glob_of(ws, t)
-    rep = morita_context(a, gl)
+    rep = morita_context(a, gl, ws.ordered_skews.get(t["action"]))
     # Every groupoid and semigroup here has finitely many objects.
     return dict(rep.clauses), {"dims": rep.dims, "objects_finite": True}
 

@@ -20,6 +20,7 @@ from .globalize import Globalization
 from .groupoids import OrderedGroupoid
 from .linalg import LinMap, Subspace, combine, split_rows
 from .semigroups import InverseSemigroup
+from .skew import OrderedSkewRing
 from .validation import short_cut
 
 
@@ -31,9 +32,10 @@ class Workspace:
     actions: dict[str, Action] = field(default_factory=dict)
     inv_actions: dict[str, Action] = field(default_factory=dict)
     tasks: list[dict[str, Any]] = field(default_factory=list)
-    # Globalizations built by this workspace's tasks, by (action name,
-    # minimal); they live and are freed with the workspace.
+    # Globalizations, by (action name, minimal), and ordered skew rings, by
+    # action name, built by this workspace's tasks; freed with the workspace.
     globalizations: dict[tuple[str, bool], Globalization] = field(default_factory=dict)
+    ordered_skews: dict[str, OrderedSkewRing] = field(default_factory=dict)
 
     def action(self, name: str) -> Action:
         try:

@@ -23,7 +23,10 @@ library checked it before it compared matrices, and the P2' and P3' clauses
 of an inverse-semigroup action as one meet, image and loop per product, as
 the library checked them before it kept one per distinct value.  The
 Morita section keeps the MOR(compat) clause as the loop over module triples that the library ran
-before it read the clause from the quotient's associator scan.  The next section keeps the order closure, the groupoid, order,
+before it read the clause from the quotient's associator scan, and the
+whole Morita report with every span formed by dense products, as the
+library formed it before it read the spans from `basis_products` and took
+three clauses from the unit lemmas.  The next section keeps the order closure, the groupoid, order,
 semigroup and pseudoproduct checks, the two ESN conversions, and the
 walks over composites and over the strict order, as plain scans over all
 arrows or elements, as the library wrote them before it read them from
@@ -48,7 +51,8 @@ from ogaction.actions import (
     require_unital,
     satisfies_ps,
 )
-from ogaction.algebras import SubringIdentity, product_ring, subring_closure
+from ogaction import skew
+from ogaction.algebras import SubringIdentity, _associator_failures, product_ring, subring_closure
 from ogaction.errors import (
     AmbientMismatch,
     InvalidAction,
@@ -64,7 +68,7 @@ from ogaction.errors import (
 from ogaction.groupoids import GROUPOID_CLAUSES, ORDER_CLAUSES, OrderedGroupoid
 from ogaction.semigroups import SEMIGROUP_CLAUSES, InverseSemigroup
 from ogaction.globalize import SEMIGROUP_GLOBALIZATION_CLAUSES, Globalization, verify_globalization
-from ogaction.linalg import LinMap, Subspace
+from ogaction.linalg import LinMap, Subspace, vec_add
 from ogaction.validation import Issue, ValidationReport
 
 
@@ -383,6 +387,81 @@ def morita_compat(q, left, right):
                     if q.mul(q.mul(x, xp), y) != q.mul(x, q.mul(xp, y)):
                         return False
     return True
+
+
+def _dense_span(q, left, right):
+    return Subspace.span(q.dim, [q.mul(x, y) for x in left for y in right], q.p)
+
+
+def morita_core(a, gl):
+    """The Morita report as the library formed it before it read each span
+    from `basis_products`, took MOR(surj), MOR(unital) and MOR(idem) from
+    the unit lemmas and was handed R: both rings built afresh, every span
+    one dense `mul` per pair, and MOR(compat) T's own associator scan.  The
+    rings are built through the `skew` module's names, so a test that
+    forges T there forges it here too."""
+    r_ring = skew.build_ordered_skew(skew.build_skew(a))
+    b, phi = gl.global_action, gl.embeddings
+    t_ring = skew.build_ordered_skew(skew.build_skew(b))
+    ix = a.index
+    q = t_ring.quotient
+    p = q.p
+    full = q.space()
+    basis = [q.basis_vector(i) for i in range(q.dim)]
+
+    one_r = (0,) * q.dim
+    for e in ix.anchors:
+        one_r = vec_add(one_r, t_ring.project_lift(e, phi[e].apply(a.unit_vector(e))), p)
+
+    right_module = _dense_span(q, basis, [one_r])
+    left_module = _dense_span(q, [one_r], basis)
+    corner = _dense_span(q, [one_r], right_module.basis)
+    double = _dense_span(q, right_module.basis, basis)
+
+    def graded_sum(pieces):
+        rows = [t_ring.project_lift(grade, v) for grade, sub in pieces for v in sub.basis]
+        return Subspace.span(q.dim, rows, p)
+
+    images = {e: phi[e].image() for e in ix.anchors}
+    moved = _translated(b.map_of, ix.triples, images)
+    sum_moved = graded_sum(list(zip(ix.grades, moved)))
+    sum_range = graded_sum([(g, images[r]) for g, r, _ in ix.triples])
+    embedded_copy = graded_sum([(g, phi[r].image_of(a.ideal_of[g])) for g, r, _ in ix.triples])
+
+    pair_to_r = _dense_span(q, left_module.basis, right_module.basis)
+    pair_to_t = _dense_span(q, right_module.basis, left_module.basis)
+    unital_modules = (
+        _dense_span(q, corner.basis, left_module.basis) == left_module
+        and _dense_span(q, left_module.basis, basis) == left_module
+        and _dense_span(q, basis, right_module.basis) == right_module
+        and _dense_span(q, right_module.basis, corner.basis) == right_module
+    )
+    idempotent_rings = (
+        _dense_span(q, corner.basis, corner.basis) == corner
+        and Subspace.span(q.dim, [v for row in q.table for v in row if any(v)], p) == full
+    )
+    clauses = {
+        "MOR(i)": right_module == sum_moved,
+        "MOR(ii)": left_module == sum_range,
+        "MOR(iii)": corner == embedded_copy,
+        "MOR(iv)": double == full,
+        "MOR(compat)": not _associator_failures(q, limit=1),
+        "MOR(surj)": pair_to_r == embedded_copy and pair_to_t == full,
+        "MOR(unital)": unital_modules,
+        "MOR(idem)": idempotent_rings,
+    }
+    dims = {
+        "T": q.dim,
+        "R": r_ring.quotient.dim,
+        "embedded_copy": embedded_copy.rank,
+        "corner": corner.rank,
+        "T1R": right_module.rank,
+        "1RT": left_module.rank,
+        "T1RT": double.rank,
+        "one_r_idempotent": int(q.mul(one_r, one_r) == one_r),
+        "copy_faithful": int(embedded_copy.rank == r_ring.quotient.dim),
+    }
+    return skew.MoritaReport(clauses, dims)
 
 
 # -- retained globalization checks ---------------------------------------

@@ -89,14 +89,14 @@ def test_mor_compat_and_dims_match_the_triple_loop_on_every_run_morita_check(
     docs.update(_glob_rungs())
     compared = []
 
-    def both(a, gl):
-        rep = morita_context(a, gl)
+    def both(a, gl, r_ring=None):
+        rep = morita_context(a, gl, r_ring)
         assert rep.clauses["MOR(compat)"] == _loop_compat(a, gl)
         compared.append(rep.clauses["MOR(compat)"])
         return rep
 
-    def loop(a, gl):
-        rep = morita_context(a, gl)
+    def loop(a, gl, r_ring=None):
+        rep = morita_context(a, gl, r_ring)
         return dataclasses.replace(rep, clauses={**rep.clauses, "MOR(compat)": _loop_compat(a, gl)})
 
     checked = 0
