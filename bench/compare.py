@@ -10,7 +10,8 @@ where), beside the ``perfbench`` of the change revision, so both trees are
 measured by the same harness.  For every ``--run`` the script makes
 ``--pairs`` pairs of ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` runs, one per tree, the parent first in even pairs and the
-change first in odd ones.
+change first in odd ones.  A run that ends with no host speed sample is run
+again, as in ``bench/ratchet.py``.
 The record holds, per run and per end-to-end metric of ``BENCHMARK.json``,
 the median and quartiles of each side and the number of pairs each side
 won (ties count for neither).  It also holds, per workload, one traced run
@@ -29,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from ratchet import run_json
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -51,8 +54,7 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     """The last JSON line that perfbench/run.py prints."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True, cwd=str(tree)).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return run_json(cmd, tree)
 
 
 def spread(values: list[float]) -> dict:

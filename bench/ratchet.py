@@ -11,6 +11,11 @@ the file is missing from the run; each counter that fell is named, and the
 file should then be rewritten with the lower value.  The file's
 ``src_lines`` pins the line count of ``src/ogaction/*.py`` (as ``wc -l``
 counts it) in the same way, so the library's line budget can only fall.
+The worker's speed sampler re-arms its timer at every pass, so when every
+pass is shorter than its period a run ends with "no host speed samples"
+and no result; such a run is repeated (at most ``ATTEMPTS`` runs per
+workload).  Counters do not depend on timing, so every check above applies
+unchanged to the run that ends.
 Diagnostics go to stderr; the measured counters go to stdout in the file's
 format, so
 
@@ -30,14 +35,34 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTERS = ROOT / "bench" / "counters.json"
 SRC = ROOT / "src" / "ogaction"
 WORKLOADS = ("corpus", "glob_ladder", "inv_monoid", "matrix_carrier")
+# The worker's error when its speed sampler took no sample, and how many
+# runs a workload gets before that error fails the ratchet.
+NO_SAMPLES = "no host speed samples"
+ATTEMPTS = 5
+
+
+def run_json(cmd: list[str], cwd: Path) -> dict:
+    """The last JSON line that a `perfbench/run.py` command prints.  A run
+    whose worker took no host speed sample (every pass shorter than the
+    sampler's period) ends with no result and is run again, up to ATTEMPTS
+    runs in all; any other failure, or the last such one, raises with the
+    run's stderr."""
+    for attempt in range(1, ATTEMPTS + 1):
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=str(cwd))
+        if proc.returncode == 0 or NO_SAMPLES not in proc.stderr:
+            break
+        print(f"{' '.join(cmd[2:])}: run {attempt} of {ATTEMPTS} took no host speed sample", file=sys.stderr)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        proc.check_returncode()
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def traced_run(workload: str) -> dict:
     """The last JSON line of one traced seed-1 run."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", "1", "--seconds", "3", "--trace", "1"]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True, cwd=str(ROOT)).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return run_json(cmd, ROOT)
 
 
 def counters_of(result: dict) -> dict:

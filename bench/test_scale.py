@@ -36,6 +36,11 @@ the call gave:
   (the seed-1 `inv_i3` workspace, dim 63, built in the setup): the
   associator scan and the ideal closure of the order generators, which
   reads one `basis_products` call per basis row, and the quotient;
+- the `inv-pipeline` task with `with_morita` on I_4's natural action (the
+  seed-1 `inv_i4` workspace with its task replaced), through `cli.main`,
+  one round, its report pinned by a SHA-256: the ideal closure of the
+  dim-544 skew ring stops on the span of its generators, so the task ends
+  in a report within the CI step's time;
 - four failing inputs that price the fallbacks: a non-associative table
   (the scan over all triples), the skew ring with one product given a
   second term (not monomial; the chain scan stops at its 32nd failing
@@ -46,6 +51,7 @@ Not part of the tier-1 suite, whose `testpaths` is `tests/`.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from itertools import count
@@ -242,6 +248,26 @@ def test_ordered_skew_i3(benchmark, tmp_path):
     o = benchmark.pedantic(build_ordered_skew, setup=lambda: ((build_skew(a),), {}), rounds=5)
     assert o.skew.algebra.dim == 63 and (o.n_ideal.rank, o.quotient.dim) == (54, 9)
     assert set(range(63)) - set(o.n_ideal.pivots) == {45, 52, 53, 54, 56, 59, 60, 61, 62}
+
+
+# The report of `test_inv_pipeline_i4`, as `cli.main` writes it.
+INV_PIPELINE_I4_SHA256 = "3a5c81bb92ebfd901928f97ee75c8b318dad0af7bf547b1be801cedd3c2accdc"
+
+
+def test_inv_pipeline_i4(benchmark, tmp_path):
+    """The seed-1 `inv_i4` workspace with its task replaced by `inv-pipeline`
+    with `with_morita`, through `cli.main`, one round: the load, the
+    semigroup globalization and its checklist, and the Morita check, which
+    builds R from the dim-544 skew ring, whose N (rank 528) is the span of
+    its 1,680 order generators and absorbs at once."""
+    doc = gen.workload_docs("inv_monoid", 1)["inv_i4.json"]
+    doc["tasks"] = [{"id": "inv-pipeline", "task": "inv-pipeline", "inv_action": "natural", "with_morita": True}]
+    path = tmp_path / "inv_i4_pipeline.json"
+    dump_workspace_doc(doc, path)
+    out = tmp_path / "out"
+    rc = benchmark.pedantic(lambda: main(["run", str(path), "--out", str(out)]), rounds=1)
+    report = (out / "inv-pipeline.json").read_bytes()
+    assert rc == 0 and hashlib.sha256(report).hexdigest() == INV_PIPELINE_I4_SHA256
 
 
 def test_non_associative_table(benchmark):

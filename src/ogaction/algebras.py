@@ -22,7 +22,7 @@ assume that `products` is never mutated after construction.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .linalg import (
     LinMap,
-    Matrix,
     Subspace,
     Vector,
     check_prime,
@@ -340,41 +339,30 @@ def is_multiplicatively_closed(alg: Algebra, sub: Subspace) -> bool:
     return _products_on(alg, sub) is not None
 
 
-def _rank_fixpoint(
-    alg: Algebra, current: Subspace, products: Callable[[Matrix], Iterable[Vector]]
-) -> Subspace:
-    """Span current with products(current.basis) until the rank stops
-    growing; terminates by the ambient dimension bound."""
-    while True:
-        grown = Subspace.span(alg.dim, [*current.basis, *products(current.basis)], alg.p)
-        if grown.rank == current.rank:
-            return grown
-        current = grown
-
-
 def ideal_closure(alg: Algebra, gens: Iterable[Sequence[int]]) -> Subspace:
     """Smallest subspace containing gens and absorbing basis multiplication:
-    breadth-first over the 2 dim products of each basis row with the unit
-    vectors, read by one `basis_products` call per row."""
-    return _rank_fixpoint(
-        alg,
-        Subspace.span(alg.dim, [vec(g, alg.p) for g in gens], alg.p),
-        lambda basis: (_dense(w, alg.dim) for v in basis for side in alg.basis_products(v) for w in side),
-    )
+    until `is_ideal` holds on the full space, the span gains each basis
+    row's 2 dim products with the unit vectors, one `basis_products` call each."""
+    current = Subspace.span(alg.dim, [vec(g, alg.p) for g in gens], alg.p)
+    while not is_ideal(alg, current, alg.space()):
+        grown = (_dense(w, alg.dim) for v in current.basis for side in alg.basis_products(v) for w in side)
+        current = Subspace.span(alg.dim, [*current.basis, *grown], alg.p)
+    return current
 
 
 def subring_closure(alg: Algebra, parts: Iterable[Subspace]) -> Subspace:
-    """Smallest subspace containing all parts and closed under the product."""
+    """Smallest subspace containing all parts and closed under the product:
+    while the span has no kept product table, add its pairwise products."""
     rows: list[Vector] = []
     for part in parts:
         if part.dim != alg.dim or part.p != alg.p:
             raise AmbientMismatch("part lives in a different ambient space")
         rows.extend(part.basis)
-    return _rank_fixpoint(
-        alg,
-        Subspace.span(alg.dim, rows, alg.p),
-        lambda basis: (alg.mul(u, v) for u in basis for v in basis),
-    )
+    current = Subspace.span(alg.dim, rows, alg.p)
+    while _products_on(alg, current) is None:
+        grown = (alg.mul(u, v) for u in current.basis for v in current.basis)
+        current = Subspace.span(alg.dim, [*current.basis, *grown], alg.p)
+    return current
 
 
 class SubringIdentity(NamedTuple):
@@ -427,14 +415,15 @@ def _identity(alg: Algebra, sub: Subspace, prod: Products) -> Optional[SubringId
 
 
 def is_ideal(alg: Algebra, inner: Subspace, outer: Subspace) -> bool:
-    """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer):
-    read from a closed outer's kept table (`_absorbs`), else scanned by pair."""
+    """True iff inner absorbs multiplication by outer's basis (inner ⊆ outer, unscanned on
+    the full space): read from a closed outer's kept table (`_absorbs`), else scanned by pair."""
     memo = alg._ideals
     key = (inner, outer)
     if key in memo:
         return memo[key]
-    if not outer.contains_subspace(inner):
-        raise NotContained("inner subspace is not contained in the outer one")
+    if outer.rank < outer.dim or (inner.dim, inner.p) != (outer.dim, outer.p):
+        if not outer.contains_subspace(inner):
+            raise NotContained("inner subspace is not contained in the outer one")
     prod = _products_on(alg, outer)
     fast = None if prod is None else inner == outer or _absorbs(alg, inner, outer, prod)
     ok = short_cut("ideal from the kept table", fast, lambda: all(

@@ -239,7 +239,8 @@ def _morita_core(a: Action, gl: Globalization, r_ring: Optional[OrderedSkewRing]
     right_module = Subspace.span(q.dim, [_dense(w, q.dim) for w in one_right], p)  # T 1_R
     left_module = Subspace.span(q.dim, [_dense(w, q.dim) for w in one_left], p)  # 1_R T
     corner = Subspace.span(q.dim, [_times(one_left, y, p) for y in right_module.basis], p)  # 1_R T 1_R
-    double = _span_products(q, right_module.basis, basis)  # T 1_R T
+    lm, rm, cn = left_module.basis, right_module.basis, corner.basis
+    double = Subspace.span(q.dim, [_dense(w, q.dim) for x in rm for w in q.basis_products(x)[0]], p)  # T 1_R T
     idempotent = _times(one_left, one_r, p) == one_r
     lemmas = idempotent and _unit_of(t_ring) is not None
 
@@ -256,7 +257,6 @@ def _morita_core(a: Action, gl: Globalization, r_ring: Optional[OrderedSkewRing]
     def spans_equal(*cases: tuple[Sequence[Vector], Sequence[Vector], Subspace]) -> bool:
         return all(_span_products(q, x, y) == want for x, y, want in cases)
 
-    lm, rm, cn = left_module.basis, right_module.basis, corner.basis
     iii, iv = corner == embedded_copy, double == full
     clauses = {
         "MOR(i)": right_module == sum_moved,

@@ -2,11 +2,13 @@
 
 Most of this is deliberately naive: plain forward elimination, set
 enumeration, and fixpoint loops that only rely on a multiplication
-callback, sharing no code with the package under test.  The algebra
-section keeps the identity, ideal, ring-map and subalgebra checks as pair
-scans that form every basis product afresh on each call, as the library
-wrote them before it kept one product table per subspace, and the UNIT
-clause and the centrality test as one pair of dense products per basis
+callback, sharing no code with the package under test; the two closure
+loops span once more after the last growth and stop when the rank stands
+still, as the library closed before it tested each closure's property
+first.  The algebra section keeps the identity, ideal, ring-map and
+subalgebra checks as pair scans that form every basis product afresh on
+each call, as the library wrote them before it kept one product table per
+subspace, and the UNIT clause and the centrality test as one pair of dense products per basis
 vector, as the library wrote them before it read a product with a basis
 vector from the table.  One section keeps two globalization checks as the library wrote them before the
 semigroup and restriction clauses were read off the groupoid checklist;
@@ -124,6 +126,19 @@ def naive_ideal_closure(mul, dim, p, gens, basis_vectors):
                 new.append(mul(b, v))
                 new.append(mul(v, b))
         new = rref(new, p)
+        if len(new) == len(current):
+            return current
+        current = new
+
+
+def naive_subring_closure(mul, dim, p, rows):
+    """Fixpoint closure under the product of every pair of basis rows, the
+    rows reduced by `rref` once per round until the rank stops growing, as
+    the library closed a subring before it stopped on a kept product table;
+    returns the RREF basis of the closure."""
+    current = rref(rows, p)
+    while True:
+        new = rref([*current, *(mul(u, v) for u in current for v in current)], p)
         if len(new) == len(current):
             return current
         current = new

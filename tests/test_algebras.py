@@ -18,6 +18,7 @@ from ogaction.algebras import (
     validate_algebra,
 )
 from ogaction.errors import (
+    AmbientMismatch,
     InvalidAlgebra,
     NotAnIdeal,
     NotCentralIdempotent,
@@ -184,6 +185,10 @@ def test_is_ideal():
     assert not is_ideal(alg, line, alg.space())
     with pytest.raises(NotContained):
         is_ideal(F5_3, outer, inner)
+    # The full space contains every subspace of its own ambient only.
+    for foreign in (Subspace.span(2, [(0, 1)], 5), Subspace.span(3, [(0, 1, 0)], 7)):
+        with pytest.raises(AmbientMismatch):
+            is_ideal(F5_3, foreign, F5_3.space())
 
 
 def test_quotient_of_pointwise_algebra():
